@@ -28,6 +28,7 @@ from .dsl import CircuitParseError, CutoffPolicy, compile_circuit, parse, print_
 from .elements import (
     BeamSplitterParams,
     SqueezerParams,
+    _pair_ladders,
     beam_splitter_unitary,
     two_mode_squeezer_unitary,
 )
@@ -39,7 +40,6 @@ from .scheme import (
     branch_wigner,
     build_fig1_circuit,
     commutation_report,
-    efficiency_degradation,
     run_interferometer,
 )
 
@@ -323,12 +323,6 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     if fmt in ("csv", "both"):
         _dump_csv(rows, out_dir / "verify_commutation.csv")
     sys.exit(EXIT_OK if all_ok else EXIT_USAGE)
-
-
-def _pair_ladders(cut: Cutoff):
-    from .elements import _pair_ladders as pl
-
-    return pl(cut)
 
 
 def _block_dev(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> float:

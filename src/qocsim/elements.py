@@ -14,8 +14,14 @@ Sign conventions (pinned by tests, observable in interference):
   ``exp(−s·a†d† + s·d a)``:  ``S a S† = μ a + ν d†`` with ``μ = cosh s``,
   ``ν = sinh s``, and ``S|0,0⟩ = μ⁻¹ Σ (−λ)^k |k,k⟩`` with ``λ = ν/μ``.
 
-Both are matrix exponentials of the exact bilinear generators on the truncated
-space, hence exactly unitary there; the beam splitter is exact on every block
+Both are matrix exponentials of the exact bilinear generators on the
+truncated space, hence exactly unitary there.  The beam-splitter generator
+conserves ``n1 + n2`` and the squeezer generator ``n1 − n2``; truncating the
+ladder operators only drops couplings that would leave the retained levels, so
+each truncated generator is exactly block-diagonal in these sectors.  Each
+sector is a tridiagonal chain of at most ``d`` states, and the unitary is
+assembled from one small ``expm`` per chain (``2d−1`` of them) instead of one
+``expm`` of the ``d²×d²`` generator.  The beam splitter is exact on every block
 of fixed total photon number that fits under the cutoff, while the squeezer
 (which changes total photon number) is accurate away from a band at the top.
 """
@@ -141,11 +147,6 @@ def thermal_state(nbar: float, cutoff: Cutoff, mode: str = "a") -> MixedState:
     return MixedState.create((mode,), cutoff, np.diag(p).astype(np.complex128))
 
 
-def thermal_populations(nbar: float, cutoff: Cutoff) -> np.ndarray:
-    """Truncated, renormalized geometric photon-number distribution."""
-    return np.real(np.diag(thermal_state(nbar, cutoff).matrix))
-
-
 def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     """(a1, a2) on the two-mode space; pair index = n1 + d*n2 (mode 1 fastest)."""
     d = cutoff.d
@@ -156,17 +157,41 @@ def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
+def _chain_unitary(d: int, chains) -> np.ndarray:
+    """exp(G) on the two-mode space for G a direct sum of real tridiagonal chains.
+
+    Each chain is ``(idx, c)``: the pair indices of its states in chain order
+    and the couplings ``G[idx[j], idx[j+1]] = c[j] = −G[idx[j+1], idx[j]]``.
+    Entries between different chains stay exactly zero.  The generators are
+    passed to ``expm`` as complex matrices: on long chains scipy's real path
+    (scipy 1.17) is off by up to 8e-14 from a 40-digit reference, the
+    complex path by 1e-15.
+    """
+    u = np.zeros((d * d, d * d), dtype=np.complex128)
+    for idx, c in chains:
+        u[np.ix_(idx, idx)] = expm((np.diag(c, 1) - np.diag(c, -1)).astype(np.complex128))
+    return u
+
+
 def beam_splitter_unitary(params: BeamSplitterParams, cutoff: Cutoff) -> OperatorMatrix:
     """Two-mode beam-splitter unitary realizing the conventions above."""
-    a1, a2 = _pair_ladders(cutoff)
+    d = cutoff.d
     theta = float(np.arccos(params.t))
-    gen = theta * (a2.conj().T @ a1 - a1.conj().T @ a2)
-    return OperatorMatrix.create(expm(gen), params.modes, cutoff)
+    chains = []
+    for total in range(2 * d - 1):  # sector n1 + n2 = total, in order of rising n1
+        n1 = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
+        n2 = total - n1
+        chains.append((n1 + d * n2, theta * np.sqrt(n1[1:] * (n2[1:] + 1.0))))
+    return OperatorMatrix.create(_chain_unitary(d, chains), params.modes, cutoff)
 
 
 def two_mode_squeezer_unitary(params: SqueezerParams, cutoff: Cutoff) -> OperatorMatrix:
     """Two-mode squeezer exp(−s·a†d† + s·d a) on (signal, idler)."""
-    a1, a2 = _pair_ladders(cutoff)
+    d = cutoff.d
     s = params.coupling
-    gen = -s * (a1.conj().T @ a2.conj().T) + s * (a2 @ a1)
-    return OperatorMatrix.create(expm(gen), params.modes, cutoff)
+    chains = []
+    for diff in range(1 - d, d):  # sector n1 − n2 = diff, in order of rising n2
+        n2 = np.arange(max(0, -diff), min(d, d - diff))
+        n1 = n2 + diff
+        chains.append((n1 + d * n2, s * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))))
+    return OperatorMatrix.create(_chain_unitary(d, chains), params.modes, cutoff)

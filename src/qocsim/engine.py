@@ -217,16 +217,20 @@ def _input_members(stmt: InputStmt, cutoff: Cutoff) -> list[np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _unitary_matrix_cached(kind: str, value: float, modes: tuple[str, str], d: int) -> np.ndarray:
+# The matrix does not depend on the modes it acts on, so they are not part of
+# the key.  One Fig.-1 run needs at most 3 (kind, value) pairs at 2 cutoffs.
+@lru_cache(maxsize=16)
+def _unitary_matrix_cached(kind: str, value: float, d: int) -> np.ndarray:
     cutoff = Cutoff(d)
     if kind == "bs":
-        return beam_splitter_unitary(BeamSplitterParams(value, modes), cutoff).matrix
-    return two_mode_squeezer_unitary(SqueezerParams(value, modes), cutoff).matrix
+        return beam_splitter_unitary(BeamSplitterParams(value), cutoff).matrix
+    return two_mode_squeezer_unitary(SqueezerParams(value), cutoff).matrix
 
 
 def _unitary_matrix(stmt: ElementStmt, cutoff: Cutoff) -> np.ndarray:
-    return _unitary_matrix_cached(stmt.kind, stmt.value, stmt.modes, cutoff.d)
+    if stmt.modes[0] == stmt.modes[1]:
+        raise ValueError(f"{stmt.kind} modes must differ, got {stmt.modes}")
+    return _unitary_matrix_cached(stmt.kind, stmt.value, cutoff.d)
 
 
 class _LeakMonitor:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qocsim.core import (
     Cutoff,
@@ -14,6 +15,7 @@ from qocsim.core import (
 from qocsim.elements import (
     BeamSplitterParams,
     SqueezerParams,
+    _pair_ladders,
     beam_splitter_unitary,
     coherent_state,
     fock_state,
@@ -185,8 +187,6 @@ def test_bs_conjugation_identities():
     T = 0.99
     t, r = math.sqrt(T), math.sqrt(1 - T)
     u = beam_splitter_unitary(BeamSplitterParams(T, ("b", "c")), c).matrix
-    from qocsim.elements import _pair_ladders
-
     b, cc = _pair_ladders(c)
     tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
     blk = tot <= d - 2
@@ -247,14 +247,48 @@ def test_squeezer_conjugation_identity():
     s = 0.1
     c = Cutoff(d)
     u = two_mode_squeezer_unitary(SqueezerParams(s, ("a", "d")), c).matrix
-    from qocsim.elements import _pair_ladders
-
     a, idq = _pair_ladders(c)
     tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
     blk = tot <= d - 9  # 8 levels of margin under the truncation boundary
     lhs = u @ a @ u.conj().T
     rhs = math.cosh(s) * a + math.sinh(s) * idq.conj().T
     assert np.abs(lhs - rhs)[np.ix_(blk, blk)].max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sector-wise construction against the dense exponential of the full generator
+
+
+@pytest.mark.parametrize("d", [8, 12, 20])
+def test_sector_construction_matches_dense_expm(d):
+    c = Cutoff(d)
+    a1, a2 = _pair_ladders(c)
+    bs_gen = a2.conj().T @ a1 - a1.conj().T @ a2
+    sq_gen = -(a1.conj().T @ a2.conj().T) + a2 @ a1
+    for T in (0.5, 0.9, 1.0):
+        u = beam_splitter_unitary(BeamSplitterParams(T), c).matrix
+        dense = expm(math.acos(math.sqrt(T)) * bs_gen)
+        assert np.abs(u - dense).max() <= 1e-13, T
+    for s in (0.0, 0.05, 0.3):
+        u = two_mode_squeezer_unitary(SqueezerParams(s), c).matrix
+        dense = expm(s * sq_gen)
+        assert np.abs(u - dense).max() <= 1e-13, s
+
+
+def test_sector_construction_block_structure_at_d40():
+    d = 40
+    c = Cutoff(d)
+    n1, n2 = np.arange(d * d) % d, np.arange(d * d) // d
+    for u, sector in (
+        (beam_splitter_unitary(BeamSplitterParams(0.9), c).matrix, n1 + n2),
+        (two_mode_squeezer_unitary(SqueezerParams(0.3), c).matrix, n1 - n2),
+    ):
+        assert np.all(u[sector[:, None] != sector[None, :]] == 0)
+        # with every cross-sector entry zero, U is unitary iff each block is
+        for label in np.unique(sector):
+            idx = np.flatnonzero(sector == label)
+            block = u[np.ix_(idx, idx)]
+            assert np.abs(block.conj().T @ block - np.eye(len(idx))).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from qocsim.dsl import (
 from qocsim.engine import (
     Ensemble,
     LeakBudgetError,
+    _unitary_matrix_cached,
     execute_plan,
     execute_plan_brute,
 )
 from qocsim.measurement import ZeroProbabilityError
+from qocsim.scheme import SchemeParams, run_interferometer
 
 LOOSE = CutoffPolicy(explicit=6, leak_budget=1.0)
 
@@ -164,3 +168,35 @@ def test_final_state_types():
     mixed_text = "modes a b\ninput a thermal 0.4\ninput b vacuum\nbs a b T=0.9\nout probs\n"
     res = execute_plan(compile_circuit(parse(mixed_text), LOOSE))
     assert isinstance(res.final_state, (MixedState, Ensemble))
+
+
+def test_element_with_repeated_mode_is_rejected():
+    spec = CircuitSpec(
+        ("a", "b"),
+        (InputStmt("a", "vacuum", ()), InputStmt("b", "vacuum", ())),
+        (ElementStmt("bs", ("a", "a"), 0.5),),
+        (OutputStmt("probs"),),
+    )
+    plan = compile_circuit(spec, LOOSE)
+    for executor in (execute_plan, execute_plan_brute):
+        with pytest.raises(ValueError, match="modes must differ"):
+            executor(plan)
+
+
+def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
+    params = SchemeParams(alpha=1.2, transmittivity=0.9, coupling=0.2)
+    _unitary_matrix_cached.cache_clear()
+    first = run_interferometer(params)
+    assert first.cutoff == 24  # the adaptive d=12 fails the leak budget and is doubled
+    info = _unitary_matrix_cached.cache_info()
+    # d=12 builds BS1 and the squeezer before its leak check fails; d=24 builds
+    # (bs 0.9, tmsq 0.2, bs 0.5), BS1 and BS2 sharing one entry.  Nothing evicted.
+    assert info.currsize == info.misses == 5
+    second = run_interferometer(params)
+    assert _unitary_matrix_cached.cache_info().misses == info.misses
+    for f in fields(first):
+        a, b = getattr(first, f.name), getattr(second, f.name)
+        if isinstance(a, MixedState):
+            assert np.array_equal(a.matrix, b.matrix) and a.trace_tag == b.trace_tag, f.name
+        else:
+            assert a == b, f.name
