@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from .core import Cutoff, state_to_json_dict, truncated_commutator
-from .dsl import CircuitParseError, CutoffPolicy, compile_circuit, parse, print_circuit
+from .dsl import CircuitParseError, CutoffPolicy, compile_circuit, parse
 from .elements import (
     BeamSplitterParams,
     SqueezerParams,
@@ -35,13 +35,7 @@ from .elements import (
 from .engine import LeakBudgetError, execute_plan
 from .measurement import ZeroProbabilityError
 from .phasespace import GridSpec, min_wigner, save_grid_csv, save_grid_json
-from .scheme import (
-    SchemeParams,
-    branch_wigner,
-    build_fig1_circuit,
-    commutation_report,
-    run_interferometer,
-)
+from .scheme import SchemeParams, branch_wigner, commutation_report, run_interferometer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,9 +75,45 @@ def _dump_csv(rows: list[dict], path: Path) -> None:
             writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
 
 
+@contextmanager
+def _usage_exit_code():
+    """Give click's usage errors the documented exit code 1 (click's own is 2)."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USAGE
+        raise
+
+
+class _Main(click.Group):
+    def make_context(self, *args, **kwargs):
+        with _usage_exit_code():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exit_code():
+            return super().invoke(ctx)
+
+
+def _validated(**kwargs) -> SchemeParams:
+    try:
+        return SchemeParams(**kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
+def _float_list(text: str, name: str) -> list[float]:
+    try:
+        vals = [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise click.UsageError(f"bad number in {name} {text!r}") from None
+    if not vals:
+        raise click.UsageError(f"empty range for {name}")
+    return vals
+
+
 def _scheme_params(
     alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff, leak_budget,
-    swap_bs3_sign=False,
 ) -> SchemeParams:
     if sum(x is not None for x in (alpha, nbar, fock)) > 1:
         raise click.UsageError("choose one of --alpha / --nbar / --fock")
@@ -93,7 +123,7 @@ def _scheme_params(
         kind, a, nb, fn = "fock", 1.0, 1.0, fock
     else:
         kind, a, nb, fn = "coherent", (alpha if alpha is not None else 1.0), 1.0, 1
-    return SchemeParams(
+    return _validated(
         input_kind=kind,
         alpha=complex(a),
         nbar=nb,
@@ -106,7 +136,6 @@ def _scheme_params(
         pd0_onoff=onoff,
         cutoff=cutoff,
         leak_budget=leak_budget,
-        swap_bs3_sign=swap_bs3_sign,
     )
 
 
@@ -165,7 +194,7 @@ def _add_options(opts):
     return wrap
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Truncated Fock-space simulator for heralded add/subtract interferometry."""
 
@@ -255,6 +284,9 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
               show_default=True)
 def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out, fmt) -> None:
     """Operator-level identity checks plus a coherent-amplitude sweep."""
+    base = _validated(transmittivity=T, coupling=s, cutoff=cutoff,
+                      leak_budget=leak_budget, swap_bs3_sign=swap_bs3_sign)
+    alpha_list = _float_list(alphas, "--alphas")
     out_dir = _out_dir(out)
     checks: list[tuple[str, bool, str]] = []
 
@@ -297,9 +329,6 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     checks.append(("Hong-Ou-Mandel bunching at 50:50", hom_ok,
                    f"|amp(1,1)| = {abs(amp11):.2e}"))
 
-    base = SchemeParams(transmittivity=T, coupling=s, cutoff=cutoff,
-                        leak_budget=leak_budget, swap_bs3_sign=swap_bs3_sign)
-    alpha_list = [float(x) for x in alphas.split(",") if x.strip() != ""]
     rows = commutation_report(base, alpha_list)
     for row in rows:
         a = row["alpha"]
@@ -380,28 +409,19 @@ def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, jobs, out, fmt) -> None:
     """Cartesian sweep over alpha/T/s/eta; one report row per point."""
     out_dir = _out_dir(out)
 
-    def parse_list(text: str, name: str) -> list[float]:
-        vals = [float(x) for x in text.split(",") if x.strip() != ""]
-        if not vals:
-            click.echo(f"error: empty range for {name}", err=True)
-            sys.exit(EXIT_USAGE)
-        return vals
-
-    alphas = parse_list(alpha, "--alpha")
-    Ts = parse_list(T, "--T")
-    ss = parse_list(s, "--s")
-    etas = parse_list(eta, "--eta")
-    points = sorted(product(alphas, Ts, ss, etas))
-
-    def one(point):
-        a, tv, sv, ev = point
-        params = SchemeParams(alpha=complex(a), transmittivity=tv, coupling=sv,
-                              eta_pd1=ev, eta_pd2=ev, cutoff=cutoff, leak_budget=leak_budget)
-        return _result_report(run_interferometer(params))
+    alphas = _float_list(alpha, "--alpha")
+    Ts = _float_list(T, "--T")
+    ss = _float_list(s, "--s")
+    etas = _float_list(eta, "--eta")
+    params = [
+        _validated(alpha=complex(a), transmittivity=tv, coupling=sv, eta_pd1=ev, eta_pd2=ev,
+                   cutoff=cutoff, leak_budget=leak_budget)
+        for a, tv, sv, ev in sorted(product(alphas, Ts, ss, etas))
+    ]
 
     try:
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            rows = list(pool.map(one, points))
+            rows = [_result_report(r) for r in pool.map(run_interferometer, params)]
     except (LeakBudgetError, ZeroProbabilityError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)

@@ -15,7 +15,7 @@ carried weight, which downstream conditioning probabilities are ratios of.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np

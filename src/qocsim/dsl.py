@@ -13,8 +13,8 @@ Grammar (one statement per line, ``#`` starts a comment)::
     out state <mode>
 
 Every declared mode needs exactly one input statement.  Heralds are
-destructive: the compiler inserts a trace immediately after each conditioning
-step, and a heralded mode may not be referenced afterwards.  Elements and
+destructive: each conditioning step also traces its mode out, and a heralded
+mode may not be referenced afterwards.  Elements and
 heralds execute in file order.  The canonical printer orders statements as
 modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "InputStmt",
@@ -449,7 +449,10 @@ class CutoffPolicy:
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One primitive step: prepare | unitary | condition | trace | output."""
+    """One primitive step: prepare | unitary | condition | output.
+
+    A condition step heralds its mode and traces it out in one go.
+    """
 
     op: str
     mode: str | None = None
@@ -469,8 +472,8 @@ class ExecutionPlan:
 def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) -> ExecutionPlan:
     """Lower a validated spec to an ordered step list.
 
-    Modes are prepared lazily right before first use (staged evaluation) and a
-    trace step follows every condition step, so the live space stays small.
+    Modes are prepared lazily right before first use (staged evaluation) and
+    every condition step traces its mode out, so the live space stays small.
     Compilation is deterministic and idempotent.
     """
     cutoff, may_double = policy.choose(spec)
@@ -498,7 +501,6 @@ def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) ->
                 )
             ensure(op.mode)
             steps.append(PlanStep("condition", mode=op.mode, payload=op))
-            steps.append(PlanStep("trace", mode=op.mode))
             live.discard(op.mode)
 
     for out in spec.outputs:

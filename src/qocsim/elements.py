@@ -29,7 +29,7 @@ of fixed total photon number that fits under the cutoff, while the squeezer
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm

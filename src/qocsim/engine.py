@@ -1,12 +1,13 @@
 """Plan executors: a staged ensemble evaluator and a brute-force reference.
 
 The staged executor attaches modes lazily, traces every heralded mode
-immediately, and represents (possibly mixed) states as weighted ensembles of
-pure vectors: ρ = Σᵢ |vᵢ⟩⟨vᵢ|.  All detector POVM elements are diagonal in the
-Fock basis, so conditioning maps ensembles to ensembles; the member count is
-compacted back to the live-space rank via an eigendecomposition whenever it
-grows past it.  This keeps the Fig.-1-style pipelines at d ≈ 32 with thermal
-inputs in ≈ d² live dimensions.
+immediately, and represents (possibly mixed) states as one weighted ensemble
+of pure vectors, ρ = Σₖ |vₖ⟩⟨vₖ|, held as the columns of a single ``(dim, K)``
+array.  All detector POVM elements are diagonal in the Fock basis, so
+conditioning maps ensembles to ensembles; the member count K is compacted back
+to the live-space rank via an eigendecomposition whenever it grows past it.
+This keeps the Fig.-1-style pipelines at d ≈ 32 with thermal inputs in ≈ d²
+live dimensions.  The final state is returned as that ensemble.
 
 The brute-force executor builds the full joint space up front, applies
 embedded conditioning operators without any tracing, and reduces only at the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +32,8 @@ from .core import (
     apply_matrix,
     partial_trace,
     tensor,
-    to_mixed,
 )
-from .dsl import ElementStmt, ExecutionPlan, HeraldStmt, InputStmt, OutputStmt, PlanStep
+from .dsl import ElementStmt, ExecutionPlan, HeraldStmt, InputStmt, OutputStmt
 from .elements import (
     BeamSplitterParams,
     SqueezerParams,
@@ -43,8 +44,8 @@ from .elements import (
     two_mode_squeezer_unitary,
     vacuum,
 )
-from .measurement import DetectorModel, HeraldPattern, Requirement, ZeroProbabilityError
-from .phasespace import GridSpec, WignerGrid, fidelity, uhlmann_fidelity, wigner
+from .measurement import DetectorModel, Requirement, ZeroProbabilityError
+from .phasespace import GridSpec, fidelity, uhlmann_fidelity, wigner
 
 __all__ = [
     "LeakBudgetError",
@@ -56,9 +57,6 @@ __all__ = [
     "detector_for",
     "requirement_for",
 ]
-
-
-_DENSIFY_LIMIT = 4096  # largest joint dimension materialized as a dense matrix
 
 
 class LeakBudgetError(RuntimeError):
@@ -78,84 +76,87 @@ class LeakBudgetError(RuntimeError):
 
 @dataclass
 class Ensemble:
-    """Weighted pure-vector ensemble over the live modes (little-endian digits)."""
+    """Weighted pure-vector ensemble over the live modes (little-endian digits).
+
+    ``members`` has shape ``(dim, K)``: column k is the unnormalized vector vₖ.
+    """
 
     modes: tuple[str, ...]
     cutoff: Cutoff
-    members: list[np.ndarray]
+    members: np.ndarray
 
     @property
     def weight(self) -> float:
-        return float(sum(np.sum(np.abs(v) ** 2) for v in self.members))
+        return float(np.sum(self._populations()))
 
     @property
     def dim(self) -> int:
         return self.cutoff.d ** len(self.modes)
 
-    def to_mixed(self) -> MixedState:
-        rho = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for v in self.members:
-            rho += np.outer(v, v.conj())
-        return MixedState.create(self.modes, self.cutoff, rho)
+    def _populations(self) -> np.ndarray:
+        """Diagonal of ρ in the joint Fock basis."""
+        m = self.members
+        return np.sum(m.real**2 + m.imag**2, axis=1)
 
-    def to_state(self) -> State:
-        if len(self.members) == 1:
-            return PureState.create(self.modes, self.cutoff, self.members[0])
-        return self.to_mixed()
-
-    def pattern_probability(self, pattern, detectors) -> float:
-        """Tr[ρ ⊗ Eᵢ] over the ensemble without densifying it."""
-        d = self.cutoff.d
-        diags = []
-        for m in self.modes:
-            req = pattern.requirements.get(m, measurement.unmeasured)
-            if req.kind == "unmeasured":
-                diags.append(np.ones(d))
-            else:
-                det = detectors.get(m, measurement.IDEAL_NR)
-                el = measurement.povm_element(req, det, self.cutoff)
-                diags.append(np.real(np.diag(el.matrix)))
-        joint = diags[0]
-        for vec in diags[1:]:
-            joint = np.kron(vec, joint)
-        return float(sum(np.sum(joint * np.abs(v) ** 2) for v in self.members))
-
-    def reduced(self, mode: str) -> MixedState:
+    def _mode_first(self, mode: str) -> np.ndarray:
+        """Members as ``(d, rest·K)``, with ``mode`` as the leading digit."""
         d = self.cutoff.d
         M = len(self.modes)
         ax = M - 1 - self.modes.index(mode)
-        rho = np.zeros((d, d), dtype=np.complex128)
-        for v in self.members:
-            t = np.moveaxis(v.reshape((d,) * M), ax, 0).reshape(d, -1)
-            rho += t @ t.conj().T
-        return MixedState.create((mode,), self.cutoff, rho)
+        t = self.members.reshape((d,) * M + (self.members.shape[1],))
+        return np.moveaxis(t, ax, 0).reshape(d, -1)
+
+    def to_mixed(self) -> MixedState:
+        m = self.members
+        return MixedState.create(self.modes, self.cutoff, m @ m.conj().T)
+
+    def pattern_probability(self, pattern, detectors) -> float:
+        """Tr[ρ ⊗ Eᵢ] over the ensemble without densifying it."""
+        joint = measurement.joint_diagonal(self.modes, self.cutoff, pattern.requirements, detectors)
+        return float(joint @ self._populations())
+
+    def reduced(self, mode: str) -> MixedState:
+        t = self._mode_first(mode)
+        return MixedState.create((mode,), self.cutoff, t @ t.conj().T)
 
     def top_level_population(self) -> dict[str, float]:
         d = self.cutoff.d
         M = len(self.modes)
-        pops = np.zeros(self.dim)
-        for v in self.members:
-            pops += np.abs(v) ** 2
+        pops = self._populations()
         total = float(np.sum(pops))
         t = pops.reshape((d,) * M)
         out = {}
         for m in self.modes:
-            ax = M - 1 - self.modes.index(m)
-            sl = [slice(None)] * M
-            sl[ax] = d - 1
-            out[m] = float(np.sum(t[tuple(sl)])) / total if total > 0 else 0.0
+            top = np.take(t, d - 1, axis=M - 1 - self.modes.index(m))
+            out[m] = float(np.sum(top)) / total if total > 0 else 0.0
         return out
+
+    def condition(self, mode: str, diag: np.ndarray) -> Ensemble:
+        """Apply the diagonal POVM element ``diag`` on ``mode`` and trace it out.
+
+        Each member v yields the members √Eₙ ⟨n|v⟩ over the support of E; the
+        carried weight drops to Tr[E ρ].  All-zero members are dropped.
+        """
+        t = self._mode_first(mode)
+        support = np.nonzero(diag > 0.0)[0]
+        rest = t.shape[1] // self.members.shape[1]
+        # (n, rest, k) -> (rest, k, n): member order is k-major, n-minor
+        branches = (np.sqrt(diag[support])[:, None] * t[support]).reshape(
+            support.size, rest, -1
+        )
+        branches = branches.transpose(1, 2, 0).reshape(rest, -1)
+        branches = branches[:, np.any(branches, axis=0)]
+        remaining = tuple(m for m in self.modes if m != mode)
+        return Ensemble(remaining, self.cutoff, branches)
 
     def compact(self) -> None:
         """Re-express as an eigen-ensemble when the member count exceeds the rank."""
-        if len(self.members) <= self.dim:
+        if self.members.shape[1] <= self.dim:
             return
-        rho = self.to_mixed().matrix
-        evals, evecs = np.linalg.eigh(rho)
+        m = self.members
+        evals, evecs = np.linalg.eigh(m @ m.conj().T)
         keep = evals > max(evals[-1], 0.0) * 1e-16
-        self.members = [
-            np.sqrt(evals[i]) * evecs[:, i] for i in range(len(evals)) if keep[i]
-        ]
+        self.members = evecs[:, keep] * np.sqrt(evals[keep])
 
 
 def detector_for(stmt: HeraldStmt) -> DetectorModel:
@@ -179,12 +180,14 @@ class HeraldRecord:
 class ExecutionResult:
     plan: ExecutionPlan
     cutoff: int
-    final_state: State | None
+    final_state: Ensemble | State | None  # staged: Ensemble; brute oracle: State
     final_modes: tuple[str, ...]
     heralds: list[HeraldRecord]
     joint_probability: float
     leak_max: float
     outputs: dict[int, object] = field(default_factory=dict)
+    # one (ensemble, heralds) pair per requested branch; see execute_plan
+    branches: list[tuple[Ensemble, list[HeraldRecord]]] = field(default_factory=list)
 
     def output_value(self, kind: str, mode: str | None = None):
         for i, out in enumerate(self.plan.spec.outputs):
@@ -203,18 +206,13 @@ def _input_state(stmt: InputStmt, cutoff: Cutoff) -> State:
     return vacuum(cutoff, stmt.mode)
 
 
-def _input_members(stmt: InputStmt, cutoff: Cutoff) -> list[np.ndarray]:
+def _input_members(stmt: InputStmt, cutoff: Cutoff) -> np.ndarray:
     state = _input_state(stmt, cutoff)
     if isinstance(state, PureState):
-        return [state.amps.copy()]
+        return state.amps.reshape(-1, 1).astype(np.complex128)
     pops = np.real(np.diag(state.matrix))
-    out = []
-    for n, p in enumerate(pops):
-        if p > 0.0:
-            v = np.zeros(cutoff.d, dtype=np.complex128)
-            v[n] = np.sqrt(p)
-            out.append(v)
-    return out
+    support = pops > 0.0
+    return np.diag(np.sqrt(np.where(support, pops, 0.0))).astype(np.complex128)[:, support]
 
 
 # The matrix does not depend on the modes it acts on, so they are not part of
@@ -276,17 +274,46 @@ def _evaluate_output(
     return uhlmann_fidelity(ref, rho_n)
 
 
-def execute_plan(plan: ExecutionPlan) -> ExecutionResult:
-    """Run the staged ensemble executor; retries once at doubled cutoff on leak failure."""
+def execute_plan(
+    plan: ExecutionPlan, *, branches: Sequence[Sequence[HeraldStmt]] = ()
+) -> ExecutionResult:
+    """Run the staged ensemble executor; retries once at doubled cutoff on leak failure.
+
+    Each entry of ``branches`` is a herald sequence applied, like the plan's own
+    condition steps, to the plan's final ensemble.  Branches run at the same
+    cutoff and under the same leak checks, so a leak in a branch also triggers
+    the retry.  The results are in ``ExecutionResult.branches``, with herald
+    probabilities conditional on the final ensemble.
+    """
     try:
-        return _execute_staged(plan, plan.cutoff)
+        return _execute_staged(plan, plan.cutoff, branches)
     except LeakBudgetError:
         if not plan.may_double:
             raise
-        return _execute_staged(plan, 2 * plan.cutoff)
+        return _execute_staged(plan, 2 * plan.cutoff, branches)
 
 
-def _execute_staged(plan: ExecutionPlan, d: int) -> ExecutionResult:
+def _herald(
+    ens: Ensemble, stmt: HeraldStmt, monitor: _LeakMonitor
+) -> tuple[Ensemble, HeraldRecord]:
+    """One condition step: condition and trace, compact, then check the leak."""
+    element = measurement.povm_element(requirement_for(stmt), detector_for(stmt), ens.cutoff)
+    before = ens.weight
+    ens = ens.condition(stmt.mode, np.real(np.diag(element.matrix)))
+    after = ens.weight
+    if after <= 0.0:
+        raise ZeroProbabilityError(
+            f"herald {stmt.requirement} on mode {stmt.mode!r} has zero probability"
+        )
+    ens.compact()
+    if ens.modes:
+        monitor.check(f"herald {stmt.mode}", ens.top_level_population())
+    return ens, HeraldRecord(stmt.mode, stmt.requirement, after / before)
+
+
+def _execute_staged(
+    plan: ExecutionPlan, d: int, branches: Sequence[Sequence[HeraldStmt]]
+) -> ExecutionResult:
     cutoff = Cutoff(d)
     inputs = {inp.mode: inp for inp in plan.spec.inputs}
     ens: Ensemble | None = None
@@ -303,50 +330,22 @@ def _execute_staged(plan: ExecutionPlan, d: int) -> ExecutionResult:
             if ens is None:
                 ens = Ensemble((step.mode,), cutoff, new)
             else:
-                # joint members: index = old + dim_old * new_level (new mode is slower)
-                members = [np.kron(nv, ov) for ov in ens.members for nv in new]
-                ens = Ensemble(ens.modes + (step.mode,), cutoff, members)
+                # joint index = old + dim_old * new_level (new mode is slower);
+                # member index = k_old * K_new + k_new
+                members = np.einsum("nj,oi->noij", new, ens.members)
+                ens = Ensemble(ens.modes + (step.mode,), cutoff,
+                               members.reshape(cutoff.d * ens.dim, -1))
                 ens.compact()
             monitor.check(f"prepare {step.mode}", ens.top_level_population())
         elif step.op == "unitary":
             mat = _unitary_matrix(step.payload, cutoff)
-            stack = np.stack(ens.members, axis=-1)  # (dim, K): members ride along
-            stack = apply_matrix(stack, ens.modes, cutoff, mat, step.payload.modes)
-            ens.members = [stack[:, k] for k in range(stack.shape[1])]
+            ens.members = apply_matrix(ens.members, ens.modes, cutoff, mat, step.payload.modes)
             monitor.check(f"{step.payload.kind} {'/'.join(step.payload.modes)}",
                           ens.top_level_population())
         elif step.op == "condition":
-            stmt = step.payload
-            det = detector_for(stmt)
-            req = requirement_for(stmt)
-            element = measurement.povm_element(req, det, cutoff)
-            diag = np.real(np.diag(element.matrix))
-            before = ens.weight
-            dd = cutoff.d
-            M = len(ens.modes)
-            ax = M - 1 - ens.modes.index(stmt.mode)
-            new_members: list[np.ndarray] = []
-            for v in ens.members:
-                t = np.moveaxis(v.reshape((dd,) * M), ax, 0).reshape(dd, -1)
-                for n in np.nonzero(diag > 0.0)[0]:
-                    branch = np.sqrt(diag[n]) * t[n]
-                    if np.any(branch):
-                        new_members.append(branch.reshape(-1))
-            remaining = tuple(m for m in ens.modes if m != stmt.mode)
-            ens = Ensemble(remaining, cutoff, new_members)
-            after = ens.weight
-            prob = after / before if before > 0 else 0.0
-            if after <= 0.0:
-                raise ZeroProbabilityError(
-                    f"herald {stmt.requirement} on mode {stmt.mode!r} has zero probability"
-                )
-            ens.compact()
-            heralds.append(HeraldRecord(stmt.mode, stmt.requirement, prob))
-            joint *= prob
-            if ens.modes:
-                monitor.check(f"herald {stmt.mode}", ens.top_level_population())
-        elif step.op == "trace":
-            pass  # folded into the condition step (heralds are destructive)
+            ens, record = _herald(ens, step.payload, monitor)
+            heralds.append(record)
+            joint *= record.probability
         elif step.op == "output":
             stmt = step.payload
             if stmt.mode is not None and stmt.mode not in reduced_cache:
@@ -356,22 +355,24 @@ def _execute_staged(plan: ExecutionPlan, d: int) -> ExecutionResult:
             )
             out_index += 1
 
-    final_state: State | Ensemble | None
-    if ens is None or not ens.modes:
-        final_state = None
-    elif len(ens.members) == 1 or ens.dim <= _DENSIFY_LIMIT:
-        final_state = ens.to_state()
-    else:
-        final_state = ens  # too large to densify; still supports pattern probabilities
+    results = []
+    for stmts in branches:
+        branch, records = ens, []
+        for stmt in stmts:
+            branch, record = _herald(branch, stmt, monitor)
+            records.append(record)
+        results.append((branch, records))
+
     return ExecutionResult(
         plan=plan,
         cutoff=d,
-        final_state=final_state,
+        final_state=ens if ens is not None and ens.modes else None,
         final_modes=ens.modes if ens is not None else (),
         heralds=heralds,
         joint_probability=joint,
         leak_max=monitor.max_seen,
         outputs=outputs,
+        branches=results,
     )
 
 

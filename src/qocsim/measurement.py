@@ -15,16 +15,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import comb
 
-from .core import (
-    Cutoff,
-    MixedState,
-    OperatorMatrix,
-    PureState,
-    State,
-    apply_matrix,
-    partial_trace,
-    to_mixed,
-)
+from .core import Cutoff, MixedState, OperatorMatrix, PureState, State
 
 __all__ = [
     "DetectorModel",
@@ -38,6 +29,7 @@ __all__ = [
     "povm_elements",
     "povm_element",
     "condition",
+    "joint_diagonal",
     "pattern_probability",
     "conditional_pattern_probability",
 ]
@@ -158,65 +150,43 @@ def povm_element(requirement: Requirement, detector: DetectorModel, cutoff: Cuto
 
 
 def condition(state: State, mode: str, element: OperatorMatrix) -> tuple[State, float]:
-    """Condition on a POVM element at ``mode`` and trace that mode out.
+    """Condition on a diagonal POVM element at ``mode`` and trace that mode out.
 
     Returns the unnormalized conditional state (its carried weight equals the
     outcome probability relative to the input weight) and that probability.
-    For a rank-one projective outcome on a pure state the conditional branch
-    stays pure.  Raises :class:`ZeroProbabilityError` on vanishing outcomes.
+    For a rank-one outcome on a pure state the conditional branch stays pure.
+    Raises :class:`ZeroProbabilityError` on vanishing outcomes and
+    ``ValueError`` for an element that is not diagonal in the Fock basis (every
+    detector POVM built here is).
     """
-    idx = state.mode_index(mode)
+    if not np.allclose(element.matrix, np.diag(np.diag(element.matrix)), atol=1e-14):
+        raise ValueError("condition needs a POVM element diagonal in the Fock basis")
     d = state.cutoff.d
-    diag = np.real(np.diag(element.matrix)).copy()
-    is_diagonal = np.allclose(element.matrix, np.diag(np.diag(element.matrix)), atol=1e-14)
+    diag = np.real(np.diag(element.matrix))
+    # moving `mode` to the front keeps the relative digit order of the other
+    # modes, so the slices below are already laid out for `remaining`
     remaining = tuple(m for m in state.modes if m != mode)
 
     if isinstance(state, PureState):
-        t = np.moveaxis(state.tensor_view(), state.axis_of(mode), 0)  # (d, rest...)
-        t = t.reshape(d, -1)
-        if is_diagonal:
-            weights = diag * np.sum(np.abs(t) ** 2, axis=1)
-            prob = float(np.sum(weights))
-            _check_prob(prob, state)
-            support = np.nonzero(diag > 0)[0]
-            if support.size == 1:
-                # rank-one diagonal outcome: pure conditional branch
-                n = int(support[0])
-                branch = np.sqrt(diag[n]) * t[n]
-                return (
-                    _pure_from_slice(branch, remaining, state, mode),
-                    prob,
-                )
-            rho = np.einsum("n,ni,nj->ij", diag, t, t.conj())
-            rho = _reorder_reduced(rho, remaining, state, mode)
-            return MixedState.create(remaining, state.cutoff, rho), prob
-        # general Hermitian PSD element: E^(1/2) ρ E^(1/2), then trace
-        return condition(to_mixed(state), mode, element)
-
-    mat = state.matrix
-    if is_diagonal:
-        # Tr_mode[E ρ] with diagonal E: weight each (n, n') block
-        M = len(state.modes)
-        t = mat.reshape((d,) * (2 * M))
-        ax_ket = M - 1 - idx
-        ax_bra = 2 * M - 1 - idx
-        t = np.moveaxis(t, (ax_ket, ax_bra), (0, 1))
-        rest = d ** (M - 1)
-        t = t.reshape(d, d, rest, rest)
-        rho = np.einsum("n,nnij->ij", diag, t)
-        prob = float(np.real(np.trace(rho)))
+        t = np.moveaxis(state.tensor_view(), state.axis_of(mode), 0).reshape(d, -1)
+        prob = float(np.sum(diag * np.sum(np.abs(t) ** 2, axis=1)))
         _check_prob(prob, state)
-        rho = _reorder_reduced(rho, remaining, state, mode)
+        support = np.nonzero(diag > 0)[0]
+        if support.size == 1:
+            n = int(support[0])
+            return PureState.create(remaining, state.cutoff, np.sqrt(diag[n]) * t[n]), prob
+        rho = np.einsum("n,ni,nj->ij", diag, t, t.conj())
         return MixedState.create(remaining, state.cutoff, rho), prob
-    evals, evecs = np.linalg.eigh(element.matrix)
-    evals = np.clip(evals, 0.0, None)
-    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    ket = apply_matrix(mat, state.modes, state.cutoff, root, (mode,))
-    both = apply_matrix(ket.conj().T, state.modes, state.cutoff, root, (mode,)).conj().T
-    sandwiched = MixedState.create(state.modes, state.cutoff, both)
-    prob = sandwiched.trace_tag
+
+    # Tr_mode[E ρ] with diagonal E: weight each (n, n) block
+    M = len(state.modes)
+    idx = state.mode_index(mode)
+    t = np.moveaxis(state.matrix.reshape((d,) * (2 * M)), (M - 1 - idx, 2 * M - 1 - idx), (0, 1))
+    rest = d ** (M - 1)
+    rho = np.einsum("n,nnij->ij", diag, t.reshape(d, d, rest, rest))
+    prob = float(np.real(np.trace(rho)))
     _check_prob(prob, state)
-    return partial_trace(sandwiched, remaining), prob
+    return MixedState.create(remaining, state.cutoff, rho), prob
 
 
 def _check_prob(prob: float, state: State) -> None:
@@ -227,21 +197,23 @@ def _check_prob(prob: float, state: State) -> None:
         )
 
 
-def _pure_from_slice(
-    branch: np.ndarray, remaining: tuple[str, ...], state: PureState, mode: str
-) -> PureState:
-    # branch was flattened with `mode` moved to the front; the rest kept the
-    # reversed-digit order of the remaining modes, which is already the
-    # canonical layout for `remaining`.
-    return PureState.create(remaining, state.cutoff, branch.reshape(-1))
-
-
-def _reorder_reduced(
-    rho: np.ndarray, remaining: tuple[str, ...], state: State, mode: str
+def joint_diagonal(
+    modes: tuple[str, ...],
+    cutoff: Cutoff,
+    requirements: Mapping[str, Requirement],
+    detectors: Mapping[str, DetectorModel],
 ) -> np.ndarray:
-    # moving `mode` to the front preserved the relative order of the other
-    # digits, so the reduced matrix is already indexed by `remaining`.
-    return rho
+    """Diagonal of ⊗ᵢ Eᵢ over ``modes`` (little-endian), identity on unmeasured modes."""
+    joint = np.ones(1)
+    for m in modes:
+        req = requirements.get(m, unmeasured)
+        if req.kind == "unmeasured":
+            diag = np.ones(cutoff.d)
+        else:
+            el = povm_element(req, detectors.get(m, IDEAL_NR), cutoff)
+            diag = np.real(np.diag(el.matrix))
+        joint = np.kron(diag, joint)  # later modes are slower digits
+    return joint
 
 
 def pattern_probability(
@@ -255,20 +227,7 @@ def pattern_probability(
     unmeasured (the probability is then the state's carried weight).
     """
     reqs = pattern.requirements if isinstance(pattern, HeraldPattern) else pattern
-    d = state.cutoff.d
-    # build the joint diagonal over all modes little-endian, then contract
-    diags: list[np.ndarray] = []
-    for m in state.modes:
-        req = reqs.get(m, unmeasured)
-        if req.kind == "unmeasured":
-            diags.append(np.ones(d))
-        else:
-            det = detectors.get(m, IDEAL_NR)
-            el = povm_element(req, det, state.cutoff)
-            diags.append(np.real(np.diag(el.matrix)))
-    joint = diags[0]
-    for vec in diags[1:]:
-        joint = np.kron(vec, joint)  # later modes are slower digits
+    joint = joint_diagonal(state.modes, state.cutoff, reqs, detectors)
     if isinstance(state, PureState):
         return float(np.sum(joint * np.abs(state.amps) ** 2))
     return float(np.real(np.sum(joint * np.diag(state.matrix))))

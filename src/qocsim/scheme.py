@@ -21,29 +21,23 @@ detectors with configurable efficiencies, matching avalanche photodiodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Cutoff, MixedState, PureState, State, normalize
+from .core import Cutoff, MixedState, PureState, State
 from .dsl import (
     CircuitSpec,
     CutoffPolicy,
     ElementStmt,
-    ExecutionPlan,
     HeraldStmt,
     InputStmt,
     OutputStmt,
     compile_circuit,
 )
 from .elements import coherent_state, fock_state, thermal_state
-from .engine import ExecutionResult, execute_plan
-from .measurement import (
-    DetectorModel,
-    HeraldPattern,
-    click,
-    noclick,
-)
+from .engine import Ensemble, execute_plan
+from .measurement import DetectorModel, HeraldPattern, click
 from .phasespace import (
     DEFAULT_GRID,
     GridSpec,
@@ -92,6 +86,8 @@ class SchemeParams:
             raise ValueError("transmittivity must be in (0, 1)")
         if self.coupling <= 0.0:
             raise ValueError("coupling must be > 0")
+        if not all(0.0 <= eta <= 1.0 for eta in (self.eta_pd0, self.eta_pd1, self.eta_pd2)):
+            raise ValueError("detector efficiencies must be in [0, 1]")
         if self.input_kind not in ("coherent", "thermal", "fock"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
 
@@ -141,7 +137,8 @@ def build_fig1_circuit(params: SchemeParams, branch: str = "pd2") -> CircuitSpec
 
     ``branch='pd2'`` keeps events with a click at PD2 (mode c) and none at PD1
     (mode b); ``branch='pd1'`` is the converse.  ``branch='none'`` stops after
-    BS3 with only the PD0 herald (used for the joint click statistics).
+    BS3 with only the PD0 herald: the part both branches share, which
+    :func:`run_interferometer` executes once.
     """
     if branch not in ("pd2", "pd1", "none"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -215,33 +212,37 @@ def _branch_fidelity(reference: State, rho: MixedState) -> float:
 def run_interferometer(params: SchemeParams) -> SchemeResult:
     """Exact staged simulation of both accepted branches plus click statistics.
 
-    All branch executions go through the compiled-plan executor, so a circuit
-    file describing the same setup reproduces these numbers bit for bit.
+    The ``none`` circuit runs once through the compiled-plan executor.  Both
+    branches are its post-BS3 ensemble conditioned on the trailing heralds of
+    the ``pd2`` and ``pd1`` circuits, inside the same cutoff retry and leak
+    checks; the click statistics come from that ensemble too.  A circuit file
+    describing one branch reproduces its numbers to rounding.
     """
-    policy = params.policy()
-    res_pd2 = execute_plan(compile_circuit(build_fig1_circuit(params, "pd2"), policy))
-    # pin the sibling runs to the cutoff the pd2 run settled on (leak doubling)
-    settled = replace(params, cutoff=res_pd2.cutoff)
-    res_pd1 = execute_plan(compile_circuit(build_fig1_circuit(settled, "pd1"), settled.policy()))
-    res_pre = execute_plan(compile_circuit(build_fig1_circuit(settled, "none"), settled.policy()))
+    prefix = build_fig1_circuit(params, "none")
+    tails = [
+        build_fig1_circuit(params, branch).operations[len(prefix.operations):]
+        for branch in ("pd2", "pd1")
+    ]
+    res = execute_plan(compile_circuit(prefix, params.policy()), branches=tails)
+    (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
-    cutoff = Cutoff(res_pd2.cutoff)
-    pd0_prob = res_pd2.heralds[0].probability
-    w_pd2 = float(np.prod([h.probability for h in res_pd2.heralds[1:]]))
-    w_pd1 = float(np.prod([h.probability for h in res_pd1.heralds[1:]]))
+    cutoff = Cutoff(res.cutoff)
+    pd0_prob = res.heralds[0].probability
+    w_pd2 = float(np.prod([h.probability for h in heralds_pd2]))
+    w_pd1 = float(np.prod([h.probability for h in heralds_pd1]))
 
-    post = res_pre.final_state
+    post = res.final_state
     dets = {
         "b": DetectorModel("on-off", params.eta_pd1),
         "c": DetectorModel("on-off", params.eta_pd2),
     }
-    w = _weight(post)
-    p_b = _pattern_prob(post, HeraldPattern({"b": click}), dets) / w
-    p_c = _pattern_prob(post, HeraldPattern({"c": click}), dets) / w
-    p_bc = _pattern_prob(post, HeraldPattern({"b": click, "c": click}), dets) / w
+    w = post.weight
+    p_b = post.pattern_probability(HeraldPattern({"b": click}), dets) / w
+    p_c = post.pattern_probability(HeraldPattern({"c": click}), dets) / w
+    p_bc = post.pattern_probability(HeraldPattern({"b": click, "c": click}), dets) / w
 
-    rho_pd2 = _reduced_mixed(res_pd2, w_pd2)
-    rho_pd1 = _reduced_mixed(res_pd1, w_pd1)
+    rho_pd2 = _scaled_branch(ens_pd2, w_pd2)
+    rho_pd1 = _scaled_branch(ens_pd1, w_pd1)
 
     input_ref = params.input_state(cutoff)
     atten_ref = _attenuated_reference(params, cutoff)
@@ -251,7 +252,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
 
     return SchemeResult(
         params=params,
-        cutoff=res_pd2.cutoff,
+        cutoff=res.cutoff,
         pd0_probability=pd0_prob,
         pd1_branch=rho_pd1,
         pd2_branch=rho_pd2,
@@ -265,29 +266,14 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
         fidelity_pd2_vs_input=f_pd2_in,
         fidelity_pd2_vs_attenuated=f_pd2_at,
         fidelity_pd1_vs_input=f_pd1_in,
-        leak_max=max(res_pd2.leak_max, res_pd1.leak_max, res_pre.leak_max),
+        leak_max=res.leak_max,
     )
 
 
-def _weight(state) -> float:
-    if isinstance(state, PureState):
-        return state.norm_tag
-    if isinstance(state, MixedState):
-        return state.trace_tag
-    return state.weight  # engine.Ensemble
-
-
-def _pattern_prob(state, pattern: HeraldPattern, detectors) -> float:
-    from .measurement import pattern_probability
-
-    if isinstance(state, (PureState, MixedState)):
-        return pattern_probability(state, pattern, detectors)
-    return state.pattern_probability(pattern, detectors)
-
-
-def _reduced_mixed(res: ExecutionResult, weight: float) -> MixedState:
-    rho = res.output_value("state", "a")
-    return MixedState.create(rho.modes, rho.cutoff, rho.matrix * weight)
+def _scaled_branch(branch: Ensemble, weight: float) -> MixedState:
+    """The branch's state on mode a, rescaled to trace ``weight``."""
+    rho = branch.reduced("a")
+    return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag * weight)
 
 
 @dataclass(frozen=True)

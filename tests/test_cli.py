@@ -1,0 +1,69 @@
+"""Exit codes and artifacts of the ``qocsim`` command line."""
+
+import pytest
+from click.testing import CliRunner
+
+from qocsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+
+def _run(*args):
+    return CliRunner().invoke(main, list(args))
+
+
+def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
+    reports = []
+    for sub in ("first", "second"):
+        out = tmp_path / sub
+        res = _run("run", "fig1", "--alpha", "0.5", "--out", str(out))
+        assert res.exit_code == EXIT_OK, res.output
+        reports.append((out / "fig1_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "no-such-circuit.qoc"),
+        ("run", "fig1", "--alpha", "1", "--nbar", "1"),
+        ("run", "fig1", "--T", "abc"),
+        ("run", "fig1", "--T", "1.5"),
+        ("run", "fig1", "--eta-pd1", "1.5"),
+        ("sweep", "--alpha", "0.5,x"),
+        ("sweep", "--T", "1.5"),
+        ("verify-commutation", "--alphas", "0.6,x"),
+        ("verify-commutation", "--T", "1.5"),
+    ],
+    ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
+         "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
+         "verify-malformed-alphas", "verify-T-out-of-range"],
+)
+def test_usage_errors_exit_1(tmp_path, args):
+    res = _run(*args, "--out", str(tmp_path))
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output.lower()
+
+
+def test_leak_failure_at_pinned_cutoff_exits_2(tmp_path):
+    res = _run("run", "fig1", "--cutoff", "4", "--out", str(tmp_path))
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    assert "numerical failure" in res.output
+
+
+def test_sweep_output_does_not_depend_on_jobs(tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        res = _run("sweep", "--alpha", "0.5,1", "--jobs", jobs, "--format", "json",
+                   "--out", str(out))
+        assert res.exit_code == EXIT_OK, res.output
+        outputs.append((out / "sweep.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("swap, code", [(False, EXIT_OK), (True, EXIT_USAGE)],
+                         ids=["as-built", "swapped-bs3"])
+def test_verify_commutation_exit_code(tmp_path, swap, code):
+    args = ["verify-commutation", "--alphas", "0.6", "--out", str(tmp_path)]
+    res = _run(*args, *(["--swap-bs3-sign"] if swap else []))
+    assert res.exit_code == code, res.output

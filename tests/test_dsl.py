@@ -237,11 +237,14 @@ def test_compile_fig1_plan_shape():
     ops = [s.op for s in plan.steps]
     # lazy prepares: a and b before BS1, d before the squeezer, c before BS2
     assert ops[:4] == ["prepare", "prepare", "unitary", "prepare"]
-    # each condition is immediately followed by a trace
+    # conditioning traces the mode out: no separate trace step, and no later
+    # step touches a heralded mode
+    assert "trace" not in ops
     for i, s in enumerate(plan.steps):
         if s.op == "condition":
-            assert plan.steps[i + 1].op == "trace"
-            assert plan.steps[i + 1].mode == s.mode
+            for later in plan.steps[i + 1:]:
+                assert later.mode != s.mode
+                assert s.mode not in (later.modes or ())
     assert plan.cutoff == 12  # policy: max(12, ceil(4*(1+1))) for alpha=1
 
 

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qocsim.core import MixedState, PureState, to_mixed
+from qocsim.core import MixedState, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
     CutoffPolicy,
@@ -153,21 +153,25 @@ def test_ensemble_compaction_preserves_density_matrix():
     from qocsim.core import Cutoff
 
     c = Cutoff(4)
-    members = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(9)]
-    ens = Ensemble(("a",), c, [m.astype(complex) for m in members])
+    members = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    ens = Ensemble(("a",), c, members)
     before = ens.to_mixed().matrix
     ens.compact()
-    assert len(ens.members) <= 4
+    assert ens.members.shape[0] == 4 and ens.members.shape[1] <= 4
     assert np.max(np.abs(ens.to_mixed().matrix - before)) < 1e-12
 
 
 def test_final_state_types():
-    pure_text = "modes a b\ninput a coherent 0.4 0.0\ninput b vacuum\nbs a b T=0.9\nout probs\n"
-    res = execute_plan(compile_circuit(parse(pure_text), LOOSE))
-    assert isinstance(res.final_state, PureState)
-    mixed_text = "modes a b\ninput a thermal 0.4\ninput b vacuum\nbs a b T=0.9\nout probs\n"
-    res = execute_plan(compile_circuit(parse(mixed_text), LOOSE))
-    assert isinstance(res.final_state, (MixedState, Ensemble))
+    for text in (
+        "modes a b\ninput a coherent 0.4 0.0\ninput b vacuum\nbs a b T=0.9\nout probs\n",
+        "modes a b\ninput a thermal 0.4\ninput b vacuum\nbs a b T=0.9\nout probs\n",
+    ):
+        plan = compile_circuit(parse(text), LOOSE)
+        staged = execute_plan(plan).final_state
+        brute = execute_plan_brute(plan).final_state
+        assert isinstance(staged, Ensemble)
+        assert staged.modes == brute.modes
+        assert np.max(np.abs(staged.to_mixed().matrix - to_mixed(brute).matrix)) < 1e-10
 
 
 def test_element_with_repeated_mode_is_rejected():

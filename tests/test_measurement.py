@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qocsim.core import (
     Cutoff,
     MixedState,
+    OperatorMatrix,
     PureState,
     apply,
     partial_trace,
@@ -129,6 +130,15 @@ def test_condition_zero_probability_raises():
     el = povm_element(exactly(2), DetectorModel("number-resolving", 1.0), c)
     with pytest.raises(ZeroProbabilityError):
         condition(joint, "b", el)
+
+
+def test_condition_rejects_non_diagonal_element():
+    c = Cutoff(4)
+    joint = tensor(coherent_state(0.5, c, "a"), coherent_state(0.3, c, "b"))
+    plus = np.full((4, 4), 0.25, dtype=complex)  # |+⟩⟨+| over the 4 levels
+    for state in (joint, to_mixed(joint)):
+        with pytest.raises(ValueError, match="diagonal"):
+            condition(state, "b", OperatorMatrix.create(plus, cutoff=c))
 
 
 def test_condition_probabilities_complete():
