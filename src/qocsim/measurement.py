@@ -108,24 +108,11 @@ def povm_elements(detector: DetectorModel, cutoff: Cutoff) -> list[OperatorMatri
     on-off: [E_off, E_on] with E_off = Σ (1−η)ⁿ |n⟩⟨n|, E_on = 1 − E_off.
     number-resolving: E_k = Σ_{n≥k} C(n,k) ηᵏ (1−η)^{n−k} |n⟩⟨n| for k = 0..d−1.
     """
-    d = cutoff.d
     if detector.kind == "on-off":
-        off = _off_diagonal(detector, d)
-        return [
-            OperatorMatrix.create(np.diag(off).astype(np.complex128), cutoff=cutoff),
-            OperatorMatrix.create(np.diag(1.0 - off).astype(np.complex128), cutoff=cutoff),
-        ]
-    eta = detector.efficiency
-    n = np.arange(d)
-    out = []
-    for k in range(d):
-        diag = np.where(
-            n >= k,
-            comb(n, k) * eta**k * (1.0 - eta) ** np.maximum(n - k, 0),
-            0.0,
-        )
-        out.append(OperatorMatrix.create(np.diag(diag).astype(np.complex128), cutoff=cutoff))
-    return out
+        requirements = [noclick, click]
+    else:
+        requirements = [exactly(k) for k in range(cutoff.d)]
+    return [povm_element(r, detector, cutoff) for r in requirements]
 
 
 def povm_element(requirement: Requirement, detector: DetectorModel, cutoff: Cutoff) -> OperatorMatrix:

@@ -3,11 +3,12 @@
 Convention: W(β) = (2/π)·Tr[ρ D(β) Π D(−β)] with Π the photon-number parity
 and D the displacement operator, so W(0) = 2/π for vacuum and ∫W d²β = 1.
 
-D(β) is the matrix exponential of (β a† − β* a).  Because a displaced state
-reaches photon numbers near (√n + |β|)², the exponential is evaluated on an
-internally enlarged space (the state is zero-padded, which is exact); the
-resulting accuracy is certified against the closed-form Gaussian oracles
-rather than an a-priori bound.
+W is evaluated from the Laguerre expansion W = Σ ρ_mn W_mn(β) of Cahill &
+Glauber, Phys. Rev. 177, 1882 (1969): each diagonal of ρ is summed against
+normalized generalized Laguerre functions of 4|β|² by Clenshaw's recurrence,
+and the diagonals are combined by Horner's rule in 2β, as in QuTiP (Johansson
+et al., Comput. Phys. Commun. 184, 1234 (2013)).  The result is exact for the
+truncated ρ: no larger Fock space and no matrix exponential are involved.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-from .core import (
-    Cutoff,
-    DimensionMismatchError,
-    MixedState,
-    PureState,
-    State,
-    annihilation_matrix,
-    to_mixed,
-)
+from .core import DimensionMismatchError, MixedState, PureState, State, to_mixed
 
 __all__ = [
     "GridSpec",
@@ -75,14 +68,6 @@ class GridSpec:
         lo, hi, n = self.im_range
         return np.linspace(lo, hi, n)
 
-    def max_radius(self) -> float:
-        corners = [
-            abs(complex(re, im))
-            for re in (self.re_range[0], self.re_range[1])
-            for im in (self.im_range[0], self.im_range[1])
-        ]
-        return max(corners)
-
 
 DEFAULT_GRID = GridSpec.square(-3.0, 3.0, 81)
 
@@ -114,85 +99,51 @@ def _single_mode_rho(state: State) -> np.ndarray:
     return to_mixed(state).matrix
 
 
-def _significant_top_level(diag: np.ndarray, eps: float = 1e-12) -> int:
-    total = float(np.sum(diag))
-    if total <= 0:
-        return diag.size - 1
-    cums = np.cumsum(diag) / total
-    idx = int(np.searchsorted(cums, 1.0 - eps))
-    return min(idx + 1, diag.size - 1)
+def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """W(β) for an array of β values; rho is used as given (not normalized).
 
-
-def _evaluation_dim(d_state: int, n_top: int, radius: float) -> int:
-    s = radius + np.sqrt(n_top + 1.0)
-    return max(d_state, int(np.ceil(s * s + 2.0 * s + 6.0)))
-
-
-class _DisplacedParity:
-    """Batched displaced-parity evaluator on an enlarged space.
-
-    D(β) = R(φ)·expm(r(a†−a))·R(φ)† for β = r·e^{iφ} with R(φ) = e^{iφn̂};
-    the radial factor comes from one eigendecomposition of i(a†−a).
+    W = (2/π)·e^{−2|β|²}·Re Σ_L (2β)^L/√(L!)·c_L(4|β|²), with
+    c_L(x) = Σ_m ρ'_{m,m+L}·f_m(x) over the L-th upper diagonal of ρ' (ρ with
+    its off-diagonals doubled) and f_m = (−1)ᵐ·√(m!·L!/(m+L)!)·L_m^(L) the
+    normalized generalized Laguerre functions, which obey
+    f_{m+1} = −(2m+L+1−x)/√((m+1)(m+L+1))·f_m − √(m(m+L)/((m+1)(m+L+1)))·f_{m−1},
+    f_0 = 1, f_1 = −(L+1−x)/√(L+1).  Each c_L is summed by Clenshaw's
+    recurrence from the top of its diagonal, the sum over L by Horner's rule.
     """
-
-    def __init__(self, d_state: int, d_eval: int):
-        self.d_state = d_state
-        self.d_eval = d_eval
-        a = annihilation_matrix(Cutoff(d_eval)).matrix
-        herm = 1j * (a.conj().T - a)  # a† − a = −i·herm
-        self.evals, self.evecs = np.linalg.eigh(herm)
-        self.parity = (-1.0) ** np.arange(d_eval)
-        self.vh_sub = self.evecs.conj().T[:, :d_state]
-        self.levels = np.arange(d_eval)
-
-    def rows(self, rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """W(β) for a batch of β values; rho is d_state × d_state."""
-        r = np.abs(betas)
-        phi = np.where(r > 0, np.angle(betas), 0.0)
-        # D(−β) = R expm(−r(a†−a)) R† = R V e^{+i r w} V† R†
-        radial = np.exp(1j * np.multiply.outer(r, self.evals))  # (K, d_eval)
-        tmp = radial[:, :, None] * self.vh_sub[None, :, :]  # (K, d_eval, d_state)
-        tmp = tmp * np.exp(-1j * np.multiply.outer(phi, self.levels[: self.d_state]))[:, None, :]
-        dsub = np.matmul(self.evecs[None, :, :], tmp)  # (K, d_eval, d_state)
-        dsub = dsub * np.exp(1j * np.multiply.outer(phi, self.levels))[:, :, None]
-        q = np.einsum("knd,de,kne->kn", dsub, rho, dsub.conj()).real
-        return (2.0 / np.pi) * (q @ self.parity)
+    d = rho.shape[0]
+    x = 4.0 * np.abs(betas) ** 2
+    rho2 = 2.0 * rho - np.diag(np.diag(rho))
+    total = np.zeros(betas.shape, dtype=np.complex128)
+    for L in range(d - 1, -1, -1):
+        c = np.diag(rho2, L)
+        y0, y1 = c[-1], 0.0
+        for k in range(c.size - 1, 0, -1):
+            y0, y1 = (
+                c[k - 1] - y1 * np.sqrt(k * (k + L) / ((k + 1) * (k + L + 1))),
+                y0 - y1 * (2 * k + L + 1 - x) / np.sqrt((k + 1) * (k + L + 1)),
+            )
+        c_L = y0 - y1 * (L + 1 - x) / np.sqrt(L + 1)
+        total = c_L + total * (2.0 * betas / np.sqrt(L + 1))
+    return (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
 
 
-def wigner_point(state: State, beta: complex, d_eval: int | None = None) -> float:
+def wigner_point(state: State, beta: complex) -> float:
     """W at a single phase-space point."""
     rho = _single_mode_rho(state)
-    d = rho.shape[0]
-    if d_eval is None:
-        n_top = _significant_top_level(np.real(np.diag(rho)))
-        d_eval = _evaluation_dim(d, n_top, abs(beta))
-    ev = _DisplacedParity(d, d_eval)
-    return float(ev.rows(rho, np.array([beta]))[0])
+    return float(_wigner_values(rho, np.array([complex(beta)]))[0])
 
 
-def wigner(state: State, grid: GridSpec = DEFAULT_GRID, chunk: int = 256) -> WignerGrid:
-    """Sample W(β) of a single-mode state on a rectangular grid.
-
-    Grid points are independent; they are evaluated in deterministic chunks and
-    assembled row-major, so results are bit-independent of chunking.
-    """
+def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
+    """Sample W(β) of a single-mode state on a rectangular grid (row-major)."""
     rho = _single_mode_rho(state)
     weight = float(np.real(np.trace(rho)))
     if weight <= 0:
         raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
     rho = rho / weight
-    d = rho.shape[0]
-    n_top = _significant_top_level(np.real(np.diag(rho)))
-    d_eval = _evaluation_dim(d, n_top, grid.max_radius())
-    ev = _DisplacedParity(d, d_eval)
     re = grid.re_axis()
     im = grid.im_axis()
-    betas = (re[None, :] + 1j * im[:, None]).reshape(-1)
-    values = np.empty(betas.size, dtype=np.float64)
-    for start in range(0, betas.size, chunk):
-        sl = slice(start, min(start + chunk, betas.size))
-        values[sl] = ev.rows(rho, betas[sl])
-    return WignerGrid(re, im, values.reshape(im.size, re.size))
+    betas = re[None, :] + 1j * im[:, None]
+    return WignerGrid(re, im, _wigner_values(rho, betas))
 
 
 def gaussian_wigner_oracle(kind: str, params, beta: complex) -> float:

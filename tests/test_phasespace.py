@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from qocsim.core import Cutoff, MixedState, PureState, to_mixed
+from qocsim.core import Cutoff, MixedState, to_mixed
 from qocsim.elements import coherent_state, fock_state, thermal_state, vacuum
 from qocsim.phasespace import (
     DEFAULT_GRID,
     GridSpec,
-    WignerGrid,
     fidelity,
     gaussian_wigner_oracle,
     grid_integral,
@@ -76,6 +76,34 @@ def test_wigner_matches_gaussian_oracle_on_disk():
         assert wigner_point(ther, beta) == pytest.approx(
             gaussian_wigner_oracle("thermal", 1.0, beta), abs=1e-6
         )
+
+
+@pytest.mark.parametrize("d", [12, 40, 64])
+def test_wigner_matches_displaced_parity_definition(d):
+    # random mixed state with coherences between all levels
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    state = MixedState.create(("a",), Cutoff(d), rho)
+    # six points with 0.4 <= |beta| <= 4.2
+    grid_spec = GridSpec((-2.97, 2.97, 3), (-0.4, 2.97, 2))
+    grid = wigner(state, grid_spec)
+
+    # W(beta) = (2/pi) sum_n (-1)^n [D(-beta) rho D(-beta)^dag]_nn on 260 levels
+    big = 260
+    a = np.diag(np.sqrt(np.arange(1, big)), 1)
+    padded = np.zeros((big, big), dtype=np.complex128)
+    padded[:d, :d] = rho
+    parity = (-1.0) ** np.arange(big)
+    for i, im in enumerate(grid.im_axis):
+        for j, re in enumerate(grid.re_axis):
+            beta = complex(re, im)
+            disp = expm(-beta * a.conj().T + np.conj(beta) * a)
+            shifted = disp @ padded @ disp.conj().T
+            expected = TWO_OVER_PI * float(parity @ np.real(np.diag(shifted)))
+            assert abs(grid.values[i, j] - expected) <= 1e-12
+            assert abs(wigner_point(state, beta) - grid.values[i, j]) <= 1e-15
 
 
 def test_parity_identity_at_origin():
