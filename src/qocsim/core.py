@@ -304,29 +304,32 @@ def apply_matrix(
     arr: np.ndarray,
     state_modes: Sequence[str],
     cutoff: Cutoff,
-    mat: np.ndarray,
+    sectors: Sequence[tuple[np.ndarray | slice, np.ndarray]],
     op_modes: Sequence[str],
 ) -> np.ndarray:
-    """Contract ``mat`` (on ``op_modes``) into the ket digits of a flat array.
+    """Apply a block-diagonal operator on ``op_modes`` to the ket digits of a flat array.
 
     ``arr`` has shape ``(d**M,)`` or ``(d**M, X)`` with little-endian digits over
     ``state_modes``; trailing axes (e.g. the bra side of a density matrix) ride
-    along untouched.
+    along untouched.  The operator is given as its sectors ``(idx, block)``:
+    ``idx`` selects basis indices of the ``d**k`` operator space (little-endian
+    over ``op_modes``) and ``block`` is the operator restricted to them.  The
+    ``idx`` must partition that space; a dense matrix ``mat`` is the single
+    sector ``(slice(None), mat)``.  The op digits are brought to the front and
+    each sector is one matrix product, ``out[idx] = block @ x[idx]``.
     """
     d = cutoff.d
     M = len(state_modes)
     k = len(op_modes)
     trailing = arr.shape[1:]
-    t = arr.reshape((d,) * M + trailing)
-    axes = [M - 1 - state_modes.index(m) for m in op_modes]
-    op_t = mat.reshape((d,) * (2 * k))
-    op_in_axes = [2 * k - 1 - j for j in range(k)]  # in-axis of op_modes[j]
-    out = np.tensordot(op_t, t, axes=(op_in_axes, axes))
-    # result axes: (out digits, reversed over op_modes) + untouched axes in order
-    src = [k - 1 - j for j in range(k)]
-    remaining = [ax for ax in range(M) if ax not in axes]
-    dst = axes + remaining
-    out = np.moveaxis(out, src + list(range(k, k + len(remaining))), dst)
+    # C order makes the first axis the slowest digit, so op_modes[-1] leads
+    axes = [M - 1 - state_modes.index(m) for m in reversed(op_modes)]
+    front = np.moveaxis(arr.reshape((d,) * M + trailing), axes, range(k))
+    x = front.reshape(d**k, -1)
+    out = np.empty(x.shape, dtype=np.complex128)
+    for idx, block in sectors:
+        out[idx] = block @ x[idx]
+    out = np.moveaxis(out.reshape(front.shape), range(k), axes)
     return out.reshape((d**M,) + trailing)
 
 
@@ -335,11 +338,12 @@ def apply(op: OperatorMatrix, state: State) -> State:
     modes = _require_bound(op)
     for m in modes:
         state.mode_index(m)
+    dense = [(slice(None), op.matrix)]
     if isinstance(state, PureState):
-        amps = apply_matrix(state.amps, state.modes, state.cutoff, op.matrix, modes)
+        amps = apply_matrix(state.amps, state.modes, state.cutoff, dense, modes)
         return PureState.create(state.modes, state.cutoff, amps)
-    ket = apply_matrix(state.matrix, state.modes, state.cutoff, op.matrix, modes)
-    both = apply_matrix(ket.conj().T, state.modes, state.cutoff, op.matrix, modes).conj().T
+    ket = apply_matrix(state.matrix, state.modes, state.cutoff, dense, modes)
+    both = apply_matrix(ket.conj().T, state.modes, state.cutoff, dense, modes).conj().T
     return MixedState.create(state.modes, state.cutoff, both)
 
 

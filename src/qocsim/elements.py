@@ -157,7 +157,7 @@ def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
-def _chain_unitary(d: int, chains) -> np.ndarray:
+def _chain_unitary(chains, modes: tuple[str, str], cutoff: Cutoff) -> OperatorMatrix:
     """exp(G) on the two-mode space for G a direct sum of real tridiagonal chains.
 
     Each chain is ``(idx, c)``: the pair indices of its states in chain order
@@ -165,12 +165,16 @@ def _chain_unitary(d: int, chains) -> np.ndarray:
     Entries between different chains stay exactly zero.  The generators are
     passed to ``expm`` as complex matrices: on long chains scipy's real path
     (scipy 1.17) is off by up to 8e-14 from a 40-digit reference, the
-    complex path by 1e-15.
+    complex path by 1e-15.  The matrix is frozen in place rather than passed
+    to ``OperatorMatrix.create``, whose defensive copy would double the peak
+    memory of a build (d⁴ complex entries, 41 MB at d=40).
     """
+    d = cutoff.d
     u = np.zeros((d * d, d * d), dtype=np.complex128)
     for idx, c in chains:
         u[np.ix_(idx, idx)] = expm((np.diag(c, 1) - np.diag(c, -1)).astype(np.complex128))
-    return u
+    u.setflags(write=False)
+    return OperatorMatrix(u, tuple(modes), cutoff)
 
 
 def beam_splitter_unitary(params: BeamSplitterParams, cutoff: Cutoff) -> OperatorMatrix:
@@ -182,7 +186,7 @@ def beam_splitter_unitary(params: BeamSplitterParams, cutoff: Cutoff) -> Operato
         n1 = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
         n2 = total - n1
         chains.append((n1 + d * n2, theta * np.sqrt(n1[1:] * (n2[1:] + 1.0))))
-    return OperatorMatrix.create(_chain_unitary(d, chains), params.modes, cutoff)
+    return _chain_unitary(chains, params.modes, cutoff)
 
 
 def two_mode_squeezer_unitary(params: SqueezerParams, cutoff: Cutoff) -> OperatorMatrix:
@@ -194,4 +198,4 @@ def two_mode_squeezer_unitary(params: SqueezerParams, cutoff: Cutoff) -> Operato
         n2 = np.arange(max(0, -diff), min(d, d - diff))
         n1 = n2 + diff
         chains.append((n1 + d * n2, s * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))))
-    return OperatorMatrix.create(_chain_unitary(d, chains), params.modes, cutoff)
+    return _chain_unitary(chains, params.modes, cutoff)

@@ -9,10 +9,17 @@ to the live-space rank via an eigendecomposition whenever it grows past it.
 This keeps the Fig.-1-style pipelines at d ≈ 32 with thermal inputs in ≈ d²
 live dimensions.  The final state is returned as that ensemble.
 
+Element unitaries are cached and applied as their photon-number sectors: the
+beam splitter conserves n1 + n2 and the squeezer n1 − n2, so each d²×d²
+unitary is kept only as its ``2d − 1`` diagonal blocks, and applying it costs
+one small matrix product per block instead of a d⁴-entry contraction.
+
 The brute-force executor builds the full joint space up front, applies
 embedded conditioning operators without any tracing, and reduces only at the
-end.  It exists as an independent oracle: both executors must agree to 1e-10
-on small circuits.
+end.  It builds every element as one dense matrix, uncached, from the same
+public builders, so it shares no sector split with the staged executor.  It
+exists as an independent oracle: both executors must agree to 1e-10 on small
+circuits.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ from . import measurement
 from .core import (
     Cutoff,
     MixedState,
+    OperatorMatrix,
     PureState,
     State,
+    apply,
     apply_matrix,
     partial_trace,
     tensor,
@@ -87,7 +96,7 @@ class Ensemble:
 
     @property
     def weight(self) -> float:
-        return float(np.sum(self._populations()))
+        return float(np.vdot(self.members, self.members).real)
 
     @property
     def dim(self) -> int:
@@ -120,15 +129,15 @@ class Ensemble:
         return MixedState.create((mode,), self.cutoff, t @ t.conj().T)
 
     def top_level_population(self) -> dict[str, float]:
+        """Population of each mode's top level (a 1/d slice), relative to the weight."""
         d = self.cutoff.d
         M = len(self.modes)
-        pops = self._populations()
-        total = float(np.sum(pops))
-        t = pops.reshape((d,) * M)
+        total = self.weight
+        t = self.members.reshape((d,) * M + (self.members.shape[1],))
         out = {}
         for m in self.modes:
             top = np.take(t, d - 1, axis=M - 1 - self.modes.index(m))
-            out[m] = float(np.sum(top)) / total if total > 0 else 0.0
+            out[m] = float(np.vdot(top, top).real) / total if total > 0 else 0.0
         return out
 
     def condition(self, mode: str, diag: np.ndarray) -> Ensemble:
@@ -215,20 +224,45 @@ def _input_members(stmt: InputStmt, cutoff: Cutoff) -> np.ndarray:
     return np.diag(np.sqrt(np.where(support, pops, 0.0))).astype(np.complex128)[:, support]
 
 
-# The matrix does not depend on the modes it acts on, so they are not part of
-# the key.  One Fig.-1 run needs at most 3 (kind, value) pairs at 2 cutoffs.
-@lru_cache(maxsize=16)
-def _unitary_matrix_cached(kind: str, value: float, d: int) -> np.ndarray:
+def _element_key(stmt: ElementStmt, cutoff: Cutoff) -> tuple[str, float, int]:
+    if stmt.modes[0] == stmt.modes[1]:
+        raise ValueError(f"{stmt.kind} modes must differ, got {stmt.modes}")
+    return stmt.kind, stmt.value, cutoff.d
+
+
+def _unitary_matrix(kind: str, value: float, d: int) -> np.ndarray:
+    """The element's dense d²×d² unitary from the public builders, uncached."""
     cutoff = Cutoff(d)
     if kind == "bs":
         return beam_splitter_unitary(BeamSplitterParams(value), cutoff).matrix
     return two_mode_squeezer_unitary(SqueezerParams(value), cutoff).matrix
 
 
-def _unitary_matrix(stmt: ElementStmt, cutoff: Cutoff) -> np.ndarray:
-    if stmt.modes[0] == stmt.modes[1]:
-        raise ValueError(f"{stmt.kind} modes must differ, got {stmt.modes}")
-    return _unitary_matrix_cached(stmt.kind, stmt.value, cutoff.d)
+# The sectors do not depend on the modes the element acts on, so they are not
+# part of the key.  One Fig.-1 run needs at most 3 (kind, value) pairs at 2
+# cutoffs.
+@lru_cache(maxsize=16)
+def _unitary_matrix_cached(
+    kind: str, value: float, d: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The element unitary as its photon-number sectors ``(idx, block)``.
+
+    The beam splitter conserves n1 + n2 and the squeezer n1 − n2 (pair index
+    n1 + d·n2), so the built matrix is zero between sectors and only the
+    blocks are kept: O(d³) entries instead of d⁴.
+    """
+    u = _unitary_matrix(kind, value, d)
+    pair = np.arange(d * d)
+    n1, n2 = pair % d, pair // d
+    label = n1 + n2 if kind == "bs" else n1 - n2
+    sectors = []
+    for conserved in np.unique(label):
+        idx = np.flatnonzero(label == conserved)
+        block = u[np.ix_(idx, idx)]
+        idx.setflags(write=False)
+        block.setflags(write=False)
+        sectors.append((idx, block))
+    return tuple(sectors)
 
 
 class _LeakMonitor:
@@ -338,8 +372,8 @@ def _execute_staged(
                 ens.compact()
             monitor.check(f"prepare {step.mode}", ens.top_level_population())
         elif step.op == "unitary":
-            mat = _unitary_matrix(step.payload, cutoff)
-            ens.members = apply_matrix(ens.members, ens.modes, cutoff, mat, step.payload.modes)
+            sectors = _unitary_matrix_cached(*_element_key(step.payload, cutoff))
+            ens.members = apply_matrix(ens.members, ens.modes, cutoff, sectors, step.payload.modes)
             monitor.check(f"{step.payload.kind} {'/'.join(step.payload.modes)}",
                           ens.top_level_population())
         elif step.op == "condition":
@@ -400,28 +434,16 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
 
     for step in plan.steps:
         if step.op == "unitary":
-            mat = _unitary_matrix(step.payload, cutoff)
-            if isinstance(state, PureState):
-                amps = apply_matrix(state.amps, state.modes, cutoff, mat, step.payload.modes)
-                state = PureState.create(state.modes, cutoff, amps)
-            else:
-                ket = apply_matrix(state.matrix, state.modes, cutoff, mat, step.payload.modes)
-                bra = apply_matrix(ket.conj().T, state.modes, cutoff, mat, step.payload.modes)
-                state = MixedState.create(state.modes, cutoff, bra.conj().T)
+            mat = _unitary_matrix(*_element_key(step.payload, cutoff))
+            state = apply(OperatorMatrix.create(mat, step.payload.modes, cutoff), state)
         elif step.op == "condition":
             stmt = step.payload
             det = detector_for(stmt)
             req = requirement_for(stmt)
             element = measurement.povm_element(req, det, cutoff)
-            root = np.diag(np.sqrt(np.real(np.diag(element.matrix)))).astype(np.complex128)
+            root = np.diag(np.sqrt(np.real(np.diag(element.matrix))))
             before = weight(state)
-            if isinstance(state, PureState):
-                amps = apply_matrix(state.amps, state.modes, cutoff, root, (stmt.mode,))
-                state = PureState.create(state.modes, cutoff, amps)
-            else:
-                ket = apply_matrix(state.matrix, state.modes, cutoff, root, (stmt.mode,))
-                bra = apply_matrix(ket.conj().T, state.modes, cutoff, root, (stmt.mode,))
-                state = MixedState.create(state.modes, cutoff, bra.conj().T)
+            state = apply(OperatorMatrix.create(root, (stmt.mode,), cutoff), state)
             after = weight(state)
             if after <= 0.0:
                 raise ZeroProbabilityError(

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,10 +10,12 @@ from qocsim.core import (
     Cutoff,
     DimensionMismatchError,
     MixedState,
+    OperatorMatrix,
     PureState,
     UnknownModeError,
     annihilation_matrix,
     apply,
+    apply_matrix,
     compose,
     creation_matrix,
     embed,
@@ -134,6 +137,29 @@ def test_two_mode_embed_matches_kron_convention():
     full_rev = embed(op_rev, ("y", "x"), ("x", "y", "z"), c).matrix
     perm = m.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
     assert np.allclose(full_rev, np.kron(np.eye(3), perm))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_apply_matrix_sectors_equal_their_block_diagonal_matrix(d):
+    c = Cutoff(d)
+    rng = np.random.default_rng(d)
+    labels = rng.integers(0, 4, size=d * d)  # a random partition of the pair space
+    dense = np.zeros((d * d, d * d), dtype=np.complex128)
+    sectors = []
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        block = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        dense[np.ix_(idx, idx)] = block
+        sectors.append((idx, block))
+    modes = ("x", "y", "z")
+    members = rng.normal(size=(d**3, 5)) + 1j * rng.normal(size=(d**3, 5))
+    for op_modes in itertools.permutations(modes, 2):
+        full = embed(OperatorMatrix.create(dense, op_modes, c), op_modes, modes, c).matrix
+        for arr in (members, members[:, 0]):
+            for ops in (sectors, [(slice(None), dense)]):
+                out = apply_matrix(arr, modes, c, ops, op_modes)
+                assert out.shape == arr.shape
+                assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
 
 
 def test_apply_unitary_preserves_norm():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,18 @@ def test_sector_construction_block_structure_at_d40():
             idx = np.flatnonzero(sector == label)
             block = u[np.ix_(idx, idx)]
             assert np.abs(block.conj().T @ block - np.eye(len(idx))).max() <= 1e-12
+
+
+def test_element_build_keeps_one_copy_of_its_matrix():
+    beam_splitter_unitary(BeamSplitterParams(0.9), Cutoff(4))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        u = beam_splitter_unitary(BeamSplitterParams(0.9), Cutoff(40)).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes
+    assert not u.flags.writeable
 
 
 # ---------------------------------------------------------------------------

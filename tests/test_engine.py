@@ -1,9 +1,10 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from qocsim.core import MixedState, to_mixed
+from qocsim.core import Cutoff, MixedState, apply_matrix, embed, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
     CutoffPolicy,
@@ -14,6 +15,12 @@ from qocsim.dsl import (
     compile_circuit,
     parse,
 )
+from qocsim.elements import (
+    BeamSplitterParams,
+    SqueezerParams,
+    beam_splitter_unitary,
+    two_mode_squeezer_unitary,
+)
 from qocsim.engine import (
     Ensemble,
     LeakBudgetError,
@@ -22,7 +29,7 @@ from qocsim.engine import (
     execute_plan_brute,
 )
 from qocsim.measurement import ZeroProbabilityError
-from qocsim.scheme import SchemeParams, run_interferometer
+from qocsim.scheme import SchemeParams, build_fig1_circuit, run_interferometer
 
 LOOSE = CutoffPolicy(explicit=6, leak_budget=1.0)
 
@@ -204,3 +211,67 @@ def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
             assert np.array_equal(a.matrix, b.matrix) and a.trace_tag == b.trace_tag, f.name
         else:
             assert a == b, f.name
+
+
+def _built_unitary(kind, value, c):
+    if kind == "bs":
+        return beam_splitter_unitary(BeamSplitterParams(value, ("x", "y")), c)
+    return two_mode_squeezer_unitary(SqueezerParams(value, ("x", "y")), c)
+
+
+@pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.3)])
+@pytest.mark.parametrize("d", [4, 7])
+def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
+    u = _built_unitary(kind, value, Cutoff(d)).matrix
+    sectors = _unitary_matrix_cached(kind, value, d)
+    idx_all = np.concatenate([idx for idx, _ in sectors])
+    assert np.array_equal(np.sort(idx_all), np.arange(d * d))
+    rebuilt = np.zeros_like(u)
+    for idx, block in sectors:
+        assert block.shape == (idx.size, idx.size) and idx.size <= d
+        rebuilt[np.ix_(idx, idx)] = block
+    assert np.array_equal(rebuilt, u)
+
+
+@pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.3)])
+@pytest.mark.parametrize("d", [4, 7])
+def test_sector_application_matches_embedded_unitary(kind, value, d):
+    c = Cutoff(d)
+    u = _built_unitary(kind, value, c)
+    sectors = _unitary_matrix_cached(kind, value, d)
+    rng = np.random.default_rng(d)
+    modes = ("a", "b", "c")
+    members = rng.normal(size=(d**3, 3)) + 1j * rng.normal(size=(d**3, 3))
+    # adjacent, non-adjacent and reversed pairs
+    for op_modes in itertools.permutations(modes, 2):
+        full = embed(u.bound_to(op_modes), op_modes, modes, c).matrix
+        for arr in (members, members[:, 0]):
+            out = apply_matrix(arr, modes, c, sectors, op_modes)
+            assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
+
+
+def test_leak_monitor_matches_population_formula():
+    d, K = 5, 5
+    modes = ("a", "b", "c")
+    rng = np.random.default_rng(17)
+    members = rng.normal(size=(d**3, K)) + 1j * rng.normal(size=(d**3, K))
+    ens = Ensemble(modes, Cutoff(d), members)
+    pops = np.sum(members.real**2 + members.imag**2, axis=1)
+    total = float(np.sum(pops))
+    assert ens.weight == pytest.approx(total, rel=1e-14)
+    t = pops.reshape((d,) * 3)
+    leaks = ens.top_level_population()
+    for j, mode in enumerate(modes):
+        expected = float(np.sum(np.take(t, d - 1, axis=2 - j))) / total
+        assert leaks[mode] == pytest.approx(expected, rel=1e-14), mode
+
+
+@pytest.mark.parametrize(
+    "pd0", [{}, {"pd0_onoff": True, "eta_pd0": 0.8}], ids=["number-resolving", "onoff"]
+)
+@pytest.mark.parametrize("branch", ["pd2", "pd1"])
+def test_fig1_branch_with_thermal_input_matches_brute(branch, pd0):
+    params = SchemeParams(input_kind="thermal", nbar=0.4, cutoff=6, leak_budget=1.0, **pd0)
+    plan = compile_circuit(build_fig1_circuit(params, branch), params.policy())
+    rs, _ = _compare(plan)
+    assert rs.final_state.members.shape[1] > 1  # the mixed (K>1) path
