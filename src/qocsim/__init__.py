@@ -26,10 +26,8 @@ from .core import (
     embed,
     expectation,
     inner_product,
-    load_state,
     normalize,
     partial_trace,
-    save_state,
     tensor,
     truncated_commutator,
 )

@@ -178,7 +178,8 @@ common_options = [
     click.option("--eta-pd1", type=float, default=1.0, show_default=True),
     click.option("--eta-pd2", type=float, default=1.0, show_default=True),
     click.option("--onoff", is_flag=True, help="use an on-off detector for the PD0 herald"),
-    click.option("--cutoff", type=int, default=None, help="explicit Fock cutoff (disables doubling)"),
+    click.option("--cutoff", type=int, default=None,
+                 help="explicit Fock cutoff, never raised (default: predicted from the leak budget)"),
     click.option("--leak-budget", type=float, default=1e-6, show_default=True),
     click.option("--out", type=str, default=None, help="output directory (default $QOCSIM_OUT_DIR or .)"),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",

@@ -14,7 +14,6 @@ carried weight, which downstream conditioning probabilities are ratios of.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,8 +41,6 @@ __all__ = [
     "tensor",
     "to_mixed",
     "top_level_population",
-    "save_state",
-    "load_state",
     "state_to_json_dict",
     "state_from_json_dict",
 ]
@@ -500,13 +497,3 @@ def state_from_json_dict(doc: dict) -> State:
         n = cutoff.d ** len(modes)
         return MixedState.create(modes, cutoff, data.reshape(n, n))
     raise ValueError(f"unknown state kind {doc['kind']!r}")
-
-
-def save_state(state: State, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json_dict(state), fh)
-
-
-def load_state(path) -> State:
-    with open(path) as fh:
-        return state_from_json_dict(json.load(fh))

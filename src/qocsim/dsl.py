@@ -17,6 +17,10 @@ destructive: each conditioning step also traces its mode out, and a heralded
 mode may not be referenced afterwards.  Elements and
 heralds execute in file order.  The canonical printer orders statements as
 modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
+
+The compiler sizes the Fock cutoff from the spec alone (:class:`CutoffPolicy`):
+unless one is given explicitly, it is the smallest d at which a Gaussian tail
+model of the circuit keeps every checked stage within the leak budget.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "InputStmt",
@@ -416,14 +422,213 @@ def print_circuit(spec: CircuitSpec) -> str:
 # compilation
 
 
+# The largest cutoff the tail model will size; a circuit whose predicted tail
+# has not met the budget by then needs an explicit cutoff.
+_MAX_CUTOFF = 512
+_EYE2 = np.eye(2)
+# A click on a squeezer's idler is counted as 1 .. _CLICK_PHOTONS created photons.
+_CLICK_PHOTONS = 4
+
+
+def _element_symplectic(op: ElementStmt, index: dict[str, int], size: int) -> np.ndarray:
+    """The element's map on the quadratures x = a + a†, p = −i(a − a†).
+
+    Conventions as in :mod:`qocsim.elements`: the beam splitter sends
+    ⟨a1⟩ → t⟨a1⟩ − r⟨a2⟩ and ⟨a2⟩ → r⟨a1⟩ + t⟨a2⟩, the squeezer
+    ⟨a⟩ → μ⟨a⟩ − ν⟨d†⟩.
+    """
+    s = np.eye(size)
+    i, j = (2 * index[m] for m in op.modes)
+    if op.kind == "bs":
+        t, r = math.sqrt(op.value), math.sqrt(1.0 - op.value)
+        for q in (0, 1):
+            s[i + q, i + q] = s[j + q, j + q] = t
+            s[i + q, j + q], s[j + q, i + q] = -r, r
+    else:
+        mu, nu = math.cosh(op.value), math.sinh(op.value)
+        s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = mu
+        s[i, j] = s[j, i] = -nu
+        s[i + 1, j + 1] = s[j + 1, i + 1] = nu
+    return s
+
+
+def _displaced_thermal(cov: np.ndarray, mean: np.ndarray) -> tuple[float, float]:
+    """(X, q) of the displaced thermal law standing for a one-mode marginal.
+
+    It has the marginal's |β|² and its larger quadrature variance, 2n + 1;
+    X = |β|²/(n + 1) and q = n/(n + 1).
+    """
+    var = 0.5 * (cov[0, 0] + cov[1, 1] + math.hypot(cov[0, 0] - cov[1, 1], 2.0 * cov[0, 1]))
+    nth = max(0.0, 0.5 * (var - 1.0))
+    return 0.25 * float(mean @ mean) / (nth + 1.0), nth / (nth + 1.0)
+
+
+def _next_level(x: float, q: float, m: int, pm: float, pm1: float) -> float:
+    """P(m + 1) of the displaced thermal law from P(m) and P(m − 1), up to a constant.
+
+    P(n) ∝ qⁿ Lₙ(−(1−q)X/q): the three-term Laguerre recurrence, which is
+    stable for this argument and reduces to the Poisson law at q = 0.
+    """
+    return ((q * (2 * m + 1) + (1 - q) * x) * pm - m * q * q * pm1) / (m + 1)
+
+
+def _tail_model(spec: CircuitSpec) -> tuple[list[tuple], float]:
+    """Tail parameters of every live mode after every leak-checked stage.
+
+    Up to its heralds the circuit is Gaussian, so each mode's marginal is
+    tracked exactly by a covariance matrix (vacuum = 1) and a mean; its tail is
+    taken as that of the displaced thermal state with the same |β|² and the
+    larger quadrature variance.  A herald conditions the Gaussian on vacuum
+    behind its efficiency η, which is exact for ``noclick``, and counts the
+    photons it detects: each is a ladder operator, worth one factor of the top
+    level n in population.  A photon detected on a squeezer's idler is a
+    creation on the signal and shifts the tail up one level; a photon tapped
+    off by a beam splitter is an annihilation, and one of each leaves the
+    tail in place (the identity branch of Fig. 1).  A ``click`` taps off one
+    photon, but on a squeezer's idler it may have created several, each count
+    weighted by the idler's own photon law.
+
+    Two effects of the truncation itself are added.  A truncated squeezer
+    cannot carry population past the top level, so until a herald the top
+    holds the exact marginal's whole tail; and it cannot deplete its top levels
+    by μ⁻²ⁿ as the exact heralded state is, so each squeezer raises a heralded
+    tail by cosh²(s) per level.  A tap's photon subtraction interferes with the
+    other branch only to first order in its reflectivity, which raises a
+    heralded branch's top level relative to its weight; each beam splitter
+    that taps a mode still in its vacuum input tightens the budget by T².
+
+    Returns rows ``(X, q, k, j, g, w)`` (X = |β|²/(n+1), q = n/(n+1), k ladder
+    operators, j net creations, g = ln boost per level, w = ln weight of the
+    photon count) and the budget factor.
+    """
+    index = {m: i for i, m in enumerate(spec.modes)}
+    cov = np.eye(2 * len(index))
+    mean = np.zeros(2 * len(index))
+    vacuum = {inp.mode for inp in spec.inputs if inp.kind == "vacuum"}
+    counts = {(0, 0): 0.0}  # (creations, annihilations) -> ln relative weight
+    boost = 0.0
+    factor = 1.0
+    last: dict[str, str] = {}
+    for inp in spec.inputs:
+        i = 2 * index[inp.mode]
+        if inp.kind == "coherent":
+            mean[i : i + 2] = 2.0 * inp.params[0], 2.0 * inp.params[1]
+        elif inp.kind == "thermal":
+            cov[i : i + 2, i : i + 2] *= 2.0 * inp.params[0] + 1.0
+        elif inp.kind == "fock":
+            counts = {(c + int(inp.params[0]), a): w for (c, a), w in counts.items()}
+    rows = []
+
+    def record() -> None:
+        for i in index.values():
+            mode = slice(2 * i, 2 * i + 2)
+            x, q = _displaced_thermal(cov[mode, mode], mean[mode])
+            for (c, a), w in counts.items():
+                rows.append((x, q, c + a, max(0, c - a), boost, w))
+
+    record()
+    for op in spec.operations:
+        if isinstance(op, ElementStmt):
+            s = _element_symplectic(op, index, cov.shape[0])
+            cov, mean = s @ cov @ s.T, s @ mean
+            if op.kind == "tmsq":
+                boost += 2.0 * math.log(math.cosh(op.value))
+            elif any(m in vacuum and m not in last for m in op.modes):
+                factor *= op.value**2
+            for m in op.modes:
+                last[m] = op.kind
+        else:
+            h = index.pop(op.mode)
+            hb = slice(2 * h, 2 * h + 2)
+            root = math.sqrt(op.eta)
+            vb = op.eta * cov[hb, hb] + (1.0 - op.eta) * _EYE2
+            mb = root * mean[hb]
+            vab = root * np.delete(cov[:, hb], hb, axis=0)
+            gain = vab @ np.linalg.inv(vb + _EYE2)
+            mean = np.delete(mean, hb) - gain @ mb
+            cov = np.delete(np.delete(cov, hb, axis=0), hb, axis=1) - gain @ vab.T
+            index = {m: i - (i > h) for m, i in index.items()}
+            create = last.get(op.mode) == "tmsq"
+            if op.requirement == "exactly":
+                detected = {op.count: 0.0}
+            elif op.requirement == "noclick":
+                detected = {0: 0.0}
+            elif create:  # ln P(n)/P(1) for the idler's n = 1 .. _CLICK_PHOTONS
+                x, q = _displaced_thermal(vb, mb)
+                law = [0.0, 1.0]
+                for m in range(_CLICK_PHOTONS):
+                    law.append(_next_level(x, q, m, law[-1], law[-2]))
+                detected = {n: math.log(law[n + 1] / law[2]) for n in range(1, _CLICK_PHOTONS + 1)
+                            if law[2] > 0.0 and law[n + 1] > 0.0} or {1: 0.0}
+            else:
+                detected = {1: 0.0}
+            new_counts: dict[tuple[int, int], float] = {}
+            for (c, a), w in counts.items():
+                for n, wn in detected.items():
+                    key = (c + n, a) if create else (c, a + n)
+                    new_counts[key] = max(new_counts.get(key, -math.inf), w + wn)
+            counts = new_counts
+        record()
+    return rows, factor
+
+
+def _row_cutoff(x: float, q: float, k: int, j: int, g: float, limit: float) -> int:
+    """The smallest d at which one row's predicted top-level population is within ``limit``.
+
+    The displaced thermal tail P(n) is run up level by level
+    (:func:`_next_level`).  With k ladder operators and j net
+    creations the population at level n is nᵏ⁻ʲ·n!/(n−j)!·P(n−j), taken
+    against the weight the truncated levels carry.  After a squeezer (g > 0)
+    an unheralded row holds its whole tail at the top, P(n)/(1 − P(n+1)/P(n)),
+    and a heralded row is raised by eᵍⁿ.
+    """
+    pmf = [0.0] * (j + 1) + [1.0]  # pmf[n + 1] = P(n − j), up to a constant
+
+    def following(m: int) -> float:
+        return _next_level(x, q, m, pmf[-1], pmf[-2])
+
+    weight = 0.0
+    for top in range(_MAX_CUTOFF):
+        if top > j:
+            pmf.append(following(top - j - 1))
+            if pmf[-1] > 1e150:  # only ratios matter: keep the running terms finite
+                pmf[-2:] = [v * 1e-150 for v in pmf[-2:]]
+                weight *= 1e-150
+        level = math.perm(top, j) * pmf[top + 1]
+        weight += level
+        if k == 0 and g > 0.0:  # then j = 0 and following(top) is P(top + 1)
+            ratio = following(top) / level if level > 0.0 else 0.0
+            held = level / (1.0 - ratio) if ratio < 1.0 else math.inf
+        else:
+            held = level * top ** (k - j) * math.exp(min(g * top, 700.0))
+        if top and weight > 0.0 and held <= limit * weight:
+            return top + 1
+    raise ValueError(
+        f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within the budget; "
+        "pass an explicit cutoff"
+    )
+
+
+def _budget_cutoff(spec: CircuitSpec, budget: float) -> int:
+    """The smallest d at which every modelled stage keeps its top level within budget."""
+    rows, factor = _tail_model(spec)
+    return max(
+        _row_cutoff(x, q, int(k), int(j), g, budget * factor * math.exp(-w))
+        for x, q, k, j, g, w in set(rows)
+    )
+
+
 @dataclass(frozen=True)
 class CutoffPolicy:
-    """Cutoff selection: explicit value, or adaptive from the inputs.
+    """Cutoff selection: an explicit value, or the smallest d the leak budget allows.
 
-    Adaptive rule: d = max(12, ceil(4(|α|²+1))) for coherent, ceil(8(n̄+1)) for
-    thermal, 4(n+1) for Fock inputs; the executor doubles d once if the leak
-    budget fails (explicit cutoffs are never doubled: failing loudly is the
-    point of pinning one).
+    Adaptive rule: a tail model of every live mode (:func:`_tail_model`) is
+    evaluated from the spec alone, starting at the exact input tails (Poisson
+    for coherent, geometric for thermal, a point mass for Fock inputs), and d
+    is the smallest cutoff at which every stage the executor checks keeps its
+    predicted top-level population within ``leak_budget``.  The executor
+    doubles d once if the prediction still falls short (explicit cutoffs are
+    never doubled: failing loudly is the point of pinning one).
     """
 
     explicit: int | None = None
@@ -435,16 +640,9 @@ class CutoffPolicy:
             if self.explicit < 2:
                 raise ValueError("cutoff must be >= 2")
             return self.explicit, False
-        d = 12
-        for inp in spec.inputs:
-            if inp.kind == "coherent":
-                a2 = inp.params[0] ** 2 + inp.params[1] ** 2
-                d = max(d, math.ceil(4.0 * (a2 + 1.0)))
-            elif inp.kind == "thermal":
-                d = max(d, math.ceil(8.0 * (inp.params[0] + 1.0)))
-            elif inp.kind == "fock":
-                d = max(d, 4 * (int(inp.params[0]) + 1))
-        return d, True
+        if not self.leak_budget > 0.0:
+            raise ValueError("an adaptive cutoff needs leak_budget > 0")
+        return _budget_cutoff(spec, self.leak_budget), True
 
 
 @dataclass(frozen=True)

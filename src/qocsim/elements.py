@@ -48,6 +48,9 @@ __all__ = [
     "two_mode_squeezer_unitary",
 ]
 
+# Poisson weight a coherent state may lose to the cutoff without a warning.
+_DISCARDED_WARN = 1e-6
+
 
 @dataclass(frozen=True)
 class BeamSplitterParams:
@@ -112,16 +115,10 @@ def vacuum(cutoff: Cutoff, mode: str = "a") -> PureState:
 def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState:
     """|α⟩ with C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized over the truncation.
 
-    Warns when |α|² > d/4 (the truncated basis is getting thin for this amplitude).
+    Warns when the truncation discards more than 1e-6 of the Poisson weight.
     """
     d = cutoff.d
     alpha = complex(alpha)
-    if abs(alpha) ** 2 > d / 4.0:
-        warnings.warn(
-            f"coherent amplitude |alpha|^2 = {abs(alpha)**2:.3g} exceeds d/4 = {d / 4:.3g}; "
-            "truncation may be inadequate",
-            stacklevel=2,
-        )
     n = np.arange(d)
     if alpha == 0:
         return vacuum(cutoff, mode)
@@ -129,7 +126,14 @@ def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState
     logmag = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(logmag) * phase
-    amps /= np.linalg.norm(amps)
+    kept = np.linalg.norm(amps)
+    if 1.0 - kept**2 > _DISCARDED_WARN:
+        warnings.warn(
+            f"cutoff d={d} discards {1.0 - kept**2:.3g} of the coherent state's weight "
+            f"(|alpha|^2 = {abs(alpha)**2:.3g}); truncation may be inadequate",
+            stacklevel=2,
+        )
+    amps /= kept
     return PureState.create((mode,), cutoff, amps)
 
 

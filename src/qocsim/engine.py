@@ -6,8 +6,13 @@ of pure vectors, ρ = Σₖ |vₖ⟩⟨vₖ|, held as the columns of a single ``
 array.  All detector POVM elements are diagonal in the Fock basis, so
 conditioning maps ensembles to ensembles; the member count K is compacted back
 to the live-space rank via an eigendecomposition whenever it grows past it.
-This keeps the Fig.-1-style pipelines at d ≈ 32 with thermal inputs in ≈ d²
+This keeps the Fig.-1-style pipelines at d ≈ 30 with thermal inputs in ≈ d²
 live dimensions.  The final state is returned as that ensemble.
+
+The cutoff is the plan's: explicit, or predicted from the leak budget by
+:class:`~qocsim.dsl.CutoffPolicy`.  The leak monitor checks every live mode's
+top-level population after every stage, and a predicted cutoff that still
+leaks is retried once at twice its value.
 
 Element unitaries are cached and applied as their photon-number sectors: the
 beam splitter conserves n1 + n2 and the squeezer n1 − n2, so each d²×d²
@@ -106,6 +111,12 @@ class Ensemble:
         """Diagonal of ρ in the joint Fock basis."""
         m = self.members
         return np.sum(m.real**2 + m.imag**2, axis=1)
+
+    def populations(self, modes: Sequence[str]) -> np.ndarray:
+        """Unnormalized photon-number distribution of ``modes``, one axis each in that order."""
+        M = len(self.modes)
+        t = self._populations().reshape((self.cutoff.d,) * M)
+        return np.einsum(t, list(range(M)), [M - 1 - self.modes.index(m) for m in modes])
 
     def _mode_first(self, mode: str) -> np.ndarray:
         """Members as ``(d, rest·K)``, with ``mode`` as the leading digit."""
@@ -311,7 +322,12 @@ def _evaluate_output(
 def execute_plan(
     plan: ExecutionPlan, *, branches: Sequence[Sequence[HeraldStmt]] = ()
 ) -> ExecutionResult:
-    """Run the staged ensemble executor; retries once at doubled cutoff on leak failure.
+    """Run the staged ensemble executor at the plan's cutoff.
+
+    An adaptive cutoff (``plan.may_double``) is the policy's prediction of the
+    smallest d that meets the leak budget; if the prediction falls short, the
+    run is retried once at twice that cutoff.  An explicit cutoff is never
+    retried: its leak failure is raised.
 
     Each entry of ``branches`` is a herald sequence applied, like the plan's own
     condition steps, to the plan's final ensemble.  Branches run at the same
@@ -363,6 +379,11 @@ def _execute_staged(
             new = _input_members(step.payload, cutoff)
             if ens is None:
                 ens = Ensemble((step.mode,), cutoff, new)
+            elif step.payload.kind == "vacuum":
+                # the new mode is the slowest digit, so |v⟩⊗|0⟩ is v zero-padded
+                members = np.zeros((cutoff.d * ens.dim, ens.members.shape[1]), np.complex128)
+                members[: ens.dim] = ens.members
+                ens = Ensemble(ens.modes + (step.mode,), cutoff, members)
             else:
                 # joint index = old + dim_old * new_level (new mode is slower);
                 # member index = k_old * K_new + k_new

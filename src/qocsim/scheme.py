@@ -37,7 +37,8 @@ from .dsl import (
 )
 from .elements import coherent_state, fock_state, thermal_state
 from .engine import Ensemble, execute_plan
-from .measurement import DetectorModel, HeraldPattern, click
+from . import measurement
+from .measurement import DetectorModel, click
 from .phasespace import (
     DEFAULT_GRID,
     GridSpec,
@@ -215,15 +216,19 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     The ``none`` circuit runs once through the compiled-plan executor.  Both
     branches are its post-BS3 ensemble conditioned on the trailing heralds of
     the ``pd2`` and ``pd1`` circuits, inside the same cutoff retry and leak
-    checks; the click statistics come from that ensemble too.  A circuit file
-    describing one branch reproduces its numbers to rounding.
+    checks; the click statistics come from that ensemble too.  An adaptive
+    cutoff is the larger of the two branch circuits' predictions, so a circuit
+    file describing one branch runs at the same cutoff or below, and
+    reproduces its numbers to rounding when run at this one.
     """
     prefix = build_fig1_circuit(params, "none")
-    tails = [
-        build_fig1_circuit(params, branch).operations[len(prefix.operations):]
-        for branch in ("pd2", "pd1")
-    ]
-    res = execute_plan(compile_circuit(prefix, params.policy()), branches=tails)
+    full = [build_fig1_circuit(params, branch) for branch in ("pd2", "pd1")]
+    tails = [spec.operations[len(prefix.operations):] for spec in full]
+    policy = params.policy()
+    # the branch heralds run in the same execution, so they size its cutoff too
+    d = max(policy.choose(spec)[0] for spec in full)
+    plan = compile_circuit(prefix, replace(policy, explicit=d))
+    res = execute_plan(replace(plan, may_double=policy.explicit is None), branches=tails)
     (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
     cutoff = Cutoff(res.cutoff)
@@ -232,14 +237,16 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     w_pd1 = float(np.prod([h.probability for h in heralds_pd1]))
 
     post = res.final_state
-    dets = {
-        "b": DetectorModel("on-off", params.eta_pd1),
-        "c": DetectorModel("on-off", params.eta_pd2),
-    }
     w = post.weight
-    p_b = post.pattern_probability(HeraldPattern({"b": click}), dets) / w
-    p_c = post.pattern_probability(HeraldPattern({"c": click}), dets) / w
-    p_bc = post.pattern_probability(HeraldPattern({"b": click, "c": click}), dets) / w
+    # one pass over the post-BS3 ensemble serves all three click statistics
+    pops = post.populations(("b", "c"))
+    click_b, click_c = (
+        measurement.povm_element(click, DetectorModel("on-off", eta), cutoff).matrix.diagonal().real
+        for eta in (params.eta_pd1, params.eta_pd2)
+    )
+    p_b = float(click_b @ pops.sum(axis=1)) / w
+    p_c = float(pops.sum(axis=0) @ click_c) / w
+    p_bc = float(click_b @ pops @ click_c) / w
 
     rho_pd2 = _scaled_branch(ens_pd2, w_pd2)
     rho_pd1 = _scaled_branch(ens_pd1, w_pd1)

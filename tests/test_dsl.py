@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qocsim.dsl import (
     parse,
     print_circuit,
 )
+from qocsim.engine import LeakBudgetError, execute_plan
 
 FIG1_TEXT = """\
 # four-mode heralded add/subtract interferometer
@@ -243,7 +246,8 @@ def test_compile_fig1_plan_shape():
             for later in plan.steps[i + 1:]:
                 assert later.mode != s.mode
                 assert s.mode not in (later.modes or ())
-    assert plan.cutoff == 12  # policy: max(12, ceil(4*(1+1))) for alpha=1
+    # the policy's prediction meets the leak budget on the first attempt
+    assert execute_plan(plan).cutoff == plan.cutoff
 
 
 def test_compile_idempotent():
@@ -265,12 +269,35 @@ def test_compile_warns_on_untouched_herald():
         compile_circuit(parse(text))
 
 
+def _smallest_passing(pmf, budget: float) -> int:
+    """Smallest d whose truncated, renormalized top level holds at most ``budget``."""
+    d = 2
+    while pmf[d - 1] > budget * sum(pmf[:d]):
+        d += 1
+    return d
+
+
 def test_cutoff_policy_rules():
-    coh = parse("modes a\ninput a coherent 2.0 0.0\nout probs\n")
-    assert compile_circuit(coh, CutoffPolicy()).cutoff == 20  # ceil(4*(4+1))
-    th = parse("modes a\ninput a thermal 1.0\nout probs\n")
-    assert compile_circuit(th, CutoffPolicy()).cutoff == 16  # ceil(8*(1+1))
+    # a bare input is sized from its exact tail: the smallest d that passes
+    levels = range(80)
+    poisson = [math.exp(-4.0) * 4.0**n / math.factorial(n) for n in levels]
+    geometric = [0.5 ** (n + 1) for n in levels]
+    for text, pmf in (
+        ("modes a\ninput a coherent 2.0 0.0\nout state a\n", poisson),
+        ("modes a\ninput a thermal 1.0\nout state a\n", geometric),
+    ):
+        for budget in (1e-4, 1e-6, 1e-9):
+            plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=budget))
+            assert plan.cutoff == _smallest_passing(pmf, budget) and plan.may_double
+        plan = compile_circuit(parse(text), CutoffPolicy())
+        assert execute_plan(plan).cutoff == plan.cutoff
+        with pytest.raises(LeakBudgetError):
+            execute_plan(compile_circuit(parse(text), CutoffPolicy(explicit=plan.cutoff - 1)))
     vac = parse("modes a\ninput a vacuum\nout probs\n")
-    assert compile_circuit(vac, CutoffPolicy()).cutoff == 12
+    assert compile_circuit(vac, CutoffPolicy()).cutoff == 2
+    fock = parse("modes a\ninput a fock 3\nout probs\n")
+    assert compile_circuit(fock, CutoffPolicy()).cutoff == 5  # level 3 below the top
     explicit = compile_circuit(vac, CutoffPolicy(explicit=7))
     assert explicit.cutoff == 7 and explicit.may_double is False
+    with pytest.raises(ValueError, match="leak_budget > 0"):
+        compile_circuit(vac, CutoffPolicy(leak_budget=0.0))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_coherent_mean_photon_number():
 def test_coherent_adequacy_warning():
     with pytest.warns(UserWarning, match="truncation may be inadequate"):
         coherent_state(2.0, Cutoff(8))
+
+
+@pytest.mark.parametrize("alpha,d", [(1.6, 17), (2.5, 24)])
+def test_coherent_state_is_silent_when_the_cutoff_keeps_its_weight(alpha, d):
+    # each discards under 1e-6 of the Poisson weight; |alpha|^2 = 6.25 > 24/4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coherent_state(alpha, Cutoff(d))
 
 
 def test_coherent_complex_phase():

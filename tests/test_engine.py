@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -126,12 +126,15 @@ def test_leak_budget_raises_with_diagnostic():
 
 
 def test_adaptive_cutoff_doubles_once_on_leak():
-    # thermal nbar=1: policy picks 16, whose truncated top level carries ~1.5e-5
+    # a policy-compiled plan whose cutoff is lowered below the budget stands
+    # for a misprediction: it is retried once at twice that cutoff
     text = "modes a\ninput a thermal 1.0\nout state a\n"
     plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=1e-6))
-    assert plan.cutoff == 16
-    res = execute_plan(plan)
-    assert res.cutoff == 32
+    assert execute_plan(plan).cutoff == plan.cutoff
+    low = replace(plan, cutoff=plan.cutoff - 4)
+    assert execute_plan(low).cutoff == 2 * low.cutoff
+    with pytest.raises(LeakBudgetError):  # an explicit cutoff is never retried
+        execute_plan(replace(low, may_double=False))
 
 
 def test_zero_probability_herald_raises():
@@ -168,6 +171,22 @@ def test_ensemble_compaction_preserves_density_matrix():
     assert np.max(np.abs(ens.to_mixed().matrix - before)) < 1e-12
 
 
+@pytest.mark.parametrize("first", ["coherent 0.7 0.2", "thermal 0.6"])
+def test_vacuum_mode_is_attached_by_zero_padding(first):
+    # the einsum outer product with the vacuum member, which the zero-pad replaced
+    policy = CutoffPolicy(explicit=7, leak_budget=1.0)
+    one = compile_circuit(parse(f"modes a\ninput a {first}\nout state a\n"), policy)
+    two = f"modes a b\ninput a {first}\ninput b vacuum\nout state a\nout state b\n"
+    plan = compile_circuit(parse(two), policy)
+    old = execute_plan(one).final_state.members
+    vac = np.zeros((7, 1), dtype=np.complex128)
+    vac[0, 0] = 1.0
+    outer = np.einsum("nj,oi->noij", vac, old).reshape(7 * old.shape[0], -1)
+    members = execute_plan(plan).final_state.members
+    assert old.shape[1] == (1 if first.startswith("coherent") else 7)
+    assert members.shape == outer.shape and np.array_equal(members, outer)
+
+
 def test_final_state_types():
     for text in (
         "modes a b\ninput a coherent 0.4 0.0\ninput b vacuum\nbs a b T=0.9\nout probs\n",
@@ -198,11 +217,10 @@ def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
     params = SchemeParams(alpha=1.2, transmittivity=0.9, coupling=0.2)
     _unitary_matrix_cached.cache_clear()
     first = run_interferometer(params)
-    assert first.cutoff == 24  # the adaptive d=12 fails the leak budget and is doubled
     info = _unitary_matrix_cached.cache_info()
-    # d=12 builds BS1 and the squeezer before its leak check fails; d=24 builds
-    # (bs 0.9, tmsq 0.2, bs 0.5), BS1 and BS2 sharing one entry.  Nothing evicted.
-    assert info.currsize == info.misses == 5
+    # the predicted cutoff passes on its first attempt, which builds (bs 0.9,
+    # tmsq 0.2, bs 0.5), BS1 and BS2 sharing one entry.  Nothing evicted.
+    assert info.currsize == info.misses == 3
     second = run_interferometer(params)
     assert _unitary_matrix_cached.cache_info().misses == info.misses
     for f in fields(first):

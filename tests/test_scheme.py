@@ -5,10 +5,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qocsim import builtin_circuit_text, scheme
+from qocsim import builtin_circuit_text, engine, scheme
 from qocsim.core import Cutoff, MixedState
 from qocsim.dsl import compile_circuit, parse
-from qocsim.engine import execute_plan
+from qocsim.engine import LeakBudgetError, execute_plan
 from qocsim.measurement import DetectorModel, HeraldPattern, click
 from qocsim.scheme import (
     SchemeParams,
@@ -98,14 +98,80 @@ def test_one_execution_matches_three_execution_oracle(name):
             assert abs(a - b) <= TOL, f.name
 
 
+def _predicted(params: SchemeParams) -> int:
+    return max(params.policy().choose(build_fig1_circuit(params, b))[0] for b in ("pd2", "pd1"))
+
+
 def test_branch_stage_leak_doubles_the_cutoff():
-    # d=20 passes every stage up to BS3 but leaks past the budget at the PD2
-    # branch's `herald c`; the retry must cover the branch stages
+    # lowered to d=20, the policy-compiled prefix passes every stage up to BS3
+    # but leaks past the budget at the PD2 branch's `herald c`; the retry must
+    # cover the branch stages
     params = CASES["alpha2-branch-retry"]
-    prefix = compile_circuit(build_fig1_circuit(params, "none"), params.policy())
-    assert prefix.cutoff == 20
-    assert execute_plan(prefix).cutoff == 20
-    assert run_interferometer(params).cutoff == 40
+    prefix = build_fig1_circuit(params, "none")
+    tails = [
+        build_fig1_circuit(params, b).operations[len(prefix.operations):] for b in ("pd2", "pd1")
+    ]
+    low = replace(compile_circuit(prefix, params.policy()), cutoff=20)
+    assert low.may_double
+    assert execute_plan(low).cutoff == 20
+    with pytest.raises(LeakBudgetError) as exc:
+        execute_plan(replace(low, may_double=False), branches=tails)
+    assert exc.value.stage == "herald c"
+    assert execute_plan(low, branches=tails).cutoff == 40
+    assert run_interferometer(params).cutoff == _predicted(params)
+
+
+@pytest.mark.parametrize("params", [
+    SchemeParams(alpha=1.57, transmittivity=0.86, coupling=0.29),
+    SchemeParams(alpha=1.25, transmittivity=0.98, coupling=0.06),
+    # d=17 leaks 1.0e-6 at d=16: the tap factor and the heralded boost both bind
+    SchemeParams(alpha=1.5408, transmittivity=0.92397, coupling=0.19563),
+    SchemeParams(alpha=0.45, transmittivity=0.99, coupling=0.1),
+    # the unheralded squeezer stage binds, at the top of its truncated chains
+    SchemeParams(alpha=0.5, transmittivity=0.99, coupling=0.9),
+    SchemeParams(input_kind="thermal", nbar=0.95),
+], ids=["coherent-strong-taps", "coherent-weak-taps", "coherent-edge", "coherent-small",
+        "strong-squeezer", "thermal"])
+@pytest.mark.filterwarnings("ignore:cutoff d=")
+def test_predicted_cutoff_passes_first_and_is_near_the_smallest(params, monkeypatch):
+    attempts = []
+    staged = engine._execute_staged
+
+    def counting(plan, d, branches):
+        attempts.append(d)
+        return staged(plan, d, branches)
+
+    monkeypatch.setattr(engine, "_execute_staged", counting)
+    d = _predicted(params)
+    res = run_interferometer(params)
+    assert attempts == [d] and res.cutoff == d and res.leak_max <= params.leak_budget
+    # within three levels of the smallest cutoff that passes
+    with pytest.raises(LeakBudgetError):
+        run_interferometer(replace(params, cutoff=d - 4))
+
+
+def test_thermal_nbar2_runs_within_budget_at_default_settings():
+    params = SchemeParams(input_kind="thermal", nbar=2.0)
+    res = run_interferometer(params)
+    assert res.cutoff == _predicted(params) <= 56
+    assert res.leak_max <= params.leak_budget
+    assert 0.0 < res.pd2_weight < res.pd1_weight
+
+
+def test_click_statistics_match_three_pattern_probabilities():
+    for params in (CASES["thermal"], CASES["lossy-pd1-pd2"]):
+        res = run_interferometer(params)
+        pinned = replace(params, cutoff=res.cutoff)
+        post = execute_plan(compile_circuit(build_fig1_circuit(pinned, "none"), pinned.policy())).final_state
+        dets = {
+            "b": DetectorModel("on-off", params.eta_pd1),
+            "c": DetectorModel("on-off", params.eta_pd2),
+        }
+        w = post.weight
+        for name, pattern in (("p_b", {"b": click}), ("p_c", {"c": click}),
+                              ("p_bc", {"b": click, "c": click})):
+            want = post.pattern_probability(HeraldPattern(pattern), dets) / w
+            assert abs(getattr(res, name) - want) <= 1e-14 * want, name
 
 
 def test_interferometer_executes_one_plan(monkeypatch):
