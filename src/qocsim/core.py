@@ -1,8 +1,10 @@
 """Truncated Fock-space linear algebra: states, operators, composition, conditioning.
 
-Every mode is truncated to the same dimension ``d`` (levels 0..d-1).  Multimode
-amplitudes are stored as flat vectors with little-endian mode indexing: for a
-state over ``modes = (m0, m1, ..., m_{M-1})`` the basis index of the occupation
+Every mode of a state is truncated to the same dimension ``d`` (levels
+0..d-1); only the kernel :func:`apply_matrix` also takes one dimension per
+mode, for the staged executor's per-mode cutoffs.  Multimode amplitudes are
+stored as flat vectors with little-endian mode indexing: for a state over
+``modes = (m0, m1, ..., m_{M-1})`` the basis index of the occupation
 ``(n0, n1, ..., n_{M-1})`` is ``n0 + n1*d + n2*d**2 + ...``, i.e. the first
 listed mode is the fastest-varying digit.  This ordering is fixed so that saved
 states are portable.
@@ -14,6 +16,7 @@ carried weight, which downstream conditioning probabilities are ratios of.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -300,34 +303,36 @@ def embed(
 def apply_matrix(
     arr: np.ndarray,
     state_modes: Sequence[str],
-    cutoff: Cutoff,
+    dims: Sequence[int],
     sectors: Sequence[tuple[np.ndarray | slice, np.ndarray]],
     op_modes: Sequence[str],
 ) -> np.ndarray:
     """Apply a block-diagonal operator on ``op_modes`` to the ket digits of a flat array.
 
-    ``arr`` has shape ``(d**M,)`` or ``(d**M, X)`` with little-endian digits over
-    ``state_modes``; trailing axes (e.g. the bra side of a density matrix) ride
-    along untouched.  The operator is given as its sectors ``(idx, block)``:
-    ``idx`` selects basis indices of the ``d**k`` operator space (little-endian
-    over ``op_modes``) and ``block`` is the operator restricted to them.  The
-    ``idx`` must partition that space; a dense matrix ``mat`` is the single
-    sector ``(slice(None), mat)``.  The op digits are brought to the front and
-    each sector is one matrix product, ``out[idx] = block @ x[idx]``.
+    ``dims[i]`` is the number of levels kept on ``state_modes[i]``; the modes
+    may differ.  ``arr`` has shape ``(prod(dims),)`` or ``(prod(dims), X)``
+    with little-endian digits over ``state_modes``; trailing axes (e.g. the bra
+    side of a density matrix) ride along untouched.  The operator is given as
+    its sectors ``(idx, block)``: ``idx`` selects basis indices of the
+    operator space (little-endian over ``op_modes``, each at its own
+    dimension) and ``block`` is the operator restricted to them.  The ``idx``
+    must partition that space; a dense matrix ``mat`` is the single sector
+    ``(slice(None), mat)``.  The op digits are brought to the front and each
+    sector is one matrix product, ``out[idx] = block @ x[idx]``.
     """
-    d = cutoff.d
     M = len(state_modes)
     k = len(op_modes)
     trailing = arr.shape[1:]
     # C order makes the first axis the slowest digit, so op_modes[-1] leads
-    axes = [M - 1 - state_modes.index(m) for m in reversed(op_modes)]
-    front = np.moveaxis(arr.reshape((d,) * M + trailing), axes, range(k))
-    x = front.reshape(d**k, -1)
+    pos = [state_modes.index(m) for m in reversed(op_modes)]
+    axes = [M - 1 - i for i in pos]
+    front = np.moveaxis(arr.reshape(tuple(reversed(dims)) + trailing), axes, range(k))
+    x = front.reshape(math.prod(dims[i] for i in pos), -1)
     out = np.empty(x.shape, dtype=np.complex128)
     for idx, block in sectors:
         out[idx] = block @ x[idx]
     out = np.moveaxis(out.reshape(front.shape), range(k), axes)
-    return out.reshape((d**M,) + trailing)
+    return out.reshape(arr.shape)
 
 
 def apply(op: OperatorMatrix, state: State) -> State:
@@ -336,11 +341,12 @@ def apply(op: OperatorMatrix, state: State) -> State:
     for m in modes:
         state.mode_index(m)
     dense = [(slice(None), op.matrix)]
+    dims = (state.cutoff.d,) * len(state.modes)
     if isinstance(state, PureState):
-        amps = apply_matrix(state.amps, state.modes, state.cutoff, dense, modes)
+        amps = apply_matrix(state.amps, state.modes, dims, dense, modes)
         return PureState.create(state.modes, state.cutoff, amps)
-    ket = apply_matrix(state.matrix, state.modes, state.cutoff, dense, modes)
-    both = apply_matrix(ket.conj().T, state.modes, state.cutoff, dense, modes).conj().T
+    ket = apply_matrix(state.matrix, state.modes, dims, dense, modes)
+    both = apply_matrix(ket.conj().T, state.modes, dims, dense, modes).conj().T
     return MixedState.create(state.modes, state.cutoff, both)
 
 

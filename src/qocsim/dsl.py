@@ -18,17 +18,20 @@ mode may not be referenced afterwards.  Elements and
 heralds execute in file order.  The canonical printer orders statements as
 modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
 
-The compiler sizes the Fock cutoff from the spec alone (:class:`CutoffPolicy`):
-unless one is given explicitly, it is the smallest d at which a Gaussian tail
-model of the circuit keeps every checked stage within the leak budget.
+The compiler sizes each mode's Fock cutoff from the spec alone
+(:class:`CutoffPolicy`): unless one is given explicitly for every mode, it is
+the smallest d at which a Gaussian tail model of the circuit keeps that mode
+within the leak budget at every checked stage.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -426,8 +429,10 @@ def print_circuit(spec: CircuitSpec) -> str:
 # has not met the budget by then needs an explicit cutoff.
 _MAX_CUTOFF = 512
 _EYE2 = np.eye(2)
-# A click on a squeezer's idler is counted as 1 .. _CLICK_PHOTONS created photons.
-_CLICK_PHOTONS = 4
+# A click on a squeezer's idler counts every photon number n >= 1 whose
+# weight against n = 1 (see _click_counts) is at least this fraction of the
+# leak budget.
+_CLICK_FLOOR = 1e-3
 
 
 def _element_symplectic(op: ElementStmt, index: dict[str, int], size: int) -> np.ndarray:
@@ -472,7 +477,35 @@ def _next_level(x: float, q: float, m: int, pm: float, pm1: float) -> float:
     return ((q * (2 * m + 1) + (1 - q) * x) * pm - m * q * q * pm1) / (m + 1)
 
 
-def _tail_model(spec: CircuitSpec) -> tuple[list[tuple], float]:
+def _click_counts(vb: np.ndarray, mb: np.ndarray, j: int, floor: float) -> dict[int, float]:
+    """ln P(n)/P(1) for every idler count n >= 1 that a click may stand for.
+
+    P(n) is the displaced thermal law of the idler behind its detector
+    (covariance ``vb``, mean ``mb``), times the factor C(j+n, n) by which j
+    photons already created on the signal stimulate n more.  The counts run
+    until that weight has fallen below ``floor`` and is still falling.
+    """
+    x, q = _displaced_thermal(vb, mb)
+    law = [0.0, 1.0]  # law[n + 1] = P(n) / P(0), rescaled by e^{-shift}
+    shift = 0.0
+    counts: dict[int, float] = {}
+    for n in range(1, _MAX_CUTOFF):
+        law.append(_next_level(x, q, n - 1, law[-1], law[-2]))
+        if law[-1] > 1e150:  # only ratios matter: keep the running terms finite
+            law[-2:] = [v * 1e-150 for v in law[-2:]]
+            shift += 150.0 * math.log(10.0)
+        if law[-1] <= 0.0:
+            break
+        w = math.log(law[-1]) + shift + math.lgamma(j + n + 1) - math.lgamma(n + 1)
+        if n == 1:
+            w1 = w
+        counts[n] = w - w1
+        if counts[n] < math.log(floor) and counts[n] < counts.get(n - 1, math.inf):
+            break
+    return counts or {1: 0.0}
+
+
+def _tail_model(spec: CircuitSpec, floor: float) -> tuple[list[tuple[str, tuple]], float]:
     """Tail parameters of every live mode after every leak-checked stage.
 
     Up to its heralds the circuit is Gaussian, so each mode's marginal is
@@ -485,8 +518,10 @@ def _tail_model(spec: CircuitSpec) -> tuple[list[tuple], float]:
     creation on the signal and shifts the tail up one level; a photon tapped
     off by a beam splitter is an annihilation, and one of each leaves the
     tail in place (the identity branch of Fig. 1).  A ``click`` taps off one
-    photon, but on a squeezer's idler it may have created several, each count
-    weighted by the idler's own photon law.
+    photon, but on a squeezer's idler it may have created any number n >= 1,
+    each count weighted by the idler's own photon law and the signal's
+    stimulated emission, down to a weight of ``floor`` (see
+    :func:`_click_counts`).  The counts are applied to every live mode.
 
     Two effects of the truncation itself are added.  A truncated squeezer
     cannot carry population past the top level, so until a herald the top
@@ -497,9 +532,11 @@ def _tail_model(spec: CircuitSpec) -> tuple[list[tuple], float]:
     heralded branch's top level relative to its weight; each beam splitter
     that taps a mode still in its vacuum input tightens the budget by T².
 
-    Returns rows ``(X, q, k, j, g, w)`` (X = |β|²/(n+1), q = n/(n+1), k ladder
-    operators, j net creations, g = ln boost per level, w = ln weight of the
-    photon count) and the budget factor.
+    Returns one ``(mode, rows)`` group per live mode and checked stage, and the
+    budget factor.  A group has one row ``(X, q, k, j, g, w)`` per photon count
+    (X = |β|²/(n+1), q = n/(n+1), k ladder operators, j net creations, g = ln
+    boost per level, w = ln weight of the count); the stage's leak on that
+    mode is the weighted sum over its rows.
     """
     index = {m: i for i, m in enumerate(spec.modes)}
     cov = np.eye(2 * len(index))
@@ -517,14 +554,15 @@ def _tail_model(spec: CircuitSpec) -> tuple[list[tuple], float]:
             cov[i : i + 2, i : i + 2] *= 2.0 * inp.params[0] + 1.0
         elif inp.kind == "fock":
             counts = {(c + int(inp.params[0]), a): w for (c, a), w in counts.items()}
-    rows = []
+    groups = []
 
     def record() -> None:
-        for i in index.values():
+        for m, i in index.items():
             mode = slice(2 * i, 2 * i + 2)
             x, q = _displaced_thermal(cov[mode, mode], mean[mode])
-            for (c, a), w in counts.items():
-                rows.append((x, q, c + a, max(0, c - a), boost, w))
+            groups.append((m, tuple(sorted(
+                (x, q, c + a, max(0, c - a), boost, w) for (c, a), w in counts.items()
+            ))))
 
     record()
     for op in spec.operations:
@@ -549,38 +587,35 @@ def _tail_model(spec: CircuitSpec) -> tuple[list[tuple], float]:
             cov = np.delete(np.delete(cov, hb, axis=0), hb, axis=1) - gain @ vab.T
             index = {m: i - (i > h) for m, i in index.items()}
             create = last.get(op.mode) == "tmsq"
-            if op.requirement == "exactly":
-                detected = {op.count: 0.0}
-            elif op.requirement == "noclick":
-                detected = {0: 0.0}
-            elif create:  # ln P(n)/P(1) for the idler's n = 1 .. _CLICK_PHOTONS
-                x, q = _displaced_thermal(vb, mb)
-                law = [0.0, 1.0]
-                for m in range(_CLICK_PHOTONS):
-                    law.append(_next_level(x, q, m, law[-1], law[-2]))
-                detected = {n: math.log(law[n + 1] / law[2]) for n in range(1, _CLICK_PHOTONS + 1)
-                            if law[2] > 0.0 and law[n + 1] > 0.0} or {1: 0.0}
-            else:
-                detected = {1: 0.0}
+            # a stage's leak is a sum over its counts, so merged counts add
             new_counts: dict[tuple[int, int], float] = {}
             for (c, a), w in counts.items():
+                if op.requirement == "exactly":
+                    detected = {op.count: 0.0}
+                elif op.requirement == "noclick":
+                    detected = {0: 0.0}
+                elif create:
+                    detected = _click_counts(vb, mb, max(0, c - a), floor)
+                else:
+                    detected = {1: 0.0}
                 for n, wn in detected.items():
                     key = (c + n, a) if create else (c, a + n)
-                    new_counts[key] = max(new_counts.get(key, -math.inf), w + wn)
+                    new_counts[key] = float(np.logaddexp(new_counts.get(key, -math.inf), w + wn))
             counts = new_counts
         record()
-    return rows, factor
+    return groups, factor
 
 
-def _row_cutoff(x: float, q: float, k: int, j: int, g: float, limit: float) -> int:
-    """The smallest d at which one row's predicted top-level population is within ``limit``.
+def _row_leaks(x: float, q: float, k: int, j: int, g: float):
+    """One row's predicted top-level population at d = 1, 2, ..., relative to its weight.
 
     The displaced thermal tail P(n) is run up level by level
     (:func:`_next_level`).  With k ladder operators and j net
     creations the population at level n is nᵏ⁻ʲ·n!/(n−j)!·P(n−j), taken
     against the weight the truncated levels carry.  After a squeezer (g > 0)
     an unheralded row holds its whole tail at the top, P(n)/(1 − P(n+1)/P(n)),
-    and a heralded row is raised by eᵍⁿ.
+    and a heralded row is raised by eᵍⁿ.  A row with no weight under the
+    cutoff yet is held at the top whole: its leak is 1.
     """
     pmf = [0.0] * (j + 1) + [1.0]  # pmf[n + 1] = P(n − j), up to a constant
 
@@ -601,7 +636,17 @@ def _row_cutoff(x: float, q: float, k: int, j: int, g: float, limit: float) -> i
             held = level / (1.0 - ratio) if ratio < 1.0 else math.inf
         else:
             held = level * top ** (k - j) * math.exp(min(g * top, 700.0))
-        if top and weight > 0.0 and held <= limit * weight:
+        yield held / weight if weight > 0.0 else 1.0
+
+
+# run_interferometer sizes two circuits that share every stage up to BS3
+@lru_cache(maxsize=256)
+def _group_cutoff(rows: tuple, limit: float) -> int:
+    """The smallest d at which a stage's summed leak on one mode is within ``limit``."""
+    weights = [math.exp(w) for *_, w in rows]
+    leaks = zip(*(_row_leaks(x, q, int(k), int(j), g) for x, q, k, j, g, _ in rows))
+    for top, row_leaks in enumerate(leaks):
+        if top and sum(map(operator.mul, weights, row_leaks)) <= limit:
             return top + 1
     raise ValueError(
         f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within the budget; "
@@ -609,40 +654,42 @@ def _row_cutoff(x: float, q: float, k: int, j: int, g: float, limit: float) -> i
     )
 
 
-def _budget_cutoff(spec: CircuitSpec, budget: float) -> int:
-    """The smallest d at which every modelled stage keeps its top level within budget."""
-    rows, factor = _tail_model(spec)
-    return max(
-        _row_cutoff(x, q, int(k), int(j), g, budget * factor * math.exp(-w))
-        for x, q, k, j, g, w in set(rows)
-    )
+def _budget_cutoffs(spec: CircuitSpec, budget: float) -> dict[str, int]:
+    """Each mode's smallest d at which every modelled stage keeps its top level within budget."""
+    groups, factor = _tail_model(spec, _CLICK_FLOOR * budget)
+    cutoffs = dict.fromkeys(spec.modes, 2)
+    for mode, rows in groups:
+        cutoffs[mode] = max(cutoffs[mode], _group_cutoff(rows, budget * factor))
+    return cutoffs
 
 
 @dataclass(frozen=True)
 class CutoffPolicy:
-    """Cutoff selection: an explicit value, or the smallest d the leak budget allows.
+    """Cutoff selection: an explicit value, or each mode's smallest d the leak budget allows.
 
     Adaptive rule: a tail model of every live mode (:func:`_tail_model`) is
     evaluated from the spec alone, starting at the exact input tails (Poisson
-    for coherent, geometric for thermal, a point mass for Fock inputs), and d
-    is the smallest cutoff at which every stage the executor checks keeps its
-    predicted top-level population within ``leak_budget``.  The executor
-    doubles d once if the prediction still falls short (explicit cutoffs are
-    never doubled: failing loudly is the point of pinning one).
+    for coherent, geometric for thermal, a point mass for Fock inputs).  Each
+    mode's cutoff is the smallest d at which every stage the executor checks
+    keeps that mode's predicted top-level population within ``leak_budget``,
+    so a mode that only ever holds a tapped photon or two keeps a few levels.
+    The executor doubles every mode's cutoff once if the prediction still
+    falls short.  An explicit cutoff holds for every mode and is never
+    doubled: failing loudly is the point of pinning one.
     """
 
     explicit: int | None = None
     leak_budget: float = 1e-6
 
-    def choose(self, spec: CircuitSpec) -> tuple[int, bool]:
-        """Returns (cutoff, may_double)."""
+    def choose(self, spec: CircuitSpec) -> tuple[dict[str, int], bool]:
+        """Returns (cutoff per mode, may_double)."""
         if self.explicit is not None:
             if self.explicit < 2:
                 raise ValueError("cutoff must be >= 2")
-            return self.explicit, False
+            return dict.fromkeys(spec.modes, self.explicit), False
         if not self.leak_budget > 0.0:
             raise ValueError("an adaptive cutoff needs leak_budget > 0")
-        return _budget_cutoff(spec, self.leak_budget), True
+        return _budget_cutoffs(spec, self.leak_budget), True
 
 
 @dataclass(frozen=True)
@@ -661,10 +708,15 @@ class PlanStep:
 @dataclass(frozen=True)
 class ExecutionPlan:
     spec: CircuitSpec
-    cutoff: int
+    cutoffs: dict[str, int]  # levels kept on each mode, in declared-mode order
     leak_budget: float
     may_double: bool
     steps: tuple[PlanStep, ...]
+
+    @property
+    def cutoff(self) -> int:
+        """The largest mode cutoff: the one number reports show."""
+        return max(self.cutoffs.values())
 
 
 def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) -> ExecutionPlan:
@@ -674,7 +726,7 @@ def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) ->
     every condition step traces its mode out, so the live space stays small.
     Compilation is deterministic and idempotent.
     """
-    cutoff, may_double = policy.choose(spec)
+    cutoffs, may_double = policy.choose(spec)
     inputs = {inp.mode: inp for inp in spec.inputs}
     steps: list[PlanStep] = []
     live: set[str] = set()
@@ -707,4 +759,4 @@ def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) ->
     for out in spec.outputs:
         steps.append(PlanStep("output", mode=out.mode, payload=out))
 
-    return ExecutionPlan(spec, cutoff, policy.leak_budget, may_double, tuple(steps))
+    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, tuple(steps))

@@ -15,14 +15,18 @@ Sign conventions (pinned by tests, observable in interference):
   ``ν = sinh s``, and ``S|0,0⟩ = μ⁻¹ Σ (−λ)^k |k,k⟩`` with ``λ = ν/μ``.
 
 Both are matrix exponentials of the exact bilinear generators on the
-truncated space, hence exactly unitary there.  The beam-splitter generator
-conserves ``n1 + n2`` and the squeezer generator ``n1 − n2``; truncating the
-ladder operators only drops couplings that would leave the retained levels, so
-each truncated generator is exactly block-diagonal in these sectors.  Each
-sector is a tridiagonal chain of at most ``d`` states, and the unitary is
-assembled from one small ``expm`` per chain (``2d−1`` of them) instead of one
-``expm`` of the ``d²×d²`` generator.  The beam splitter is exact on every block
-of fixed total photon number that fits under the cutoff, while the squeezer
+truncated space, hence exactly unitary there.  Each of the two modes may keep
+its own number of levels, d1 and d2 (pair index n1 + d1·n2).  The
+beam-splitter generator conserves ``n1 + n2`` and the squeezer generator
+``n1 − n2``; truncating the ladder operators only drops couplings that would
+leave the retained levels, so each truncated generator is exactly
+block-diagonal in these sectors, rectangular space or not.  Each sector is a
+tridiagonal chain of at most ``min(d1, d2)`` states, and the unitary is one
+small ``expm`` per chain (``d1 + d2 − 1`` of them), kept as its sectors
+(:func:`element_sectors`) instead of one ``expm`` of the ``d1·d2``-square
+generator.  The public dense builders assemble their d²×d² matrix from the
+same sectors at d1 = d2 = d.  The beam splitter is exact on every block of
+fixed total photon number that fits under both cutoffs, while the squeezer
 (which changes total photon number) is accurate away from a band at the top.
 """
 
@@ -46,6 +50,7 @@ __all__ = [
     "thermal_state",
     "beam_splitter_unitary",
     "two_mode_squeezer_unitary",
+    "element_sectors",
 ]
 
 # Poisson weight a coherent state may lose to the cutoff without a warning.
@@ -161,45 +166,66 @@ def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
-def _chain_unitary(chains, modes: tuple[str, str], cutoff: Cutoff) -> OperatorMatrix:
-    """exp(G) on the two-mode space for G a direct sum of real tridiagonal chains.
+def element_sectors(
+    kind: str, value: float, d1: int, d2: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The element's unitary on the d1×d2 pair space as its sectors ``(idx, block)``.
 
-    Each chain is ``(idx, c)``: the pair indices of its states in chain order
-    and the couplings ``G[idx[j], idx[j+1]] = c[j] = −G[idx[j+1], idx[j]]``.
-    Entries between different chains stay exactly zero.  The generators are
-    passed to ``expm`` as complex matrices: on long chains scipy's real path
-    (scipy 1.17) is off by up to 8e-14 from a 40-digit reference, the
-    complex path by 1e-15.  The matrix is frozen in place rather than passed
-    to ``OperatorMatrix.create``, whose defensive copy would double the peak
+    ``kind`` is ``"bs"`` (``value`` = T) or ``"tmsq"`` (``value`` = s).  Each
+    sector is one tridiagonal chain of the generator G: ``idx`` holds the pair
+    indices (n1 + d1·n2) of its states in chain order, and ``block`` is
+    ``expm`` of the chain, whose couplings are ``G[idx[j], idx[j+1]] = c[j] =
+    −G[idx[j+1], idx[j]]``.  The beam splitter has one chain per total
+    n1 + n2, in order of rising n1; the squeezer one per difference n1 − n2,
+    in order of rising n2.  The ``idx`` partition ``range(d1·d2)`` and the
+    unitary is zero between sectors.  The generators are passed to ``expm`` as
+    complex matrices: on long chains scipy's real path (scipy 1.17) is off by
+    up to 8e-14 from a 40-digit reference, the complex path by 1e-15.  Both
+    arrays of every sector are read-only.
+    """
+    chains = []
+    if kind == "bs":
+        theta = float(np.arccos(np.sqrt(value)))
+        for total in range(d1 + d2 - 1):
+            n1 = np.arange(max(0, total - d2 + 1), min(total, d1 - 1) + 1)
+            n2 = total - n1
+            chains.append((n1 + d1 * n2, theta * np.sqrt(n1[1:] * (n2[1:] + 1.0))))
+    else:
+        for diff in range(1 - d2, d1):
+            n2 = np.arange(max(0, -diff), min(d2, d1 - diff))
+            n1 = n2 + diff
+            chains.append((n1 + d1 * n2, value * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))))
+    sectors = []
+    for idx, c in chains:
+        block = expm((np.diag(c, 1) - np.diag(c, -1)).astype(np.complex128))
+        idx.setflags(write=False)
+        block.setflags(write=False)
+        sectors.append((idx, block))
+    return tuple(sectors)
+
+
+def _dense_unitary(
+    kind: str, value: float, modes: tuple[str, str], cutoff: Cutoff
+) -> OperatorMatrix:
+    """The element's d²×d² unitary assembled from its sectors.
+
+    The matrix is frozen in place rather than passed to
+    ``OperatorMatrix.create``, whose defensive copy would double the peak
     memory of a build (d⁴ complex entries, 41 MB at d=40).
     """
     d = cutoff.d
     u = np.zeros((d * d, d * d), dtype=np.complex128)
-    for idx, c in chains:
-        u[np.ix_(idx, idx)] = expm((np.diag(c, 1) - np.diag(c, -1)).astype(np.complex128))
+    for idx, block in element_sectors(kind, value, d, d):
+        u[np.ix_(idx, idx)] = block
     u.setflags(write=False)
     return OperatorMatrix(u, tuple(modes), cutoff)
 
 
 def beam_splitter_unitary(params: BeamSplitterParams, cutoff: Cutoff) -> OperatorMatrix:
     """Two-mode beam-splitter unitary realizing the conventions above."""
-    d = cutoff.d
-    theta = float(np.arccos(params.t))
-    chains = []
-    for total in range(2 * d - 1):  # sector n1 + n2 = total, in order of rising n1
-        n1 = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
-        n2 = total - n1
-        chains.append((n1 + d * n2, theta * np.sqrt(n1[1:] * (n2[1:] + 1.0))))
-    return _chain_unitary(chains, params.modes, cutoff)
+    return _dense_unitary("bs", params.transmittivity, params.modes, cutoff)
 
 
 def two_mode_squeezer_unitary(params: SqueezerParams, cutoff: Cutoff) -> OperatorMatrix:
     """Two-mode squeezer exp(−s·a†d† + s·d a) on (signal, idler)."""
-    d = cutoff.d
-    s = params.coupling
-    chains = []
-    for diff in range(1 - d, d):  # sector n1 − n2 = diff, in order of rising n2
-        n2 = np.arange(max(0, -diff), min(d, d - diff))
-        n1 = n2 + diff
-        chains.append((n1 + d * n2, s * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))))
-    return _chain_unitary(chains, params.modes, cutoff)
+    return _dense_unitary("tmsq", params.coupling, params.modes, cutoff)

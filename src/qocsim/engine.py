@@ -3,32 +3,39 @@
 The staged executor attaches modes lazily, traces every heralded mode
 immediately, and represents (possibly mixed) states as one weighted ensemble
 of pure vectors, ρ = Σₖ |vₖ⟩⟨vₖ|, held as the columns of a single ``(dim, K)``
-array.  All detector POVM elements are diagonal in the Fock basis, so
-conditioning maps ensembles to ensembles; the member count K is compacted back
-to the live-space rank via an eigendecomposition whenever it grows past it.
-This keeps the Fig.-1-style pipelines at d ≈ 30 with thermal inputs in ≈ d²
-live dimensions.  The final state is returned as that ensemble.
+array.  Every mode keeps its own number of levels, the plan's per-mode cutoff,
+and ``dim`` is their product: in Fig. 1 only the input mode needs the large
+cutoff (d ≈ 30 for a thermal input), while the tap modes and the idler keep
+5–10 levels, so the live space is d·d_b·d_c rather than d³.  All detector POVM
+elements are diagonal in the Fock basis, so conditioning maps ensembles to
+ensembles; the member count K is compacted back to the live-space rank via an
+eigendecomposition whenever it grows past it.  The final state is returned as
+that ensemble.
 
-The cutoff is the plan's: explicit, or predicted from the leak budget by
-:class:`~qocsim.dsl.CutoffPolicy`.  The leak monitor checks every live mode's
-top-level population after every stage, and a predicted cutoff that still
-leaks is retried once at twice its value.
+The cutoffs are the plan's: explicit (the same for every mode), or predicted
+per mode from the leak budget by :class:`~qocsim.dsl.CutoffPolicy`.  The leak
+monitor checks every live mode's top-level population after every stage, and
+predicted cutoffs that still leak are retried once, every mode at twice its
+value.
 
 Element unitaries are cached and applied as their photon-number sectors: the
-beam splitter conserves n1 + n2 and the squeezer n1 − n2, so each d²×d²
-unitary is kept only as its ``2d − 1`` diagonal blocks, and applying it costs
-one small matrix product per block instead of a d⁴-entry contraction.
+beam splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
+d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, built
+one small ``expm`` each, and applying it costs one small matrix product per
+block instead of a (d1·d2)²-entry contraction.
 
-The brute-force executor builds the full joint space up front, applies
-embedded conditioning operators without any tracing, and reduces only at the
-end.  It builds every element as one dense matrix, uncached, from the same
-public builders, so it shares no sector split with the staged executor.  It
-exists as an independent oracle: both executors must agree to 1e-10 on small
-circuits.
+The brute-force executor runs every mode at one uniform cutoff (the plan's
+largest), builds the full joint space up front, applies embedded conditioning
+operators without any tracing, and reduces only at the end.  It builds every
+element as one dense matrix, uncached, through the public builders (which
+assemble it from the same chain ``expm``s), and applies it as one dense
+product.  It exists as an independent oracle: both executors must agree to
+1e-10 on small circuits at uniform cutoffs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -53,6 +60,7 @@ from .elements import (
     SqueezerParams,
     beam_splitter_unitary,
     coherent_state,
+    element_sectors,
     fock_state,
     thermal_state,
     two_mode_squeezer_unitary,
@@ -74,17 +82,22 @@ __all__ = [
 
 
 class LeakBudgetError(RuntimeError):
-    """Top-level population exceeded the leak budget; rerun with a larger cutoff."""
+    """Top-level population exceeded the leak budget; rerun with a larger cutoff.
 
-    def __init__(self, stage: str, mode: str, leak: float, budget: float, cutoff: int):
+    ``cutoffs`` holds every mode's cutoff and ``cutoff`` the largest of them.
+    """
+
+    def __init__(self, stage: str, mode: str, leak: float, budget: float,
+                 cutoffs: dict[str, int]):
         self.stage = stage
         self.mode = mode
         self.leak = leak
         self.budget = budget
-        self.cutoff = cutoff
+        self.cutoffs = cutoffs
+        self.cutoff = max(cutoffs.values())
         super().__init__(
             f"truncation leak {leak:.3e} on mode {mode!r} after {stage} exceeds "
-            f"budget {budget:.3e} at cutoff d={cutoff}; increase the cutoff"
+            f"budget {budget:.3e} at cutoff d={cutoffs[mode]}; increase the cutoff"
         )
 
 
@@ -92,11 +105,13 @@ class LeakBudgetError(RuntimeError):
 class Ensemble:
     """Weighted pure-vector ensemble over the live modes (little-endian digits).
 
-    ``members`` has shape ``(dim, K)``: column k is the unnormalized vector vₖ.
+    ``dims[i]`` is the number of levels kept on ``modes[i]``.  ``members`` has
+    shape ``(dim, K)`` with ``dim = prod(dims)``: column k is the unnormalized
+    vector vₖ.
     """
 
     modes: tuple[str, ...]
-    cutoff: Cutoff
+    dims: tuple[int, ...]
     members: np.ndarray
 
     @property
@@ -105,7 +120,11 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.cutoff.d ** len(self.modes)
+        return math.prod(self.dims)
+
+    def _tensor(self) -> np.ndarray:
+        """Members with one axis per mode (the last mode first) and K last."""
+        return self.members.reshape(self.dims[::-1] + (self.members.shape[1],))
 
     def _populations(self) -> np.ndarray:
         """Diagonal of ρ in the joint Fock basis."""
@@ -115,39 +134,40 @@ class Ensemble:
     def populations(self, modes: Sequence[str]) -> np.ndarray:
         """Unnormalized photon-number distribution of ``modes``, one axis each in that order."""
         M = len(self.modes)
-        t = self._populations().reshape((self.cutoff.d,) * M)
+        t = self._populations().reshape(self.dims[::-1])
         return np.einsum(t, list(range(M)), [M - 1 - self.modes.index(m) for m in modes])
 
     def _mode_first(self, mode: str) -> np.ndarray:
-        """Members as ``(d, rest·K)``, with ``mode`` as the leading digit."""
-        d = self.cutoff.d
-        M = len(self.modes)
-        ax = M - 1 - self.modes.index(mode)
-        t = self.members.reshape((d,) * M + (self.members.shape[1],))
-        return np.moveaxis(t, ax, 0).reshape(d, -1)
+        """Members as ``(d, rest·K)``, with ``mode`` (kept at d levels) as the leading digit."""
+        i = self.modes.index(mode)
+        ax = len(self.modes) - 1 - i
+        return np.moveaxis(self._tensor(), ax, 0).reshape(self.dims[i], -1)
 
     def to_mixed(self) -> MixedState:
+        """The density matrix; a ``MixedState`` needs every mode at the same cutoff."""
         m = self.members
-        return MixedState.create(self.modes, self.cutoff, m @ m.conj().T)
+        return MixedState.create(self.modes, Cutoff(max(self.dims)), m @ m.conj().T)
 
     def pattern_probability(self, pattern, detectors) -> float:
         """Tr[ρ ⊗ Eᵢ] over the ensemble without densifying it."""
-        joint = measurement.joint_diagonal(self.modes, self.cutoff, pattern.requirements, detectors)
+        joint = np.ones(1)
+        for m, d in zip(self.modes, self.dims):  # later modes are slower digits
+            diag = measurement.joint_diagonal((m,), Cutoff(d), pattern.requirements, detectors)
+            joint = np.kron(diag, joint)
         return float(joint @ self._populations())
 
     def reduced(self, mode: str) -> MixedState:
         t = self._mode_first(mode)
-        return MixedState.create((mode,), self.cutoff, t @ t.conj().T)
+        return MixedState.create((mode,), Cutoff(t.shape[0]), t @ t.conj().T)
 
     def top_level_population(self) -> dict[str, float]:
-        """Population of each mode's top level (a 1/d slice), relative to the weight."""
-        d = self.cutoff.d
+        """Population of each mode's top level, relative to the weight."""
         M = len(self.modes)
         total = self.weight
-        t = self.members.reshape((d,) * M + (self.members.shape[1],))
+        t = self._tensor()
         out = {}
-        for m in self.modes:
-            top = np.take(t, d - 1, axis=M - 1 - self.modes.index(m))
+        for i, (m, d) in enumerate(zip(self.modes, self.dims)):
+            top = np.take(t, d - 1, axis=M - 1 - i)
             out[m] = float(np.vdot(top, top).real) / total if total > 0 else 0.0
         return out
 
@@ -166,8 +186,9 @@ class Ensemble:
         )
         branches = branches.transpose(1, 2, 0).reshape(rest, -1)
         branches = branches[:, np.any(branches, axis=0)]
-        remaining = tuple(m for m in self.modes if m != mode)
-        return Ensemble(remaining, self.cutoff, branches)
+        i = self.modes.index(mode)
+        return Ensemble(self.modes[:i] + self.modes[i + 1:], self.dims[:i] + self.dims[i + 1:],
+                        branches)
 
     def compact(self) -> None:
         """Re-express as an eigen-ensemble when the member count exceeds the rank."""
@@ -199,7 +220,7 @@ class HeraldRecord:
 @dataclass
 class ExecutionResult:
     plan: ExecutionPlan
-    cutoff: int
+    cutoffs: dict[str, int]  # the cutoffs the run settled at, per mode
     final_state: Ensemble | State | None  # staged: Ensemble; brute oracle: State
     final_modes: tuple[str, ...]
     heralds: list[HeraldRecord]
@@ -208,6 +229,11 @@ class ExecutionResult:
     outputs: dict[int, object] = field(default_factory=dict)
     # one (ensemble, heralds) pair per requested branch; see execute_plan
     branches: list[tuple[Ensemble, list[HeraldRecord]]] = field(default_factory=list)
+
+    @property
+    def cutoff(self) -> int:
+        """The largest mode cutoff: the one number reports show."""
+        return max(self.cutoffs.values())
 
     def output_value(self, kind: str, mode: str | None = None):
         for i, out in enumerate(self.plan.spec.outputs):
@@ -235,65 +261,48 @@ def _input_members(stmt: InputStmt, cutoff: Cutoff) -> np.ndarray:
     return np.diag(np.sqrt(np.where(support, pops, 0.0))).astype(np.complex128)[:, support]
 
 
-def _element_key(stmt: ElementStmt, cutoff: Cutoff) -> tuple[str, float, int]:
+def _check_modes(stmt: ElementStmt) -> None:
     if stmt.modes[0] == stmt.modes[1]:
         raise ValueError(f"{stmt.kind} modes must differ, got {stmt.modes}")
-    return stmt.kind, stmt.value, cutoff.d
 
 
-def _unitary_matrix(kind: str, value: float, d: int) -> np.ndarray:
+def _unitary_matrix(stmt: ElementStmt, d: int) -> np.ndarray:
     """The element's dense d²×d² unitary from the public builders, uncached."""
+    _check_modes(stmt)
     cutoff = Cutoff(d)
-    if kind == "bs":
-        return beam_splitter_unitary(BeamSplitterParams(value), cutoff).matrix
-    return two_mode_squeezer_unitary(SqueezerParams(value), cutoff).matrix
+    if stmt.kind == "bs":
+        return beam_splitter_unitary(BeamSplitterParams(stmt.value), cutoff).matrix
+    return two_mode_squeezer_unitary(SqueezerParams(stmt.value), cutoff).matrix
 
 
-# The sectors do not depend on the modes the element acts on, so they are not
-# part of the key.  One Fig.-1 run needs at most 3 (kind, value) pairs at 2
-# cutoffs.
+# The sectors do not depend on the modes the element acts on, only on their
+# cutoffs.  One Fig.-1 run needs at most 4 (kind, value, d1, d2) keys per
+# attempt: BS1, the squeezer, BS2 and BS3.
 @lru_cache(maxsize=16)
 def _unitary_matrix_cached(
-    kind: str, value: float, d: int
+    kind: str, value: float, d1: int, d2: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The element unitary as its photon-number sectors ``(idx, block)``.
-
-    The beam splitter conserves n1 + n2 and the squeezer n1 − n2 (pair index
-    n1 + d·n2), so the built matrix is zero between sectors and only the
-    blocks are kept: O(d³) entries instead of d⁴.
-    """
-    u = _unitary_matrix(kind, value, d)
-    pair = np.arange(d * d)
-    n1, n2 = pair % d, pair // d
-    label = n1 + n2 if kind == "bs" else n1 - n2
-    sectors = []
-    for conserved in np.unique(label):
-        idx = np.flatnonzero(label == conserved)
-        block = u[np.ix_(idx, idx)]
-        idx.setflags(write=False)
-        block.setflags(write=False)
-        sectors.append((idx, block))
-    return tuple(sectors)
+    """The element unitary on the d1×d2 pair space as its sectors ``(idx, block)``."""
+    return element_sectors(kind, value, d1, d2)
 
 
 class _LeakMonitor:
-    def __init__(self, budget: float, cutoff: int):
+    def __init__(self, budget: float, cutoffs: dict[str, int]):
         self.budget = budget
-        self.cutoff = cutoff
+        self.cutoffs = cutoffs
         self.max_seen = 0.0
 
     def check(self, stage: str, populations: dict[str, float]) -> None:
         for mode, leak in populations.items():
             self.max_seen = max(self.max_seen, leak)
             if leak > self.budget:
-                raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoff)
+                raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoffs)
 
 
 def _evaluate_output(
     stmt: OutputStmt,
     reduced: dict[str, MixedState],
     inputs: dict[str, InputStmt],
-    cutoff: Cutoff,
     heralds: list[HeraldRecord],
     joint_probability: float,
 ):
@@ -306,6 +315,7 @@ def _evaluate_output(
             "joint_probability": joint_probability,
         }
     rho = reduced[stmt.mode]
+    cutoff = rho.cutoff
     rho_n = MixedState.create(rho.modes, cutoff, rho.matrix / rho.trace_tag)
     if stmt.kind == "state":
         return rho_n
@@ -322,32 +332,34 @@ def _evaluate_output(
 def execute_plan(
     plan: ExecutionPlan, *, branches: Sequence[Sequence[HeraldStmt]] = ()
 ) -> ExecutionResult:
-    """Run the staged ensemble executor at the plan's cutoff.
+    """Run the staged ensemble executor at the plan's per-mode cutoffs.
 
-    An adaptive cutoff (``plan.may_double``) is the policy's prediction of the
-    smallest d that meets the leak budget; if the prediction falls short, the
-    run is retried once at twice that cutoff.  An explicit cutoff is never
-    retried: its leak failure is raised.
+    Adaptive cutoffs (``plan.may_double``) are the policy's prediction of each
+    mode's smallest d that meets the leak budget; if the prediction falls
+    short, the run is retried once with every mode at twice its cutoff.
+    Explicit cutoffs are never retried: their leak failure is raised.
 
     Each entry of ``branches`` is a herald sequence applied, like the plan's own
     condition steps, to the plan's final ensemble.  Branches run at the same
-    cutoff and under the same leak checks, so a leak in a branch also triggers
+    cutoffs and under the same leak checks, so a leak in a branch also triggers
     the retry.  The results are in ``ExecutionResult.branches``, with herald
     probabilities conditional on the final ensemble.
     """
     try:
-        return _execute_staged(plan, plan.cutoff, branches)
+        return _execute_staged(plan, plan.cutoffs, branches)
     except LeakBudgetError:
         if not plan.may_double:
             raise
-        return _execute_staged(plan, 2 * plan.cutoff, branches)
+        doubled = {m: 2 * d for m, d in plan.cutoffs.items()}
+        return _execute_staged(plan, doubled, branches)
 
 
 def _herald(
     ens: Ensemble, stmt: HeraldStmt, monitor: _LeakMonitor
 ) -> tuple[Ensemble, HeraldRecord]:
     """One condition step: condition and trace, compact, then check the leak."""
-    element = measurement.povm_element(requirement_for(stmt), detector_for(stmt), ens.cutoff)
+    d = ens.dims[ens.modes.index(stmt.mode)]
+    element = measurement.povm_element(requirement_for(stmt), detector_for(stmt), Cutoff(d))
     before = ens.weight
     ens = ens.condition(stmt.mode, np.real(np.diag(element.matrix)))
     after = ens.weight
@@ -362,12 +374,11 @@ def _herald(
 
 
 def _execute_staged(
-    plan: ExecutionPlan, d: int, branches: Sequence[Sequence[HeraldStmt]]
+    plan: ExecutionPlan, cutoffs: dict[str, int], branches: Sequence[Sequence[HeraldStmt]]
 ) -> ExecutionResult:
-    cutoff = Cutoff(d)
     inputs = {inp.mode: inp for inp in plan.spec.inputs}
     ens: Ensemble | None = None
-    monitor = _LeakMonitor(plan.leak_budget, d)
+    monitor = _LeakMonitor(plan.leak_budget, cutoffs)
     heralds: list[HeraldRecord] = []
     joint = 1.0
     reduced_cache: dict[str, MixedState] = {}
@@ -376,27 +387,30 @@ def _execute_staged(
 
     for step in plan.steps:
         if step.op == "prepare":
-            new = _input_members(step.payload, cutoff)
+            d = cutoffs[step.mode]
+            new = _input_members(step.payload, Cutoff(d))
             if ens is None:
-                ens = Ensemble((step.mode,), cutoff, new)
+                ens = Ensemble((step.mode,), (d,), new)
             elif step.payload.kind == "vacuum":
                 # the new mode is the slowest digit, so |v⟩⊗|0⟩ is v zero-padded
-                members = np.zeros((cutoff.d * ens.dim, ens.members.shape[1]), np.complex128)
+                members = np.zeros((d * ens.dim, ens.members.shape[1]), np.complex128)
                 members[: ens.dim] = ens.members
-                ens = Ensemble(ens.modes + (step.mode,), cutoff, members)
+                ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,), members)
             else:
                 # joint index = old + dim_old * new_level (new mode is slower);
                 # member index = k_old * K_new + k_new
                 members = np.einsum("nj,oi->noij", new, ens.members)
-                ens = Ensemble(ens.modes + (step.mode,), cutoff,
-                               members.reshape(cutoff.d * ens.dim, -1))
+                ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,),
+                               members.reshape(d * ens.dim, -1))
                 ens.compact()
             monitor.check(f"prepare {step.mode}", ens.top_level_population())
         elif step.op == "unitary":
-            sectors = _unitary_matrix_cached(*_element_key(step.payload, cutoff))
-            ens.members = apply_matrix(ens.members, ens.modes, cutoff, sectors, step.payload.modes)
-            monitor.check(f"{step.payload.kind} {'/'.join(step.payload.modes)}",
-                          ens.top_level_population())
+            stmt = step.payload
+            _check_modes(stmt)
+            d1, d2 = (cutoffs[m] for m in stmt.modes)
+            sectors = _unitary_matrix_cached(stmt.kind, stmt.value, d1, d2)
+            ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, stmt.modes)
+            monitor.check(f"{stmt.kind} {'/'.join(stmt.modes)}", ens.top_level_population())
         elif step.op == "condition":
             ens, record = _herald(ens, step.payload, monitor)
             heralds.append(record)
@@ -405,9 +419,7 @@ def _execute_staged(
             stmt = step.payload
             if stmt.mode is not None and stmt.mode not in reduced_cache:
                 reduced_cache[stmt.mode] = ens.reduced(stmt.mode)
-            outputs[out_index] = _evaluate_output(
-                stmt, reduced_cache, inputs, cutoff, heralds, joint
-            )
+            outputs[out_index] = _evaluate_output(stmt, reduced_cache, inputs, heralds, joint)
             out_index += 1
 
     results = []
@@ -420,7 +432,7 @@ def _execute_staged(
 
     return ExecutionResult(
         plan=plan,
-        cutoff=d,
+        cutoffs=cutoffs,
         final_state=ens if ens is not None and ens.modes else None,
         final_modes=ens.modes if ens is not None else (),
         heralds=heralds,
@@ -432,7 +444,10 @@ def _execute_staged(
 
 
 def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
-    """Full-joint-space reference evaluator: no staging, traces only at the end."""
+    """Full-joint-space reference evaluator: no staging, traces only at the end.
+
+    Every mode runs at one cutoff, the plan's largest.
+    """
     d = plan.cutoff
     cutoff = Cutoff(d)
     inputs = {inp.mode: inp for inp in plan.spec.inputs}
@@ -455,7 +470,7 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
 
     for step in plan.steps:
         if step.op == "unitary":
-            mat = _unitary_matrix(*_element_key(step.payload, cutoff))
+            mat = _unitary_matrix(step.payload, d)
             state = apply(OperatorMatrix.create(mat, step.payload.modes, cutoff), state)
         elif step.op == "condition":
             stmt = step.payload
@@ -489,14 +504,12 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
         stmt = step.payload
         if stmt.mode is not None and stmt.mode not in reduced_cache:
             reduced_cache[stmt.mode] = partial_trace(final, (stmt.mode,))
-        outputs[out_index] = _evaluate_output(
-            stmt, reduced_cache, inputs, cutoff, heralds, joint
-        )
+        outputs[out_index] = _evaluate_output(stmt, reduced_cache, inputs, heralds, joint)
         out_index += 1
 
     return ExecutionResult(
         plan=plan,
-        cutoff=d,
+        cutoffs=dict.fromkeys(plan.spec.modes, d),
         final_state=final,
         final_modes=keep,
         heralds=heralds,

@@ -216,22 +216,24 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     The ``none`` circuit runs once through the compiled-plan executor.  Both
     branches are its post-BS3 ensemble conditioned on the trailing heralds of
     the ``pd2`` and ``pd1`` circuits, inside the same cutoff retry and leak
-    checks; the click statistics come from that ensemble too.  An adaptive
-    cutoff is the larger of the two branch circuits' predictions, so a circuit
-    file describing one branch runs at the same cutoff or below, and
-    reproduces its numbers to rounding when run at this one.
+    checks; the click statistics come from that ensemble too.  Each mode's
+    adaptive cutoff is the larger of the two branch circuits' predictions for
+    it, so a circuit file describing one branch runs at the same cutoffs or
+    below, and reproduces its numbers to rounding when run at these.
+    ``SchemeResult.cutoff`` is the largest of them, mode a's.
     """
     prefix = build_fig1_circuit(params, "none")
     full = [build_fig1_circuit(params, branch) for branch in ("pd2", "pd1")]
     tails = [spec.operations[len(prefix.operations):] for spec in full]
     policy = params.policy()
-    # the branch heralds run in the same execution, so they size its cutoff too
-    d = max(policy.choose(spec)[0] for spec in full)
-    plan = compile_circuit(prefix, replace(policy, explicit=d))
-    res = execute_plan(replace(plan, may_double=policy.explicit is None), branches=tails)
+    # the branch heralds run in the same execution, so they size its cutoffs too
+    pd2, pd1 = (policy.choose(spec)[0] for spec in full)
+    cutoffs = {m: max(pd2[m], pd1[m]) for m in MODES}
+    plan = compile_circuit(prefix, replace(policy, explicit=max(cutoffs.values())))
+    plan = replace(plan, cutoffs=cutoffs, may_double=policy.explicit is None)
+    res = execute_plan(plan, branches=tails)
     (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
-    cutoff = Cutoff(res.cutoff)
     pd0_prob = res.heralds[0].probability
     w_pd2 = float(np.prod([h.probability for h in heralds_pd2]))
     w_pd1 = float(np.prod([h.probability for h in heralds_pd1]))
@@ -241,8 +243,9 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     # one pass over the post-BS3 ensemble serves all three click statistics
     pops = post.populations(("b", "c"))
     click_b, click_c = (
-        measurement.povm_element(click, DetectorModel("on-off", eta), cutoff).matrix.diagonal().real
-        for eta in (params.eta_pd1, params.eta_pd2)
+        measurement.povm_element(click, DetectorModel("on-off", eta), Cutoff(res.cutoffs[m]))
+        .matrix.diagonal().real
+        for m, eta in (("b", params.eta_pd1), ("c", params.eta_pd2))
     )
     p_b = float(click_b @ pops.sum(axis=1)) / w
     p_c = float(pops.sum(axis=0) @ click_c) / w
@@ -251,6 +254,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     rho_pd2 = _scaled_branch(ens_pd2, w_pd2)
     rho_pd1 = _scaled_branch(ens_pd1, w_pd1)
 
+    cutoff = Cutoff(res.cutoffs["a"])
     input_ref = params.input_state(cutoff)
     atten_ref = _attenuated_reference(params, cutoff)
     f_pd2_in = _branch_fidelity(input_ref, rho_pd2)

@@ -157,9 +157,57 @@ def test_apply_matrix_sectors_equal_their_block_diagonal_matrix(d):
         full = embed(OperatorMatrix.create(dense, op_modes, c), op_modes, modes, c).matrix
         for arr in (members, members[:, 0]):
             for ops in (sectors, [(slice(None), dense)]):
-                out = apply_matrix(arr, modes, c, ops, op_modes)
+                out = apply_matrix(arr, modes, (d,) * 3, ops, op_modes)
                 assert out.shape == arr.shape
                 assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
+
+
+def _embedded(op, op_modes, modes, dims):
+    """``op`` (little-endian over ``op_modes``) tensored with the identity on the other modes.
+
+    Built as one einsum over per-mode axes, independently of ``embed`` and of
+    the kernel under test; the joint index is little-endian over ``modes``.
+    """
+    M = len(modes)
+    pos = [modes.index(m) for m in reversed(op_modes)]  # slowest op digit first
+    # einsum labels: i is mode i's output digit, M + i its input digit
+    operands = [op.reshape([dims[i] for i in pos] * 2), pos + [M + i for i in pos]]
+    for i in range(M):
+        if i not in pos:
+            operands += [np.eye(dims[i]), [i, M + i]]
+    slowest_first = list(reversed(range(M)))
+    dim = int(np.prod(dims))
+    return np.einsum(*operands, slowest_first + [M + i for i in slowest_first]).reshape(dim, dim)
+
+
+def test_apply_matrix_with_mixed_mode_dimensions_equals_embedded_operator():
+    rng = np.random.default_rng(3)
+    modes, dims = ("x", "y", "z"), (3, 5, 2)
+    dim = int(np.prod(dims))
+    members = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    for op_modes in itertools.permutations(modes, 2):
+        d1, d2 = (dims[modes.index(m)] for m in op_modes)
+        labels = rng.integers(0, 3, size=d1 * d2)
+        dense = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+        sectors = []
+        for label in np.unique(labels):
+            idx = np.flatnonzero(labels == label)
+            size = (idx.size, idx.size)
+            block = rng.normal(size=size) + 1j * rng.normal(size=size)
+            dense[np.ix_(idx, idx)] = block
+            sectors.append((idx, block))
+        full = _embedded(dense, op_modes, modes, dims)
+        for arr in (members, members[:, 0]):
+            for ops in (sectors, [(slice(None), dense)]):
+                out = apply_matrix(arr, modes, dims, ops, op_modes)
+                assert out.shape == arr.shape
+                assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
+    # at equal dimensions the reference is the uniform ``embed``
+    c = Cutoff(3)
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    for op_modes in itertools.permutations(modes, 2):
+        want = embed(OperatorMatrix.create(m, op_modes, c), op_modes, modes, c).matrix
+        assert np.abs(_embedded(m, op_modes, modes, (3, 3, 3)) - want).max() <= 1e-15
 
 
 def test_apply_unitary_preserves_norm():

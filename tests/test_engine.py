@@ -1,8 +1,10 @@
 import itertools
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qocsim.core import Cutoff, MixedState, apply_matrix, embed, to_mixed
 from qocsim.dsl import (
@@ -131,7 +133,7 @@ def test_adaptive_cutoff_doubles_once_on_leak():
     text = "modes a\ninput a thermal 1.0\nout state a\n"
     plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=1e-6))
     assert execute_plan(plan).cutoff == plan.cutoff
-    low = replace(plan, cutoff=plan.cutoff - 4)
+    low = replace(plan, cutoffs={"a": plan.cutoff - 4})
     assert execute_plan(low).cutoff == 2 * low.cutoff
     with pytest.raises(LeakBudgetError):  # an explicit cutoff is never retried
         execute_plan(replace(low, may_double=False))
@@ -160,11 +162,8 @@ def test_mixed_input_with_inefficient_heralds_matches_brute():
 
 def test_ensemble_compaction_preserves_density_matrix():
     rng = np.random.default_rng(5)
-    from qocsim.core import Cutoff
-
-    c = Cutoff(4)
     members = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-    ens = Ensemble(("a",), c, members)
+    ens = Ensemble(("a",), (4,), members)
     before = ens.to_mixed().matrix
     ens.compact()
     assert ens.members.shape[0] == 4 and ens.members.shape[1] <= 4
@@ -218,9 +217,11 @@ def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
     _unitary_matrix_cached.cache_clear()
     first = run_interferometer(params)
     info = _unitary_matrix_cached.cache_info()
-    # the predicted cutoff passes on its first attempt, which builds (bs 0.9,
-    # tmsq 0.2, bs 0.5), BS1 and BS2 sharing one entry.  Nothing evicted.
-    assert info.currsize == info.misses == 3
+    # the predicted cutoffs (a 14, b 9, c 8, d 7) pass on their first attempt,
+    # which builds BS1 (14×9), the squeezer (14×7), BS2 (14×8) and BS3 (8×9):
+    # BS1 and BS2 no longer share an entry, since b and c keep different
+    # cutoffs.  Nothing evicted.
+    assert info.currsize == info.misses == 4
     second = run_interferometer(params)
     assert _unitary_matrix_cached.cache_info().misses == info.misses
     for f in fields(first):
@@ -241,7 +242,7 @@ def _built_unitary(kind, value, c):
 @pytest.mark.parametrize("d", [4, 7])
 def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
     u = _built_unitary(kind, value, Cutoff(d)).matrix
-    sectors = _unitary_matrix_cached(kind, value, d)
+    sectors = _unitary_matrix_cached(kind, value, d, d)
     idx_all = np.concatenate([idx for idx, _ in sectors])
     assert np.array_equal(np.sort(idx_all), np.arange(d * d))
     rebuilt = np.zeros_like(u)
@@ -256,7 +257,7 @@ def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
 def test_sector_application_matches_embedded_unitary(kind, value, d):
     c = Cutoff(d)
     u = _built_unitary(kind, value, c)
-    sectors = _unitary_matrix_cached(kind, value, d)
+    sectors = _unitary_matrix_cached(kind, value, d, d)
     rng = np.random.default_rng(d)
     modes = ("a", "b", "c")
     members = rng.normal(size=(d**3, 3)) + 1j * rng.normal(size=(d**3, 3))
@@ -264,23 +265,50 @@ def test_sector_application_matches_embedded_unitary(kind, value, d):
     for op_modes in itertools.permutations(modes, 2):
         full = embed(u.bound_to(op_modes), op_modes, modes, c).matrix
         for arr in (members, members[:, 0]):
-            out = apply_matrix(arr, modes, c, sectors, op_modes)
+            out = apply_matrix(arr, modes, (d,) * 3, sectors, op_modes)
             assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
 
 
+def _rectangular_ladders(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a1, a2) on the d1×d2 pair space, pair index n1 + d1·n2."""
+    def lower(d):
+        return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    return np.kron(np.eye(d2), lower(d1)), np.kron(lower(d2), np.eye(d1))
+
+
+@pytest.mark.parametrize("d1, d2", [(6, 3), (3, 6), (9, 4), (4, 9), (2, 7)])
+def test_rectangular_sectors_match_dense_expm(d1, d2):
+    a1, a2 = _rectangular_ladders(d1, d2)
+    generators = {
+        "bs": lambda T: math.acos(math.sqrt(T)) * (a2.T @ a1 - a1.T @ a2),
+        "tmsq": lambda s: s * (a2 @ a1 - a1.T @ a2.T),
+    }
+    for kind, values in (("bs", (0.5, 0.9, 1.0)), ("tmsq", (0.05, 0.3, 0.9))):
+        for value in values:
+            sectors = _unitary_matrix_cached(kind, value, d1, d2)
+            idx_all = np.concatenate([idx for idx, _ in sectors])
+            assert np.array_equal(np.sort(idx_all), np.arange(d1 * d2))
+            rebuilt = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+            for idx, block in sectors:
+                assert block.shape == (idx.size, idx.size) and idx.size <= min(d1, d2)
+                rebuilt[np.ix_(idx, idx)] = block
+            dense = expm(generators[kind](value).astype(np.complex128))
+            assert np.abs(rebuilt - dense).max() <= 1e-13, (kind, value)
+
+
 def test_leak_monitor_matches_population_formula():
-    d, K = 5, 5
+    dims, K = (5, 3, 4), 5
     modes = ("a", "b", "c")
     rng = np.random.default_rng(17)
-    members = rng.normal(size=(d**3, K)) + 1j * rng.normal(size=(d**3, K))
-    ens = Ensemble(modes, Cutoff(d), members)
+    members = rng.normal(size=(60, K)) + 1j * rng.normal(size=(60, K))
+    ens = Ensemble(modes, dims, members)
     pops = np.sum(members.real**2 + members.imag**2, axis=1)
     total = float(np.sum(pops))
     assert ens.weight == pytest.approx(total, rel=1e-14)
-    t = pops.reshape((d,) * 3)
+    t = pops.reshape(dims[::-1])
     leaks = ens.top_level_population()
     for j, mode in enumerate(modes):
-        expected = float(np.sum(np.take(t, d - 1, axis=2 - j))) / total
+        expected = float(np.sum(np.take(t, dims[j] - 1, axis=2 - j))) / total
         assert leaks[mode] == pytest.approx(expected, rel=1e-14), mode
 
 

@@ -22,14 +22,25 @@ from qocsim.scheme import (
 TOL = 1e-12
 
 
-def _three_execution_oracle(params: SchemeParams) -> SchemeResult:
-    """One execution per circuit: pd2 with the policy, pd1 and none pinned to its cutoff."""
-    res_pd2 = execute_plan(compile_circuit(build_fig1_circuit(params, "pd2"), params.policy()))
-    settled = replace(params, cutoff=res_pd2.cutoff)
-    res_pd1 = execute_plan(compile_circuit(build_fig1_circuit(settled, "pd1"), settled.policy()))
-    res_pre = execute_plan(compile_circuit(build_fig1_circuit(settled, "none"), settled.policy()))
+def _predicted(params: SchemeParams) -> dict[str, int]:
+    """Each mode's cutoff: the larger of the pd2 and pd1 circuits' predictions."""
+    pd2, pd1 = (params.policy().choose(build_fig1_circuit(params, b))[0] for b in ("pd2", "pd1"))
+    return {m: max(pd2[m], pd1[m]) for m in pd2}
 
-    cutoff = Cutoff(res_pd2.cutoff)
+
+def _pinned(params: SchemeParams, branch: str, cutoffs: dict[str, int], may_double=False):
+    """The branch circuit's plan with its per-mode cutoffs replaced by ``cutoffs``."""
+    plan = compile_circuit(build_fig1_circuit(params, branch), params.policy())
+    return replace(plan, cutoffs=cutoffs, may_double=may_double)
+
+
+def _three_execution_oracle(params: SchemeParams) -> SchemeResult:
+    """One execution per circuit: pd2 at the predicted cutoffs, pd1 and none pinned to its."""
+    res_pd2 = execute_plan(_pinned(params, "pd2", _predicted(params), params.cutoff is None))
+    res_pd1 = execute_plan(_pinned(params, "pd1", res_pd2.cutoffs))
+    res_pre = execute_plan(_pinned(params, "none", res_pd2.cutoffs))
+
+    cutoff = Cutoff(res_pd2.cutoffs["a"])
     w_pd2 = float(np.prod([h.probability for h in res_pd2.heralds[1:]]))
     w_pd1 = float(np.prod([h.probability for h in res_pd1.heralds[1:]]))
 
@@ -98,27 +109,24 @@ def test_one_execution_matches_three_execution_oracle(name):
             assert abs(a - b) <= TOL, f.name
 
 
-def _predicted(params: SchemeParams) -> int:
-    return max(params.policy().choose(build_fig1_circuit(params, b))[0] for b in ("pd2", "pd1"))
-
-
 def test_branch_stage_leak_doubles_the_cutoff():
-    # lowered to d=20, the policy-compiled prefix passes every stage up to BS3
-    # but leaks past the budget at the PD2 branch's `herald c`; the retry must
-    # cover the branch stages
+    # with mode a lowered to d=20, the predicted per-mode plan of the prefix
+    # passes every stage up to BS3 but leaks past the budget at the PD2
+    # branch's `herald c`; the retry must cover the branch stages and double
+    # every mode
     params = CASES["alpha2-branch-retry"]
     prefix = build_fig1_circuit(params, "none")
     tails = [
         build_fig1_circuit(params, b).operations[len(prefix.operations):] for b in ("pd2", "pd1")
     ]
-    low = replace(compile_circuit(prefix, params.policy()), cutoff=20)
-    assert low.may_double
-    assert execute_plan(low).cutoff == 20
+    predicted = _predicted(params)
+    low = _pinned(params, "none", {**predicted, "a": 20}, may_double=True)
+    assert execute_plan(low).cutoffs == low.cutoffs
     with pytest.raises(LeakBudgetError) as exc:
         execute_plan(replace(low, may_double=False), branches=tails)
-    assert exc.value.stage == "herald c"
-    assert execute_plan(low, branches=tails).cutoff == 40
-    assert run_interferometer(params).cutoff == _predicted(params)
+    assert exc.value.stage == "herald c" and exc.value.cutoffs == low.cutoffs
+    assert execute_plan(low, branches=tails).cutoffs == {m: 2 * d for m, d in low.cutoffs.items()}
+    assert run_interferometer(params).cutoff == predicted["a"] == max(predicted.values())
 
 
 @pytest.mark.parametrize("params", [
@@ -130,8 +138,18 @@ def test_branch_stage_leak_doubles_the_cutoff():
     # the unheralded squeezer stage binds, at the top of its truncated chains
     SchemeParams(alpha=0.5, transmittivity=0.99, coupling=0.9),
     SchemeParams(input_kind="thermal", nbar=0.95),
+    # an on-off PD0 click may stand for any idler count; these leaked up to
+    # 7e-6 at `herald d` when counts stopped at four photons, missed the
+    # signal's stimulated emission, and were checked one by one (the last
+    # leaks 1.8e-6 at a=8 unless the counts' leaks are summed)
+    SchemeParams(input_kind="fock", fock_n=4, transmittivity=0.985, coupling=0.153,
+                 eta_pd0=0.95, pd0_onoff=True),
+    SchemeParams(alpha=0.214, transmittivity=0.849, coupling=0.384, pd0_onoff=True),
+    SchemeParams(alpha=0.278, transmittivity=0.942, coupling=0.226, eta_pd0=0.67, pd0_onoff=True),
+    SchemeParams(alpha=0.478, transmittivity=0.953, coupling=0.112, eta_pd0=0.98, pd0_onoff=True),
 ], ids=["coherent-strong-taps", "coherent-weak-taps", "coherent-edge", "coherent-small",
-        "strong-squeezer", "thermal"])
+        "strong-squeezer", "thermal", "onoff-fock", "onoff-coherent", "onoff-coherent-lossy",
+        "onoff-coherent-summed"])
 @pytest.mark.filterwarnings("ignore:cutoff d=")
 def test_predicted_cutoff_passes_first_and_is_near_the_smallest(params, monkeypatch):
     attempts = []
@@ -142,9 +160,10 @@ def test_predicted_cutoff_passes_first_and_is_near_the_smallest(params, monkeypa
         return staged(plan, d, branches)
 
     monkeypatch.setattr(engine, "_execute_staged", counting)
-    d = _predicted(params)
+    cutoffs = _predicted(params)
+    d = cutoffs["a"]
     res = run_interferometer(params)
-    assert attempts == [d] and res.cutoff == d and res.leak_max <= params.leak_budget
+    assert attempts == [cutoffs] and res.cutoff == d and res.leak_max <= params.leak_budget
     # within three levels of the smallest cutoff that passes
     with pytest.raises(LeakBudgetError):
         run_interferometer(replace(params, cutoff=d - 4))
@@ -153,7 +172,7 @@ def test_predicted_cutoff_passes_first_and_is_near_the_smallest(params, monkeypa
 def test_thermal_nbar2_runs_within_budget_at_default_settings():
     params = SchemeParams(input_kind="thermal", nbar=2.0)
     res = run_interferometer(params)
-    assert res.cutoff == _predicted(params) <= 56
+    assert res.cutoff == max(_predicted(params).values()) <= 56
     assert res.leak_max <= params.leak_budget
     assert 0.0 < res.pd2_weight < res.pd1_weight
 
@@ -161,8 +180,9 @@ def test_thermal_nbar2_runs_within_budget_at_default_settings():
 def test_click_statistics_match_three_pattern_probabilities():
     for params in (CASES["thermal"], CASES["lossy-pd1-pd2"]):
         res = run_interferometer(params)
-        pinned = replace(params, cutoff=res.cutoff)
-        post = execute_plan(compile_circuit(build_fig1_circuit(pinned, "none"), pinned.policy())).final_state
+        cutoffs = _predicted(params)
+        assert res.cutoff == cutoffs["a"]
+        post = execute_plan(_pinned(params, "none", cutoffs)).final_state
         dets = {
             "b": DetectorModel("on-off", params.eta_pd1),
             "c": DetectorModel("on-off", params.eta_pd2),
@@ -187,8 +207,11 @@ def test_interferometer_executes_one_plan(monkeypatch):
 
 
 def test_fig1_circuit_file_agrees_with_run_interferometer():
-    res = execute_plan(compile_circuit(parse(builtin_circuit_text("fig1"))))
-    sch = run_interferometer(SchemeParams(alpha=1.0))
+    # both run at run_interferometer's per-mode cutoffs
+    params = SchemeParams(alpha=1.0)
+    plan = compile_circuit(parse(builtin_circuit_text("fig1")))
+    res = execute_plan(replace(plan, cutoffs=_predicted(params)))
+    sch = run_interferometer(params)
     assert res.cutoff == sch.cutoff
     assert abs(res.heralds[0].probability - sch.pd0_probability) <= TOL
     rest = float(np.prod([h.probability for h in res.heralds[1:]]))
@@ -196,3 +219,65 @@ def test_fig1_circuit_file_agrees_with_run_interferometer():
     assert abs(res.output_value("fidelity", "a") - sch.fidelity_pd2_vs_input) <= TOL
     state = res.output_value("state", "a").matrix
     assert np.max(np.abs(state - sch.normalized_branch("pd2").matrix)) <= TOL
+
+
+# leak-checked stages in one Fig. 1 execution (4 prepares, 4 unitaries, 3 heralds)
+LEAK_STAGES = 11
+GENEROUS = {
+    "thermal": (SchemeParams(input_kind="thermal", nbar=0.95), 40),
+    "coherent": (SchemeParams(alpha=1.4, transmittivity=0.9, coupling=0.2), 40),
+    # at d=40 this case would hold 40·39 members on a 40³ space (1.6 GB); every
+    # mode's tail at d=26 is far below the budget
+    "thermal-onoff-pd0": (
+        SchemeParams(input_kind="thermal", nbar=0.6, pd0_onoff=True, eta_pd0=0.8), 26
+    ),
+    "swapped-bs3": (SchemeParams(alpha=1.0, swap_bs3_sign=True), 40),
+}
+
+
+@pytest.mark.parametrize("name", list(GENEROUS))
+def test_per_mode_cutoffs_match_a_generous_uniform_cutoff(name):
+    # each mode's leak is within the budget at every stage, so a branch of
+    # weight w moves by at most LEAK_STAGES·budget/w: relative for
+    # probabilities, absolute for fidelities and the normalised branch states
+    params, d = GENEROUS[name]
+    got = run_interferometer(params)
+    want = run_interferometer(replace(params, cutoff=d))
+    assert got.cutoff == _predicted(params)["a"] < d
+    assert got.leak_max <= params.leak_budget and want.leak_max <= params.leak_budget
+    tol = LEAK_STAGES * params.leak_budget / min(want.pd1_weight, want.pd2_weight)
+    for f in fields(SchemeResult):
+        if f.name in ("params", "cutoff", "leak_max"):
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, MixedState):
+            rho = got.normalized_branch(f.name[:3]).matrix
+            ref = want.normalized_branch(f.name[:3]).matrix
+            padded = np.zeros_like(ref)
+            padded[: rho.shape[0], : rho.shape[0]] = rho
+            assert np.abs(padded - ref).max() <= tol, f.name
+        elif f.name.startswith("fidelity"):
+            assert abs(a - b) <= tol, f.name
+        else:
+            assert abs(a - b) <= tol * abs(b), f.name
+
+
+@pytest.mark.parametrize("pd0", [{"pd0_onoff": True}, {}], ids=["onoff", "number-resolving"])
+def test_inefficient_pd0_keeps_few_members(pd0, monkeypatch):
+    # the PD0 herald keeps every idler level n >= 1, one member per level and
+    # incoming member, so the idler's own small cutoff bounds the growth
+    seen = []
+    condition = engine.Ensemble.condition
+
+    def recording(ens, mode, diag):
+        out = condition(ens, mode, diag)
+        d = ens.dims[ens.modes.index(mode)]
+        seen.append((mode, d, ens.members.shape[1], out.members.shape[1]))
+        return out
+
+    monkeypatch.setattr(engine.Ensemble, "condition", recording)
+    params = SchemeParams(input_kind="thermal", nbar=0.6, eta_pd0=0.8, **pd0)
+    run_interferometer(params)
+    mode, d_d, k_in, k_out = seen[0]
+    assert mode == "d" and k_in == _predicted(params)["a"]
+    assert k_out <= (d_d - 1) * k_in and d_d <= 6
