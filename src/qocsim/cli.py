@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 parse/validation/usage errors, 2 numerical failure
-(leak budget exceeded or a zero-probability herald).  All artifacts are
-deterministic: identical configuration yields byte-identical files.
+(leak budget exceeded, a zero-probability herald, or a cutoff too large for
+memory).  All artifacts are deterministic: identical configuration yields
+byte-identical files.
 
 The default output directory is taken from ``QOCSIM_OUT_DIR`` (falling back to
 the working directory).
@@ -40,6 +41,10 @@ from .scheme import SchemeParams, branch_wigner, commutation_report, run_interfe
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+
+# failures of a valid configuration, reported as "numerical failure" (exit 2);
+# MemoryError covers numpy's ArrayMemoryError for a cutoff too large to hold
+NUMERICAL_FAILURES = (LeakBudgetError, ZeroProbabilityError, MemoryError)
 
 # tolerances for `verify-commutation`, calibrated against the exact simulation:
 # the first-order fidelity formula e^{-(1-t)^2|alpha|^2} neglects an O(s^2)
@@ -237,7 +242,7 @@ def cmd_run(circuit, alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff,
         for issue in exc.issues:
             click.echo(f"error: {issue}", err=True)
         sys.exit(EXIT_USAGE)
-    except (LeakBudgetError, ZeroProbabilityError) as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -390,7 +395,7 @@ def cmd_wigner(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff
             summary[which] = {"min_wigner": wmin, "at_re": beta.real, "at_im": beta.imag}
             click.echo(f"{which}: min W = {wmin:.6f} at beta = {beta:.3f}")
         _dump_json(summary, out_dir / "wigner_summary.json")
-    except (LeakBudgetError, ZeroProbabilityError) as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -424,7 +429,7 @@ def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, jobs, out, fmt) -> None:
     try:
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             rows = [_result_report(r) for r in pool.map(run_interferometer, params)]
-    except (LeakBudgetError, ZeroProbabilityError) as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     if fmt in ("json", "both"):

@@ -21,10 +21,13 @@ beam-splitter generator conserves ``n1 + n2`` and the squeezer generator
 ``n1 − n2``; truncating the ladder operators only drops couplings that would
 leave the retained levels, so each truncated generator is exactly
 block-diagonal in these sectors, rectangular space or not.  Each sector is a
-tridiagonal chain of at most ``min(d1, d2)`` states, and the unitary is one
-small ``expm`` per chain (``d1 + d2 − 1`` of them), kept as its sectors
-(:func:`element_sectors`) instead of one ``expm`` of the ``d1·d2``-square
-generator.  The public dense builders assemble their d²×d² matrix from the
+tridiagonal chain of at most ``min(d1, d2)`` states (``d1 + d2 − 1`` of
+them), and the unitary is kept as its sectors (:func:`element_sectors`)
+instead of one exponential of the ``d1·d2``-square generator.  Every chain
+generator is real antisymmetric, so ``D = diag(iʲ)`` turns it into ``i·J``
+with ``J`` real symmetric tridiagonal; the chains are exponentiated through
+the eigendecomposition of ``J``, one batched ``numpy.linalg.eigh`` per chain
+length.  The public dense builders assemble their d²×d² matrix from the
 same sectors at d1 = d2 = d.  The beam splitter is exact on every block of
 fixed total photon number that fits under both cutoffs, while the squeezer
 (which changes total photon number) is accurate away from a band at the top.
@@ -32,12 +35,11 @@ fixed total photon number that fits under both cutoffs, while the squeezer
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .core import Cutoff, MixedState, OperatorMatrix, PureState, annihilation_matrix
 
@@ -128,7 +130,8 @@ def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState
     if alpha == 0:
         return vacuum(cutoff, mode)
     # log-domain magnitudes to stay finite for large n
-    logmag = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
+    logmag = n * np.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(logmag) * phase
     kept = np.linalg.norm(amps)
@@ -173,34 +176,55 @@ def element_sectors(
 
     ``kind`` is ``"bs"`` (``value`` = T) or ``"tmsq"`` (``value`` = s).  Each
     sector is one tridiagonal chain of the generator G: ``idx`` holds the pair
-    indices (n1 + d1·n2) of its states in chain order, and ``block`` is
-    ``expm`` of the chain, whose couplings are ``G[idx[j], idx[j+1]] = c[j] =
-    −G[idx[j+1], idx[j]]``.  The beam splitter has one chain per total
+    indices (n1 + d1·n2) of its states in chain order, and ``block`` is the
+    exponential of the chain, whose couplings are ``G[idx[j], idx[j+1]] =
+    c[j] = −G[idx[j+1], idx[j]]``.  The beam splitter has one chain per total
     n1 + n2, in order of rising n1; the squeezer one per difference n1 − n2,
     in order of rising n2.  The ``idx`` partition ``range(d1·d2)`` and the
-    unitary is zero between sectors.  The generators are passed to ``expm`` as
-    complex matrices: on long chains scipy's real path (scipy 1.17) is off by
-    up to 8e-14 from a 40-digit reference, the complex path by 1e-15.  Both
-    arrays of every sector are read-only.
+    unitary is zero between sectors.
+
+    With ``D = diag(iʲ)``, ``D†GD = iJ`` where ``J`` is the real symmetric
+    tridiagonal matrix with off-diagonal ``c``.  So, for ``J = V Λ Vᵀ``,
+    ``exp(G)[j, k] = Re(i^{j−k} (V e^{iΛ} Vᵀ)[j, k])``.  The chains are
+    grouped by length and each group is diagonalized by one batched
+    ``numpy.linalg.eigh`` on its stacked ``(chains, L, L)`` array.  On
+    70-state chains (T = 0.5, 0.9; s = 0.3, 0.8) the blocks are within
+    6.4e-15 of a 40-digit reference, against 1.8e-15 for a complex
+    scaling-and-squaring ``expm``.
+    Every block is complex128 and both arrays of every sector are read-only.
     """
-    chains = []
     if kind == "bs":
         theta = float(np.arccos(np.sqrt(value)))
-        for total in range(d1 + d2 - 1):
-            n1 = np.arange(max(0, total - d2 + 1), min(total, d1 - 1) + 1)
-            n2 = total - n1
-            chains.append((n1 + d1 * n2, theta * np.sqrt(n1[1:] * (n2[1:] + 1.0))))
+        key = np.arange(d1 + d2 - 1)  # n1 + n2
+        first = np.maximum(0, key - d2 + 1)  # n1 of the chain's first state
+        length = np.minimum(key, d1 - 1) - first + 1
     else:
-        for diff in range(1 - d2, d1):
-            n2 = np.arange(max(0, -diff), min(d2, d1 - diff))
-            n1 = n2 + diff
-            chains.append((n1 + d1 * n2, value * np.sqrt((n1[:-1] + 1.0) * (n2[:-1] + 1.0))))
-    sectors = []
-    for idx, c in chains:
-        block = expm((np.diag(c, 1) - np.diag(c, -1)).astype(np.complex128))
+        key = np.arange(1 - d2, d1)  # n1 − n2
+        first = np.maximum(0, -key)  # n2 of the chain's first state
+        length = np.minimum(d2, d1 - key) - first
+    sectors: list = [None] * len(key)
+    for L in np.unique(length).tolist():
+        rows = np.flatnonzero(length == L)
+        step = first[rows, None] + np.arange(L)
+        if kind == "bs":
+            n1, n2 = step, key[rows, None] - step
+            c = theta * np.sqrt(n1[:, 1:] * (n2[:, 1:] + 1.0))
+        else:
+            n1, n2 = step + key[rows, None], step
+            c = value * np.sqrt((n1[:, :-1] + 1.0) * (n2[:, :-1] + 1.0))
+        j = np.zeros((len(rows), L, L))
+        off = np.arange(L - 1)
+        j[:, off, off + 1] = c
+        j[:, off + 1, off] = c
+        lam, v = np.linalg.eigh(j)
+        w = (v * np.exp(1j * lam)[:, None, :]) @ v.transpose(0, 2, 1)
+        k = np.arange(L)
+        blocks = (1j ** ((k[:, None] - k) % 4) * w).real.astype(np.complex128)
+        idx = n1 + d1 * n2
         idx.setflags(write=False)
-        block.setflags(write=False)
-        sectors.append((idx, block))
+        blocks.setflags(write=False)
+        for row, i, b in zip(rows.tolist(), idx, blocks):
+            sectors[row] = (i, b)
     return tuple(sectors)
 
 

@@ -20,15 +20,19 @@ value.
 
 Element unitaries are cached and applied as their photon-number sectors: the
 beam splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
-d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, built
-one small ``expm`` each, and applying it costs one small matrix product per
-block instead of a (d1·d2)²-entry contraction.
+d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, all
+chains of one length exponentiated together by one batched
+``numpy.linalg.eigh`` (see :func:`~qocsim.elements.element_sectors`), and
+applying it costs one small matrix product per block instead of a
+(d1·d2)²-entry contraction.  Every BLAS call of a run goes through numpy's
+one OpenBLAS thread pool; no second BLAS library competes with it for the
+cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
 largest), builds the full joint space up front, applies embedded conditioning
 operators without any tracing, and reduces only at the end.  It builds every
 element as one dense matrix, uncached, through the public builders (which
-assemble it from the same chain ``expm``s), and applies it as one dense
+assemble it from the same chain exponentials), and applies it as one dense
 product.  It exists as an independent oracle: both executors must agree to
 1e-10 on small circuits at uniform cutoffs.
 """

@@ -9,11 +9,11 @@ conditioning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import comb
 
 from .core import Cutoff, MixedState, OperatorMatrix, PureState, State
 
@@ -132,7 +132,8 @@ def povm_element(requirement: Requirement, detector: DetectorModel, cutoff: Cuto
             raise ValueError(f"exactly({k}) outside retained levels 0..{d - 1}")
         eta = detector.efficiency
         n = np.arange(d)
-        diag = np.where(n >= k, comb(n, k) * eta**k * (1.0 - eta) ** np.maximum(n - k, 0), 0.0)
+        binom = np.array([math.comb(m, k) for m in range(d)], dtype=float)
+        diag = binom * eta**k * (1.0 - eta) ** np.maximum(n - k, 0)
     return OperatorMatrix.create(np.diag(diag).astype(np.complex128), cutoff=cutoff)
 
 

@@ -1,9 +1,18 @@
 """Exit codes and artifacts of the ``qocsim`` command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import qocsim
+from qocsim import cli
 from qocsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+FIG1_QOC = Path(qocsim.__file__).parent / "circuits" / "fig1.qoc"
 
 
 def _run(*args):
@@ -48,6 +57,36 @@ def test_leak_failure_at_pinned_cutoff_exits_2(tmp_path):
     res = _run("run", "fig1", "--cutoff", "4", "--out", str(tmp_path))
     assert res.exit_code == EXIT_NUMERICAL, res.output
     assert "numerical failure" in res.output
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 9.61 GiB for an array with shape (195112, 3306)")
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("run_interferometer", ("run", "fig1")),
+        ("execute_plan", ("run", str(FIG1_QOC))),
+        ("run_interferometer", ("wigner",)),
+        ("run_interferometer", ("sweep", "--alpha", "0.5", "--jobs", "1")),
+    ],
+    ids=["run-fig1", "run-circuit-file", "wigner", "sweep"],
+)
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, target, args):
+    monkeypatch.setattr(cli, target, _out_of_memory)
+    res = _run(*args, "--out", str(tmp_path))
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    assert "numerical failure: Unable to allocate" in res.output
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(qocsim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qocsim, qocsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_output_does_not_depend_on_jobs(tmp_path):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from qocsim.core import (
     Cutoff,
@@ -20,6 +21,7 @@ from qocsim.elements import (
     _pair_ladders,
     beam_splitter_unitary,
     coherent_state,
+    element_sectors,
     fock_state,
     thermal_state,
     two_mode_squeezer_unitary,
@@ -283,6 +285,45 @@ def test_sector_construction_matches_dense_expm(d):
         u = two_mode_squeezer_unitary(SqueezerParams(s), c).matrix
         dense = expm(s * sq_gen)
         assert np.abs(u - dense).max() <= 1e-13, s
+
+
+def _rect_ladders(d1, d2):
+    """Real (a1, a2) on the d1×d2 pair space; pair index = n1 + d1*n2."""
+    low1 = np.diag(np.sqrt(np.arange(1.0, d1)), 1)
+    low2 = np.diag(np.sqrt(np.arange(1.0, d2)), 1)
+    return np.kron(np.eye(d2), low1), np.kron(low2, np.eye(d1))
+
+
+@pytest.mark.parametrize("kind, value", [("bs", 0.5), ("tmsq", 0.8)])
+@pytest.mark.parametrize("d1, d2", [(40, 40), (70, 8)])
+def test_sector_blocks_match_expm_of_their_own_chain(kind, value, d1, d2):
+    # each block against scipy's expm of the generator restricted to its idx,
+    # the generator taken from the ladder operators, not from the chain formula
+    a1, a2 = _rect_ladders(d1, d2)
+    sectors = element_sectors(kind, value, d1, d2)
+    covered = np.sort(np.concatenate([idx for idx, _ in sectors]))
+    assert np.array_equal(covered, np.arange(d1 * d2))
+    for idx, block in sectors:
+        if kind == "bs":  # acos(t)·(a2†a1 − a1†a2)
+            m = a2[:, idx].T @ a1[:, idx]
+            gen = math.acos(math.sqrt(value)) * (m - m.T)
+        else:  # s·(a2 a1 − a1†a2†)
+            m = a2[idx, :] @ a1[:, idx]
+            gen = value * (m - m.T)
+        assert block.dtype == np.complex128
+        assert not block.flags.writeable and not idx.flags.writeable
+        assert np.abs(block - expm(gen.astype(np.complex128))).max() <= 1e-13
+        assert np.abs(block.conj().T @ block - np.eye(len(idx))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
+def test_coherent_amplitudes_match_gammaln_formula(alpha):
+    d = 70
+    n = np.arange(d)
+    ref = np.exp(n * np.log(alpha) - 0.5 * gammaln(n + 1.0) - 0.5 * alpha**2)
+    ref /= np.linalg.norm(ref)
+    amps = coherent_state(alpha, Cutoff(d)).amps
+    assert np.linalg.norm(amps - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_sector_construction_block_structure_at_d40():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import comb
 
 from qocsim.core import (
     Cutoff,
@@ -80,6 +81,17 @@ def test_number_resolving_binomial_thinning():
     for n in range(8):
         expected = math.comb(n, 2) * eta**2 * (1 - eta) ** (n - 2) if n >= 2 else 0.0
         assert el.matrix[n, n].real == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.6, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_number_resolving_element_matches_scipy_comb(k, eta):
+    d = 70
+    n = np.arange(d)
+    ref = np.where(n >= k, comb(n, k) * eta**k * (1.0 - eta) ** np.maximum(n - k, 0), 0.0)
+    diag = np.diag(povm_element(exactly(k), DetectorModel("number-resolving", eta), Cutoff(d)).matrix)
+    assert np.all(diag.imag == 0)
+    assert np.all(np.abs(diag.real - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_exactly_requires_number_resolving():
