@@ -173,20 +173,25 @@ def _result_report(res) -> dict:
     }
 
 
+# the ranges SchemeParams accepts, checked by click so a bad value is a usage error
+CUTOFF_RANGE = click.IntRange(min=2)
+BUDGET_RANGE = click.FloatRange(min=0, min_open=True)
+
 common_options = [
     click.option("--alpha", type=float, default=None, help="coherent input amplitude"),
-    click.option("--nbar", type=float, default=None, help="thermal input mean photon number"),
-    click.option("--fock", type=int, default=None, help="Fock input level"),
+    click.option("--nbar", type=click.FloatRange(min=0), default=None,
+                 help="thermal input mean photon number"),
+    click.option("--fock", type=click.IntRange(min=0), default=None, help="Fock input level"),
     click.option("--T", "T", type=float, default=0.99, show_default=True, help="tap transmittivity"),
     click.option("--s", "s", type=float, default=0.1, show_default=True, help="squeezer coupling"),
     click.option("--eta-pd0", type=float, default=1.0, show_default=True),
     click.option("--eta-pd1", type=float, default=1.0, show_default=True),
     click.option("--eta-pd2", type=float, default=1.0, show_default=True),
     click.option("--onoff", is_flag=True, help="use an on-off detector for the PD0 herald"),
-    click.option("--cutoff", type=int, default=None,
+    click.option("--cutoff", type=CUTOFF_RANGE, default=None,
                  help="explicit Fock cutoff for every mode, never raised "
                       "(default: predicted per mode from the leak budget)"),
-    click.option("--leak-budget", type=float, default=1e-6, show_default=True),
+    click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True),
     click.option("--out", type=str, default=None, help="output directory (default $QOCSIM_OUT_DIR or .)"),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",
                  show_default=True),
@@ -282,8 +287,8 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
               help="comma-separated coherent amplitudes")
 @click.option("--T", "T", type=float, default=0.99, show_default=True)
 @click.option("--s", "s", type=float, default=0.1, show_default=True)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--leak-budget", type=float, default=1e-6, show_default=True)
+@click.option("--cutoff", type=CUTOFF_RANGE, default=None)
+@click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True)
 @click.option("--swap-bs3-sign", is_flag=True,
               help="flip the BS3 sign convention (sanity check: identity moves to PD1)")
 @click.option("--out", type=str, default=None)
@@ -406,8 +411,8 @@ def cmd_wigner(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff
 @click.option("--s", "s", type=str, default="0.1", show_default=True, help="comma-separated")
 @click.option("--eta", type=str, default="1.0", show_default=True,
               help="comma-separated PD1/PD2 efficiencies")
-@click.option("--cutoff", type=int, default=None)
-@click.option("--leak-budget", type=float, default=1e-6, show_default=True)
+@click.option("--cutoff", type=CUTOFF_RANGE, default=None)
+@click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True)
 @click.option("--jobs", type=int, default=4, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",

@@ -304,7 +304,7 @@ def apply_matrix(
     arr: np.ndarray,
     state_modes: Sequence[str],
     dims: Sequence[int],
-    sectors: Sequence[tuple[np.ndarray | slice, np.ndarray]],
+    sectors: Sequence[tuple[np.ndarray, np.ndarray]],
     op_modes: Sequence[str],
 ) -> np.ndarray:
     """Apply a block-diagonal operator on ``op_modes`` to the ket digits of a flat array.
@@ -313,12 +313,14 @@ def apply_matrix(
     may differ.  ``arr`` has shape ``(prod(dims),)`` or ``(prod(dims), X)``
     with little-endian digits over ``state_modes``; trailing axes (e.g. the bra
     side of a density matrix) ride along untouched.  The operator is given as
-    its sectors ``(idx, block)``: ``idx`` selects basis indices of the
-    operator space (little-endian over ``op_modes``, each at its own
-    dimension) and ``block`` is the operator restricted to them.  The ``idx``
-    must partition that space; a dense matrix ``mat`` is the single sector
-    ``(slice(None), mat)``.  The op digits are brought to the front and each
-    sector is one matrix product, ``out[idx] = block @ x[idx]``.
+    groups of equally sized sectors ``(idx, blocks)``: ``idx`` is an ``(n, L)``
+    int array whose rows select basis indices of the operator space
+    (little-endian over ``op_modes``, each at its own dimension), and
+    ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them.
+    The rows of all ``idx`` must partition that space; a dense ``N×N`` matrix
+    ``mat`` is the single group ``(arange(N)[None], mat[None])``.  The op
+    digits are brought to the front and each group is one stacked matrix
+    product, ``out[idx] = blocks @ x[idx]``.
     """
     M = len(state_modes)
     k = len(op_modes)
@@ -329,8 +331,8 @@ def apply_matrix(
     front = np.moveaxis(arr.reshape(tuple(reversed(dims)) + trailing), axes, range(k))
     x = front.reshape(math.prod(dims[i] for i in pos), -1)
     out = np.empty(x.shape, dtype=np.complex128)
-    for idx, block in sectors:
-        out[idx] = block @ x[idx]
+    for idx, blocks in sectors:
+        out[idx] = blocks @ x[idx]
     out = np.moveaxis(out.reshape(front.shape), range(k), axes)
     return out.reshape(arr.shape)
 
@@ -340,7 +342,7 @@ def apply(op: OperatorMatrix, state: State) -> State:
     modes = _require_bound(op)
     for m in modes:
         state.mode_index(m)
-    dense = [(slice(None), op.matrix)]
+    dense = [(np.arange(op.matrix.shape[0])[None], op.matrix[None])]
     dims = (state.cutoff.d,) * len(state.modes)
     if isinstance(state, PureState):
         amps = apply_matrix(state.amps, state.modes, dims, dense, modes)

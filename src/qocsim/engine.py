@@ -21,12 +21,12 @@ value.
 Element unitaries are cached and applied as their photon-number sectors: the
 beam splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
 d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, all
-chains of one length exponentiated together by one batched
-``numpy.linalg.eigh`` (see :func:`~qocsim.elements.element_sectors`), and
-applying it costs one small matrix product per block instead of a
-(d1·d2)²-entry contraction.  Every BLAS call of a run goes through numpy's
-one OpenBLAS thread pool; no second BLAS library competes with it for the
-cores.
+exponentiated by one batched ``numpy.linalg.eigh`` and stacked by chain
+length (see :func:`~qocsim.elements.element_sectors`), and applying it
+costs one stacked matrix product per chain length, at most
+``min(d1, d2)`` of them, instead of a (d1·d2)²-entry contraction.  Every
+BLAS call of a run goes through numpy's one OpenBLAS thread pool; no second
+BLAS library competes with it for the cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
 largest), builds the full joint space up front, applies embedded conditioning
@@ -286,7 +286,7 @@ def _unitary_matrix(stmt: ElementStmt, d: int) -> np.ndarray:
 def _unitary_matrix_cached(
     kind: str, value: float, d1: int, d2: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The element unitary on the d1×d2 pair space as its sectors ``(idx, block)``."""
+    """The element unitary on the d1×d2 pair space as ``(idx, blocks)`` chain-length groups."""
     return element_sectors(kind, value, d1, d2)
 
 

@@ -91,6 +91,12 @@ class SchemeParams:
             raise ValueError("detector efficiencies must be in [0, 1]")
         if self.input_kind not in ("coherent", "thermal", "fock"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
+        if not (self.nbar >= 0 and self.fock_n >= 0):
+            raise ValueError("nbar and fock_n must be >= 0")
+        if self.cutoff is not None and self.cutoff < 2:
+            raise ValueError("cutoff must be >= 2")
+        if not self.leak_budget > 0:
+            raise ValueError("leak_budget must be > 0")
 
     @property
     def t(self) -> float:

@@ -41,10 +41,21 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
         ("sweep", "--T", "1.5"),
         ("verify-commutation", "--alphas", "0.6,x"),
         ("verify-commutation", "--T", "1.5"),
+        ("run", "fig1", "--cutoff", "1"),
+        ("run", "fig1", "--nbar", "-1"),
+        ("run", "fig1", "--fock", "-1"),
+        ("run", "fig1", "--leak-budget", "0"),
+        ("run", str(FIG1_QOC), "--cutoff", "1"),
+        ("sweep", "--cutoff", "1"),
+        ("sweep", "--leak-budget", "-1e-6"),
+        ("verify-commutation", "--cutoff", "1"),
+        ("verify-commutation", "--leak-budget", "0"),
     ],
     ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
          "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
-         "verify-malformed-alphas", "verify-T-out-of-range"],
+         "verify-malformed-alphas", "verify-T-out-of-range", "cutoff-1", "negative-nbar",
+         "negative-fock", "zero-leak-budget", "qoc-cutoff-1", "sweep-cutoff-1",
+         "sweep-negative-leak-budget", "verify-cutoff-1", "verify-zero-leak-budget"],
 )
 def test_usage_errors_exit_1(tmp_path, args):
     res = _run(*args, "--out", str(tmp_path))

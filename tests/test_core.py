@@ -143,20 +143,24 @@ def test_two_mode_embed_matches_kron_convention():
 def test_apply_matrix_sectors_equal_their_block_diagonal_matrix(d):
     c = Cutoff(d)
     rng = np.random.default_rng(d)
-    labels = rng.integers(0, 4, size=d * d)  # a random partition of the pair space
+    # a random partition of the pair space into pieces of sizes 1, 1, 2, 2, 3
+    # and the rest, grouped by size as (idx, blocks) stacks
+    pieces = [p for p in np.split(rng.permutation(d * d), [1, 2, 4, 6, 9]) if p.size]
     dense = np.zeros((d * d, d * d), dtype=np.complex128)
     sectors = []
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        block = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
-        dense[np.ix_(idx, idx)] = block
-        sectors.append((idx, block))
+    for L in sorted({p.size for p in pieces}):
+        idx = np.array([p for p in pieces if p.size == L])
+        size = (len(idx), L, L)
+        blocks = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for row, block in zip(idx, blocks):
+            dense[np.ix_(row, row)] = block
+        sectors.append((idx, blocks))
     modes = ("x", "y", "z")
     members = rng.normal(size=(d**3, 5)) + 1j * rng.normal(size=(d**3, 5))
     for op_modes in itertools.permutations(modes, 2):
         full = embed(OperatorMatrix.create(dense, op_modes, c), op_modes, modes, c).matrix
         for arr in (members, members[:, 0]):
-            for ops in (sectors, [(slice(None), dense)]):
+            for ops in (sectors, [(np.arange(len(dense))[None], dense[None])]):
                 out = apply_matrix(arr, modes, (d,) * 3, ops, op_modes)
                 assert out.shape == arr.shape
                 assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
@@ -195,10 +199,10 @@ def test_apply_matrix_with_mixed_mode_dimensions_equals_embedded_operator():
             size = (idx.size, idx.size)
             block = rng.normal(size=size) + 1j * rng.normal(size=size)
             dense[np.ix_(idx, idx)] = block
-            sectors.append((idx, block))
+            sectors.append((idx[None], block[None]))
         full = _embedded(dense, op_modes, modes, dims)
         for arr in (members, members[:, 0]):
-            for ops in (sectors, [(slice(None), dense)]):
+            for ops in (sectors, [(np.arange(len(dense))[None], dense[None])]):
                 out = apply_matrix(arr, modes, dims, ops, op_modes)
                 assert out.shape == arr.shape
                 assert np.abs(out - full @ arr).max() <= 1e-13, op_modes

@@ -294,26 +294,54 @@ def _rect_ladders(d1, d2):
     return np.kron(np.eye(d2), low1), np.kron(low2, np.eye(d1))
 
 
+def _check_grouped_layout(groups, d1, d2):
+    """Groups of rising chain length whose idx rows partition range(d1·d2), all read-only."""
+    lengths = [idx.shape[1] for idx, _ in groups]
+    assert lengths == sorted(set(lengths)) and lengths[-1] <= min(d1, d2)
+    for idx, blocks in groups:
+        n, L = idx.shape
+        assert idx.dtype.kind == "i" and blocks.dtype == np.complex128
+        assert blocks.shape == (n, L, L)
+        assert not idx.flags.writeable and not blocks.flags.writeable
+    covered = np.sort(np.concatenate([idx.ravel() for idx, _ in groups]))
+    assert np.array_equal(covered, np.arange(d1 * d2))
+
+
 @pytest.mark.parametrize("kind, value", [("bs", 0.5), ("tmsq", 0.8)])
 @pytest.mark.parametrize("d1, d2", [(40, 40), (70, 8)])
 def test_sector_blocks_match_expm_of_their_own_chain(kind, value, d1, d2):
-    # each block against scipy's expm of the generator restricted to its idx,
-    # the generator taken from the ladder operators, not from the chain formula
+    # each block against scipy's expm of the generator restricted to its idx
+    # row, the generator taken from the ladder operators, not from the chain
+    # formula; a row must be a whole chain, uncoupled from every other state
     a1, a2 = _rect_ladders(d1, d2)
-    sectors = element_sectors(kind, value, d1, d2)
-    covered = np.sort(np.concatenate([idx for idx, _ in sectors]))
-    assert np.array_equal(covered, np.arange(d1 * d2))
-    for idx, block in sectors:
-        if kind == "bs":  # acos(t)·(a2†a1 − a1†a2)
-            m = a2[:, idx].T @ a1[:, idx]
-            gen = math.acos(math.sqrt(value)) * (m - m.T)
-        else:  # s·(a2 a1 − a1†a2†)
-            m = a2[idx, :] @ a1[:, idx]
-            gen = value * (m - m.T)
-        assert block.dtype == np.complex128
-        assert not block.flags.writeable and not idx.flags.writeable
-        assert np.abs(block - expm(gen.astype(np.complex128))).max() <= 1e-13
-        assert np.abs(block.conj().T @ block - np.eye(len(idx))).max() <= 1e-13
+    if kind == "bs":  # acos(t)·(a2†a1 − a1†a2)
+        m = a2.T @ a1
+        gen = math.acos(math.sqrt(value)) * (m - m.T)
+    else:  # s·(a2 a1 − a1†a2†)
+        m = a2 @ a1
+        gen = value * (m - m.T)
+    groups = element_sectors(kind, value, d1, d2)
+    _check_grouped_layout(groups, d1, d2)
+    for idx, blocks in groups:
+        for row, block in zip(idx, blocks):
+            rest = np.setdiff1d(np.arange(d1 * d2), row)
+            assert not gen[np.ix_(row, rest)].any()
+            chain = gen[np.ix_(row, row)]
+            assert np.abs(block - expm(chain.astype(np.complex128))).max() <= 1e-13
+            assert np.abs(block.conj().T @ block - np.eye(len(row))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 6), (6, 1), (1, 1), (5, 5), (9, 4)])
+def test_sector_builds_raise_no_warning(d1, d2):
+    # the padded sites of the shorter chains must stay decoupled and finite,
+    # also where a pair space is one level wide or the splitter is T = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, value in (("bs", 1.0), ("bs", 0.7), ("tmsq", 0.0), ("tmsq", 0.4)):
+            groups = element_sectors(kind, value, d1, d2)
+            _check_grouped_layout(groups, d1, d2)
+            for _, blocks in groups:
+                assert np.isfinite(blocks).all()
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])

@@ -232,6 +232,27 @@ def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
             assert a == b, f.name
 
 
+def _rebuilt(groups, d1, d2):
+    """The dense d1·d2-square matrix of grouped sectors, with the layout checked.
+
+    Each group holds the chains of one length L, in rising L: an ``(n, L)``
+    idx and an ``(n, L, L)`` stack of blocks, both read-only.  The idx rows
+    of all groups partition ``range(d1·d2)``.
+    """
+    lengths = [idx.shape[1] for idx, _ in groups]
+    assert lengths == sorted(set(lengths)) and lengths[-1] <= min(d1, d2)
+    idx_all = np.concatenate([idx.ravel() for idx, _ in groups])
+    assert np.array_equal(np.sort(idx_all), np.arange(d1 * d2))
+    out = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+    for idx, blocks in groups:
+        n, L = idx.shape
+        assert blocks.shape == (n, L, L) and blocks.dtype == np.complex128
+        assert not idx.flags.writeable and not blocks.flags.writeable
+        for row, block in zip(idx, blocks):
+            out[np.ix_(row, row)] = block
+    return out
+
+
 def _built_unitary(kind, value, c):
     if kind == "bs":
         return beam_splitter_unitary(BeamSplitterParams(value, ("x", "y")), c)
@@ -242,14 +263,7 @@ def _built_unitary(kind, value, c):
 @pytest.mark.parametrize("d", [4, 7])
 def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
     u = _built_unitary(kind, value, Cutoff(d)).matrix
-    sectors = _unitary_matrix_cached(kind, value, d, d)
-    idx_all = np.concatenate([idx for idx, _ in sectors])
-    assert np.array_equal(np.sort(idx_all), np.arange(d * d))
-    rebuilt = np.zeros_like(u)
-    for idx, block in sectors:
-        assert block.shape == (idx.size, idx.size) and idx.size <= d
-        rebuilt[np.ix_(idx, idx)] = block
-    assert np.array_equal(rebuilt, u)
+    assert np.array_equal(_rebuilt(_unitary_matrix_cached(kind, value, d, d), d, d), u)
 
 
 @pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.3)])
@@ -285,13 +299,7 @@ def test_rectangular_sectors_match_dense_expm(d1, d2):
     }
     for kind, values in (("bs", (0.5, 0.9, 1.0)), ("tmsq", (0.05, 0.3, 0.9))):
         for value in values:
-            sectors = _unitary_matrix_cached(kind, value, d1, d2)
-            idx_all = np.concatenate([idx for idx, _ in sectors])
-            assert np.array_equal(np.sort(idx_all), np.arange(d1 * d2))
-            rebuilt = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-            for idx, block in sectors:
-                assert block.shape == (idx.size, idx.size) and idx.size <= min(d1, d2)
-                rebuilt[np.ix_(idx, idx)] = block
+            rebuilt = _rebuilt(_unitary_matrix_cached(kind, value, d1, d2), d1, d2)
             dense = expm(generators[kind](value).astype(np.complex128))
             assert np.abs(rebuilt - dense).max() <= 1e-13, (kind, value)
 

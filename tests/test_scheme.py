@@ -194,6 +194,18 @@ def test_click_statistics_match_three_pattern_probabilities():
             assert abs(getattr(res, name) - want) <= 1e-14 * want, name
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"cutoff": 1}, {"nbar": -1.0}, {"fock_n": -1}, {"leak_budget": 0.0},
+     {"leak_budget": -1e-6}, {"leak_budget": float("nan")}],
+    ids=["cutoff-1", "negative-nbar", "negative-fock", "zero-budget", "negative-budget",
+         "nan-budget"],
+)
+def test_params_reject_values_the_policy_cannot_use(bad):
+    with pytest.raises(ValueError):
+        SchemeParams(**bad)
+
+
 def test_interferometer_executes_one_plan(monkeypatch):
     calls = []
 
