@@ -62,7 +62,6 @@ from .phasespace import (
 from .scheme import (
     SchemeParams,
     SchemeResult,
-    analytic_branch_oracle,
     build_fig1_circuit,
     commutation_report,
     efficiency_degradation,

@@ -1,9 +1,10 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 parse/validation/usage errors, 2 numerical failure
-(leak budget exceeded, a zero-probability herald, or a cutoff too large for
-memory).  All artifacts are deterministic: identical configuration yields
-byte-identical files.
+Exit codes: 0 success, 1 parse/validation/usage errors or a failed
+``verify-commutation`` check, 2 numerical failure (leak budget exceeded, a
+zero-probability herald, no adaptive cutoff up to the policy's ceiling, or a
+cutoff too large for memory).  All artifacts are deterministic: identical
+configuration yields byte-identical files.
 
 The default output directory is taken from ``QOCSIM_OUT_DIR`` (falling back to
 the working directory).
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from .core import Cutoff, state_to_json_dict, truncated_commutator
-from .dsl import CircuitParseError, CutoffPolicy, compile_circuit, parse
+from .dsl import CircuitParseError, CutoffCeilingError, CutoffPolicy, compile_circuit, parse
 from .elements import (
     BeamSplitterParams,
     SqueezerParams,
@@ -44,7 +44,7 @@ EXIT_NUMERICAL = 2
 
 # failures of a valid configuration, reported as "numerical failure" (exit 2);
 # MemoryError covers numpy's ArrayMemoryError for a cutoff too large to hold
-NUMERICAL_FAILURES = (LeakBudgetError, ZeroProbabilityError, MemoryError)
+NUMERICAL_FAILURES = (LeakBudgetError, ZeroProbabilityError, CutoffCeilingError, MemoryError)
 
 # tolerances for `verify-commutation`, calibrated against the exact simulation:
 # the first-order fidelity formula e^{-(1-t)^2|alpha|^2} neglects an O(s^2)
@@ -341,7 +341,11 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     checks.append(("Hong-Ou-Mandel bunching at 50:50", hom_ok,
                    f"|amp(1,1)| = {abs(amp11):.2e}"))
 
-    rows = commutation_report(base, alpha_list)
+    try:
+        rows = commutation_report(base, alpha_list)
+    except NUMERICAL_FAILURES as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL)
     for row in rows:
         a = row["alpha"]
         ok_identity = row["fidelity_pd2_vs_input"] >= IDENTITY_FIDELITY_FLOOR
@@ -413,11 +417,10 @@ def cmd_wigner(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff
               help="comma-separated PD1/PD2 efficiencies")
 @click.option("--cutoff", type=CUTOFF_RANGE, default=None)
 @click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True)
-@click.option("--jobs", type=int, default=4, show_default=True)
 @click.option("--out", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",
               show_default=True)
-def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, jobs, out, fmt) -> None:
+def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, out, fmt) -> None:
     """Cartesian sweep over alpha/T/s/eta; one report row per point."""
     out_dir = _out_dir(out)
 
@@ -432,8 +435,7 @@ def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, jobs, out, fmt) -> None:
     ]
 
     try:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            rows = [_result_report(r) for r in pool.map(run_interferometer, params)]
+        rows = [_result_report(run_interferometer(p)) for p in params]
     except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)

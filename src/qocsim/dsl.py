@@ -31,7 +31,6 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
     "parse",
     "print_circuit",
     "CutoffPolicy",
+    "CutoffCeilingError",
     "PlanStep",
     "ExecutionPlan",
     "compile_circuit",
@@ -92,6 +92,10 @@ class CircuitSpec:
     inputs: tuple[InputStmt, ...]  # normalized to declared-mode order
     operations: tuple[ElementStmt | HeraldStmt, ...]  # file order
     outputs: tuple[OutputStmt, ...]
+
+
+# herald sequences that fork from a circuit's final state, one per branch
+Branches = tuple[tuple[HeraldStmt, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -505,7 +509,7 @@ def _click_counts(vb: np.ndarray, mb: np.ndarray, j: int, floor: float) -> dict[
     return counts or {1: 0.0}
 
 
-def _tail_model(spec: CircuitSpec, floor: float) -> tuple[list[tuple[str, tuple]], float]:
+def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple[list, float]:
     """Tail parameters of every live mode after every leak-checked stage.
 
     Up to its heralds the circuit is Gaussian, so each mode's marginal is
@@ -532,6 +536,10 @@ def _tail_model(spec: CircuitSpec, floor: float) -> tuple[list[tuple[str, tuple]
     heralded branch's top level relative to its weight; each beam splitter
     that taps a mode still in its vacuum input tightens the budget by T².
 
+    After the spec's last operation the walk forks into each herald sequence
+    of ``branches``, as the executor does.  Heralds change neither the boost
+    nor the budget factor, so the branches share both.
+
     Returns one ``(mode, rows)`` group per live mode and checked stage, and the
     budget factor.  A group has one row ``(X, q, k, j, g, w)`` per photon count
     (X = |β|²/(n+1), q = n/(n+1), k ladder operators, j net creations, g = ln
@@ -556,7 +564,7 @@ def _tail_model(spec: CircuitSpec, floor: float) -> tuple[list[tuple[str, tuple]
             counts = {(c + int(inp.params[0]), a): w for (c, a), w in counts.items()}
     groups = []
 
-    def record() -> None:
+    def record(index: dict[str, int], cov: np.ndarray, mean: np.ndarray, counts: dict) -> None:
         for m, i in index.items():
             mode = slice(2 * i, 2 * i + 2)
             x, q = _displaced_thermal(cov[mode, mode], mean[mode])
@@ -564,7 +572,36 @@ def _tail_model(spec: CircuitSpec, floor: float) -> tuple[list[tuple[str, tuple]
                 (x, q, c + a, max(0, c - a), boost, w) for (c, a), w in counts.items()
             ))))
 
-    record()
+    def condition(op: HeraldStmt, index: dict[str, int], cov: np.ndarray, mean: np.ndarray,
+                  counts: dict) -> tuple:
+        h = index[op.mode]
+        hb = slice(2 * h, 2 * h + 2)
+        root = math.sqrt(op.eta)
+        vb = op.eta * cov[hb, hb] + (1.0 - op.eta) * _EYE2
+        mb = root * mean[hb]
+        vab = root * np.delete(cov[:, hb], hb, axis=0)
+        gain = vab @ np.linalg.inv(vb + _EYE2)
+        mean = np.delete(mean, hb) - gain @ mb
+        cov = np.delete(np.delete(cov, hb, axis=0), hb, axis=1) - gain @ vab.T
+        index = {m: i - (i > h) for m, i in index.items() if m != op.mode}
+        create = last.get(op.mode) == "tmsq"
+        # a stage's leak is a sum over its counts, so merged counts add
+        new_counts: dict[tuple[int, int], float] = {}
+        for (c, a), w in counts.items():
+            if op.requirement == "exactly":
+                detected = {op.count: 0.0}
+            elif op.requirement == "noclick":
+                detected = {0: 0.0}
+            elif create:
+                detected = _click_counts(vb, mb, max(0, c - a), floor)
+            else:
+                detected = {1: 0.0}
+            for n, wn in detected.items():
+                key = (c + n, a) if create else (c, a + n)
+                new_counts[key] = float(np.logaddexp(new_counts.get(key, -math.inf), w + wn))
+        return index, cov, mean, new_counts
+
+    record(index, cov, mean, counts)
     for op in spec.operations:
         if isinstance(op, ElementStmt):
             s = _element_symplectic(op, index, cov.shape[0])
@@ -576,33 +613,13 @@ def _tail_model(spec: CircuitSpec, floor: float) -> tuple[list[tuple[str, tuple]
             for m in op.modes:
                 last[m] = op.kind
         else:
-            h = index.pop(op.mode)
-            hb = slice(2 * h, 2 * h + 2)
-            root = math.sqrt(op.eta)
-            vb = op.eta * cov[hb, hb] + (1.0 - op.eta) * _EYE2
-            mb = root * mean[hb]
-            vab = root * np.delete(cov[:, hb], hb, axis=0)
-            gain = vab @ np.linalg.inv(vb + _EYE2)
-            mean = np.delete(mean, hb) - gain @ mb
-            cov = np.delete(np.delete(cov, hb, axis=0), hb, axis=1) - gain @ vab.T
-            index = {m: i - (i > h) for m, i in index.items()}
-            create = last.get(op.mode) == "tmsq"
-            # a stage's leak is a sum over its counts, so merged counts add
-            new_counts: dict[tuple[int, int], float] = {}
-            for (c, a), w in counts.items():
-                if op.requirement == "exactly":
-                    detected = {op.count: 0.0}
-                elif op.requirement == "noclick":
-                    detected = {0: 0.0}
-                elif create:
-                    detected = _click_counts(vb, mb, max(0, c - a), floor)
-                else:
-                    detected = {1: 0.0}
-                for n, wn in detected.items():
-                    key = (c + n, a) if create else (c, a + n)
-                    new_counts[key] = float(np.logaddexp(new_counts.get(key, -math.inf), w + wn))
-            counts = new_counts
-        record()
+            index, cov, mean, counts = condition(op, index, cov, mean, counts)
+        record(index, cov, mean, counts)
+    for tail in branches:
+        walk = (index, cov, mean, counts)
+        for op in tail:
+            walk = condition(op, *walk)
+            record(*walk)
     return groups, factor
 
 
@@ -639,8 +656,10 @@ def _row_leaks(x: float, q: float, k: int, j: int, g: float):
         yield held / weight if weight > 0.0 else 1.0
 
 
-# run_interferometer sizes two circuits that share every stage up to BS3
-@lru_cache(maxsize=256)
+class CutoffCeilingError(ValueError):
+    """No cutoff up to the policy's ceiling keeps the predicted leak within the budget."""
+
+
 def _group_cutoff(rows: tuple, limit: float) -> int:
     """The smallest d at which a stage's summed leak on one mode is within ``limit``."""
     weights = [math.exp(w) for *_, w in rows]
@@ -648,18 +667,20 @@ def _group_cutoff(rows: tuple, limit: float) -> int:
     for top, row_leaks in enumerate(leaks):
         if top and sum(map(operator.mul, weights, row_leaks)) <= limit:
             return top + 1
-    raise ValueError(
+    raise CutoffCeilingError(
         f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within the budget; "
         "pass an explicit cutoff"
     )
 
 
-def _budget_cutoffs(spec: CircuitSpec, budget: float) -> dict[str, int]:
+def _budget_cutoffs(spec: CircuitSpec, budget: float, branches: Branches) -> dict[str, int]:
     """Each mode's smallest d at which every modelled stage keeps its top level within budget."""
-    groups, factor = _tail_model(spec, _CLICK_FLOOR * budget)
+    groups, factor = _tail_model(spec, _CLICK_FLOOR * budget, branches)
+    # a mode an element has not reached yet repeats its rows stage after stage
+    found = {rows: _group_cutoff(rows, budget * factor) for rows in {rows for _, rows in groups}}
     cutoffs = dict.fromkeys(spec.modes, 2)
     for mode, rows in groups:
-        cutoffs[mode] = max(cutoffs[mode], _group_cutoff(rows, budget * factor))
+        cutoffs[mode] = max(cutoffs[mode], found[rows])
     return cutoffs
 
 
@@ -673,15 +694,18 @@ class CutoffPolicy:
     mode's cutoff is the smallest d at which every stage the executor checks
     keeps that mode's predicted top-level population within ``leak_budget``,
     so a mode that only ever holds a tapped photon or two keeps a few levels.
-    The executor doubles every mode's cutoff once if the prediction still
-    falls short.  An explicit cutoff holds for every mode and is never
-    doubled: failing loudly is the point of pinning one.
+    The stages include those of the ``branches`` that fork from the spec's
+    final state, and the model forks with them.  A mode that needs more than
+    512 levels raises :class:`CutoffCeilingError`.  The executor doubles every
+    mode's cutoff once if the prediction still falls short.  An explicit
+    cutoff holds for every mode and is never doubled: failing loudly is the
+    point of pinning one.
     """
 
     explicit: int | None = None
     leak_budget: float = 1e-6
 
-    def choose(self, spec: CircuitSpec) -> tuple[dict[str, int], bool]:
+    def choose(self, spec: CircuitSpec, branches: Branches = ()) -> tuple[dict[str, int], bool]:
         """Returns (cutoff per mode, may_double)."""
         if self.explicit is not None:
             if self.explicit < 2:
@@ -689,7 +713,7 @@ class CutoffPolicy:
             return dict.fromkeys(spec.modes, self.explicit), False
         if not self.leak_budget > 0.0:
             raise ValueError("an adaptive cutoff needs leak_budget > 0")
-        return _budget_cutoffs(spec, self.leak_budget), True
+        return _budget_cutoffs(spec, self.leak_budget, branches), True
 
 
 @dataclass(frozen=True)
@@ -712,6 +736,7 @@ class ExecutionPlan:
     leak_budget: float
     may_double: bool
     steps: tuple[PlanStep, ...]
+    branches: Branches = ()  # each run after the steps, from the state they leave
 
     @property
     def cutoff(self) -> int:
@@ -719,14 +744,19 @@ class ExecutionPlan:
         return max(self.cutoffs.values())
 
 
-def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) -> ExecutionPlan:
-    """Lower a validated spec to an ordered step list.
+def compile_circuit(
+    spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy(), branches: Branches = ()
+) -> ExecutionPlan:
+    """Lower a validated spec, and the herald sequences that fork from it, to a plan.
 
     Modes are prepared lazily right before first use (staged evaluation) and
     every condition step traces its mode out, so the live space stays small.
-    Compilation is deterministic and idempotent.
+    Each entry of ``branches`` heralds distinct modes still live after the
+    spec; the executor runs it on the spec's final state, and the policy sizes
+    the cutoffs for those stages too.  Compilation is deterministic and
+    idempotent.
     """
-    cutoffs, may_double = policy.choose(spec)
+    branches = tuple(map(tuple, branches))
     inputs = {inp.mode: inp for inp in spec.inputs}
     steps: list[PlanStep] = []
     live: set[str] = set()
@@ -758,5 +788,10 @@ def compile_circuit(spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy()) ->
             ensure(out.mode)
     for out in spec.outputs:
         steps.append(PlanStep("output", mode=out.mode, payload=out))
+    for tail in branches:
+        modes = [op.mode for op in tail]
+        if not live.issuperset(modes) or len(set(modes)) < len(modes):
+            raise ValueError(f"branch heralds {modes} must each trace a distinct live mode")
 
-    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, tuple(steps))
+    cutoffs, may_double = policy.choose(spec, branches)
+    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, tuple(steps), branches)

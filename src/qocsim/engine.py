@@ -10,13 +10,15 @@ cutoff (d ≈ 30 for a thermal input), while the tap modes and the idler keep
 elements are diagonal in the Fock basis, so conditioning maps ensembles to
 ensembles; the member count K is compacted back to the live-space rank via an
 eigendecomposition whenever it grows past it.  The final state is returned as
-that ensemble.
+that ensemble.  The plan's branches, herald sequences that fork from the
+final state, are run on it one after another, each from the same ensemble.
 
 The cutoffs are the plan's: explicit (the same for every mode), or predicted
-per mode from the leak budget by :class:`~qocsim.dsl.CutoffPolicy`.  The leak
-monitor checks every live mode's top-level population after every stage, and
-predicted cutoffs that still leak are retried once, every mode at twice its
-value.
+per mode from the leak budget by :class:`~qocsim.dsl.CutoffPolicy`, which
+sizes the branch stages as well; the executor only runs the plan.  The leak
+monitor checks every live mode's top-level population after every stage, the
+branches' included, and predicted cutoffs that still leak are retried once,
+every mode at twice its value.
 
 Element unitaries are cached and applied as their photon-number sectors: the
 beam splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
@@ -231,7 +233,7 @@ class ExecutionResult:
     joint_probability: float
     leak_max: float
     outputs: dict[int, object] = field(default_factory=dict)
-    # one (ensemble, heralds) pair per requested branch; see execute_plan
+    # one (ensemble, heralds) pair per plan branch; see execute_plan
     branches: list[tuple[Ensemble, list[HeraldRecord]]] = field(default_factory=list)
 
     @property
@@ -333,9 +335,7 @@ def _evaluate_output(
     return uhlmann_fidelity(ref, rho_n)
 
 
-def execute_plan(
-    plan: ExecutionPlan, *, branches: Sequence[Sequence[HeraldStmt]] = ()
-) -> ExecutionResult:
+def execute_plan(plan: ExecutionPlan) -> ExecutionResult:
     """Run the staged ensemble executor at the plan's per-mode cutoffs.
 
     Adaptive cutoffs (``plan.may_double``) are the policy's prediction of each
@@ -343,19 +343,19 @@ def execute_plan(
     short, the run is retried once with every mode at twice its cutoff.
     Explicit cutoffs are never retried: their leak failure is raised.
 
-    Each entry of ``branches`` is a herald sequence applied, like the plan's own
+    Each of ``plan.branches`` is a herald sequence applied, like the plan's own
     condition steps, to the plan's final ensemble.  Branches run at the same
     cutoffs and under the same leak checks, so a leak in a branch also triggers
     the retry.  The results are in ``ExecutionResult.branches``, with herald
     probabilities conditional on the final ensemble.
     """
     try:
-        return _execute_staged(plan, plan.cutoffs, branches)
+        return _execute_staged(plan, plan.cutoffs)
     except LeakBudgetError:
         if not plan.may_double:
             raise
         doubled = {m: 2 * d for m, d in plan.cutoffs.items()}
-        return _execute_staged(plan, doubled, branches)
+        return _execute_staged(plan, doubled)
 
 
 def _herald(
@@ -377,9 +377,7 @@ def _herald(
     return ens, HeraldRecord(stmt.mode, stmt.requirement, after / before)
 
 
-def _execute_staged(
-    plan: ExecutionPlan, cutoffs: dict[str, int], branches: Sequence[Sequence[HeraldStmt]]
-) -> ExecutionResult:
+def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionResult:
     inputs = {inp.mode: inp for inp in plan.spec.inputs}
     ens: Ensemble | None = None
     monitor = _LeakMonitor(plan.leak_budget, cutoffs)
@@ -427,7 +425,7 @@ def _execute_staged(
             out_index += 1
 
     results = []
-    for stmts in branches:
+    for stmts in plan.branches:
         branch, records = ens, []
         for stmt in stmts:
             branch, record = _herald(branch, stmt, monitor)
@@ -450,7 +448,8 @@ def _execute_staged(
 def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
     """Full-joint-space reference evaluator: no staging, traces only at the end.
 
-    Every mode runs at one cutoff, the plan's largest.
+    Every mode runs at one cutoff, the plan's largest.  The plan's branches
+    are not run.
     """
     d = plan.cutoff
     cutoff = Cutoff(d)

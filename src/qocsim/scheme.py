@@ -20,6 +20,7 @@ detectors with configurable efficiencies, matching avalanche photodiodes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -52,10 +53,8 @@ from .phasespace import (
 __all__ = [
     "SchemeParams",
     "SchemeResult",
-    "OracleBranches",
     "build_fig1_circuit",
     "run_interferometer",
-    "analytic_branch_oracle",
     "commutation_report",
     "efficiency_degradation",
     "branch_wigner",
@@ -85,34 +84,24 @@ class SchemeParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.transmittivity < 1.0:
             raise ValueError("transmittivity must be in (0, 1)")
-        if self.coupling <= 0.0:
-            raise ValueError("coupling must be > 0")
+        if not cmath.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+        if not 0.0 < self.coupling < math.inf:
+            raise ValueError("coupling must be finite and > 0")
         if not all(0.0 <= eta <= 1.0 for eta in (self.eta_pd0, self.eta_pd1, self.eta_pd2)):
             raise ValueError("detector efficiencies must be in [0, 1]")
         if self.input_kind not in ("coherent", "thermal", "fock"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
-        if not (self.nbar >= 0 and self.fock_n >= 0):
-            raise ValueError("nbar and fock_n must be >= 0")
+        if not (0 <= self.nbar < math.inf and self.fock_n >= 0):
+            raise ValueError("nbar must be finite and >= 0, fock_n >= 0")
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-        if not self.leak_budget > 0:
-            raise ValueError("leak_budget must be > 0")
+        if not 0 < self.leak_budget < math.inf:
+            raise ValueError("leak_budget must be finite and > 0")
 
     @property
     def t(self) -> float:
         return math.sqrt(self.transmittivity)
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(1.0 - self.transmittivity)
-
-    @property
-    def mu(self) -> float:
-        return math.cosh(self.coupling)
-
-    @property
-    def lam(self) -> float:
-        return math.tanh(self.coupling)
 
     def input_stmt(self) -> InputStmt:
         if self.input_kind == "coherent":
@@ -139,6 +128,14 @@ def _pd0_herald(params: SchemeParams) -> HeraldStmt:
     return HeraldStmt("d", "exactly", 1, params.eta_pd0, False)
 
 
+def _branch_heralds(params: SchemeParams, branch: str) -> tuple[HeraldStmt, HeraldStmt]:
+    """The two on-off heralds after BS3 that accept ``branch``: no click, then a click."""
+    dark, bright = ("b", "c") if branch == "pd2" else ("c", "b")
+    eta = {"b": params.eta_pd1, "c": params.eta_pd2}
+    return (HeraldStmt(dark, "noclick", None, eta[dark], True),
+            HeraldStmt(bright, "click", None, eta[bright], True))
+
+
 def build_fig1_circuit(params: SchemeParams, branch: str = "pd2") -> CircuitSpec:
     """Circuit for one accepted branch: 4 unitaries, 3 herald points.
 
@@ -158,14 +155,8 @@ def build_fig1_circuit(params: SchemeParams, branch: str = "pd2") -> CircuitSpec
         ElementStmt("bs", bs3, 0.5),
     ]
     outputs = [OutputStmt("probs")]
-    if branch == "pd2":
-        operations.append(HeraldStmt("b", "noclick", None, params.eta_pd1, True))
-        operations.append(HeraldStmt("c", "click", None, params.eta_pd2, True))
-        outputs.append(OutputStmt("fidelity", "a"))
-        outputs.append(OutputStmt("state", "a"))
-    elif branch == "pd1":
-        operations.append(HeraldStmt("c", "noclick", None, params.eta_pd2, True))
-        operations.append(HeraldStmt("b", "click", None, params.eta_pd1, True))
+    if branch != "none":
+        operations.extend(_branch_heralds(params, branch))
         outputs.append(OutputStmt("fidelity", "a"))
         outputs.append(OutputStmt("state", "a"))
     inputs = (
@@ -219,25 +210,18 @@ def _branch_fidelity(reference: State, rho: MixedState) -> float:
 def run_interferometer(params: SchemeParams) -> SchemeResult:
     """Exact staged simulation of both accepted branches plus click statistics.
 
-    The ``none`` circuit runs once through the compiled-plan executor.  Both
-    branches are its post-BS3 ensemble conditioned on the trailing heralds of
-    the ``pd2`` and ``pd1`` circuits, inside the same cutoff retry and leak
-    checks; the click statistics come from that ensemble too.  Each mode's
-    adaptive cutoff is the larger of the two branch circuits' predictions for
-    it, so a circuit file describing one branch runs at the same cutoffs or
-    below, and reproduces its numbers to rounding when run at these.
+    One plan runs: the ``none`` circuit with the trailing heralds of the
+    ``pd2`` and ``pd1`` circuits as its branches, both conditioning its
+    post-BS3 ensemble inside the same cutoff retry and leak checks; the click
+    statistics come from that ensemble too.  The policy sizes the branch
+    stages with the shared ones, so each mode's adaptive cutoff is the larger
+    of the two branch circuits' predictions for it, and a circuit file for one
+    branch, run at these cutoffs, reproduces its numbers to rounding.
     ``SchemeResult.cutoff`` is the largest of them, mode a's.
     """
     prefix = build_fig1_circuit(params, "none")
-    full = [build_fig1_circuit(params, branch) for branch in ("pd2", "pd1")]
-    tails = [spec.operations[len(prefix.operations):] for spec in full]
-    policy = params.policy()
-    # the branch heralds run in the same execution, so they size its cutoffs too
-    pd2, pd1 = (policy.choose(spec)[0] for spec in full)
-    cutoffs = {m: max(pd2[m], pd1[m]) for m in MODES}
-    plan = compile_circuit(prefix, replace(policy, explicit=max(cutoffs.values())))
-    plan = replace(plan, cutoffs=cutoffs, may_double=policy.explicit is None)
-    res = execute_plan(plan, branches=tails)
+    tails = (_branch_heralds(params, "pd2"), _branch_heralds(params, "pd1"))
+    res = execute_plan(compile_circuit(prefix, params.policy(), branches=tails))
     (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
     pd0_prob = res.heralds[0].probability
@@ -293,32 +277,6 @@ def _scaled_branch(branch: Ensemble, weight: float) -> MixedState:
     return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag * weight)
 
 
-@dataclass(frozen=True)
-class OracleBranches:
-    """First-order closed-form branch states, scaled by λr/√2 each.
-
-    ``pd2`` is the input itself (the two orderings interfere to the identity);
-    ``pd1`` applies 1 + 2n̂ (their sum).
-    """
-
-    pd2: PureState
-    pd1: PureState
-
-
-def analytic_branch_oracle(input_state: PureState, params: SchemeParams) -> OracleBranches:
-    if len(input_state.modes) != 1:
-        raise ValueError("oracle expects a single-mode pure input")
-    scale = params.lam * params.r / math.sqrt(2.0)
-    d = input_state.cutoff.d
-    n = np.arange(d)
-    pd2 = scale * input_state.amps
-    pd1 = scale * (1.0 + 2.0 * n) * input_state.amps
-    return OracleBranches(
-        pd2=PureState.create(input_state.modes, input_state.cutoff, pd2),
-        pd1=PureState.create(input_state.modes, input_state.cutoff, pd1),
-    )
-
-
 def branch_wigner(result: SchemeResult, which: str, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     return wigner(result.normalized_branch(which), grid)
 
@@ -363,15 +321,18 @@ class DegradationResult:
 
 
 def efficiency_degradation(params: SchemeParams, eta: float) -> DegradationResult:
-    """PD2-branch fidelity loss (vs the input) from inefficient PD1/PD2."""
+    """PD2-branch fidelity loss (vs the input) from inefficient PD1/PD2.
+
+    One execution: the PD2 heralds at efficiency 1 and at ``eta`` are two
+    branches of the same post-BS3 ensemble, sized together by the policy.
+    """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    ideal = run_interferometer(replace(params, eta_pd1=1.0, eta_pd2=1.0))
-    lossy = run_interferometer(
-        replace(params, eta_pd1=eta, eta_pd2=eta, cutoff=ideal.cutoff)
+    tails = tuple(
+        _branch_heralds(replace(params, eta_pd1=e, eta_pd2=e), "pd2") for e in (1.0, eta)
     )
-    return DegradationResult(
-        eta=eta,
-        fidelity_ideal=ideal.fidelity_pd2_vs_input,
-        fidelity_degraded=lossy.fidelity_pd2_vs_input,
-    )
+    plan = compile_circuit(build_fig1_circuit(params, "none"), params.policy(), branches=tails)
+    res = execute_plan(plan)
+    reference = params.input_state(Cutoff(res.cutoffs["a"]))
+    ideal, lossy = (_branch_fidelity(reference, ens.reduced("a")) for ens, _ in res.branches)
+    return DegradationResult(eta=eta, fidelity_ideal=ideal, fidelity_degraded=lossy)

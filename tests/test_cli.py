@@ -50,12 +50,19 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
         ("sweep", "--leak-budget", "-1e-6"),
         ("verify-commutation", "--cutoff", "1"),
         ("verify-commutation", "--leak-budget", "0"),
+        ("run", "fig1", "--alpha", "nan"),
+        ("run", "fig1", "--s", "nan"),
+        ("run", "fig1", "--s", "inf"),
+        ("run", "fig1", "--nbar", "inf"),
+        ("sweep", "--alpha", "nan"),
+        ("run", "fig1", "--leak-budget", "inf"),
     ],
     ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
          "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
          "verify-malformed-alphas", "verify-T-out-of-range", "cutoff-1", "negative-nbar",
          "negative-fock", "zero-leak-budget", "qoc-cutoff-1", "sweep-cutoff-1",
-         "sweep-negative-leak-budget", "verify-cutoff-1", "verify-zero-leak-budget"],
+         "sweep-negative-leak-budget", "verify-cutoff-1", "verify-zero-leak-budget",
+         "nan-alpha", "nan-s", "inf-s", "inf-nbar", "sweep-nan-alpha", "inf-leak-budget"],
 )
 def test_usage_errors_exit_1(tmp_path, args):
     res = _run(*args, "--out", str(tmp_path))
@@ -70,6 +77,24 @@ def test_leak_failure_at_pinned_cutoff_exits_2(tmp_path):
     assert "numerical failure" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify-commutation", "--cutoff", "4"),
+        ("run", "fig1", "--alpha", "25"),
+        ("sweep", "--alpha", "25"),
+        ("verify-commutation", "--alphas", "25"),
+    ],
+    ids=["verify-leak", "run-ceiling", "sweep-ceiling", "verify-ceiling"],
+)
+def test_numerical_failures_exit_2_without_a_traceback(tmp_path, args):
+    # a leak at a pinned cutoff, or no adaptive cutoff up to the policy's ceiling
+    res = _run(*args, "--out", str(tmp_path))
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "numerical failure:" in res.output
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 9.61 GiB for an array with shape (195112, 3306)")
 
@@ -80,9 +105,10 @@ def _out_of_memory(*args, **kwargs):
         ("run_interferometer", ("run", "fig1")),
         ("execute_plan", ("run", str(FIG1_QOC))),
         ("run_interferometer", ("wigner",)),
-        ("run_interferometer", ("sweep", "--alpha", "0.5", "--jobs", "1")),
+        ("run_interferometer", ("sweep", "--alpha", "0.5")),
+        ("commutation_report", ("verify-commutation",)),
     ],
-    ids=["run-fig1", "run-circuit-file", "wigner", "sweep"],
+    ids=["run-fig1", "run-circuit-file", "wigner", "sweep", "verify-commutation"],
 )
 def test_out_of_memory_exits_2(tmp_path, monkeypatch, target, args):
     monkeypatch.setattr(cli, target, _out_of_memory)
@@ -100,12 +126,11 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_sweep_output_does_not_depend_on_jobs(tmp_path):
+def test_sweep_output_is_byte_identical_across_runs(tmp_path):
     outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        res = _run("sweep", "--alpha", "0.5,1", "--jobs", jobs, "--format", "json",
-                   "--out", str(out))
+    for run in ("first", "second"):
+        out = tmp_path / run
+        res = _run("sweep", "--alpha", "0.5,1", "--format", "json", "--out", str(out))
         assert res.exit_code == EXIT_OK, res.output
         outputs.append((out / "sweep.json").read_bytes())
     assert outputs[0] == outputs[1]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qocsim.dsl import (
     CircuitParseError,
     CircuitSpec,
+    CutoffCeilingError,
     CutoffPolicy,
     ElementStmt,
     HeraldStmt,
@@ -301,3 +302,19 @@ def test_cutoff_policy_rules():
     assert explicit.cutoff == 7 and explicit.may_double is False
     with pytest.raises(ValueError, match="leak_budget > 0"):
         compile_circuit(vac, CutoffPolicy(leak_budget=0.0))
+
+
+def test_compile_rejects_branch_heralds_on_modes_not_live():
+    spec = parse(FIG1_TEXT.replace("herald b noclick onoff\nherald c click onoff\n", ""))
+    plan = compile_circuit(spec, CutoffPolicy(), branches=[[HeraldStmt("b", "noclick")]])
+    assert plan.branches == ((HeraldStmt("b", "noclick"),),)
+    for tail in ([HeraldStmt("d", "click")], [HeraldStmt("b", "click"), HeraldStmt("b", "click")]):
+        with pytest.raises(ValueError, match="distinct live mode"):
+            compile_circuit(spec, CutoffPolicy(), branches=[tail])
+
+
+def test_policy_ceiling_failure_is_typed():
+    spec = parse("modes a\ninput a coherent 25.0 0.0\nout state a\n")
+    with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
+        compile_circuit(spec, CutoffPolicy())
+    assert issubclass(CutoffCeilingError, ValueError)

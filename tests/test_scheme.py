@@ -28,6 +28,12 @@ def _predicted(params: SchemeParams) -> dict[str, int]:
     return {m: max(pd2[m], pd1[m]) for m in pd2}
 
 
+def _tails(params: SchemeParams) -> tuple:
+    """The pd2 and pd1 circuits' operations after the shared prefix."""
+    n = len(build_fig1_circuit(params, "none").operations)
+    return tuple(build_fig1_circuit(params, b).operations[n:] for b in ("pd2", "pd1"))
+
+
 def _pinned(params: SchemeParams, branch: str, cutoffs: dict[str, int], may_double=False):
     """The branch circuit's plan with its per-mode cutoffs replaced by ``cutoffs``."""
     plan = compile_circuit(build_fig1_circuit(params, branch), params.policy())
@@ -115,17 +121,15 @@ def test_branch_stage_leak_doubles_the_cutoff():
     # branch's `herald c`; the retry must cover the branch stages and double
     # every mode
     params = CASES["alpha2-branch-retry"]
-    prefix = build_fig1_circuit(params, "none")
-    tails = [
-        build_fig1_circuit(params, b).operations[len(prefix.operations):] for b in ("pd2", "pd1")
-    ]
+    tails = _tails(params)
     predicted = _predicted(params)
     low = _pinned(params, "none", {**predicted, "a": 20}, may_double=True)
     assert execute_plan(low).cutoffs == low.cutoffs
     with pytest.raises(LeakBudgetError) as exc:
-        execute_plan(replace(low, may_double=False), branches=tails)
+        execute_plan(replace(low, may_double=False, branches=tails))
     assert exc.value.stage == "herald c" and exc.value.cutoffs == low.cutoffs
-    assert execute_plan(low, branches=tails).cutoffs == {m: 2 * d for m, d in low.cutoffs.items()}
+    doubled = execute_plan(replace(low, branches=tails)).cutoffs
+    assert doubled == {m: 2 * d for m, d in low.cutoffs.items()}
     assert run_interferometer(params).cutoff == predicted["a"] == max(predicted.values())
 
 
@@ -155,9 +159,9 @@ def test_predicted_cutoff_passes_first_and_is_near_the_smallest(params, monkeypa
     attempts = []
     staged = engine._execute_staged
 
-    def counting(plan, d, branches):
+    def counting(plan, d):
         attempts.append(d)
-        return staged(plan, d, branches)
+        return staged(plan, d)
 
     monkeypatch.setattr(engine, "_execute_staged", counting)
     cutoffs = _predicted(params)
@@ -197,9 +201,13 @@ def test_click_statistics_match_three_pattern_probabilities():
 @pytest.mark.parametrize(
     "bad",
     [{"cutoff": 1}, {"nbar": -1.0}, {"fock_n": -1}, {"leak_budget": 0.0},
-     {"leak_budget": -1e-6}, {"leak_budget": float("nan")}],
+     {"leak_budget": -1e-6}, {"leak_budget": float("nan")}, {"alpha": float("nan")},
+     {"alpha": complex(1.0, float("nan"))}, {"alpha": complex(float("inf"), 0.0)},
+     {"coupling": float("nan")}, {"coupling": float("inf")}, {"nbar": float("inf")},
+     {"leak_budget": float("inf")}],
     ids=["cutoff-1", "negative-nbar", "negative-fock", "zero-budget", "negative-budget",
-         "nan-budget"],
+         "nan-budget", "nan-alpha", "nan-alpha-imag", "inf-alpha", "nan-coupling",
+         "inf-coupling", "inf-nbar", "inf-budget"],
 )
 def test_params_reject_values_the_policy_cannot_use(bad):
     with pytest.raises(ValueError):
@@ -293,3 +301,69 @@ def test_inefficient_pd0_keeps_few_members(pd0, monkeypatch):
     mode, d_d, k_in, k_out = seen[0]
     assert mode == "d" and k_in == _predicted(params)["a"]
     assert k_out <= (d_d - 1) * k_in and d_d <= 6
+
+
+def _random_params(rng: np.random.Generator) -> SchemeParams:
+    def eta() -> float:
+        return 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 1.0))
+
+    return SchemeParams(
+        input_kind=str(rng.choice(["coherent", "thermal", "fock"])),
+        alpha=complex(rng.uniform(0.0, 2.0), rng.uniform(-0.5, 0.5)),
+        nbar=float(rng.uniform(0.05, 1.5)),
+        fock_n=int(rng.integers(0, 4)),
+        transmittivity=float(rng.uniform(0.8, 0.995)),
+        coupling=float(rng.uniform(0.02, 0.4)),
+        eta_pd0=eta(),
+        eta_pd1=eta(),
+        eta_pd2=eta(),
+        pd0_onoff=bool(rng.random() < 0.5),
+        leak_budget=float(10.0 ** rng.uniform(-8.0, -5.0)),
+        swap_bs3_sign=bool(rng.random() < 0.5),
+    )
+
+
+def test_forked_choose_matches_the_two_circuit_max():
+    # the prefix walked once and forked into both tails sizes every mode as
+    # the larger of the two full branch circuits' predictions
+    rng = np.random.default_rng(20090116)
+    kinds = set()
+    for _ in range(300):
+        params = _random_params(rng)
+        prefix = build_fig1_circuit(params, "none")
+        cutoffs, may_double = params.policy().choose(prefix, _tails(params))
+        assert cutoffs == _predicted(params) and may_double, params
+        kinds.add((params.input_kind, params.pd0_onoff, params.swap_bs3_sign))
+    assert len(kinds) == 12
+
+
+@pytest.mark.parametrize("params, eta", [
+    (SchemeParams(input_kind="thermal", nbar=1.0), 0.6),
+    (SchemeParams(alpha=1.0), 0.5),
+    (SchemeParams(alpha=0.7, pd0_onoff=True, eta_pd0=0.8, swap_bs3_sign=True), 0.8),
+    (SchemeParams(input_kind="fock", fock_n=2), 0.9),
+    (SchemeParams(alpha=1.0, cutoff=20), 0.5),
+], ids=["thermal", "coherent", "onoff-swapped", "fock", "explicit-cutoff"])
+def test_efficiency_degradation_is_one_execution_matching_two_runs(params, eta, monkeypatch):
+    calls = []
+
+    def counting(plan):
+        calls.append(plan)
+        return execute_plan(plan)
+
+    monkeypatch.setattr(scheme, "execute_plan", counting)
+    got = scheme.efficiency_degradation(params, eta)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ideal = run_interferometer(replace(params, eta_pd1=1.0, eta_pd2=1.0))
+    lossy = run_interferometer(replace(params, eta_pd1=eta, eta_pd2=eta))
+    # at an explicit cutoff the runs share every number; otherwise each sits
+    # within the leak budget of its own cutoffs at every stage
+    tol = TOL if params.cutoff is not None else (
+        LEAK_STAGES * params.leak_budget / min(ideal.pd2_weight, lossy.pd2_weight)
+    )
+    assert abs(got.fidelity_ideal - ideal.fidelity_pd2_vs_input) <= tol
+    assert abs(got.fidelity_degraded - lossy.fidelity_pd2_vs_input) <= tol
+    assert got.delta == got.fidelity_ideal - got.fidelity_degraded
+    with pytest.raises(ValueError):
+        scheme.efficiency_degradation(params, 0.0)
