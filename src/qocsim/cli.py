@@ -173,9 +173,19 @@ def _result_report(res) -> dict:
     }
 
 
+class _FiniteRange(click.FloatRange):
+    """A float range that also refuses nan and inf (nan compares as inside any range)."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
 # the ranges SchemeParams accepts, checked by click so a bad value is a usage error
 CUTOFF_RANGE = click.IntRange(min=2)
-BUDGET_RANGE = click.FloatRange(min=0, min_open=True)
+BUDGET_RANGE = _FiniteRange(min=0, min_open=True)
 
 common_options = [
     click.option("--alpha", type=float, default=None, help="coherent input amplitude"),

@@ -729,6 +729,37 @@ class PlanStep:
     payload: InputStmt | ElementStmt | HeraldStmt | OutputStmt | None = None
 
 
+def _charge_signs(spec: CircuitSpec) -> dict[str, int] | None:
+    """A sign sₘ per mode such that every element conserves Q = Σ sₘ Nₘ, or None.
+
+    A beam splitter conserves N₁ + N₂ and a two-mode squeezer N₁ − N₂, so
+    ``bs`` joins equal signs and ``tmsq`` opposite ones (a union-find with
+    signs); heralds are diagonal in the Fock basis and conserve any such Q.
+    None when an input is not Fock-diagonal (coherent) or no signing exists,
+    as for ``tmsq a b`` followed by ``bs a b``.
+    """
+    if any(inp.kind == "coherent" for inp in spec.inputs):
+        return None
+    parent = {m: (m, 1) for m in spec.modes}  # mode -> (parent, sign relative to it)
+
+    def root(mode: str) -> tuple[str, int]:
+        sign = 1
+        while parent[mode][0] != mode:
+            mode, s = parent[mode]
+            sign *= s
+        return mode, sign
+
+    for op in spec.operations:
+        if isinstance(op, ElementStmt):
+            relation = 1 if op.kind == "bs" else -1
+            (r1, s1), (r2, s2) = root(op.modes[0]), root(op.modes[1])
+            if r1 != r2:
+                parent[r2] = (r1, relation * s1 * s2)
+            elif s1 * s2 != relation:
+                return None
+    return {m: root(m)[1] for m in spec.modes}
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     spec: CircuitSpec
@@ -737,6 +768,11 @@ class ExecutionPlan:
     may_double: bool
     steps: tuple[PlanStep, ...]
     branches: Branches = ()  # each run after the steps, from the state they leave
+    # sₘ per mode, every element conserving Q = Σ sₘ Nₘ (see _charge_signs);
+    # None when an input is not Fock-diagonal or no signing exists.  With signs,
+    # the staged executor carries the input's Fock members of distinct charge
+    # in one vector.
+    charge_signs: dict[str, int] | None = None
 
     @property
     def cutoff(self) -> int:
@@ -753,8 +789,10 @@ def compile_circuit(
     every condition step traces its mode out, so the live space stays small.
     Each entry of ``branches`` heralds distinct modes still live after the
     spec; the executor runs it on the spec's final state, and the policy sizes
-    the cutoffs for those stages too.  Compilation is deterministic and
-    idempotent.
+    the cutoffs for those stages too.  The plan also carries each mode's
+    charge sign (:func:`_charge_signs`), with which the staged executor
+    carries Fock-diagonal inputs collapsed by charge.  Compilation is
+    deterministic and idempotent.
     """
     branches = tuple(map(tuple, branches))
     inputs = {inp.mode: inp for inp in spec.inputs}
@@ -794,4 +832,5 @@ def compile_circuit(
             raise ValueError(f"branch heralds {modes} must each trace a distinct live mode")
 
     cutoffs, may_double = policy.choose(spec, branches)
-    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, tuple(steps), branches)
+    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, tuple(steps), branches,
+                         _charge_signs(spec))

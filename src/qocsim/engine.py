@@ -2,16 +2,27 @@
 
 The staged executor attaches modes lazily, traces every heralded mode
 immediately, and represents (possibly mixed) states as one weighted ensemble
-of pure vectors, ρ = Σₖ |vₖ⟩⟨vₖ|, held as the columns of a single ``(dim, K)``
-array.  Every mode keeps its own number of levels, the plan's per-mode cutoff,
-and ``dim`` is their product: in Fig. 1 only the input mode needs the large
-cutoff (d ≈ 30 for a thermal input), while the tap modes and the idler keep
-5–10 levels, so the live space is d·d_b·d_c rather than d³.  All detector POVM
-elements are diagonal in the Fock basis, so conditioning maps ensembles to
-ensembles; the member count K is compacted back to the live-space rank via an
+of pure vectors vₖ, held as the columns of a single ``(dim, K)`` array.  Every
+mode keeps its own number of levels, the plan's per-mode cutoff, and ``dim``
+is their product: in Fig. 1 only the input mode needs the large cutoff (d ≈ 30
+for a thermal input), while the tap modes and the idler keep 5–10 levels, so
+the live space is d·d_b·d_c rather than d³.  All detector POVM elements are
+diagonal in the Fock basis, so conditioning maps ensembles to ensembles; the
+member count K is compacted back to the live-space rank via an
 eigendecomposition whenever it grows past it.  The final state is returned as
 that ensemble.  The plan's branches, herald sequences that fork from the
 final state, are run on it one after another, each from the same ensemble.
+
+Without the plan's charge signs (``ExecutionPlan.charge_signs``) the state is
+ρ = Σₖ |vₖ⟩⟨vₖ| and a thermal input enters as its d Fock members √pₙ|n⟩.  With
+them every element conserves Q = Σ sₘ Nₘ and every herald is diagonal, so Fock
+members of distinct charge keep disjoint supports and share one vector: a
+thermal input is the single column √pₙ, and the product members of a further
+Fock-diagonal input are packed so that no vector holds two of equal charge.
+Weights, populations, leak checks and heralds see no cross terms; the state is
+ρ = D(Σₖ |vₖ⟩⟨vₖ|), D the dephasing that drops every element between distinct
+charges, and every density matrix the ensemble hands out is dephased so (on
+one mode, whose levels all differ in charge, D keeps the diagonal).
 
 The cutoffs are the plan's: explicit (the same for every mode), or predicted
 per mode from the leak budget by :class:`~qocsim.dsl.CutoffPolicy`, which
@@ -113,12 +124,16 @@ class Ensemble:
 
     ``dims[i]`` is the number of levels kept on ``modes[i]``.  ``members`` has
     shape ``(dim, K)`` with ``dim = prod(dims)``: column k is the unnormalized
-    vector vₖ.
+    vector vₖ.  Without ``signs`` the state is ρ = Σₖ |vₖ⟩⟨vₖ|.  With them (the
+    plan's charge sign per mode), a column may hold parts of distinct charge
+    Q = Σ sₘ nₘ, and the state is Σₖ |vₖ⟩⟨vₖ| with every element between
+    distinct charges dropped, as :meth:`reduced` and :meth:`to_mixed` return it.
     """
 
     modes: tuple[str, ...]
     dims: tuple[int, ...]
     members: np.ndarray
+    signs: dict[str, int] | None = None
 
     @property
     def weight(self) -> float:
@@ -149,10 +164,21 @@ class Ensemble:
         ax = len(self.modes) - 1 - i
         return np.moveaxis(self._tensor(), ax, 0).reshape(self.dims[i], -1)
 
+    def _charges(self) -> np.ndarray:
+        """Q = Σ sᵢ nᵢ of every joint basis state (needs ``signs``)."""
+        q = np.zeros(1, dtype=np.int64)
+        for m, d in zip(self.modes, self.dims):  # later modes are slower digits
+            q = (self.signs[m] * np.arange(d)[:, None] + q).ravel()
+        return q
+
     def to_mixed(self) -> MixedState:
         """The density matrix; a ``MixedState`` needs every mode at the same cutoff."""
         m = self.members
-        return MixedState.create(self.modes, Cutoff(max(self.dims)), m @ m.conj().T)
+        rho = m @ m.conj().T
+        if self.signs is not None:
+            q = self._charges()
+            rho[q[:, None] != q] = 0.0
+        return MixedState.create(self.modes, Cutoff(max(self.dims)), rho)
 
     def pattern_probability(self, pattern, detectors) -> float:
         """Tr[ρ ⊗ Eᵢ] over the ensemble without densifying it."""
@@ -163,6 +189,10 @@ class Ensemble:
         return float(joint @ self._populations())
 
     def reduced(self, mode: str) -> MixedState:
+        """The unnormalized state of ``mode``, every other mode traced out."""
+        if self.signs is not None:  # its levels differ in charge: only the diagonal
+            pops = self.populations((mode,))
+            return MixedState.create((mode,), Cutoff(pops.size), np.diag(pops))
         t = self._mode_first(mode)
         return MixedState.create((mode,), Cutoff(t.shape[0]), t @ t.conj().T)
 
@@ -194,7 +224,7 @@ class Ensemble:
         branches = branches[:, np.any(branches, axis=0)]
         i = self.modes.index(mode)
         return Ensemble(self.modes[:i] + self.modes[i + 1:], self.dims[:i] + self.dims[i + 1:],
-                        branches)
+                        branches, self.signs)
 
     def compact(self) -> None:
         """Re-express as an eigen-ensemble when the member count exceeds the rank."""
@@ -227,7 +257,8 @@ class HeraldRecord:
 class ExecutionResult:
     plan: ExecutionPlan
     cutoffs: dict[str, int]  # the cutoffs the run settled at, per mode
-    final_state: Ensemble | State | None  # staged: Ensemble; brute oracle: State
+    # staged: Ensemble (its reduced and to_mixed dephase by charge); brute oracle: State
+    final_state: Ensemble | State | None
     final_modes: tuple[str, ...]
     heralds: list[HeraldRecord]
     joint_probability: float
@@ -265,6 +296,24 @@ def _input_members(stmt: InputStmt, cutoff: Cutoff) -> np.ndarray:
     pops = np.real(np.diag(state.matrix))
     support = pops > 0.0
     return np.diag(np.sqrt(np.where(support, pops, 0.0))).astype(np.complex128)[:, support]
+
+
+def _pack_by_charge(members: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """The same state in the fewest columns, none holding two parts of equal charge.
+
+    The part of column k on the rows of charge Q moves to column r, r the
+    number of earlier columns with a nonzero part of charge Q, so K becomes
+    the largest number of columns that share a charge.  Entries are moved,
+    never added.
+    """
+    q = charges - charges.min()
+    rows, cols = np.nonzero(members)
+    present = np.zeros((int(q.max()) + 1, members.shape[1]), dtype=bool)
+    present[q[rows], cols] = True
+    rank = np.cumsum(present, axis=1) - 1
+    out = np.zeros((members.shape[0], int(rank[:, -1].max()) + 1), dtype=np.complex128)
+    out[rows, rank[q[rows], cols]] = members[rows, cols]
+    return out
 
 
 def _check_modes(stmt: ElementStmt) -> None:
@@ -379,7 +428,6 @@ def _herald(
 
 def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionResult:
     inputs = {inp.mode: inp for inp in plan.spec.inputs}
-    ens: Ensemble | None = None
     monitor = _LeakMonitor(plan.leak_budget, cutoffs)
     heralds: list[HeraldRecord] = []
     joint = 1.0
@@ -387,23 +435,26 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
     outputs: dict[int, object] = {}
     out_index = 0
 
+    signs = plan.charge_signs
+    # no mode yet: the one-member ensemble on the one-dimensional empty space
+    ens = Ensemble((), (), np.ones((1, 1), dtype=np.complex128), signs)
     for step in plan.steps:
         if step.op == "prepare":
             d = cutoffs[step.mode]
-            new = _input_members(step.payload, Cutoff(d))
-            if ens is None:
-                ens = Ensemble((step.mode,), (d,), new)
-            elif step.payload.kind == "vacuum":
+            if step.payload.kind == "vacuum":
                 # the new mode is the slowest digit, so |v⟩⊗|0⟩ is v zero-padded
                 members = np.zeros((d * ens.dim, ens.members.shape[1]), np.complex128)
                 members[: ens.dim] = ens.members
-                ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,), members)
+                ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,), members, signs)
             else:
                 # joint index = old + dim_old * new_level (new mode is slower);
                 # member index = k_old * K_new + k_new
+                new = _input_members(step.payload, Cutoff(d))
                 members = np.einsum("nj,oi->noij", new, ens.members)
                 ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,),
-                               members.reshape(d * ens.dim, -1))
+                               members.reshape(d * ens.dim, -1), signs)
+                if signs is not None:
+                    ens.members = _pack_by_charge(ens.members, ens._charges())
                 ens.compact()
             monitor.check(f"prepare {step.mode}", ens.top_level_population())
         elif step.op == "unitary":
@@ -435,8 +486,8 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
     return ExecutionResult(
         plan=plan,
         cutoffs=cutoffs,
-        final_state=ens if ens is not None and ens.modes else None,
-        final_modes=ens.modes if ens is not None else (),
+        final_state=ens if ens.modes else None,
+        final_modes=ens.modes,
         heralds=heralds,
         joint_probability=joint,
         leak_max=monitor.max_seen,

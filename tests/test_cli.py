@@ -56,13 +56,19 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
         ("run", "fig1", "--nbar", "inf"),
         ("sweep", "--alpha", "nan"),
         ("run", "fig1", "--leak-budget", "inf"),
+        ("run", str(FIG1_QOC), "--leak-budget", "nan"),
+        ("run", str(FIG1_QOC), "--leak-budget", "inf"),
+        ("sweep", "--leak-budget", "nan"),
+        ("sweep", "--leak-budget", "inf"),
     ],
     ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
          "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
          "verify-malformed-alphas", "verify-T-out-of-range", "cutoff-1", "negative-nbar",
          "negative-fock", "zero-leak-budget", "qoc-cutoff-1", "sweep-cutoff-1",
          "sweep-negative-leak-budget", "verify-cutoff-1", "verify-zero-leak-budget",
-         "nan-alpha", "nan-s", "inf-s", "inf-nbar", "sweep-nan-alpha", "inf-leak-budget"],
+         "nan-alpha", "nan-s", "inf-s", "inf-nbar", "sweep-nan-alpha", "inf-leak-budget",
+         "qoc-nan-leak-budget", "qoc-inf-leak-budget", "sweep-nan-leak-budget",
+         "sweep-inf-leak-budget"],
 )
 def test_usage_errors_exit_1(tmp_path, args):
     res = _run(*args, "--out", str(tmp_path))

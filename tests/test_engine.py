@@ -182,7 +182,9 @@ def test_vacuum_mode_is_attached_by_zero_padding(first):
     vac[0, 0] = 1.0
     outer = np.einsum("nj,oi->noij", vac, old).reshape(7 * old.shape[0], -1)
     members = execute_plan(plan).final_state.members
-    assert old.shape[1] == (1 if first.startswith("coherent") else 7)
+    # both inputs are one vector: the coherent state, or the thermal input
+    # collapsed by charge (its 7 Fock members differ in charge)
+    assert old.shape[1] == 1
     assert members.shape == outer.shape and np.array_equal(members, outer)
 
 
@@ -197,6 +199,46 @@ def test_final_state_types():
         assert isinstance(staged, Ensemble)
         assert staged.modes == brute.modes
         assert np.max(np.abs(staged.to_mixed().matrix - to_mixed(brute).matrix)) < 1e-10
+
+
+# (inputs, operations, charge signs or None, members K of the final ensemble);
+# all at d=6, where a thermal input has 6 Fock members
+CHARGE_CASES = {
+    "fock": ("input a fock 2\ninput b vacuum\ninput c vacuum\n",
+             "bs a b T=0.7\ntmsq a c s=0.2\nherald c exactly 1\n",
+             {"a": 1, "b": 1, "c": -1}, 1),
+    # product members |n, m> of charge n + m: at most 6 share a charge
+    "two-thermal-bs": ("input a thermal 0.5\ninput b thermal 0.3\ninput c vacuum\n",
+                       "bs a b T=0.6\nbs a c T=0.8\nherald c exactly 1\n",
+                       {"a": 1, "b": 1, "c": 1}, 6),
+    # charge n − m: again at most 6 share a charge (n = m)
+    "two-thermal-tmsq": ("input a thermal 0.5\ninput b thermal 0.3\ninput c vacuum\n",
+                         "tmsq a b s=0.2\nbs a c T=0.8\nherald c exactly 1\n",
+                         {"a": 1, "b": -1, "c": 1}, 6),
+    # not Fock-diagonal: the 6 thermal members times the one coherent vector
+    "thermal-coherent": ("input a thermal 0.4\ninput b coherent 0.5 0.0\ninput c vacuum\n",
+                         "bs a b T=0.7\nbs a c T=0.8\nherald c exactly 1\n",
+                         None, 6),
+    # tmsq asks for opposite signs on a and b, bs for equal ones
+    "uncolourable": ("input a thermal 0.4\ninput b vacuum\ninput c vacuum\n",
+                     "tmsq a b s=0.2\nbs a b T=0.7\nbs a c T=0.8\nherald c exactly 1\n",
+                     None, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(CHARGE_CASES))
+def test_charge_collapse_matches_brute(name):
+    inputs, ops, signs, members = CHARGE_CASES[name]
+    text = f"modes a b c\n{inputs}{ops}out probs\nout state a\nout state b\n"
+    plan = compile_circuit(parse(text), LOOSE)
+    assert plan.charge_signs == signs
+    rs, rb = _compare(plan)
+    staged = rs.final_state
+    assert staged.members.shape[1] == members
+    # the two live modes' joint state, dephased by charge when collapsed
+    assert np.max(np.abs(staged.to_mixed().matrix - rb.final_state.matrix)) < 1e-10
+    mb = rb.output_value("state", "b").matrix
+    assert np.max(np.abs(rs.output_value("state", "b").matrix - mb)) < 1e-10
 
 
 def test_element_with_repeated_mode_is_rejected():
@@ -328,4 +370,8 @@ def test_fig1_branch_with_thermal_input_matches_brute(branch, pd0):
     params = SchemeParams(input_kind="thermal", nbar=0.4, cutoff=6, leak_budget=1.0, **pd0)
     plan = compile_circuit(build_fig1_circuit(params, branch), params.policy())
     rs, _ = _compare(plan)
-    assert rs.final_state.members.shape[1] > 1  # the mixed (K>1) path
+    # the thermal input rides as one vector; K>1 comes from the levels the
+    # heralds keep (c's click, and d's on-off click), so the collapsed
+    # ensemble is still mixed
+    assert plan.charge_signs == {"a": 1, "b": 1, "c": 1, "d": -1}
+    assert rs.final_state.members.shape[1] > 1

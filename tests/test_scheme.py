@@ -285,7 +285,8 @@ def test_per_mode_cutoffs_match_a_generous_uniform_cutoff(name):
 @pytest.mark.parametrize("pd0", [{"pd0_onoff": True}, {}], ids=["onoff", "number-resolving"])
 def test_inefficient_pd0_keeps_few_members(pd0, monkeypatch):
     # the PD0 herald keeps every idler level n >= 1, one member per level and
-    # incoming member, so the idler's own small cutoff bounds the growth
+    # incoming member, so the idler's own small cutoff bounds the growth; the
+    # thermal input arrives as one member, its Fock members collapsed by charge
     seen = []
     condition = engine.Ensemble.condition
 
@@ -299,7 +300,7 @@ def test_inefficient_pd0_keeps_few_members(pd0, monkeypatch):
     params = SchemeParams(input_kind="thermal", nbar=0.6, eta_pd0=0.8, **pd0)
     run_interferometer(params)
     mode, d_d, k_in, k_out = seen[0]
-    assert mode == "d" and k_in == _predicted(params)["a"]
+    assert mode == "d" and k_in == 1
     assert k_out <= (d_d - 1) * k_in and d_d <= 6
 
 
