@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 parse/validation/usage errors or a failed
 ``verify-commutation`` check, 2 numerical failure (leak budget exceeded, a
-zero-probability herald, no adaptive cutoff up to the policy's ceiling, or a
-cutoff too large for memory).  All artifacts are deterministic: identical
-configuration yields byte-identical files.
+zero-probability herald, no adaptive cutoff up to the policy's ceiling, a
+cutoff too large for memory, or a Wigner grid whose values overflow).  All
+artifacts are deterministic: identical configuration yields byte-identical
+files.
 
 The default output directory is taken from ``QOCSIM_OUT_DIR`` (falling back to
 the working directory).
@@ -35,7 +36,7 @@ from .elements import (
 )
 from .engine import LeakBudgetError, execute_plan
 from .measurement import ZeroProbabilityError
-from .phasespace import GridSpec, min_wigner, save_grid_csv, save_grid_json
+from .phasespace import GridSpec, NonFiniteWignerError, min_wigner, save_grid_csv, save_grid_json
 from .scheme import SchemeParams, branch_wigner, commutation_report, run_interferometer
 
 EXIT_OK = 0
@@ -44,7 +45,8 @@ EXIT_NUMERICAL = 2
 
 # failures of a valid configuration, reported as "numerical failure" (exit 2);
 # MemoryError covers numpy's ArrayMemoryError for a cutoff too large to hold
-NUMERICAL_FAILURES = (LeakBudgetError, ZeroProbabilityError, CutoffCeilingError, MemoryError)
+NUMERICAL_FAILURES = (LeakBudgetError, ZeroProbabilityError, CutoffCeilingError, MemoryError,
+                      NonFiniteWignerError)
 
 # tolerances for `verify-commutation`, calibrated against the exact simulation:
 # the first-order fidelity formula e^{-(1-t)^2|alpha|^2} neglects an O(s^2)

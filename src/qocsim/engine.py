@@ -62,6 +62,7 @@ import numpy as np
 from . import measurement
 from .core import (
     Cutoff,
+    DimensionMismatchError,
     MixedState,
     OperatorMatrix,
     PureState,
@@ -173,6 +174,12 @@ class Ensemble:
 
     def to_mixed(self) -> MixedState:
         """The density matrix; a ``MixedState`` needs every mode at the same cutoff."""
+        if len(set(self.dims)) > 1:
+            kept = ", ".join(f"{mode}: d={d}" for mode, d in zip(self.modes, self.dims))
+            raise DimensionMismatchError(
+                f"to_mixed needs one cutoff on every mode, but the modes keep {kept}; "
+                "take each mode's state with reduced(mode)"
+            )
         m = self.members
         rho = m @ m.conj().T
         if self.signs is not None:

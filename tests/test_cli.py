@@ -60,6 +60,9 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
         ("run", str(FIG1_QOC), "--leak-budget", "inf"),
         ("sweep", "--leak-budget", "nan"),
         ("sweep", "--leak-budget", "inf"),
+        ("wigner", "--grid", "0:inf:5"),
+        ("wigner", "--grid", "-inf:0:5"),
+        ("wigner", "--grid", "nan:1:5"),
     ],
     ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
          "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
@@ -68,7 +71,8 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
          "sweep-negative-leak-budget", "verify-cutoff-1", "verify-zero-leak-budget",
          "nan-alpha", "nan-s", "inf-s", "inf-nbar", "sweep-nan-alpha", "inf-leak-budget",
          "qoc-nan-leak-budget", "qoc-inf-leak-budget", "sweep-nan-leak-budget",
-         "sweep-inf-leak-budget"],
+         "sweep-inf-leak-budget", "wigner-inf-grid", "wigner-minus-inf-grid",
+         "wigner-nan-grid"],
 )
 def test_usage_errors_exit_1(tmp_path, args):
     res = _run(*args, "--out", str(tmp_path))
@@ -90,11 +94,13 @@ def test_leak_failure_at_pinned_cutoff_exits_2(tmp_path):
         ("run", "fig1", "--alpha", "25"),
         ("sweep", "--alpha", "25"),
         ("verify-commutation", "--alphas", "25"),
+        ("wigner", "--grid", "-1e20:1e20:5"),
     ],
-    ids=["verify-leak", "run-ceiling", "sweep-ceiling", "verify-ceiling"],
+    ids=["verify-leak", "run-ceiling", "sweep-ceiling", "verify-ceiling", "wigner-overflow"],
 )
 def test_numerical_failures_exit_2_without_a_traceback(tmp_path, args):
-    # a leak at a pinned cutoff, or no adaptive cutoff up to the policy's ceiling
+    # a leak at a pinned cutoff, no adaptive cutoff up to the policy's ceiling,
+    # or a finite grid so wide that W overflows
     res = _run(*args, "--out", str(tmp_path))
     assert res.exit_code == EXIT_NUMERICAL, res.output
     assert isinstance(res.exception, SystemExit)

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qocsim.core import Cutoff, MixedState, apply_matrix, embed, to_mixed
+from qocsim.core import Cutoff, DimensionMismatchError, MixedState, apply_matrix, embed, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
     CutoffPolicy,
@@ -199,6 +200,29 @@ def test_final_state_types():
         assert isinstance(staged, Ensemble)
         assert staged.modes == brute.modes
         assert np.max(np.abs(staged.to_mixed().matrix - to_mixed(brute).matrix)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", [{"alpha": 1.0}, {"input_kind": "thermal", "nbar": 0.95}],
+                         ids=["coherent", "thermal"])
+def test_to_mixed_at_per_mode_cutoffs_fails_before_allocating(kind):
+    # the Fig. 1 `none` plan at adaptive cutoffs keeps a large cutoff on a only
+    params = SchemeParams(**kind)
+    final = execute_plan(compile_circuit(build_fig1_circuit(params, "none"),
+                                         params.policy())).final_state
+    assert len(set(final.dims)) > 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError) as err:
+            final.to_mixed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the dim x dim matrix alone would take megabytes
+    for mode, d in zip(final.modes, final.dims):
+        assert f"{mode}: d={d}" in str(err.value)
+    assert "reduced(mode)" in str(err.value)
+    # the named way out works: a's state at its own cutoff
+    assert final.reduced("a").matrix.shape == (final.dims[0],) * 2
 
 
 # (inputs, operations, charge signs or None, members K of the final ensemble);

@@ -9,6 +9,7 @@ from qocsim.elements import coherent_state, fock_state, thermal_state, vacuum
 from qocsim.phasespace import (
     DEFAULT_GRID,
     GridSpec,
+    NonFiniteWignerError,
     fidelity,
     gaussian_wigner_oracle,
     grid_integral,
@@ -104,6 +105,60 @@ def test_wigner_matches_displaced_parity_definition(d):
             expected = TWO_OVER_PI * float(parity @ np.real(np.diag(shifted)))
             assert abs(grid.values[i, j] - expected) <= 1e-12
             assert abs(wigner_point(state, beta) - grid.values[i, j]) <= 1e-15
+
+
+def _pointwise_wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The Laguerre-series kernel with every Clenshaw recurrence run on every β.
+
+    A pointwise reference for the grid kernel, which runs each recurrence once
+    per distinct radius and gathers the sums back onto the grid.
+    """
+    d = rho.shape[0]
+    x = 4.0 * np.abs(betas) ** 2
+    rho2 = 2.0 * rho - np.diag(np.diag(rho))
+    total = np.zeros(betas.shape, dtype=np.complex128)
+    for L in range(d - 1, -1, -1):
+        c = np.diag(rho2, L)
+        y0, y1 = c[-1], 0.0
+        for k in range(c.size - 1, 0, -1):
+            y0, y1 = (
+                c[k - 1] - y1 * np.sqrt(k * (k + L) / ((k + 1) * (k + L + 1))),
+                y0 - y1 * (2 * k + L + 1 - x) / np.sqrt((k + 1) * (k + L + 1)),
+            )
+        c_L = y0 - y1 * (L + 1 - x) / np.sqrt(L + 1)
+        total = c_L + total * (2.0 * betas / np.sqrt(L + 1))
+    return (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
+
+
+# most radii of the default grid repeat (1,313 distinct among 6,561 points);
+# this off-centre, non-square grid repeats none
+OFF_CENTRE_GRID = GridSpec((-0.83, 2.41, 23), (0.37, 1.96, 17))
+
+
+@pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, OFF_CENTRE_GRID],
+                         ids=["default-grid", "off-centre-grid"])
+@pytest.mark.parametrize("d", [2, 12, 40])
+def test_wigner_grid_matches_pointwise_kernel(d, grid_spec):
+    rng = np.random.default_rng(1000 + d)
+    g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    state = MixedState.create(("a",), Cutoff(d), g @ g.conj().T)
+    grid = wigner(state, grid_spec)
+    rho = state.matrix / float(np.real(np.trace(state.matrix)))  # as wigner() normalizes
+    betas = grid.re_axis[None, :] + 1j * grid.im_axis[:, None]
+    distinct = np.unique(4.0 * np.abs(betas) ** 2).size
+    assert (distinct < betas.size) == (grid_spec is DEFAULT_GRID)
+    assert np.max(np.abs(grid.values - _pointwise_wigner_values(rho, betas))) <= 1e-15
+    # a single point runs the same operations as its grid entry
+    normalized = MixedState.create(("a",), Cutoff(d), rho)
+    rows, cols = betas.shape
+    for i, j in ((0, 0), (rows // 2, cols // 2), (rows - 1, cols // 3), (rows // 4, cols - 1)):
+        assert wigner_point(normalized, betas[i, j]) == grid.values[i, j]
+
+
+def test_wigner_overflow_is_a_typed_error():
+    # finite but far out: the truncated series overflows to inf and nan
+    with pytest.raises(NonFiniteWignerError):
+        wigner(coherent_state(1.0, Cutoff(12)), GridSpec.square(-1e20, 1e20, 5))
 
 
 def test_parity_identity_at_origin():
@@ -202,6 +257,9 @@ def test_grid_spec_validation():
         GridSpec.square(1.0, -1.0, 11)
     with pytest.raises(ValueError):
         GridSpec.square(-1.0, 1.0, 1)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            GridSpec((-1.0, 1.0, 5), (lo, hi, 5))
 
 
 def test_default_grid_shape():
