@@ -24,6 +24,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .core import Cutoff, state_to_json_dict, truncated_commutator
 from .dsl import CircuitParseError, CutoffCeilingError, CutoffPolicy, compile_circuit, parse
@@ -98,8 +99,17 @@ class _Main(click.Group):
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
+        """Run a command, mapping a circuit's parse issues to exit 1 and numerical failures to 2."""
         with _usage_exit_code():
-            return super().invoke(ctx)
+            try:
+                return super().invoke(ctx)
+            except CircuitParseError as exc:
+                for issue in exc.issues:
+                    click.echo(f"error: {issue}", err=True)
+                sys.exit(EXIT_USAGE)
+            except NUMERICAL_FAILURES as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(EXIT_NUMERICAL)
 
 
 def _validated(**kwargs) -> SchemeParams:
@@ -230,38 +240,31 @@ def cmd_run(circuit, alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff,
             cutoff, leak_budget, out, fmt) -> None:
     """Run the built-in `fig1` scenario or a `.qoc` circuit file."""
     out_dir = _out_dir(out)
-    try:
-        if circuit == "fig1":
-            params = _scheme_params(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2,
-                                    onoff, cutoff, leak_budget)
-            res = run_interferometer(params)
-            report = _result_report(res)
-            if fmt in ("json", "both"):
-                _dump_json(report, out_dir / "fig1_report.json")
-            if fmt in ("csv", "both"):
-                _dump_csv([report], out_dir / "fig1_report.csv")
-            click.echo(f"fig1 report written to {out_dir}")
-            return
-        path = Path(circuit)
-        if not path.exists():
-            click.echo(f"error: file not found: {circuit}", err=True)
-            sys.exit(EXIT_USAGE)
-        for flag, name in ((alpha, "--alpha"), (nbar, "--nbar"), (fock, "--fock")):
-            if flag is not None:
-                click.echo(f"error: {name} applies only to the fig1 scenario", err=True)
-                sys.exit(EXIT_USAGE)
-        spec = parse(path.read_text())
-        plan = compile_circuit(spec, CutoffPolicy(explicit=cutoff, leak_budget=leak_budget))
-        result = execute_plan(plan)
-        _write_circuit_outputs(result, out_dir, fmt)
-        click.echo(f"circuit outputs written to {out_dir}")
-    except CircuitParseError as exc:
-        for issue in exc.issues:
-            click.echo(f"error: {issue}", err=True)
+    if circuit == "fig1":
+        params = _scheme_params(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2,
+                                onoff, cutoff, leak_budget)
+        report = _result_report(run_interferometer(params))
+        if fmt in ("json", "both"):
+            _dump_json(report, out_dir / "fig1_report.json")
+        if fmt in ("csv", "both"):
+            _dump_csv([report], out_dir / "fig1_report.csv")
+        click.echo(f"fig1 report written to {out_dir}")
+        return
+    path = Path(circuit)
+    if not path.exists():
+        click.echo(f"error: file not found: {circuit}", err=True)
         sys.exit(EXIT_USAGE)
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    # the circuit file fixes its own input, elements and detectors
+    ctx = click.get_current_context()
+    for name in ("alpha", "nbar", "fock", "T", "s", "eta_pd0", "eta_pd1", "eta_pd2", "onoff"):
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            click.echo(f"error: --{name.replace('_', '-')} applies only to the fig1 scenario",
+                       err=True)
+            sys.exit(EXIT_USAGE)
+    spec = parse(path.read_text())
+    plan = compile_circuit(spec, CutoffPolicy(explicit=cutoff, leak_budget=leak_budget))
+    _write_circuit_outputs(execute_plan(plan), out_dir, fmt)
+    click.echo(f"circuit outputs written to {out_dir}")
 
 
 def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
@@ -274,8 +277,7 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
             for h in result.heralds
         ],
     }
-    for idx, stmt in enumerate(result.plan.spec.outputs):
-        value = result.outputs[idx]
+    for stmt, value in zip(result.plan.spec.outputs, result.outputs):
         if stmt.kind == "probs":
             report["probs"] = value
         elif stmt.kind == "fidelity":
@@ -353,11 +355,7 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     checks.append(("Hong-Ou-Mandel bunching at 50:50", hom_ok,
                    f"|amp(1,1)| = {abs(amp11):.2e}"))
 
-    try:
-        rows = commutation_report(base, alpha_list)
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    rows = commutation_report(base, alpha_list)
     for row in rows:
         a = row["alpha"]
         ok_identity = row["fidelity_pd2_vs_input"] >= IDENTITY_FIDELITY_FLOOR
@@ -401,24 +399,20 @@ def cmd_wigner(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff
     except ValueError:
         click.echo(f"error: bad --grid {grid!r}", err=True)
         sys.exit(EXIT_USAGE)
-    try:
-        params = _scheme_params(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2,
-                                onoff, cutoff, leak_budget)
-        res = run_interferometer(params)
-        summary = {}
-        for which in ("pd1", "pd2"):
-            g = branch_wigner(res, which, gspec)
-            if fmt in ("csv", "both"):
-                save_grid_csv(g, out_dir / f"wigner_{which}.csv")
-            if fmt in ("json", "both"):
-                save_grid_json(g, out_dir / f"wigner_{which}.json")
-            beta, wmin = min_wigner(g)
-            summary[which] = {"min_wigner": wmin, "at_re": beta.real, "at_im": beta.imag}
-            click.echo(f"{which}: min W = {wmin:.6f} at beta = {beta:.3f}")
-        _dump_json(summary, out_dir / "wigner_summary.json")
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    params = _scheme_params(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2,
+                            onoff, cutoff, leak_budget)
+    res = run_interferometer(params)
+    summary = {}
+    for which in ("pd1", "pd2"):
+        g = branch_wigner(res, which, gspec)
+        if fmt in ("csv", "both"):
+            save_grid_csv(g, out_dir / f"wigner_{which}.csv")
+        if fmt in ("json", "both"):
+            save_grid_json(g, out_dir / f"wigner_{which}.json")
+        beta, wmin = min_wigner(g)
+        summary[which] = {"min_wigner": wmin, "at_re": beta.real, "at_im": beta.imag}
+        click.echo(f"{which}: min W = {wmin:.6f} at beta = {beta:.3f}")
+    _dump_json(summary, out_dir / "wigner_summary.json")
 
 
 @main.command("sweep")
@@ -446,11 +440,7 @@ def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, out, fmt) -> None:
         for a, tv, sv, ev in sorted(product(alphas, Ts, ss, etas))
     ]
 
-    try:
-        rows = [_result_report(run_interferometer(p)) for p in params]
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    rows = [_result_report(run_interferometer(p)) for p in params]
     if fmt in ("json", "both"):
         _dump_json(rows, out_dir / "sweep.json")
     if fmt in ("csv", "both"):

@@ -13,7 +13,7 @@ Grammar (one statement per line, ``#`` starts a comment)::
     out state <mode>
 
 Every declared mode needs exactly one input statement.  Heralds are
-destructive: each conditioning step also traces its mode out, and a heralded
+destructive: each herald also traces its mode out, and a heralded
 mode may not be referenced afterwards.  Elements and
 heralds execute in file order.  The canonical printer orders statements as
 modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
@@ -46,7 +46,6 @@ __all__ = [
     "print_circuit",
     "CutoffPolicy",
     "CutoffCeilingError",
-    "PlanStep",
     "ExecutionPlan",
     "compile_circuit",
 ]
@@ -137,10 +136,11 @@ def _tokenize(text: str) -> list[list[tuple[str, int, int]]]:
 
 
 def _parse_float(tok: str, ln: int, col: int, errs: _Collector) -> float | None:
-    if not _NUMBER_RE.match(tok):
-        errs.add(ln, col, "malformed-number", f"expected a number, got {tok!r}")
+    value = float(tok) if _NUMBER_RE.match(tok) else math.nan  # 1e400 overflows to inf
+    if not math.isfinite(value):
+        errs.add(ln, col, "malformed-number", f"expected a finite number, got {tok!r}")
         return None
-    return float(tok)
+    return value
 
 
 def _parse_int(tok: str, ln: int, col: int, errs: _Collector) -> int | None:
@@ -716,19 +716,6 @@ class CutoffPolicy:
         return _budget_cutoffs(spec, self.leak_budget, branches), True
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One primitive step: prepare | unitary | condition | output.
-
-    A condition step heralds its mode and traces it out in one go.
-    """
-
-    op: str
-    mode: str | None = None
-    modes: tuple[str, str] | None = None
-    payload: InputStmt | ElementStmt | HeraldStmt | OutputStmt | None = None
-
-
 def _charge_signs(spec: CircuitSpec) -> dict[str, int] | None:
     """A sign sₘ per mode such that every element conserves Q = Σ sₘ Nₘ, or None.
 
@@ -762,12 +749,13 @@ def _charge_signs(spec: CircuitSpec) -> dict[str, int] | None:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
+    """A spec and the compiler's decisions about it; the executors walk the spec itself."""
+
     spec: CircuitSpec
     cutoffs: dict[str, int]  # levels kept on each mode, in declared-mode order
     leak_budget: float
     may_double: bool
-    steps: tuple[PlanStep, ...]
-    branches: Branches = ()  # each run after the steps, from the state they leave
+    branches: Branches = ()  # each run after the spec's operations, from the state they leave
     # sₘ per mode, every element conserving Q = Σ sₘ Nₘ (see _charge_signs);
     # None when an input is not Fock-diagonal or no signing exists.  With signs,
     # the staged executor carries the input's Fock members of distinct charge
@@ -783,54 +771,36 @@ class ExecutionPlan:
 def compile_circuit(
     spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy(), branches: Branches = ()
 ) -> ExecutionPlan:
-    """Lower a validated spec, and the herald sequences that fork from it, to a plan.
+    """Size a validated spec, and the herald sequences that fork from it, for execution.
 
-    Modes are prepared lazily right before first use (staged evaluation) and
-    every condition step traces its mode out, so the live space stays small.
-    Each entry of ``branches`` heralds distinct modes still live after the
-    spec; the executor runs it on the spec's final state, and the policy sizes
-    the cutoffs for those stages too.  The plan also carries each mode's
-    charge sign (:func:`_charge_signs`), with which the staged executor
-    carries Fock-diagonal inputs collapsed by charge.  Compilation is
+    The plan is the spec plus each mode's cutoff from ``policy``, the
+    ``branches`` and each mode's charge sign (:func:`_charge_signs`), with
+    which the staged executor carries Fock-diagonal inputs collapsed by
+    charge; when to attach a mode is the executor's business.  Each entry of
+    ``branches`` heralds distinct modes that some statement uses and no herald
+    of the spec traces; the executor runs it on the spec's final state, and
+    the policy sizes the cutoffs for those stages too.  Compilation is
     deterministic and idempotent.
     """
     branches = tuple(map(tuple, branches))
-    inputs = {inp.mode: inp for inp in spec.inputs}
-    steps: list[PlanStep] = []
-    live: set[str] = set()
     touched: set[str] = set()
-
-    def ensure(mode: str) -> None:
-        if mode not in live:
-            steps.append(PlanStep("prepare", mode=mode, payload=inputs[mode]))
-            live.add(mode)
-
+    heralded: set[str] = set()
     for op in spec.operations:
         if isinstance(op, ElementStmt):
-            ensure(op.modes[0])
-            ensure(op.modes[1])
             touched.update(op.modes)
-            steps.append(PlanStep("unitary", modes=op.modes, payload=op))
         else:
             if op.mode not in touched:
                 warnings.warn(
                     f"herald on mode {op.mode!r} which no element has touched",
                     stacklevel=2,
                 )
-            ensure(op.mode)
-            steps.append(PlanStep("condition", mode=op.mode, payload=op))
-            live.discard(op.mode)
-
-    for out in spec.outputs:
-        if out.mode is not None:
-            ensure(out.mode)
-    for out in spec.outputs:
-        steps.append(PlanStep("output", mode=out.mode, payload=out))
+            heralded.add(op.mode)
+    live = (touched | {out.mode for out in spec.outputs if out.mode is not None}) - heralded
     for tail in branches:
         modes = [op.mode for op in tail]
         if not live.issuperset(modes) or len(set(modes)) < len(modes):
             raise ValueError(f"branch heralds {modes} must each trace a distinct live mode")
 
     cutoffs, may_double = policy.choose(spec, branches)
-    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, tuple(steps), branches,
+    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, branches,
                          _charge_signs(spec))

@@ -1,8 +1,10 @@
 """Plan executors: a staged ensemble evaluator and a brute-force reference.
 
-The staged executor attaches modes lazily, traces every heralded mode
-immediately, and represents (possibly mixed) states as one weighted ensemble
-of pure vectors vₖ, held as the columns of a single ``(dim, K)`` array.  Every
+Both walk the plan's spec, its operations and then its outputs, in file
+order.  The staged executor attaches each mode's input right before the first
+statement that uses it, traces every heralded mode immediately, and
+represents (possibly mixed) states as one weighted ensemble of pure vectors
+vₖ, held as the columns of a single ``(dim, K)`` array.  Every
 mode keeps its own number of levels, the plan's per-mode cutoff, and ``dim``
 is their product: in Fig. 1 only the input mode needs the large cutoff (d ≈ 30
 for a thermal input), while the tap modes and the idler keep 5–10 levels, so
@@ -42,8 +44,9 @@ BLAS call of a run goes through numpy's one OpenBLAS thread pool; no second
 BLAS library competes with it for the cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
-largest), builds the full joint space up front, applies embedded conditioning
-operators without any tracing, and reduces only at the end.  It builds every
+largest), builds the full joint space of every declared input up front,
+applies embedded conditioning operators without any tracing, and reduces only
+at the end.  It builds every
 element as one dense matrix, uncached, through the public builders (which
 assemble it from the same chain exponentials), and applies it as one dense
 product.  It exists as an independent oracle: both executors must agree to
@@ -54,8 +57,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,7 +75,7 @@ from .core import (
     partial_trace,
     tensor,
 )
-from .dsl import ElementStmt, ExecutionPlan, HeraldStmt, InputStmt, OutputStmt
+from .dsl import CircuitSpec, ElementStmt, ExecutionPlan, HeraldStmt, InputStmt
 from .elements import (
     BeamSplitterParams,
     SqueezerParams,
@@ -266,11 +269,10 @@ class ExecutionResult:
     cutoffs: dict[str, int]  # the cutoffs the run settled at, per mode
     # staged: Ensemble (its reduced and to_mixed dephase by charge); brute oracle: State
     final_state: Ensemble | State | None
-    final_modes: tuple[str, ...]
     heralds: list[HeraldRecord]
     joint_probability: float
     leak_max: float
-    outputs: dict[int, object] = field(default_factory=dict)
+    outputs: tuple = ()  # one value per entry of plan.spec.outputs, in order
     # one (ensemble, heralds) pair per plan branch; see execute_plan
     branches: list[tuple[Ensemble, list[HeraldRecord]]] = field(default_factory=list)
 
@@ -280,9 +282,9 @@ class ExecutionResult:
         return max(self.cutoffs.values())
 
     def output_value(self, kind: str, mode: str | None = None):
-        for i, out in enumerate(self.plan.spec.outputs):
+        for out, value in zip(self.plan.spec.outputs, self.outputs):
             if out.kind == kind and (mode is None or out.mode == mode):
-                return self.outputs[i]
+                return value
         raise KeyError(f"no {kind!r} output for mode {mode!r}")
 
 
@@ -361,46 +363,53 @@ class _LeakMonitor:
                 raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoffs)
 
 
-def _evaluate_output(
-    stmt: OutputStmt,
-    reduced: dict[str, MixedState],
-    inputs: dict[str, InputStmt],
-    heralds: list[HeraldRecord],
-    joint_probability: float,
-):
-    if stmt.kind == "probs":
-        return {
-            "herald_probabilities": [
-                {"mode": h.mode, "requirement": h.requirement, "probability": h.probability}
-                for h in heralds
-            ],
-            "joint_probability": joint_probability,
-        }
-    rho = reduced[stmt.mode]
-    cutoff = rho.cutoff
-    rho_n = MixedState.create(rho.modes, cutoff, rho.matrix / rho.trace_tag)
-    if stmt.kind == "state":
-        return rho_n
-    if stmt.kind == "wigner":
-        lo, hi, cnt = stmt.grid
-        return wigner(rho_n, GridSpec.square(lo, hi, cnt))
-    # fidelity vs. the mode's own input
-    ref = _input_state(inputs[stmt.mode], cutoff)
-    if isinstance(ref, PureState):
-        return fidelity(ref, rho_n)
-    return uhlmann_fidelity(ref, rho_n)
+def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], MixedState],
+                      heralds: list[HeraldRecord], joint_probability: float) -> tuple:
+    """Every output of ``spec``, in order; ``state_of(mode)`` is the mode's unnormalized state."""
+    inputs = {inp.mode: inp for inp in spec.inputs}
+    normalized = {}
+    for mode in dict.fromkeys(out.mode for out in spec.outputs if out.mode is not None):
+        rho = state_of(mode)
+        normalized[mode] = MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
+    values = []
+    for stmt in spec.outputs:
+        rho_n = normalized.get(stmt.mode)
+        if stmt.kind == "probs":
+            values.append({
+                "herald_probabilities": [
+                    {"mode": h.mode, "requirement": h.requirement, "probability": h.probability}
+                    for h in heralds
+                ],
+                "joint_probability": joint_probability,
+            })
+        elif stmt.kind == "state":
+            values.append(rho_n)
+        elif stmt.kind == "wigner":
+            values.append(wigner(rho_n, GridSpec.square(*stmt.grid)))
+        else:  # fidelity vs. the mode's own input
+            ref = _input_state(inputs[stmt.mode], rho_n.cutoff)
+            pure = isinstance(ref, PureState)
+            values.append(fidelity(ref, rho_n) if pure else uhlmann_fidelity(ref, rho_n))
+    return tuple(values)
 
 
 def execute_plan(plan: ExecutionPlan) -> ExecutionResult:
     """Run the staged ensemble executor at the plan's per-mode cutoffs.
+
+    The executor walks ``plan.spec`` directly.  It attaches each mode's input
+    right before the first statement that uses it (an element, a herald, or an
+    output), so a declared mode that nothing uses is never attached, and every
+    herald traces its mode out, so the live space stays small.  The modes an
+    output asks for are attached after the last operation, before any output
+    is evaluated.
 
     Adaptive cutoffs (``plan.may_double``) are the policy's prediction of each
     mode's smallest d that meets the leak budget; if the prediction falls
     short, the run is retried once with every mode at twice its cutoff.
     Explicit cutoffs are never retried: their leak failure is raised.
 
-    Each of ``plan.branches`` is a herald sequence applied, like the plan's own
-    condition steps, to the plan's final ensemble.  Branches run at the same
+    Each of ``plan.branches`` is a herald sequence applied, like the spec's own
+    heralds, to the spec's final ensemble.  Branches run at the same
     cutoffs and under the same leak checks, so a leak in a branch also triggers
     the retry.  The results are in ``ExecutionResult.branches``, with herald
     probabilities conditional on the final ensemble.
@@ -417,7 +426,7 @@ def execute_plan(plan: ExecutionPlan) -> ExecutionResult:
 def _herald(
     ens: Ensemble, stmt: HeraldStmt, monitor: _LeakMonitor
 ) -> tuple[Ensemble, HeraldRecord]:
-    """One condition step: condition and trace, compact, then check the leak."""
+    """One herald: condition and trace, compact, then check the leak."""
     d = ens.dims[ens.modes.index(stmt.mode)]
     element = measurement.povm_element(requirement_for(stmt), detector_for(stmt), Cutoff(d))
     before = ens.weight
@@ -433,54 +442,55 @@ def _herald(
     return ens, HeraldRecord(stmt.mode, stmt.requirement, after / before)
 
 
+def _attach(ens: Ensemble, stmt: InputStmt, d: int) -> Ensemble:
+    """``ens`` with the input ``stmt`` appended at d levels as the slowest digit."""
+    if stmt.kind == "vacuum":
+        # |v⟩⊗|0⟩ is v zero-padded
+        members = np.zeros((d * ens.dim, ens.members.shape[1]), np.complex128)
+        members[: ens.dim] = ens.members
+        return Ensemble(ens.modes + (stmt.mode,), ens.dims + (d,), members, ens.signs)
+    # joint index = old + dim_old * new_level; member index = k_old * K_new + k_new
+    new = _input_members(stmt, Cutoff(d))
+    members = np.einsum("nj,oi->noij", new, ens.members)
+    ens = Ensemble(ens.modes + (stmt.mode,), ens.dims + (d,), members.reshape(d * ens.dim, -1),
+                   ens.signs)
+    if ens.signs is not None:
+        ens.members = _pack_by_charge(ens.members, ens._charges())
+    ens.compact()
+    return ens
+
+
 def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionResult:
-    inputs = {inp.mode: inp for inp in plan.spec.inputs}
+    spec = plan.spec
+    inputs = {inp.mode: inp for inp in spec.inputs}
     monitor = _LeakMonitor(plan.leak_budget, cutoffs)
     heralds: list[HeraldRecord] = []
     joint = 1.0
-    reduced_cache: dict[str, MixedState] = {}
-    outputs: dict[int, object] = {}
-    out_index = 0
-
-    signs = plan.charge_signs
     # no mode yet: the one-member ensemble on the one-dimensional empty space
-    ens = Ensemble((), (), np.ones((1, 1), dtype=np.complex128), signs)
-    for step in plan.steps:
-        if step.op == "prepare":
-            d = cutoffs[step.mode]
-            if step.payload.kind == "vacuum":
-                # the new mode is the slowest digit, so |v⟩⊗|0⟩ is v zero-padded
-                members = np.zeros((d * ens.dim, ens.members.shape[1]), np.complex128)
-                members[: ens.dim] = ens.members
-                ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,), members, signs)
-            else:
-                # joint index = old + dim_old * new_level (new mode is slower);
-                # member index = k_old * K_new + k_new
-                new = _input_members(step.payload, Cutoff(d))
-                members = np.einsum("nj,oi->noij", new, ens.members)
-                ens = Ensemble(ens.modes + (step.mode,), ens.dims + (d,),
-                               members.reshape(d * ens.dim, -1), signs)
-                if signs is not None:
-                    ens.members = _pack_by_charge(ens.members, ens._charges())
-                ens.compact()
-            monitor.check(f"prepare {step.mode}", ens.top_level_population())
-        elif step.op == "unitary":
-            stmt = step.payload
-            _check_modes(stmt)
-            d1, d2 = (cutoffs[m] for m in stmt.modes)
-            sectors = _unitary_matrix_cached(stmt.kind, stmt.value, d1, d2)
-            ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, stmt.modes)
-            monitor.check(f"{stmt.kind} {'/'.join(stmt.modes)}", ens.top_level_population())
-        elif step.op == "condition":
-            ens, record = _herald(ens, step.payload, monitor)
+    ens = Ensemble((), (), np.ones((1, 1), dtype=np.complex128), plan.charge_signs)
+
+    def attach(modes) -> None:
+        nonlocal ens
+        for mode in modes:
+            if mode not in ens.modes:
+                ens = _attach(ens, inputs[mode], cutoffs[mode])
+                monitor.check(f"prepare {mode}", ens.top_level_population())
+
+    for op in spec.operations:
+        if isinstance(op, ElementStmt):
+            attach(op.modes)
+            _check_modes(op)
+            d1, d2 = (cutoffs[m] for m in op.modes)
+            sectors = _unitary_matrix_cached(op.kind, op.value, d1, d2)
+            ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, op.modes)
+            monitor.check(f"{op.kind} {'/'.join(op.modes)}", ens.top_level_population())
+        else:
+            attach((op.mode,))
+            ens, record = _herald(ens, op, monitor)
             heralds.append(record)
             joint *= record.probability
-        elif step.op == "output":
-            stmt = step.payload
-            if stmt.mode is not None and stmt.mode not in reduced_cache:
-                reduced_cache[stmt.mode] = ens.reduced(stmt.mode)
-            outputs[out_index] = _evaluate_output(stmt, reduced_cache, inputs, heralds, joint)
-            out_index += 1
+    attach(out.mode for out in spec.outputs if out.mode is not None)
+    outputs = _evaluate_outputs(spec, ens.reduced, heralds, joint)
 
     results = []
     for stmts in plan.branches:
@@ -494,7 +504,6 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
         plan=plan,
         cutoffs=cutoffs,
         final_state=ens if ens.modes else None,
-        final_modes=ens.modes,
         heralds=heralds,
         joint_probability=joint,
         leak_max=monitor.max_seen,
@@ -506,50 +515,39 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
 def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
     """Full-joint-space reference evaluator: no staging, traces only at the end.
 
-    Every mode runs at one cutoff, the plan's largest.  The plan's branches
-    are not run.
+    Every mode runs at one cutoff, the plan's largest.  The joint state is the
+    tensor product of every declared input, in declared order, whether a
+    statement uses the mode or not.  The plan's branches are not run.
     """
     d = plan.cutoff
     cutoff = Cutoff(d)
-    inputs = {inp.mode: inp for inp in plan.spec.inputs}
-
-    prepared = [s.payload for s in plan.steps if s.op == "prepare"]
-    state: State | None = None
-    for stmt in prepared:
-        nxt = _input_state(stmt, cutoff)
-        state = nxt if state is None else tensor(state, nxt)
-
+    spec = plan.spec
+    state = reduce(tensor, (_input_state(stmt, cutoff) for stmt in spec.inputs))
     heralds: list[HeraldRecord] = []
     joint = 1.0
     measured: list[str] = []
-    outputs: dict[int, object] = {}
-    out_index = 0
-    reduced_cache: dict[str, MixedState] = {}
 
     def weight(s: State) -> float:
         return s.norm_tag if isinstance(s, PureState) else s.trace_tag
 
-    for step in plan.steps:
-        if step.op == "unitary":
-            mat = _unitary_matrix(step.payload, d)
-            state = apply(OperatorMatrix.create(mat, step.payload.modes, cutoff), state)
-        elif step.op == "condition":
-            stmt = step.payload
-            det = detector_for(stmt)
-            req = requirement_for(stmt)
-            element = measurement.povm_element(req, det, cutoff)
-            root = np.diag(np.sqrt(np.real(np.diag(element.matrix))))
-            before = weight(state)
-            state = apply(OperatorMatrix.create(root, (stmt.mode,), cutoff), state)
-            after = weight(state)
-            if after <= 0.0:
-                raise ZeroProbabilityError(
-                    f"herald {stmt.requirement} on mode {stmt.mode!r} has zero probability"
-                )
-            prob = after / before
-            heralds.append(HeraldRecord(stmt.mode, stmt.requirement, prob))
-            joint *= prob
-            measured.append(stmt.mode)
+    for op in spec.operations:
+        if isinstance(op, ElementStmt):
+            mat = _unitary_matrix(op, d)
+            state = apply(OperatorMatrix.create(mat, op.modes, cutoff), state)
+            continue
+        element = measurement.povm_element(requirement_for(op), detector_for(op), cutoff)
+        root = np.diag(np.sqrt(np.real(np.diag(element.matrix))))
+        before = weight(state)
+        state = apply(OperatorMatrix.create(root, (op.mode,), cutoff), state)
+        after = weight(state)
+        if after <= 0.0:
+            raise ZeroProbabilityError(
+                f"herald {op.requirement} on mode {op.mode!r} has zero probability"
+            )
+        prob = after / before
+        heralds.append(HeraldRecord(op.mode, op.requirement, prob))
+        joint *= prob
+        measured.append(op.mode)
 
     keep = tuple(m for m in state.modes if m not in measured)
     if not keep:
@@ -559,22 +557,13 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
     else:
         final = state
 
-    for step in plan.steps:
-        if step.op != "output":
-            continue
-        stmt = step.payload
-        if stmt.mode is not None and stmt.mode not in reduced_cache:
-            reduced_cache[stmt.mode] = partial_trace(final, (stmt.mode,))
-        outputs[out_index] = _evaluate_output(stmt, reduced_cache, inputs, heralds, joint)
-        out_index += 1
-
     return ExecutionResult(
         plan=plan,
-        cutoffs=dict.fromkeys(plan.spec.modes, d),
+        cutoffs=dict.fromkeys(spec.modes, d),
         final_state=final,
-        final_modes=keep,
         heralds=heralds,
         joint_probability=joint,
         leak_max=float("nan"),
-        outputs=outputs,
+        outputs=_evaluate_outputs(spec, lambda mode: partial_trace(final, (mode,)), heralds,
+                                  joint),
     )

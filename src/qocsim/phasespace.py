@@ -108,6 +108,15 @@ def _single_mode_rho(state: State) -> np.ndarray:
     return to_mixed(state).matrix
 
 
+def _normalized_rho(state: State) -> np.ndarray:
+    """The single-mode density matrix divided by its trace, as every W evaluator takes it."""
+    rho = _single_mode_rho(state)
+    weight = float(np.real(np.trace(rho)))
+    if weight <= 0:
+        raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
+    return rho / weight
+
+
 def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """W(β) for an array of β values; rho is used as given (not normalized).
 
@@ -149,18 +158,13 @@ def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 
 def wigner_point(state: State, beta: complex) -> float:
-    """W at a single phase-space point."""
-    rho = _single_mode_rho(state)
-    return float(_wigner_values(rho, np.array([complex(beta)]))[0])
+    """W at a single phase-space point of the state normalized to unit trace."""
+    return float(_wigner_values(_normalized_rho(state), np.array([complex(beta)]))[0])
 
 
 def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
-    """Sample W(β) of a single-mode state on a rectangular grid (row-major)."""
-    rho = _single_mode_rho(state)
-    weight = float(np.real(np.trace(rho)))
-    if weight <= 0:
-        raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
-    rho = rho / weight
+    """Sample W(β) of the state normalized to unit trace on a rectangular grid (row-major)."""
+    rho = _normalized_rho(state)
     re = grid.re_axis()
     im = grid.im_axis()
     betas = re[None, :] + 1j * im[:, None]

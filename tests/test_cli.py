@@ -63,6 +63,15 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
         ("wigner", "--grid", "0:inf:5"),
         ("wigner", "--grid", "-inf:0:5"),
         ("wigner", "--grid", "nan:1:5"),
+        # a circuit file fixes its own input, elements and detectors
+        ("run", str(FIG1_QOC), "--alpha", "1"),
+        ("run", str(FIG1_QOC), "--T", "0.5"),
+        ("run", str(FIG1_QOC), "--T", "0.99"),
+        ("run", str(FIG1_QOC), "--s", "0.2"),
+        ("run", str(FIG1_QOC), "--eta-pd0", "0.8"),
+        ("run", str(FIG1_QOC), "--eta-pd1", "0.2"),
+        ("run", str(FIG1_QOC), "--eta-pd2", "0.2"),
+        ("run", str(FIG1_QOC), "--onoff"),
     ],
     ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
          "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
@@ -72,13 +81,25 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
          "nan-alpha", "nan-s", "inf-s", "inf-nbar", "sweep-nan-alpha", "inf-leak-budget",
          "qoc-nan-leak-budget", "qoc-inf-leak-budget", "sweep-nan-leak-budget",
          "sweep-inf-leak-budget", "wigner-inf-grid", "wigner-minus-inf-grid",
-         "wigner-nan-grid"],
+         "wigner-nan-grid", "qoc-alpha", "qoc-T", "qoc-T-at-default", "qoc-s", "qoc-eta-pd0",
+         "qoc-eta-pd1", "qoc-eta-pd2", "qoc-onoff"],
 )
 def test_usage_errors_exit_1(tmp_path, args):
     res = _run(*args, "--out", str(tmp_path))
     assert res.exit_code == EXIT_USAGE, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "error:" in res.output.lower()
+
+
+def test_non_finite_circuit_literal_exits_1(tmp_path):
+    text = FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", "input a thermal 1e400")
+    circuit = tmp_path / "hot.qoc"
+    circuit.write_text(text)
+    for extra in ((), ("--cutoff", "8")):
+        res = _run("run", str(circuit), *extra, "--out", str(tmp_path))
+        assert res.exit_code == EXIT_USAGE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "[malformed-number] expected a finite number, got '1e400'" in res.output
 
 
 def test_leak_failure_at_pinned_cutoff_exits_2(tmp_path):

@@ -2,11 +2,13 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qocsim import engine
 from qocsim.core import Cutoff, DimensionMismatchError, MixedState, apply_matrix, embed, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
@@ -117,6 +119,59 @@ def test_plan_execution_deterministic():
     assert np.array_equal(
         r1.output_value("state", "a").matrix, r2.output_value("state", "a").matrix
     )
+
+
+FIG1_QOC = Path(engine.__file__).parent / "circuits" / "fig1.qoc"
+
+
+def _run_recording_stages(monkeypatch, plan):
+    """``execute_plan(plan)`` and the stage names its leak monitor checked, in order."""
+    stages = []
+    check = engine._LeakMonitor.check
+
+    def recording(self, stage, populations):
+        stages.append(stage)
+        check(self, stage, populations)
+
+    monkeypatch.setattr(engine._LeakMonitor, "check", recording)
+    return execute_plan(plan), stages
+
+
+def test_fig1_attaches_each_mode_right_before_its_first_use(monkeypatch):
+    plan = compile_circuit(parse(FIG1_QOC.read_text()), CutoffPolicy())
+    result, stages = _run_recording_stages(monkeypatch, plan)
+    # a and b before BS1, d before the squeezer, c before BS2; each herald
+    # traces its mode, and nothing names a heralded mode again
+    assert stages[:9] == ["prepare a", "prepare b", "bs a/b", "prepare d", "tmsq a/d",
+                          "herald d", "prepare c", "bs a/c", "bs c/b"]
+    assert stages[9:] == ["herald b", "herald c"]
+    # the policy's prediction meets the leak budget on the first attempt
+    assert result.cutoffs == plan.cutoffs
+
+
+def test_circuit_without_heralds_checks_no_herald_stage(monkeypatch):
+    text = "modes a b\ninput a vacuum\ninput b vacuum\nbs a b T=0.5\nout probs\n"
+    result, stages = _run_recording_stages(monkeypatch, compile_circuit(parse(text)))
+    assert stages == ["prepare a", "prepare b", "bs a/b"]
+    assert result.heralds == [] and result.final_state.modes == ("a", "b")
+
+
+def test_output_only_mode_is_attached_and_unused_mode_never_is(monkeypatch):
+    text = (
+        "modes a b c d\ninput a coherent 0.3 0.0\ninput b vacuum\ninput c thermal 0.2\n"
+        "input d coherent 0.5 0.0\nbs a b T=0.9\nherald b click onoff\n"
+        "out probs\nout state c\nout state a\n"
+    )
+    plan = compile_circuit(parse(text), LOOSE)
+    result, stages = _run_recording_stages(monkeypatch, plan)
+    assert stages == ["prepare a", "prepare b", "bs a/b", "herald b", "prepare c"]
+    assert result.final_state.modes == ("a", "c")
+    # the oracle holds every declared input, d included, and agrees on both outputs
+    brute = execute_plan_brute(plan)
+    assert brute.final_state.modes == ("a", "c", "d")
+    for mode in ("a", "c"):
+        ms = result.output_value("state", mode).matrix
+        assert np.max(np.abs(ms - brute.output_value("state", mode).matrix)) < 1e-10
 
 
 def test_leak_budget_raises_with_diagnostic():

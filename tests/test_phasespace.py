@@ -23,6 +23,7 @@ from qocsim.phasespace import (
     wigner,
     wigner_point,
 )
+from qocsim.scheme import SchemeParams, run_interferometer
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -137,22 +138,32 @@ OFF_CENTRE_GRID = GridSpec((-0.83, 2.41, 23), (0.37, 1.96, 17))
 
 @pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, OFF_CENTRE_GRID],
                          ids=["default-grid", "off-centre-grid"])
-@pytest.mark.parametrize("d", [2, 12, 40])
+@pytest.mark.parametrize("d", [2, 12, 40, "pd1-branch"])
 def test_wigner_grid_matches_pointwise_kernel(d, grid_spec):
-    rng = np.random.default_rng(1000 + d)
-    g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
-    state = MixedState.create(("a",), Cutoff(d), g @ g.conj().T)
+    if d == "pd1-branch":  # a heralded branch, unnormalized: its trace is ≈0.03
+        state = run_interferometer(SchemeParams(alpha=1.0)).pd1_branch
+        assert 0.0 < state.trace_tag < 0.1
+    else:
+        rng = np.random.default_rng(1000 + d)
+        g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        state = MixedState.create(("a",), Cutoff(d), g @ g.conj().T)
     grid = wigner(state, grid_spec)
     rho = state.matrix / float(np.real(np.trace(state.matrix)))  # as wigner() normalizes
     betas = grid.re_axis[None, :] + 1j * grid.im_axis[:, None]
     distinct = np.unique(4.0 * np.abs(betas) ** 2).size
     assert (distinct < betas.size) == (grid_spec is DEFAULT_GRID)
     assert np.max(np.abs(grid.values - _pointwise_wigner_values(rho, betas))) <= 1e-15
-    # a single point runs the same operations as its grid entry
-    normalized = MixedState.create(("a",), Cutoff(d), rho)
+    # a single point of the same state runs the same operations as its grid entry
     rows, cols = betas.shape
     for i, j in ((0, 0), (rows // 2, cols // 2), (rows - 1, cols // 3), (rows // 4, cols - 1)):
-        assert wigner_point(normalized, betas[i, j]) == grid.values[i, j]
+        assert wigner_point(state, betas[i, j]) == grid.values[i, j]
+
+
+def test_wigner_point_rejects_a_zero_weight_state():
+    zero = MixedState.create(("a",), Cutoff(4), np.zeros((4, 4)))
+    for evaluate in (lambda s: wigner_point(s, 0.0), wigner):
+        with pytest.raises(ValueError, match="zero-weight state"):
+            evaluate(zero)
 
 
 def test_wigner_overflow_is_a_typed_error():
