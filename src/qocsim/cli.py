@@ -262,7 +262,13 @@ def cmd_run(circuit, alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff,
                        err=True)
             sys.exit(EXIT_USAGE)
     spec = parse(path.read_text())
-    plan = compile_circuit(spec, CutoffPolicy(explicit=cutoff, leak_budget=leak_budget))
+    try:
+        plan = compile_circuit(spec, CutoffPolicy(explicit=cutoff, leak_budget=leak_budget))
+    except CutoffCeilingError:
+        raise
+    except ValueError as exc:  # a Fock input at or above the explicit cutoff
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
     _write_circuit_outputs(execute_plan(plan), out_dir, fmt)
     click.echo(f"circuit outputs written to {out_dir}")
 

@@ -27,7 +27,6 @@ within the leak budget at every checked stage.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -432,6 +431,8 @@ def print_circuit(spec: CircuitSpec) -> str:
 # The largest cutoff the tail model will size; a circuit whose predicted tail
 # has not met the budget by then needs an explicit cutoff.
 _MAX_CUTOFF = 512
+_LEVELS = np.arange(_MAX_CUTOFF + 1)
+_LOG2E = 1.0 / math.log(2.0)
 _EYE2 = np.eye(2)
 # A click on a squeezer's idler counts every photon number n >= 1 whose
 # weight against n = 1 (see _click_counts) is at least this fraction of the
@@ -461,24 +462,15 @@ def _element_symplectic(op: ElementStmt, index: dict[str, int], size: int) -> np
     return s
 
 
-def _displaced_thermal(cov: np.ndarray, mean: np.ndarray) -> tuple[float, float]:
-    """(X, q) of the displaced thermal law standing for a one-mode marginal.
+def _displaced_thermal(cov: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, q) of the displaced thermal laws for the marginals ``cov[..., 2, 2]``, ``mean[..., 2]``.
 
-    It has the marginal's |β|² and its larger quadrature variance, 2n + 1;
+    Each law has its marginal's |β|² and larger quadrature variance, 2n + 1;
     X = |β|²/(n + 1) and q = n/(n + 1).
     """
-    var = 0.5 * (cov[0, 0] + cov[1, 1] + math.hypot(cov[0, 0] - cov[1, 1], 2.0 * cov[0, 1]))
-    nth = max(0.0, 0.5 * (var - 1.0))
-    return 0.25 * float(mean @ mean) / (nth + 1.0), nth / (nth + 1.0)
-
-
-def _next_level(x: float, q: float, m: int, pm: float, pm1: float) -> float:
-    """P(m + 1) of the displaced thermal law from P(m) and P(m − 1), up to a constant.
-
-    P(n) ∝ qⁿ Lₙ(−(1−q)X/q): the three-term Laguerre recurrence, which is
-    stable for this argument and reduces to the Poisson law at q = 0.
-    """
-    return ((q * (2 * m + 1) + (1 - q) * x) * pm - m * q * q * pm1) / (m + 1)
+    a, b, c = cov[..., 0, 0], cov[..., 1, 1], cov[..., 0, 1]
+    nth = np.maximum(0.0, 0.5 * (0.5 * (a + b + np.hypot(a - b, 2.0 * c)) - 1.0))
+    return 0.25 * (mean[..., 0] ** 2 + mean[..., 1] ** 2) / (nth + 1.0), nth / (nth + 1.0)
 
 
 def _click_counts(vb: np.ndarray, mb: np.ndarray, j: int, floor: float) -> dict[int, float]:
@@ -489,12 +481,12 @@ def _click_counts(vb: np.ndarray, mb: np.ndarray, j: int, floor: float) -> dict[
     photons already created on the signal stimulate n more.  The counts run
     until that weight has fallen below ``floor`` and is still falling.
     """
-    x, q = _displaced_thermal(vb, mb)
+    x, q = map(float, _displaced_thermal(vb, mb))
     law = [0.0, 1.0]  # law[n + 1] = P(n) / P(0), rescaled by e^{-shift}
     shift = 0.0
     counts: dict[int, float] = {}
     for n in range(1, _MAX_CUTOFF):
-        law.append(_next_level(x, q, n - 1, law[-1], law[-2]))
+        law.append(((q * (2 * n - 1) + (1 - q) * x) * law[-1] - (n - 1) * q * q * law[-2]) / n)
         if law[-1] > 1e150:  # only ratios matter: keep the running terms finite
             law[-2:] = [v * 1e-150 for v in law[-2:]]
             shift += 150.0 * math.log(10.0)
@@ -509,7 +501,7 @@ def _click_counts(vb: np.ndarray, mb: np.ndarray, j: int, floor: float) -> dict[
     return counts or {1: 0.0}
 
 
-def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple[list, float]:
+def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple:
     """Tail parameters of every live mode after every leak-checked stage.
 
     Up to its heralds the circuit is Gaussian, so each mode's marginal is
@@ -538,13 +530,16 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple[li
 
     After the spec's last operation the walk forks into each herald sequence
     of ``branches``, as the executor does.  Heralds change neither the boost
-    nor the budget factor, so the branches share both.
+    nor the budget factor, so the branches share both.  A herald subtracts
+    the Schur complement of its 2×2 block (inverted in closed form) from the
+    covariance of all declared modes, and (X, q) of every stage and mode comes
+    from one vectorised pass over the stacked stages.
 
-    Returns one ``(mode, rows)`` group per live mode and checked stage, and the
-    budget factor.  A group has one row ``(X, q, k, j, g, w)`` per photon count
-    (X = |β|²/(n+1), q = n/(n+1), k ladder operators, j net creations, g = ln
-    boost per level, w = ln weight of the count); the stage's leak on that
-    mode is the weighted sum over its rows.
+    Returns ``(rows, starts, modes, factor)``: per checked stage and live mode
+    in ``modes``, the rows from ``starts`` on, one ``(X, q, k, j, g, w)`` per
+    photon count (X = |β|²/(n+1), q = n/(n+1), k ladder operators, j net
+    creations, g = ln boost per level, w = ln weight).  The stage's leak on the
+    mode is the weighted sum over its rows, held within budget × ``factor``.
     """
     index = {m: i for i, m in enumerate(spec.modes)}
     cov = np.eye(2 * len(index))
@@ -562,28 +557,23 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple[li
             cov[i : i + 2, i : i + 2] *= 2.0 * inp.params[0] + 1.0
         elif inp.kind == "fock":
             counts = {(c + int(inp.params[0]), a): w for (c, a), w in counts.items()}
-    groups = []
+    covs, means, stages = [], [], []  # stages: (live modes, counts, ln boost)
 
-    def record(index: dict[str, int], cov: np.ndarray, mean: np.ndarray, counts: dict) -> None:
-        for m, i in index.items():
-            mode = slice(2 * i, 2 * i + 2)
-            x, q = _displaced_thermal(cov[mode, mode], mean[mode])
-            groups.append((m, tuple(sorted(
-                (x, q, c + a, max(0, c - a), boost, w) for (c, a), w in counts.items()
-            ))))
+    def record(live: tuple[str, ...], cov: np.ndarray, mean: np.ndarray, counts: dict) -> None:
+        covs.append(cov)
+        means.append(mean)
+        stages.append((live, counts, boost))
 
-    def condition(op: HeraldStmt, index: dict[str, int], cov: np.ndarray, mean: np.ndarray,
+    def condition(op: HeraldStmt, live: tuple[str, ...], cov: np.ndarray, mean: np.ndarray,
                   counts: dict) -> tuple:
-        h = index[op.mode]
-        hb = slice(2 * h, 2 * h + 2)
-        root = math.sqrt(op.eta)
-        vb = op.eta * cov[hb, hb] + (1.0 - op.eta) * _EYE2
-        mb = root * mean[hb]
-        vab = root * np.delete(cov[:, hb], hb, axis=0)
-        gain = vab @ np.linalg.inv(vb + _EYE2)
-        mean = np.delete(mean, hb) - gain @ mb
-        cov = np.delete(np.delete(cov, hb, axis=0), hb, axis=1) - gain @ vab.T
-        index = {m: i - (i > h) for m, i in index.items() if m != op.mode}
+        hb = slice(2 * index[op.mode], 2 * index[op.mode] + 2)
+        block, centre, e = cov[hb, hb], mean[hb], op.eta
+        (p, r), (t, u) = block.tolist()
+        p, r, t, u = e * p + 2.0 - e, e * r, e * t, e * u + 2.0 - e  # η·block + (1 − η) + 1
+        f = e / (p * u - r * t)
+        gain = cov[:, hb] @ np.array([[u * f, -r * f], [-t * f, p * f]])
+        mean = mean - gain @ centre
+        cov = cov - gain @ cov[hb, :]
         create = last.get(op.mode) == "tmsq"
         # a stage's leak is a sum over its counts, so merged counts add
         new_counts: dict[tuple[int, int], float] = {}
@@ -593,15 +583,18 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple[li
             elif op.requirement == "noclick":
                 detected = {0: 0.0}
             elif create:
-                detected = _click_counts(vb, mb, max(0, c - a), floor)
+                vb = e * block + (1.0 - e) * _EYE2
+                detected = _click_counts(vb, math.sqrt(e) * centre, max(0, c - a), floor)
             else:
                 detected = {1: 0.0}
             for n, wn in detected.items():
                 key = (c + n, a) if create else (c, a + n)
-                new_counts[key] = float(np.logaddexp(new_counts.get(key, -math.inf), w + wn))
-        return index, cov, mean, new_counts
+                new_counts[key] = w + wn if key not in new_counts else float(
+                    np.logaddexp(new_counts[key], w + wn))
+        return tuple(m for m in live if m != op.mode), cov, mean, new_counts
 
-    record(index, cov, mean, counts)
+    live = spec.modes
+    record(live, cov, mean, counts)
     for op in spec.operations:
         if isinstance(op, ElementStmt):
             s = _element_symplectic(op, index, cov.shape[0])
@@ -613,75 +606,74 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple[li
             for m in op.modes:
                 last[m] = op.kind
         else:
-            index, cov, mean, counts = condition(op, index, cov, mean, counts)
-        record(index, cov, mean, counts)
+            live, cov, mean, counts = condition(op, live, cov, mean, counts)
+        record(live, cov, mean, counts)
     for tail in branches:
-        walk = (index, cov, mean, counts)
+        walk = (live, cov, mean, counts)
         for op in tail:
             walk = condition(op, *walk)
             record(*walk)
-    return groups, factor
-
-
-def _row_leaks(x: float, q: float, k: int, j: int, g: float):
-    """One row's predicted top-level population at d = 1, 2, ..., relative to its weight.
-
-    The displaced thermal tail P(n) is run up level by level
-    (:func:`_next_level`).  With k ladder operators and j net
-    creations the population at level n is nᵏ⁻ʲ·n!/(n−j)!·P(n−j), taken
-    against the weight the truncated levels carry.  After a squeezer (g > 0)
-    an unheralded row holds its whole tail at the top, P(n)/(1 − P(n+1)/P(n)),
-    and a heralded row is raised by eᵍⁿ.  A row with no weight under the
-    cutoff yet is held at the top whole: its leak is 1.
-    """
-    pmf = [0.0] * (j + 1) + [1.0]  # pmf[n + 1] = P(n − j), up to a constant
-
-    def following(m: int) -> float:
-        return _next_level(x, q, m, pmf[-1], pmf[-2])
-
-    weight = 0.0
-    for top in range(_MAX_CUTOFF):
-        if top > j:
-            pmf.append(following(top - j - 1))
-            if pmf[-1] > 1e150:  # only ratios matter: keep the running terms finite
-                pmf[-2:] = [v * 1e-150 for v in pmf[-2:]]
-                weight *= 1e-150
-        level = math.perm(top, j) * pmf[top + 1]
-        weight += level
-        if k == 0 and g > 0.0:  # then j = 0 and following(top) is P(top + 1)
-            ratio = following(top) / level if level > 0.0 else 0.0
-            held = level / (1.0 - ratio) if ratio < 1.0 else math.inf
-        else:
-            held = level * top ** (k - j) * math.exp(min(g * top, 700.0))
-        yield held / weight if weight > 0.0 else 1.0
+    shape = (len(covs), len(index), 2)
+    blocks = np.einsum("siaib->siab", np.array(covs).reshape(shape + shape[1:]))
+    x, q = (v.tolist() for v in _displaced_thermal(blocks, np.array(means).reshape(shape)))
+    rows, starts, modes = [], [], []
+    for xs, qs, (live, counts, g) in zip(x, q, stages):
+        starts += range(len(rows), len(rows) + len(live) * len(counts), len(counts))
+        modes += live
+        rows += [(xs[index[m]], qs[index[m]], c + a, max(0, c - a), g, w)
+                 for m in live for (c, a), w in counts.items()]
+    return np.array(rows, dtype=float), starts, modes, factor
 
 
 class CutoffCeilingError(ValueError):
     """No cutoff up to the policy's ceiling keeps the predicted leak within the budget."""
 
 
-def _group_cutoff(rows: tuple, limit: float) -> int:
-    """The smallest d at which a stage's summed leak on one mode is within ``limit``."""
-    weights = [math.exp(w) for *_, w in rows]
-    leaks = zip(*(_row_leaks(x, q, int(k), int(j), g) for x, q, k, j, g, _ in rows))
-    for top, row_leaks in enumerate(leaks):
-        if top and sum(map(operator.mul, weights, row_leaks)) <= limit:
-            return top + 1
-    raise CutoffCeilingError(
-        f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within the budget; "
-        "pass an explicit cutoff"
-    )
+def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndarray:
+    """Each row group's smallest d at which its summed leak is within ``limit``.
 
-
-def _budget_cutoffs(spec: CircuitSpec, budget: float, branches: Branches) -> dict[str, int]:
-    """Each mode's smallest d at which every modelled stage keeps its top level within budget."""
-    groups, factor = _tail_model(spec, _CLICK_FLOOR * budget, branches)
-    # a mode an element has not reached yet repeats its rows stage after stage
-    found = {rows: _group_cutoff(rows, budget * factor) for rows in {rows for _, rows in groups}}
-    cutoffs = dict.fromkeys(spec.modes, 2)
-    for mode, rows in groups:
-        cutoffs[mode] = max(cutoffs[mode], found[rows])
-    return cutoffs
+    The laws P(n) ∝ qⁿ Lₙ(−(1−q)X/q) of all rows come from the Laguerre
+    recurrence (stable here, Poisson at q = 0) as one (levels × rows) array,
+    from P(0) = 2^−⌊X log₂e⌋ ≈ e^−X, so no term exceeds 2/(1 − q) and every
+    ratio is as from P(0) = 1.  With k ladder operators and j net creations
+    level n holds nᵏ⁻ʲ·n!/(n−j)!·P(n−j), against the weight of the kept levels
+    (leak 1 while that is 0).  After a squeezer (g > 0) an unheralded row holds
+    its whole tail at the top, P(n)/(1 − P(n+1)/P(n)), and a heralded one is
+    raised by eᵍⁿ.  The levels double from 32 until every group passes.
+    """
+    x, q, k, j, g, w = rows.T
+    j = j.astype(int)
+    column, spare = np.arange(len(rows)), np.empty(len(rows))
+    held_whole = (k == 0) & (g > 0.0)  # then j = 0
+    levels = 32
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            top = _LEVELS[:levels, None]
+            # P(n + 1) = a[n] P(n) − b[n] P(n − 1)
+            a, b = (q * (2 * top + 1) + (1 - q) * x) / (top + 1), top / (top + 1) * (q * q)
+            pmf = np.zeros((levels + 2, len(rows)))  # pmf[n] = P(n); the last row stays 0
+            prev, cur = pmf[-1], pmf[0]
+            cur[:] = np.ldexp(1.0, -(x * _LOG2E).astype(int))
+            for am, bm, nxt in zip(a, b, pmf[1:-1]):
+                np.multiply(am, cur, out=nxt)
+                np.multiply(bm, prev, out=spare)
+                np.subtract(nxt, spare, out=nxt)
+                prev, cur = cur, nxt
+            perm = np.maximum(top + 1 - _LEVELS[: j.max() + 1], 0.0)
+            perm[:, 0] = 1.0  # then perm.cumprod(axis=1)[n, j] = n!/(n − j)!
+            level = perm.cumprod(axis=1)[:, j] * pmf[np.maximum(top - j, -1), column]
+            weight = level.cumsum(axis=0)
+            ratio = np.where(level > 0.0, pmf[1 : levels + 1] / level, 0.0)
+            held = np.where(held_whole, np.where(ratio < 1.0, level / (1.0 - ratio), np.inf),
+                            level * top ** (k - j) * np.exp(np.minimum(g * top, 700.0)))
+            leak = np.where(weight > 0.0, held / weight, 1.0) * np.exp(w)
+            passed = np.add.reduceat(leak, starts, axis=1)[1:] <= limit
+            if passed.any(axis=0).all():
+                return passed.argmax(axis=0) + 2
+            if levels == _MAX_CUTOFF:
+                raise CutoffCeilingError(f"no cutoff up to {_MAX_CUTOFF} keeps the predicted "
+                                         "leak within the budget; pass an explicit cutoff")
+            levels *= 2
 
 
 @dataclass(frozen=True)
@@ -691,15 +683,16 @@ class CutoffPolicy:
     Adaptive rule: a tail model of every live mode (:func:`_tail_model`) is
     evaluated from the spec alone, starting at the exact input tails (Poisson
     for coherent, geometric for thermal, a point mass for Fock inputs).  Each
-    mode's cutoff is the smallest d at which every stage the executor checks
-    keeps that mode's predicted top-level population within ``leak_budget``,
-    so a mode that only ever holds a tapped photon or two keeps a few levels.
-    The stages include those of the ``branches`` that fork from the spec's
-    final state, and the model forks with them.  A mode that needs more than
+    mode's cutoff is the smallest d at which every stage the executor checks,
+    those of the forked ``branches`` included, keeps that mode's predicted
+    top-level population within ``leak_budget``, so a mode that only ever
+    holds a tapped photon or two keeps a few levels.  Both halves run as
+    arrays: one pass over the stacked stages, then one (levels × rows) table of
+    every stage's leaks (:func:`_group_cutoffs`).  A mode that needs more than
     512 levels raises :class:`CutoffCeilingError`.  The executor doubles every
-    mode's cutoff once if the prediction still falls short.  An explicit
-    cutoff holds for every mode and is never doubled: failing loudly is the
-    point of pinning one.
+    mode's cutoff once if the prediction still falls short.  An explicit cutoff
+    holds for every mode and is never doubled: failing loudly is the point of
+    pinning one.
     """
 
     explicit: int | None = None
@@ -710,10 +703,16 @@ class CutoffPolicy:
         if self.explicit is not None:
             if self.explicit < 2:
                 raise ValueError("cutoff must be >= 2")
+            if any(i.kind == "fock" and i.params[0] >= self.explicit for i in spec.inputs):
+                raise ValueError(f"cutoff {self.explicit} is not above a fock input's level")
             return dict.fromkeys(spec.modes, self.explicit), False
         if not self.leak_budget > 0.0:
             raise ValueError("an adaptive cutoff needs leak_budget > 0")
-        return _budget_cutoffs(spec, self.leak_budget, branches), True
+        rows, starts, modes, factor = _tail_model(spec, _CLICK_FLOOR * self.leak_budget, branches)
+        cutoffs = dict.fromkeys(spec.modes, 2)
+        for mode, d in zip(modes, _group_cutoffs(rows, starts, self.leak_budget * factor).tolist()):
+            cutoffs[mode] = max(cutoffs[mode], d)
+        return cutoffs, True
 
 
 def _charge_signs(spec: CircuitSpec) -> dict[str, int] | None:

@@ -188,10 +188,8 @@ def gaussian_wigner_oracle(kind: str, params, beta: complex) -> float:
 
 
 def parity_expectation(state: State) -> float:
-    """⟨Π⟩ from photon-number populations of the (normalized) state."""
-    rho = _single_mode_rho(state)
-    weight = float(np.real(np.trace(rho)))
-    pops = np.real(np.diag(rho)) / weight
+    """⟨Π⟩ from photon-number populations of the state normalized to unit trace."""
+    pops = np.real(np.diag(_normalized_rho(state)))
     return float(np.sum((-1.0) ** np.arange(pops.size) * pops))
 
 

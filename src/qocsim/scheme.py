@@ -96,6 +96,8 @@ class SchemeParams:
             raise ValueError("nbar must be finite and >= 0, fock_n >= 0")
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
+        if self.input_kind == "fock" and self.cutoff is not None and self.fock_n >= self.cutoff:
+            raise ValueError(f"cutoff {self.cutoff} is not above fock_n = {self.fock_n}")
         if not 0 < self.leak_budget < math.inf:
             raise ValueError("leak_budget must be finite and > 0")
 

@@ -91,6 +91,17 @@ def test_usage_errors_exit_1(tmp_path, args):
     assert "error:" in res.output.lower()
 
 
+def test_fock_level_at_or_above_an_explicit_cutoff_exits_1(tmp_path):
+    circuit = tmp_path / "fock.qoc"
+    circuit.write_text(FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", "input a fock 20"))
+    for target in (("fig1", "--fock", "20"), (str(circuit),)):
+        for cutoff in ("8", "20"):
+            res = _run("run", *target, "--cutoff", cutoff, "--out", str(tmp_path))
+            assert res.exit_code == EXIT_USAGE, res.output
+            assert isinstance(res.exception, SystemExit)
+            assert "error:" in res.output.lower() and f"cutoff {cutoff} is not above" in res.output
+
+
 def test_non_finite_circuit_literal_exits_1(tmp_path):
     text = FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", "input a thermal 1e400")
     circuit = tmp_path / "hot.qoc"

@@ -289,12 +289,27 @@ def test_cutoff_policy_rules():
         assert execute_plan(plan).cutoff == plan.cutoff
         with pytest.raises(LeakBudgetError):
             execute_plan(compile_circuit(parse(text), CutoffPolicy(explicit=plan.cutoff - 1)))
+    # past P(n) ~ 1e150 (peaks near 1e155 at α = 19, 1e172 at α = 20) the
+    # policy must still match the exact Poisson law, summed in log space
+    for alpha, budget, want in ((19.0, 1e-4, 426), (19.0, 1e-6, 450),
+                                (20.0, 1e-4, 468), (20.0, 1e-6, 493)):
+        text = f"modes a\ninput a coherent {alpha} 0.0\nout state a\n"
+        plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=budget))
+        lam = alpha * alpha
+        logp = np.array([n * math.log(lam) - lam - math.lgamma(n + 1) for n in range(600)])
+        d = 2 + int(np.argmax((logp - np.logaddexp.accumulate(logp))[1:] <= math.log(budget)))
+        assert plan.cutoff == d == want
     vac = parse("modes a\ninput a vacuum\nout probs\n")
     assert compile_circuit(vac, CutoffPolicy()).cutoff == 2
     fock = parse("modes a\ninput a fock 3\nout probs\n")
     assert compile_circuit(fock, CutoffPolicy()).cutoff == 5  # level 3 below the top
     explicit = compile_circuit(vac, CutoffPolicy(explicit=7))
     assert explicit.cutoff == 7 and explicit.may_double is False
+    # a Fock level needs an explicit cutoff above it
+    assert compile_circuit(fock, CutoffPolicy(explicit=4)).cutoff == 4
+    for cutoff in (2, 3):
+        with pytest.raises(ValueError, match="is not above a fock input's level"):
+            compile_circuit(fock, CutoffPolicy(explicit=cutoff))
     with pytest.raises(ValueError, match="leak_budget > 0"):
         compile_circuit(vac, CutoffPolicy(leak_budget=0.0))
 

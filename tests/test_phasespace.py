@@ -166,6 +166,12 @@ def test_wigner_point_rejects_a_zero_weight_state():
             evaluate(zero)
 
 
+def test_parity_expectation_rejects_a_zero_weight_state():
+    zero = MixedState.create(("a",), Cutoff(3), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="zero-weight state"):
+        parity_expectation(zero)
+
+
 def test_wigner_overflow_is_a_typed_error():
     # finite but far out: the truncated series overflows to inf and nan
     with pytest.raises(NonFiniteWignerError):

@@ -1,6 +1,8 @@
 """run_interferometer against the three-execution path and the shipped circuit file."""
 
+import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from qocsim.scheme import (
 )
 
 TOL = 1e-12
+POLICY_TABLE = Path(__file__).parent / "data" / "policy_cutoffs.json"
 
 
 def _predicted(params: SchemeParams) -> dict[str, int]:
@@ -204,10 +207,11 @@ def test_click_statistics_match_three_pattern_probabilities():
      {"leak_budget": -1e-6}, {"leak_budget": float("nan")}, {"alpha": float("nan")},
      {"alpha": complex(1.0, float("nan"))}, {"alpha": complex(float("inf"), 0.0)},
      {"coupling": float("nan")}, {"coupling": float("inf")}, {"nbar": float("inf")},
-     {"leak_budget": float("inf")}],
+     {"leak_budget": float("inf")}, {"input_kind": "fock", "fock_n": 8, "cutoff": 8},
+     {"input_kind": "fock", "fock_n": 20, "cutoff": 8}],
     ids=["cutoff-1", "negative-nbar", "negative-fock", "zero-budget", "negative-budget",
          "nan-budget", "nan-alpha", "nan-alpha-imag", "inf-alpha", "nan-coupling",
-         "inf-coupling", "inf-nbar", "inf-budget"],
+         "inf-coupling", "inf-nbar", "inf-budget", "fock-at-cutoff", "fock-above-cutoff"],
 )
 def test_params_reject_values_the_policy_cannot_use(bad):
     with pytest.raises(ValueError):
@@ -336,6 +340,25 @@ def test_forked_choose_matches_the_two_circuit_max():
         assert cutoffs == _predicted(params) and may_double, params
         kinds.add((params.input_kind, params.pd0_onoff, params.swap_bs3_sign))
     assert len(kinds) == 12
+
+
+def test_policy_reproduces_the_pinned_cutoffs():
+    # per-mode cutoffs written by the scalar evaluator that the array one
+    # replaced: the 300 random configurations above, then the 512 benchmark
+    # pool points; only the evaluation changed, so the rule must not drift
+    table = json.loads(POLICY_TABLE.read_text())["configurations"]
+    assert len(table) == 300 + 512
+    rng = np.random.default_rng(20090116)
+    for n, entry in enumerate(table):
+        kw = dict(entry["params"])
+        if "alpha" in kw:
+            kw["alpha"] = complex(*kw["alpha"])
+        params = SchemeParams(**kw)
+        if n < 300:
+            assert params == _random_params(rng)
+        prefix = build_fig1_circuit(params, "none")
+        cutoffs, may_double = params.policy().choose(prefix, _tails(params))
+        assert cutoffs == entry["cutoffs"] and may_double, (n, params)
 
 
 @pytest.mark.parametrize("params, eta", [
