@@ -124,6 +124,8 @@ def _float_list(text: str, name: str) -> list[float]:
         vals = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise click.UsageError(f"bad number in {name} {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise click.UsageError(f"non-finite number in {name} {text!r}")
     if not vals:
         raise click.UsageError(f"empty range for {name}")
     return vals
@@ -366,7 +368,7 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
         a = row["alpha"]
         ok_identity = row["fidelity_pd2_vs_input"] >= IDENTITY_FIDELITY_FLOOR
         ok_formula = abs(row["fidelity_pd2_vs_input"] - row["predicted_fidelity"]) <= FORMULA_TOL
-        ok_wigner = (row["pd1_min_wigner"] < 0) if a > 0.3 else True
+        ok_wigner = (row["pd1_min_wigner"] < 0) if abs(a) > 0.3 else True
         checks.append((f"alpha={a}: PD2 branch is the identity", ok_identity,
                        f"F={row['fidelity_pd2_vs_input']:.6f}"))
         checks.append((f"alpha={a}: matches exp(-(1-t)^2 a^2) to {FORMULA_TOL}", ok_formula,

@@ -43,7 +43,6 @@ __all__ = [
     "partial_trace",
     "tensor",
     "to_mixed",
-    "top_level_population",
     "state_to_json_dict",
     "state_from_json_dict",
 ]
@@ -448,32 +447,6 @@ def partial_trace(state: State, keep_modes: Iterable[str]) -> MixedState:
         perm_full = perm + [Mk + p for p in perm]
         cur = tview.transpose(perm_full).reshape(d**Mk, d**Mk)
     return MixedState.create(keep, state.cutoff, cur)
-
-
-def top_level_population(state: State) -> dict[str, float]:
-    """Per-mode population of the top retained level, relative to total weight.
-
-    This is the truncation-leak proxy monitored against the leak budget.
-    """
-    d = state.cutoff.d
-    out: dict[str, float] = {}
-    if isinstance(state, PureState):
-        t = np.abs(state.tensor_view()) ** 2
-        total = float(np.sum(t))
-        for m in state.modes:
-            ax = state.axis_of(m)
-            sl = [slice(None)] * t.ndim
-            sl[ax] = d - 1
-            out[m] = float(np.sum(t[tuple(sl)])) / total if total > 0 else 0.0
-        return out
-    diag = np.real(np.diag(state.matrix)).reshape((d,) * len(state.modes))
-    total = float(np.sum(diag))
-    for m in state.modes:
-        ax = len(state.modes) - 1 - state.mode_index(m)
-        sl = [slice(None)] * diag.ndim
-        sl[ax] = d - 1
-        out[m] = float(np.sum(diag[tuple(sl)])) / total if total > 0 else 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

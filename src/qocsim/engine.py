@@ -88,7 +88,7 @@ from .elements import (
     vacuum,
 )
 from .measurement import DetectorModel, Requirement, ZeroProbabilityError
-from .phasespace import GridSpec, fidelity, uhlmann_fidelity, wigner
+from .phasespace import GridSpec, fidelity, wigner
 
 __all__ = [
     "LeakBudgetError",
@@ -98,6 +98,7 @@ __all__ = [
     "execute_plan",
     "execute_plan_brute",
     "detector_for",
+    "input_state",
     "requirement_for",
 ]
 
@@ -270,7 +271,6 @@ class ExecutionResult:
     # staged: Ensemble (its reduced and to_mixed dephase by charge); brute oracle: State
     final_state: Ensemble | State | None
     heralds: list[HeraldRecord]
-    joint_probability: float
     leak_max: float
     outputs: tuple = ()  # one value per entry of plan.spec.outputs, in order
     # one (ensemble, heralds) pair per plan branch; see execute_plan
@@ -281,6 +281,11 @@ class ExecutionResult:
         """The largest mode cutoff: the one number reports show."""
         return max(self.cutoffs.values())
 
+    @property
+    def joint_probability(self) -> float:
+        """The product of the herald probabilities: the probability of the whole record."""
+        return math.prod((h.probability for h in self.heralds), start=1.0)
+
     def output_value(self, kind: str, mode: str | None = None):
         for out, value in zip(self.plan.spec.outputs, self.outputs):
             if out.kind == kind and (mode is None or out.mode == mode):
@@ -288,7 +293,8 @@ class ExecutionResult:
         raise KeyError(f"no {kind!r} output for mode {mode!r}")
 
 
-def _input_state(stmt: InputStmt, cutoff: Cutoff) -> State:
+def input_state(stmt: InputStmt, cutoff: Cutoff) -> State:
+    """The state an input statement declares, at ``cutoff`` levels."""
     if stmt.kind == "coherent":
         return coherent_state(complex(stmt.params[0], stmt.params[1]), cutoff, stmt.mode)
     if stmt.kind == "thermal":
@@ -299,7 +305,7 @@ def _input_state(stmt: InputStmt, cutoff: Cutoff) -> State:
 
 
 def _input_members(stmt: InputStmt, cutoff: Cutoff) -> np.ndarray:
-    state = _input_state(stmt, cutoff)
+    state = input_state(stmt, cutoff)
     if isinstance(state, PureState):
         return state.amps.reshape(-1, 1).astype(np.complex128)
     pops = np.real(np.diag(state.matrix))
@@ -364,7 +370,7 @@ class _LeakMonitor:
 
 
 def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], MixedState],
-                      heralds: list[HeraldRecord], joint_probability: float) -> tuple:
+                      heralds: list[HeraldRecord]) -> tuple:
     """Every output of ``spec``, in order; ``state_of(mode)`` is the mode's unnormalized state."""
     inputs = {inp.mode: inp for inp in spec.inputs}
     normalized = {}
@@ -380,16 +386,14 @@ def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], MixedState],
                     {"mode": h.mode, "requirement": h.requirement, "probability": h.probability}
                     for h in heralds
                 ],
-                "joint_probability": joint_probability,
+                "joint_probability": math.prod((h.probability for h in heralds), start=1.0),
             })
         elif stmt.kind == "state":
             values.append(rho_n)
         elif stmt.kind == "wigner":
             values.append(wigner(rho_n, GridSpec.square(*stmt.grid)))
         else:  # fidelity vs. the mode's own input
-            ref = _input_state(inputs[stmt.mode], rho_n.cutoff)
-            pure = isinstance(ref, PureState)
-            values.append(fidelity(ref, rho_n) if pure else uhlmann_fidelity(ref, rho_n))
+            values.append(fidelity(input_state(inputs[stmt.mode], rho_n.cutoff), rho_n))
     return tuple(values)
 
 
@@ -465,7 +469,6 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
     inputs = {inp.mode: inp for inp in spec.inputs}
     monitor = _LeakMonitor(plan.leak_budget, cutoffs)
     heralds: list[HeraldRecord] = []
-    joint = 1.0
     # no mode yet: the one-member ensemble on the one-dimensional empty space
     ens = Ensemble((), (), np.ones((1, 1), dtype=np.complex128), plan.charge_signs)
 
@@ -488,9 +491,8 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
             attach((op.mode,))
             ens, record = _herald(ens, op, monitor)
             heralds.append(record)
-            joint *= record.probability
     attach(out.mode for out in spec.outputs if out.mode is not None)
-    outputs = _evaluate_outputs(spec, ens.reduced, heralds, joint)
+    outputs = _evaluate_outputs(spec, ens.reduced, heralds)
 
     results = []
     for stmts in plan.branches:
@@ -505,7 +507,6 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
         cutoffs=cutoffs,
         final_state=ens if ens.modes else None,
         heralds=heralds,
-        joint_probability=joint,
         leak_max=monitor.max_seen,
         outputs=outputs,
         branches=results,
@@ -522,9 +523,8 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
     d = plan.cutoff
     cutoff = Cutoff(d)
     spec = plan.spec
-    state = reduce(tensor, (_input_state(stmt, cutoff) for stmt in spec.inputs))
+    state = reduce(tensor, (input_state(stmt, cutoff) for stmt in spec.inputs))
     heralds: list[HeraldRecord] = []
-    joint = 1.0
     measured: list[str] = []
 
     def weight(s: State) -> float:
@@ -544,9 +544,7 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
             raise ZeroProbabilityError(
                 f"herald {op.requirement} on mode {op.mode!r} has zero probability"
             )
-        prob = after / before
-        heralds.append(HeraldRecord(op.mode, op.requirement, prob))
-        joint *= prob
+        heralds.append(HeraldRecord(op.mode, op.requirement, after / before))
         measured.append(op.mode)
 
     keep = tuple(m for m in state.modes if m not in measured)
@@ -562,8 +560,6 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
         cutoffs=dict.fromkeys(spec.modes, d),
         final_state=final,
         heralds=heralds,
-        joint_probability=joint,
         leak_max=float("nan"),
-        outputs=_evaluate_outputs(spec, lambda mode: partial_trace(final, (mode,)), heralds,
-                                  joint),
+        outputs=_evaluate_outputs(spec, lambda mode: partial_trace(final, (mode,)), heralds),
     )

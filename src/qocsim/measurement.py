@@ -56,7 +56,6 @@ class DetectorModel:
 
 
 IDEAL_NR = DetectorModel("number-resolving", 1.0)
-IDEAL_ON_OFF = DetectorModel("on-off", 1.0)
 
 
 @dataclass(frozen=True)

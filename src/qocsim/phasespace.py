@@ -193,10 +193,16 @@ def parity_expectation(state: State) -> float:
     return float(np.sum((-1.0) ** np.arange(pops.size) * pops))
 
 
-def fidelity(reference: PureState, state: State) -> float:
-    """F = ⟨φ|ρ|φ⟩ against a pure reference (states normalized first)."""
+def fidelity(reference: State, state: State) -> float:
+    """Jozsa's fidelity of ``state`` with ``reference``, both normalized first.
+
+    For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩; a mixed reference goes
+    to :func:`uhlmann_fidelity`.
+    """
     if reference.modes != state.modes or reference.cutoff != state.cutoff:
         raise DimensionMismatchError("fidelity requires identical modes and cutoff")
+    if not isinstance(reference, PureState):
+        return uhlmann_fidelity(reference, to_mixed(state))
     ref = reference.amps / np.sqrt(reference.norm_tag)
     if isinstance(state, PureState):
         val = abs(np.vdot(ref, state.amps)) ** 2 / state.norm_tag

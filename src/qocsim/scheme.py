@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Cutoff, MixedState, PureState, State
+from .core import Cutoff, MixedState
 from .dsl import (
     CircuitSpec,
     CutoffPolicy,
@@ -36,8 +36,7 @@ from .dsl import (
     OutputStmt,
     compile_circuit,
 )
-from .elements import coherent_state, fock_state, thermal_state
-from .engine import Ensemble, execute_plan
+from .engine import Ensemble, execute_plan, input_state
 from . import measurement
 from .measurement import DetectorModel, click
 from .phasespace import (
@@ -46,7 +45,6 @@ from .phasespace import (
     WignerGrid,
     fidelity,
     min_wigner,
-    uhlmann_fidelity,
     wigner,
 )
 
@@ -112,13 +110,6 @@ class SchemeParams:
         if self.input_kind == "thermal":
             return InputStmt("a", "thermal", (float(self.nbar),))
         return InputStmt("a", "fock", (float(self.fock_n),))
-
-    def input_state(self, cutoff: Cutoff) -> State:
-        if self.input_kind == "coherent":
-            return coherent_state(self.alpha, cutoff, "a")
-        if self.input_kind == "thermal":
-            return thermal_state(self.nbar, cutoff, "a")
-        return fock_state(self.fock_n, cutoff, "a")
 
     def policy(self) -> CutoffPolicy:
         return CutoffPolicy(explicit=self.cutoff, leak_budget=self.leak_budget)
@@ -194,21 +185,6 @@ class SchemeResult:
         return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
 
 
-def _attenuated_reference(params: SchemeParams, cutoff: Cutoff) -> State:
-    if params.input_kind == "coherent":
-        return coherent_state(params.t * complex(params.alpha), cutoff, "a")
-    if params.input_kind == "thermal":
-        return thermal_state(params.transmittivity**2 * params.nbar, cutoff, "a")
-    return fock_state(params.fock_n, cutoff, "a")
-
-
-def _branch_fidelity(reference: State, rho: MixedState) -> float:
-    rho_n = MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
-    if isinstance(reference, PureState):
-        return fidelity(reference, rho_n)
-    return uhlmann_fidelity(reference, rho_n)
-
-
 def run_interferometer(params: SchemeParams) -> SchemeResult:
     """Exact staged simulation of both accepted branches plus click statistics.
 
@@ -247,11 +223,11 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     rho_pd1 = _scaled_branch(ens_pd1, w_pd1)
 
     cutoff = Cutoff(res.cutoffs["a"])
-    input_ref = params.input_state(cutoff)
-    atten_ref = _attenuated_reference(params, cutoff)
-    f_pd2_in = _branch_fidelity(input_ref, rho_pd2)
-    f_pd2_at = _branch_fidelity(atten_ref, rho_pd2)
-    f_pd1_in = _branch_fidelity(input_ref, rho_pd1)
+    input_ref = input_state(params.input_stmt(), cutoff)
+    # the input after both taps: t·α for a coherent input, T²·n̄ for a thermal one
+    attenuated = replace(params, alpha=params.t * params.alpha,
+                         nbar=params.transmittivity**2 * params.nbar)
+    atten_ref = input_state(attenuated.input_stmt(), cutoff)
 
     return SchemeResult(
         params=params,
@@ -266,9 +242,9 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
         p_bc=p_bc,
         p_bc_given_b=p_bc / p_b if p_b > 0 else float("nan"),
         p_bc_given_c=p_bc / p_c if p_c > 0 else float("nan"),
-        fidelity_pd2_vs_input=f_pd2_in,
-        fidelity_pd2_vs_attenuated=f_pd2_at,
-        fidelity_pd1_vs_input=f_pd1_in,
+        fidelity_pd2_vs_input=fidelity(input_ref, rho_pd2),
+        fidelity_pd2_vs_attenuated=fidelity(atten_ref, rho_pd2),
+        fidelity_pd1_vs_input=fidelity(input_ref, rho_pd1),
         leak_max=res.leak_max,
     )
 
@@ -280,7 +256,7 @@ def _scaled_branch(branch: Ensemble, weight: float) -> MixedState:
 
 
 def branch_wigner(result: SchemeResult, which: str, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
-    return wigner(result.normalized_branch(which), grid)
+    return wigner(result.pd2_branch if which == "pd2" else result.pd1_branch, grid)
 
 
 def commutation_report(
@@ -335,6 +311,6 @@ def efficiency_degradation(params: SchemeParams, eta: float) -> DegradationResul
     )
     plan = compile_circuit(build_fig1_circuit(params, "none"), params.policy(), branches=tails)
     res = execute_plan(plan)
-    reference = params.input_state(Cutoff(res.cutoffs["a"]))
-    ideal, lossy = (_branch_fidelity(reference, ens.reduced("a")) for ens, _ in res.branches)
+    reference = input_state(params.input_stmt(), Cutoff(res.cutoffs["a"]))
+    ideal, lossy = (fidelity(reference, ens.reduced("a")) for ens, _ in res.branches)
     return DegradationResult(eta=eta, fidelity_ideal=ideal, fidelity_degraded=lossy)

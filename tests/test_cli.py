@@ -40,6 +40,8 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
         ("sweep", "--alpha", "0.5,x"),
         ("sweep", "--T", "1.5"),
         ("verify-commutation", "--alphas", "0.6,x"),
+        ("verify-commutation", "--alphas", "nan"),
+        ("verify-commutation", "--alphas", "1e400"),
         ("verify-commutation", "--T", "1.5"),
         ("run", "fig1", "--cutoff", "1"),
         ("run", "fig1", "--nbar", "-1"),
@@ -75,7 +77,8 @@ def test_run_fig1_succeeds_with_byte_identical_report(tmp_path):
     ],
     ids=["missing-file", "conflicting-inputs", "malformed-T", "T-out-of-range",
          "eta-out-of-range", "sweep-malformed-alpha", "sweep-T-out-of-range",
-         "verify-malformed-alphas", "verify-T-out-of-range", "cutoff-1", "negative-nbar",
+         "verify-malformed-alphas", "verify-nan-alphas", "verify-overflowing-alphas",
+         "verify-T-out-of-range", "cutoff-1", "negative-nbar",
          "negative-fock", "zero-leak-budget", "qoc-cutoff-1", "sweep-cutoff-1",
          "sweep-negative-leak-budget", "verify-cutoff-1", "verify-zero-leak-budget",
          "nan-alpha", "nan-s", "inf-s", "inf-nbar", "sweep-nan-alpha", "inf-leak-budget",
@@ -186,3 +189,15 @@ def test_verify_commutation_exit_code(tmp_path, swap, code):
     args = ["verify-commutation", "--alphas", "0.6", "--out", str(tmp_path)]
     res = _run(*args, *(["--swap-bs3-sign"] if swap else []))
     assert res.exit_code == code, res.output
+
+
+def test_verify_commutation_checks_negativity_at_negative_alpha(tmp_path, monkeypatch):
+    # a nonnegative PD1 Wigner minimum at |alpha| > 0.3 fails, whatever alpha's sign
+    row = {"alpha": -1.0, "cutoff": 10, "fidelity_pd2_vs_input": 1.0,
+           "fidelity_pd2_vs_attenuated": 1.0, "predicted_fidelity": 1.0,
+           "p_bc_given_b": 0.5, "p_bc_given_c": 0.5, "pd1_min_wigner": 0.01}
+    monkeypatch.setattr(cli, "commutation_report", lambda params, alphas: [row])
+    res = _run("verify-commutation", "--alphas=-1", "--out", str(tmp_path))
+    assert res.exit_code == EXIT_USAGE, res.output
+    failed = [line for line in res.output.splitlines() if "  FAIL  " in line]
+    assert len(failed) == 1 and "alpha=-1.0: PD1 branch Wigner negativity" in failed[0]

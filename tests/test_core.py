@@ -29,7 +29,6 @@ from qocsim.core import (
     state_to_json_dict,
     tensor,
     to_mixed,
-    top_level_population,
     truncated_commutator,
 )
 from qocsim.elements import coherent_state, fock_state, vacuum
@@ -323,14 +322,6 @@ def test_little_endian_flat_indexing():
     state = tensor(fock_state(1, c, "m0"), fock_state(2, c, "m1"))
     # occupation (n0, n1) = (1, 2) -> index 1 + 2*3 = 7
     assert np.argmax(np.abs(state.amps)) == 7
-
-
-def test_top_level_population_reports_per_mode():
-    c = Cutoff(3)
-    state = tensor(fock_state(2, c, "hot"), vacuum(c, "cold"))
-    pops = top_level_population(state)
-    assert pops["hot"] == pytest.approx(1.0)
-    assert pops["cold"] == pytest.approx(0.0)
 
 
 def test_json_round_trip_pure_and_mixed(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qocsim.core import Cutoff, MixedState, to_mixed
+from qocsim.core import Cutoff, MixedState, PureState, to_mixed
 from qocsim.elements import coherent_state, fock_state, thermal_state, vacuum
 from qocsim.phasespace import (
     DEFAULT_GRID,
@@ -252,6 +252,22 @@ def test_uhlmann_matches_pure_overlap():
     f_uhl = uhlmann_fidelity(to_mixed(a), to_mixed(b))
     assert f_uhl == pytest.approx(f_pure, abs=1e-9)
     assert uhlmann_fidelity(to_mixed(a), to_mixed(a)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fidelity_with_a_mixed_reference_matches_the_pure_overlap():
+    # a pure reference given as a density matrix takes the Uhlmann path
+    rng = np.random.default_rng(2315)
+    c = Cutoff(8)
+
+    def vec():
+        return rng.normal(size=8) + 1j * rng.normal(size=8)
+
+    for _ in range(20):
+        phi = PureState.create(("a",), c, vec())
+        g = np.column_stack([vec() for _ in range(3)])
+        rho = MixedState.create(("a",), c, g @ g.conj().T)
+        for state in (rho, PureState.create(("a",), c, vec())):
+            assert abs(fidelity(to_mixed(phi), state) - fidelity(phi, state)) <= 1e-10
 
 
 def test_grid_serialization_round_trip(tmp_path):

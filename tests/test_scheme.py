@@ -10,13 +10,13 @@ import pytest
 from qocsim import builtin_circuit_text, engine, scheme
 from qocsim.core import Cutoff, MixedState
 from qocsim.dsl import compile_circuit, parse
-from qocsim.engine import LeakBudgetError, execute_plan
+from qocsim.engine import LeakBudgetError, execute_plan, input_state
 from qocsim.measurement import DetectorModel, HeraldPattern, click
+from qocsim.phasespace import fidelity, wigner
 from qocsim.scheme import (
     SchemeParams,
     SchemeResult,
-    _attenuated_reference,
-    _branch_fidelity,
+    branch_wigner,
     build_fig1_circuit,
     run_interferometer,
 )
@@ -68,7 +68,9 @@ def _three_execution_oracle(params: SchemeParams) -> SchemeResult:
     p_b = post.pattern_probability(HeraldPattern({"b": click}), dets) / w
     p_c = post.pattern_probability(HeraldPattern({"c": click}), dets) / w
     p_bc = post.pattern_probability(HeraldPattern({"b": click, "c": click}), dets) / w
-    input_ref = params.input_state(cutoff)
+    input_ref = input_state(params.input_stmt(), cutoff)
+    attenuated = replace(params, alpha=params.t * params.alpha,
+                         nbar=params.transmittivity**2 * params.nbar)
     return SchemeResult(
         params=params,
         cutoff=res_pd2.cutoff,
@@ -82,9 +84,9 @@ def _three_execution_oracle(params: SchemeParams) -> SchemeResult:
         p_bc=p_bc,
         p_bc_given_b=p_bc / p_b,
         p_bc_given_c=p_bc / p_c,
-        fidelity_pd2_vs_input=_branch_fidelity(input_ref, rho_pd2),
-        fidelity_pd2_vs_attenuated=_branch_fidelity(_attenuated_reference(params, cutoff), rho_pd2),
-        fidelity_pd1_vs_input=_branch_fidelity(input_ref, rho_pd1),
+        fidelity_pd2_vs_input=fidelity(input_ref, rho_pd2),
+        fidelity_pd2_vs_attenuated=fidelity(input_state(attenuated.input_stmt(), cutoff), rho_pd2),
+        fidelity_pd1_vs_input=fidelity(input_ref, rho_pd1),
         leak_max=max(res_pd2.leak_max, res_pd1.leak_max, res_pre.leak_max),
     )
 
@@ -243,6 +245,16 @@ def test_fig1_circuit_file_agrees_with_run_interferometer():
     assert abs(res.output_value("fidelity", "a") - sch.fidelity_pd2_vs_input) <= TOL
     state = res.output_value("state", "a").matrix
     assert np.max(np.abs(state - sch.normalized_branch("pd2").matrix)) <= TOL
+
+
+@pytest.mark.parametrize("name", ["alpha1", "thermal"])
+def test_branch_wigner_is_the_normalized_branch_grid(name):
+    # branch_wigner hands wigner the stored, unnormalised branch state
+    res = run_interferometer(CASES[name])
+    for which in ("pd1", "pd2"):
+        got = branch_wigner(res, which).values
+        want = wigner(res.normalized_branch(which)).values
+        assert np.max(np.abs(got - want)) <= 1e-15, which
 
 
 # leak-checked stages in one Fig. 1 execution (4 prepares, 4 unitaries, 3 heralds)
