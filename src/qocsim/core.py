@@ -209,9 +209,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix.create(self.matrix.conj().T, self.acting_modes, self.cutoff)
-
     def bound_to(self, modes: Iterable[str]) -> "OperatorMatrix":
         return OperatorMatrix.create(self.matrix, modes, self.cutoff)
 
@@ -280,22 +277,14 @@ def embed(
             f"operator dim {op.matrix.shape[0]} != d^{len(target)} = {d ** len(target)}"
         )
     M = len(full)
-    k = len(target)
-    if k == 1:
-        # kron(A, B) puts B on the fast digit, so iterate modes from last to first
-        result = None
-        for m in reversed(full):
-            factor = op.matrix if m == target[0] else np.eye(d, dtype=np.complex128)
-            result = factor if result is None else np.kron(result, factor)
-    else:
-        # start with modes ordered (target..., rest...), target digits fastest,
-        # then permute axes into the requested full order
-        rest = [m for m in full if m not in target]
-        interim = list(target) + rest
-        big = np.kron(np.eye(d ** len(rest), dtype=np.complex128), op.matrix)
-        big_t = big.reshape((d,) * (2 * M))
-        perm = [M - 1 - interim.index(m) for m in reversed(full)]
-        result = big_t.transpose(perm + [M + p for p in perm]).reshape(d**M, d**M)
+    # start with modes ordered (target..., rest...), target digits fastest,
+    # then permute axes into the requested full order
+    rest = [m for m in full if m not in target]
+    interim = list(target) + rest
+    big = np.kron(np.eye(d ** len(rest), dtype=np.complex128), op.matrix)
+    big_t = big.reshape((d,) * (2 * M))
+    perm = [M - 1 - interim.index(m) for m in reversed(full)]
+    result = big_t.transpose(perm + [M + p for p in perm]).reshape(d**M, d**M)
     return OperatorMatrix.create(result, full, cutoff)
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "compile_circuit",
 ]
 
-INPUT_KINDS = ("coherent", "thermal", "fock", "vacuum")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 

@@ -8,8 +8,10 @@ vₖ, held as the columns of a single ``(dim, K)`` array.  Every
 mode keeps its own number of levels, the plan's per-mode cutoff, and ``dim``
 is their product: in Fig. 1 only the input mode needs the large cutoff (d ≈ 30
 for a thermal input), while the tap modes and the idler keep 5–10 levels, so
-the live space is d·d_b·d_c rather than d³.  All detector POVM elements are
-diagonal in the Fock basis, so conditioning maps ensembles to ensembles; the
+the live space is d·d_b·d_c rather than d³.  Every herald is a detector
+outcome diagonal in the Fock basis, taken as its diagonal E from
+:func:`~qocsim.measurement.povm_diagonal`, so conditioning maps ensembles to
+ensembles (each member v splits into the members √Eₙ⟨n|v⟩); the
 member count K is compacted back to the live-space rank via an
 eigendecomposition whenever it grows past it.  The final state is returned as
 that ensemble.  The plan's branches, herald sequences that fork from the
@@ -97,9 +99,7 @@ __all__ = [
     "Ensemble",
     "execute_plan",
     "execute_plan_brute",
-    "detector_for",
     "input_state",
-    "requirement_for",
 ]
 
 
@@ -193,10 +193,7 @@ class Ensemble:
 
     def pattern_probability(self, pattern, detectors) -> float:
         """Tr[ρ ⊗ Eᵢ] over the ensemble without densifying it."""
-        joint = np.ones(1)
-        for m, d in zip(self.modes, self.dims):  # later modes are slower digits
-            diag = measurement.joint_diagonal((m,), Cutoff(d), pattern.requirements, detectors)
-            joint = np.kron(diag, joint)
+        joint = measurement.joint_diagonal(self.modes, self.dims, pattern.requirements, detectors)
         return float(joint @ self._populations())
 
     def reduced(self, mode: str) -> MixedState:
@@ -247,14 +244,10 @@ class Ensemble:
         self.members = evecs[:, keep] * np.sqrt(evals[keep])
 
 
-def detector_for(stmt: HeraldStmt) -> DetectorModel:
-    return DetectorModel("on-off" if stmt.onoff else "number-resolving", stmt.eta)
-
-
-def requirement_for(stmt: HeraldStmt) -> Requirement:
-    if stmt.requirement == "exactly":
-        return measurement.exactly(stmt.count)
-    return Requirement(stmt.requirement)
+def _herald_diagonal(stmt: HeraldStmt, d: int) -> np.ndarray:
+    """The diagonal of the POVM element the herald ``stmt`` accepts, on d levels."""
+    detector = DetectorModel("on-off" if stmt.onoff else "number-resolving", stmt.eta)
+    return measurement.povm_diagonal(Requirement(stmt.requirement, stmt.count), detector, d)
 
 
 @dataclass(frozen=True)
@@ -432,9 +425,8 @@ def _herald(
 ) -> tuple[Ensemble, HeraldRecord]:
     """One herald: condition and trace, compact, then check the leak."""
     d = ens.dims[ens.modes.index(stmt.mode)]
-    element = measurement.povm_element(requirement_for(stmt), detector_for(stmt), Cutoff(d))
     before = ens.weight
-    ens = ens.condition(stmt.mode, np.real(np.diag(element.matrix)))
+    ens = ens.condition(stmt.mode, _herald_diagonal(stmt, d))
     after = ens.weight
     if after <= 0.0:
         raise ZeroProbabilityError(
@@ -535,8 +527,7 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
             mat = _unitary_matrix(op, d)
             state = apply(OperatorMatrix.create(mat, op.modes, cutoff), state)
             continue
-        element = measurement.povm_element(requirement_for(op), detector_for(op), cutoff)
-        root = np.diag(np.sqrt(np.real(np.diag(element.matrix))))
+        root = np.diag(np.sqrt(_herald_diagonal(op, d)))
         before = weight(state)
         state = apply(OperatorMatrix.create(root, (op.mode,), cutoff), state)
         after = weight(state)

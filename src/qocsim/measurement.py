@@ -1,10 +1,13 @@
 """Detector POVMs, heralded conditioning, and pattern probabilities.
 
-Detector inefficiency is modeled as binomial thinning inside the POVM (all
-elements are diagonal in the Fock basis), which is equivalent to a
-beam-splitter dilation for photon-counting statistics; the tests exercise that
-equivalence explicitly.  Measured modes are always traced out after
-conditioning.
+Every detector outcome is diagonal in the Fock basis, and
+:func:`povm_diagonal` is its one definition: the diagonal of the POVM element
+on d levels.  Heralds, click statistics and pattern probabilities read it
+directly; :func:`povm_element` wraps it as a matrix for the state-level API.
+Detector inefficiency is modeled as binomial thinning inside the POVM, which
+is equivalent to a beam-splitter dilation for photon-counting statistics; the
+tests exercise that equivalence explicitly.  Measured modes are always traced
+out after conditioning.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "unmeasured",
     "HeraldPattern",
     "ZeroProbabilityError",
+    "povm_diagonal",
     "povm_elements",
     "povm_element",
     "condition",
@@ -96,9 +100,25 @@ class HeraldPattern:
             raise ValueError("herald pattern must measure at least one mode")
 
 
-def _off_diagonal(detector: DetectorModel, d: int) -> np.ndarray:
-    """P(no click | n photons) = (1-eta)^n."""
-    return (1.0 - detector.efficiency) ** np.arange(d)
+def povm_diagonal(requirement: Requirement, detector: DetectorModel, d: int) -> np.ndarray:
+    """Diagonal of the POVM element realizing a herald requirement on d levels.
+
+    noclick: (1−η)ⁿ; click: 1 − (1−η)ⁿ; exactly(k): C(n,k) ηᵏ (1−η)^{n−k};
+    unmeasured: 1.
+    """
+    if requirement.kind == "unmeasured":
+        return np.ones(d)
+    if requirement.kind != "exactly":
+        off = (1.0 - detector.efficiency) ** np.arange(d)  # P(no click | n photons)
+        return off if requirement.kind == "noclick" else 1.0 - off
+    if detector.kind != "number-resolving":
+        raise ValueError("exactly(n) requires a number-resolving detector")
+    k = requirement.count
+    if k >= d:
+        raise ValueError(f"exactly({k}) outside retained levels 0..{d - 1}")
+    eta = detector.efficiency
+    binom = np.array([math.comb(m, k) for m in range(d)], dtype=float)
+    return binom * eta**k * (1.0 - eta) ** np.maximum(np.arange(d) - k, 0)
 
 
 def povm_elements(detector: DetectorModel, cutoff: Cutoff) -> list[OperatorMatrix]:
@@ -116,23 +136,7 @@ def povm_elements(detector: DetectorModel, cutoff: Cutoff) -> list[OperatorMatri
 
 def povm_element(requirement: Requirement, detector: DetectorModel, cutoff: Cutoff) -> OperatorMatrix:
     """Single POVM element realizing a herald requirement on one mode."""
-    d = cutoff.d
-    if requirement.kind == "unmeasured":
-        return OperatorMatrix.create(np.eye(d, dtype=np.complex128), cutoff=cutoff)
-    if requirement.kind == "noclick":
-        diag = _off_diagonal(detector, d)
-    elif requirement.kind == "click":
-        diag = 1.0 - _off_diagonal(detector, d)
-    else:  # exactly(k)
-        if detector.kind != "number-resolving":
-            raise ValueError("exactly(n) requires a number-resolving detector")
-        k = requirement.count
-        if k >= d:
-            raise ValueError(f"exactly({k}) outside retained levels 0..{d - 1}")
-        eta = detector.efficiency
-        n = np.arange(d)
-        binom = np.array([math.comb(m, k) for m in range(d)], dtype=float)
-        diag = binom * eta**k * (1.0 - eta) ** np.maximum(n - k, 0)
+    diag = povm_diagonal(requirement, detector, cutoff.d)
     return OperatorMatrix.create(np.diag(diag).astype(np.complex128), cutoff=cutoff)
 
 
@@ -186,20 +190,15 @@ def _check_prob(prob: float, state: State) -> None:
 
 def joint_diagonal(
     modes: tuple[str, ...],
-    cutoff: Cutoff,
+    dims: tuple[int, ...],
     requirements: Mapping[str, Requirement],
     detectors: Mapping[str, DetectorModel],
 ) -> np.ndarray:
-    """Diagonal of ⊗ᵢ Eᵢ over ``modes`` (little-endian), identity on unmeasured modes."""
+    """Diagonal of ⊗ᵢ Eᵢ over ``modes`` (little-endian) at ``dims`` levels, 1 on unmeasured modes."""
     joint = np.ones(1)
-    for m in modes:
+    for m, d in zip(modes, dims):  # later modes are slower digits
         req = requirements.get(m, unmeasured)
-        if req.kind == "unmeasured":
-            diag = np.ones(cutoff.d)
-        else:
-            el = povm_element(req, detectors.get(m, IDEAL_NR), cutoff)
-            diag = np.real(np.diag(el.matrix))
-        joint = np.kron(diag, joint)  # later modes are slower digits
+        joint = np.kron(povm_diagonal(req, detectors.get(m, IDEAL_NR), d), joint)
     return joint
 
 
@@ -214,7 +213,7 @@ def pattern_probability(
     unmeasured (the probability is then the state's carried weight).
     """
     reqs = pattern.requirements if isinstance(pattern, HeraldPattern) else pattern
-    joint = joint_diagonal(state.modes, state.cutoff, reqs, detectors)
+    joint = joint_diagonal(state.modes, (state.cutoff.d,) * len(state.modes), reqs, detectors)
     if isinstance(state, PureState):
         return float(np.sum(joint * np.abs(state.amps) ** 2))
     return float(np.real(np.sum(joint * np.diag(state.matrix))))

@@ -181,7 +181,7 @@ class SchemeResult:
     leak_max: float
 
     def normalized_branch(self, which: str) -> MixedState:
-        rho = self.pd2_branch if which == "pd2" else self.pd1_branch
+        rho = _branch(self, which)
         return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
 
 
@@ -211,8 +211,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     # one pass over the post-BS3 ensemble serves all three click statistics
     pops = post.populations(("b", "c"))
     click_b, click_c = (
-        measurement.povm_element(click, DetectorModel("on-off", eta), Cutoff(res.cutoffs[m]))
-        .matrix.diagonal().real
+        measurement.povm_diagonal(click, DetectorModel("on-off", eta), res.cutoffs[m])
         for m, eta in (("b", params.eta_pd1), ("c", params.eta_pd2))
     )
     p_b = float(click_b @ pops.sum(axis=1)) / w
@@ -255,15 +254,18 @@ def _scaled_branch(branch: Ensemble, weight: float) -> MixedState:
     return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag * weight)
 
 
+def _branch(result: SchemeResult, which: str) -> MixedState:
+    """The unnormalised state of the ``'pd1'`` or ``'pd2'`` branch."""
+    if which not in ("pd1", "pd2"):
+        raise ValueError(f"unknown branch {which!r}")
+    return result.pd2_branch if which == "pd2" else result.pd1_branch
+
+
 def branch_wigner(result: SchemeResult, which: str, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
-    return wigner(result.pd2_branch if which == "pd2" else result.pd1_branch, grid)
+    return wigner(_branch(result, which), grid)
 
 
-def commutation_report(
-    params: SchemeParams,
-    alphas: list[float],
-    wigner_grid: GridSpec = DEFAULT_GRID,
-) -> list[dict]:
+def commutation_report(params: SchemeParams, alphas: list[float]) -> list[dict]:
     """One row per coherent amplitude: fidelities, failure rates, PD1 Wigner minimum."""
     rows = []
     for alpha in alphas:
@@ -271,7 +273,7 @@ def commutation_report(
         res = run_interferometer(p)
         t = p.t
         predicted = math.exp(-((1.0 - t) ** 2) * abs(alpha) ** 2)
-        _, wmin = min_wigner(branch_wigner(res, "pd1", wigner_grid))
+        _, wmin = min_wigner(branch_wigner(res, "pd1"))
         rows.append(
             {
                 "alpha": float(alpha),

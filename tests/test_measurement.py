@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qocsim.measurement import (
     exactly,
     noclick,
     pattern_probability,
+    povm_diagonal,
     povm_element,
     povm_elements,
     unmeasured,
@@ -97,6 +99,24 @@ def test_number_resolving_element_matches_scipy_comb(k, eta):
 def test_exactly_requires_number_resolving():
     with pytest.raises(ValueError):
         povm_element(exactly(1), DetectorModel("on-off", 1.0), Cutoff(4))
+
+
+@pytest.mark.parametrize("kind", ["on-off", "number-resolving"])
+@pytest.mark.parametrize("eta", [0.0, 0.45, 1.0])
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_povm_diagonal_is_the_element_diagonal_bit_for_bit(kind, eta, d):
+    det = DetectorModel(kind, eta)
+    for req in [click, noclick, unmeasured] + [exactly(k) for k in sorted({0, 1, d - 1, d})]:
+        if req.kind == "exactly" and (kind == "on-off" or req.count >= d):
+            with pytest.raises(ValueError) as from_element:
+                povm_element(req, det, Cutoff(d))
+            with pytest.raises(ValueError, match=re.escape(str(from_element.value))):
+                povm_diagonal(req, det, d)
+            continue
+        got = povm_diagonal(req, det, d)
+        want = np.diag(povm_element(req, det, Cutoff(d)).matrix).real
+        assert got.dtype == want.dtype == np.float64, req
+        assert got.tobytes() == want.tobytes(), req
 
 
 def test_condition_vacuum_noclick_keeps_state():

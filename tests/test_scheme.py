@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qocsim import builtin_circuit_text, engine, scheme
+from qocsim import builtin_circuit_text, engine, measurement, scheme
 from qocsim.core import Cutoff, MixedState
 from qocsim.dsl import compile_circuit, parse
 from qocsim.engine import LeakBudgetError, execute_plan, input_state
@@ -255,6 +255,31 @@ def test_branch_wigner_is_the_normalized_branch_grid(name):
         got = branch_wigner(res, which).values
         want = wigner(res.normalized_branch(which)).values
         assert np.max(np.abs(got - want)) <= 1e-15, which
+
+
+def test_an_unknown_branch_name_is_rejected():
+    res = run_interferometer(CASES["alpha1"])
+    for which in ("PD2", "pd3", "none", ""):
+        with pytest.raises(ValueError, match="unknown branch"):
+            branch_wigner(res, which)
+        with pytest.raises(ValueError, match="unknown branch"):
+            res.normalized_branch(which)
+
+
+def test_heralds_build_no_dense_povm_element(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a herald built a dense POVM element")
+
+    monkeypatch.setattr(measurement, "povm_element", dense)
+    lossy = {"eta_pd0": 0.7, "eta_pd1": 0.8, "eta_pd2": 0.9}
+    for inp in ({"alpha": 1.0}, {"input_kind": "thermal", "nbar": 0.9}):
+        for onoff in (False, True):
+            res = run_interferometer(SchemeParams(**inp, **lossy, pd0_onoff=onoff))
+            assert 0.0 < res.p_bc < min(res.p_b, res.p_c)
+    scheme.efficiency_degradation(SchemeParams(alpha=1.0), 0.7)
+    params = SchemeParams(alpha=0.5, **lossy, cutoff=6)
+    plan = compile_circuit(build_fig1_circuit(params), params.policy())
+    assert len(engine.execute_plan_brute(plan).heralds) == 3
 
 
 # leak-checked stages in one Fig. 1 execution (4 prepares, 4 unitaries, 3 heralds)
