@@ -638,13 +638,22 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
     level n holds nᵏ⁻ʲ·n!/(n−j)!·P(n−j), against the weight of the kept levels
     (leak 1 while that is 0).  After a squeezer (g > 0) an unheralded row holds
     its whole tail at the top, P(n)/(1 − P(n+1)/P(n)), and a heralded one is
-    raised by eᵍⁿ.  The levels double from 32 until every group passes.
+    raised by eᵍⁿ.
+
+    The first pass runs j + k + (ln(1/limit) + X)/(1 − q) levels, each of X,
+    q, k and j the largest over the rows: a thermal law of mean n falls by a
+    factor of at least e^(1−q) = e^(1/(n+1)) per level, X/(1 − q) = |β|² is
+    the displacement's mean, and each ladder operator and net creation adds a
+    level.  This is an estimate, not a bound: the levels double, up to 512,
+    until every group passes, and the cutoffs do not depend on the start.
     """
     x, q, k, j, g, w = rows.T
+    xm, qm, km, jm = rows[:, :4].max(axis=0).tolist()
+    start = jm + km + (xm - math.log(limit)) / (1.0 - qm) if qm < 1.0 else _MAX_CUTOFF
+    levels = min(_MAX_CUTOFF, max(2, math.ceil(start)))
     j = j.astype(int)
     column, spare = np.arange(len(rows)), np.empty(len(rows))
     held_whole = (k == 0) & (g > 0.0)  # then j = 0
-    levels = 32
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             top = _LEVELS[:levels, None]
@@ -658,7 +667,7 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
                 np.multiply(bm, prev, out=spare)
                 np.subtract(nxt, spare, out=nxt)
                 prev, cur = cur, nxt
-            perm = np.maximum(top + 1 - _LEVELS[: j.max() + 1], 0.0)
+            perm = np.maximum(top + 1 - _LEVELS[: int(jm) + 1], 0.0)
             perm[:, 0] = 1.0  # then perm.cumprod(axis=1)[n, j] = n!/(n − j)!
             level = perm.cumprod(axis=1)[:, j] * pmf[np.maximum(top - j, -1), column]
             weight = level.cumsum(axis=0)
@@ -672,7 +681,7 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
             if levels == _MAX_CUTOFF:
                 raise CutoffCeilingError(f"no cutoff up to {_MAX_CUTOFF} keeps the predicted "
                                          "leak within the budget; pass an explicit cutoff")
-            levels *= 2
+            levels = min(2 * levels, _MAX_CUTOFF)
 
 
 @dataclass(frozen=True)

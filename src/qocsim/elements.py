@@ -225,7 +225,8 @@ def element_sectors(
     real = (np.array([1, 1j, -1, -1j])[(k[:, None] - k) % 4] * w).real  # i^(j−k)
     idx = n1 + d1 * n2
     sectors = []
-    for L in np.unique(length).tolist():
+    # The distinct lengths in rising order; np.unique would import numpy.ma.
+    for L in np.flatnonzero(np.bincount(length)).tolist():
         rows = np.flatnonzero(length == L)
         group = (idx[rows, :L], real[rows, :L, :L].astype(np.complex128))
         for a in group:

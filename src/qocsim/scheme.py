@@ -92,6 +92,8 @@ class SchemeParams:
             raise ValueError(f"unknown input kind {self.input_kind!r}")
         if not (0 <= self.nbar < math.inf and self.fock_n >= 0):
             raise ValueError("nbar must be finite and >= 0, fock_n >= 0")
+        if self.fock_n % 1:  # also inf, whose remainder is nan
+            raise ValueError(f"fock_n must be an integer, got {self.fock_n!r}")
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if self.input_kind == "fock" and self.cutoff is not None and self.fock_n >= self.cutoff:

@@ -1,5 +1,6 @@
 """Exit codes and artifacts of the ``qocsim`` command line."""
 
+import json
 import os
 import subprocess
 import sys
@@ -171,6 +172,71 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+# Every public run path and CLI command, one after another in one fresh
+# interpreter; after each it prints the numpy.ma and scipy modules then loaded.
+FRESH_RUN = """
+import json, sys
+import qocsim, qocsim.cli
+from qocsim.scheme import (SchemeParams, branch_wigner, build_fig1_circuit, commutation_report,
+                           efficiency_degradation, run_interferometer)
+from qocsim.dsl import CutoffPolicy, compile_circuit
+from qocsim.engine import execute_plan_brute
+from qocsim.phasespace import GridSpec
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma."))
+
+def cli(*args):
+    try:
+        qocsim.cli.main([*args, "--out", sys.argv[1]])
+    except SystemExit as exc:
+        assert exc.code in (0, None), (args, exc.code)
+
+seen = {"import": loaded()}
+for name, params in [("coherent", SchemeParams(alpha=1.0)),
+                     ("thermal", SchemeParams(input_kind="thermal", nbar=0.5)),
+                     ("fock", SchemeParams(input_kind="fock", fock_n=1)),
+                     ("onoff-pd0", SchemeParams(alpha=0.8, pd0_onoff=True)),
+                     ("lossy-pd0", SchemeParams(alpha=0.8, eta_pd0=0.7))]:
+    res = run_interferometer(params)
+    seen["run_interferometer " + name] = loaded()
+branch_wigner(res, "pd1", GridSpec.square(-2.0, 2.0, 9))
+seen["branch_wigner"] = loaded()
+efficiency_degradation(SchemeParams(alpha=0.8), 0.7)
+seen["efficiency_degradation"] = loaded()
+commutation_report(SchemeParams(), [0.6])
+seen["commutation_report"] = loaded()
+spec = build_fig1_circuit(SchemeParams(alpha=0.5), "pd2")
+execute_plan_brute(compile_circuit(spec, CutoffPolicy(explicit=5, leak_budget=1.0)))
+seen["execute_plan_brute"] = loaded()
+cli("run", "fig1")
+seen["cli run fig1"] = loaded()
+cli("run", sys.argv[2])
+seen["cli run file"] = loaded()
+cli("wigner", "--alpha", "1", "--grid", "-2:2:9")
+seen["cli wigner"] = loaded()
+cli("verify-commutation", "--alphas", "0.6")
+seen["cli verify-commutation"] = loaded()
+cli("sweep", "--alpha", "0.5,1")
+seen["cli sweep"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_run_paths_never_load_numpy_ma_or_scipy(tmp_path):
+    # every CLI command and benchmark worker is a fresh process: a module that
+    # its first op imports is paid for in its start-up time and peak memory
+    src = str(Path(qocsim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", FRESH_RUN, str(tmp_path), str(FIG1_QOC)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert len(seen) == 15
+    assert {step: mods for step, mods in seen.items() if mods} == {}
 
 
 def test_sweep_output_is_byte_identical_across_runs(tmp_path):

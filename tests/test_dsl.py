@@ -331,3 +331,10 @@ def test_policy_ceiling_failure_is_typed():
     with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
         compile_circuit(spec, CutoffPolicy())
     assert issubclass(CutoffCeilingError, ValueError)
+
+
+def test_policy_doubling_stops_at_the_ceiling_from_any_start():
+    # the first pass runs 498 levels here, not a power of two: the next is 512
+    spec = parse("modes a\ninput a coherent 22.0 0.0\nout state a\n")
+    with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
+        compile_circuit(spec, CutoffPolicy())

@@ -210,14 +210,25 @@ def test_click_statistics_match_three_pattern_probabilities():
      {"alpha": complex(1.0, float("nan"))}, {"alpha": complex(float("inf"), 0.0)},
      {"coupling": float("nan")}, {"coupling": float("inf")}, {"nbar": float("inf")},
      {"leak_budget": float("inf")}, {"input_kind": "fock", "fock_n": 8, "cutoff": 8},
-     {"input_kind": "fock", "fock_n": 20, "cutoff": 8}],
+     {"input_kind": "fock", "fock_n": 20, "cutoff": 8}, {"input_kind": "fock", "fock_n": 1.5},
+     {"input_kind": "fock", "fock_n": float("inf")}],
     ids=["cutoff-1", "negative-nbar", "negative-fock", "zero-budget", "negative-budget",
          "nan-budget", "nan-alpha", "nan-alpha-imag", "inf-alpha", "nan-coupling",
-         "inf-coupling", "inf-nbar", "inf-budget", "fock-at-cutoff", "fock-above-cutoff"],
+         "inf-coupling", "inf-nbar", "inf-budget", "fock-at-cutoff", "fock-above-cutoff",
+         "fractional-fock", "inf-fock"],
 )
 def test_params_reject_values_the_policy_cannot_use(bad):
     with pytest.raises(ValueError):
         SchemeParams(**bad)
+
+
+def test_an_integral_fock_level_of_any_type_runs_as_that_level():
+    # the engine and the policy read the level through int(): 1.5 would run as 1
+    want = run_interferometer(SchemeParams(input_kind="fock", fock_n=1))
+    for level in (np.int64(1), 1.0):
+        got = run_interferometer(SchemeParams(input_kind="fock", fock_n=level))
+        assert got.pd0_probability == want.pd0_probability
+        assert np.array_equal(got.pd2_branch.matrix, want.pd2_branch.matrix)
 
 
 def test_interferometer_executes_one_plan(monkeypatch):
