@@ -2,10 +2,10 @@
 
 The package is organized as:
 
-* :mod:`qocsim.core` — states, operators, conditioning primitives
+* :mod:`qocsim.core` — states, operators, their application and reduction
 * :mod:`qocsim.elements` — input states and optical-element unitaries
-* :mod:`qocsim.measurement` — detector POVMs and heralded conditioning
-* :mod:`qocsim.phasespace` — Wigner functions and fidelities
+* :mod:`qocsim.measurement` — detector models and their diagonal POVM elements
+* :mod:`qocsim.phasespace` — Wigner grids, fidelities and grid files
 * :mod:`qocsim.dsl` — the `.qoc` circuit language, parser, and compiler
 * :mod:`qocsim.engine` — staged and brute-force plan executors
 * :mod:`qocsim.scheme` — the four-mode interferometer and its diagnostics
@@ -21,12 +21,6 @@ from .core import (
     PureState,
     annihilation_matrix,
     apply,
-    compose,
-    creation_matrix,
-    embed,
-    expectation,
-    inner_product,
-    normalize,
     partial_trace,
     tensor,
     truncated_commutator,
@@ -43,19 +37,11 @@ from .elements import (
     vacuum,
 )
 from .engine import LeakBudgetError, execute_plan, execute_plan_brute
-from .measurement import (
-    DetectorModel,
-    HeraldPattern,
-    ZeroProbabilityError,
-    condition,
-    pattern_probability,
-    povm_elements,
-)
+from .measurement import DetectorModel, ZeroProbabilityError
 from .phasespace import (
     GridSpec,
     WignerGrid,
     fidelity,
-    gaussian_wigner_oracle,
     min_wigner,
     wigner,
 )

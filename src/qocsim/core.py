@@ -1,4 +1,4 @@
-"""Truncated Fock-space linear algebra: states, operators, composition, conditioning.
+"""Truncated Fock-space linear algebra: states, operators, their application and reduction.
 
 Every mode of a state is truncated to the same dimension ``d`` (levels
 0..d-1); only the kernel :func:`apply_matrix` also takes one dimension per
@@ -30,21 +30,12 @@ __all__ = [
     "DimensionMismatchError",
     "UnknownModeError",
     "annihilation_matrix",
-    "creation_matrix",
-    "number_matrix",
-    "identity_matrix",
     "truncated_commutator",
-    "embed",
     "apply",
-    "compose",
-    "expectation",
-    "inner_product",
-    "normalize",
     "partial_trace",
     "tensor",
     "to_mixed",
     "state_to_json_dict",
-    "state_from_json_dict",
 ]
 
 NORM_TAG_TOL = 1e-12
@@ -108,19 +99,6 @@ class PureState:
         if abs(actual - self.norm_tag) > NORM_TAG_TOL * max(1.0, actual):
             raise ValueError(f"norm_tag {self.norm_tag} != actual {actual}")
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff.d ** len(self.modes)
-
-    def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to an M-axis tensor; axis j indexes modes[M-1-j]."""
-        d = self.cutoff.d
-        return self.amps.reshape((d,) * len(self.modes))
-
-    def axis_of(self, mode: str) -> int:
-        """numpy axis of ``mode`` in :meth:`tensor_view` (C order reverses digits)."""
-        return len(self.modes) - 1 - self.mode_index(mode)
-
     def mode_index(self, mode: str) -> int:
         try:
             return self.modes.index(mode)
@@ -159,10 +137,6 @@ class MixedState:
         if herm > HERMITICITY_TOL * scale:
             raise ValueError(f"density matrix not Hermitian (deviation {herm})")
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff.d ** len(self.modes)
-
     def mode_index(self, mode: str) -> int:
         try:
             return self.modes.index(mode)
@@ -178,7 +152,7 @@ class OperatorMatrix:
     """Dense complex matrix acting on ``acting_modes`` (little-endian pair index).
 
     ``acting_modes`` may be ``None`` for a generic single-mode operator that is
-    bound to a concrete mode at :func:`embed` / :func:`apply` time.
+    bound to concrete modes with :meth:`bound_to` before :func:`apply`.
     """
 
     matrix: np.ndarray
@@ -205,10 +179,6 @@ class OperatorMatrix:
         matrix.setflags(write=False)
         return cls(matrix, modes, cutoff)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def bound_to(self, modes: Iterable[str]) -> "OperatorMatrix":
         return OperatorMatrix.create(self.matrix, modes, self.cutoff)
 
@@ -224,21 +194,6 @@ def annihilation_matrix(cutoff: Cutoff) -> OperatorMatrix:
     return OperatorMatrix.create(mat, cutoff=cutoff)
 
 
-def creation_matrix(cutoff: Cutoff) -> OperatorMatrix:
-    """Matrix of a† (transpose of a); the top level annihilates (truncation leak)."""
-    return OperatorMatrix.create(annihilation_matrix(cutoff).matrix.T, cutoff=cutoff)
-
-
-def number_matrix(cutoff: Cutoff) -> OperatorMatrix:
-    return OperatorMatrix.create(
-        np.diag(np.arange(cutoff.d, dtype=np.float64)).astype(np.complex128), cutoff=cutoff
-    )
-
-
-def identity_matrix(cutoff: Cutoff, n_modes: int = 1) -> OperatorMatrix:
-    return OperatorMatrix.create(np.eye(cutoff.d**n_modes, dtype=np.complex128), cutoff=cutoff)
-
-
 def truncated_commutator(cutoff: Cutoff) -> OperatorMatrix:
     """a·a† − a†·a on the truncated space: diag(1, ..., 1, -(d-1))."""
     a = annihilation_matrix(cutoff).matrix
@@ -247,45 +202,13 @@ def truncated_commutator(cutoff: Cutoff) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# composition and application
+# application
 
 
 def _require_bound(op: OperatorMatrix) -> tuple[str, ...]:
     if op.acting_modes is None:
-        raise ValueError("operator is not bound to modes; use bound_to(...) or embed(...)")
+        raise ValueError("operator is not bound to modes; use bound_to(...)")
     return op.acting_modes
-
-
-def embed(
-    op: OperatorMatrix,
-    target_modes: Iterable[str],
-    full_modes: Iterable[str],
-    cutoff: Cutoff,
-) -> OperatorMatrix:
-    """Tensor ``op`` (acting on ``target_modes``) with identity on the rest.
-
-    The result's index ordering follows ``full_modes`` little-endian.
-    """
-    target = _as_modes(target_modes)
-    full = _as_modes(full_modes)
-    for m in target:
-        if m not in full:
-            raise UnknownModeError(m)
-    d = cutoff.d
-    if op.matrix.shape[0] != d ** len(target):
-        raise DimensionMismatchError(
-            f"operator dim {op.matrix.shape[0]} != d^{len(target)} = {d ** len(target)}"
-        )
-    M = len(full)
-    # start with modes ordered (target..., rest...), target digits fastest,
-    # then permute axes into the requested full order
-    rest = [m for m in full if m not in target]
-    interim = list(target) + rest
-    big = np.kron(np.eye(d ** len(rest), dtype=np.complex128), op.matrix)
-    big_t = big.reshape((d,) * (2 * M))
-    perm = [M - 1 - interim.index(m) for m in reversed(full)]
-    result = big_t.transpose(perm + [M + p for p in perm]).reshape(d**M, d**M)
-    return OperatorMatrix.create(result, full, cutoff)
 
 
 def apply_matrix(
@@ -338,51 +261,6 @@ def apply(op: OperatorMatrix, state: State) -> State:
     ket = apply_matrix(state.matrix, state.modes, dims, dense, modes)
     both = apply_matrix(ket.conj().T, state.modes, dims, dense, modes).conj().T
     return MixedState.create(state.modes, state.cutoff, both)
-
-
-def compose(op1: OperatorMatrix, op2: OperatorMatrix) -> OperatorMatrix:
-    """Matrix product op1·op2 (apply op2 first); acting modes must agree."""
-    if op1.acting_modes != op2.acting_modes:
-        raise DimensionMismatchError(
-            f"compose requires identical acting modes, got {op1.acting_modes} vs {op2.acting_modes}"
-        )
-    if op1.dim != op2.dim:
-        raise DimensionMismatchError(f"operator dims differ: {op1.dim} vs {op2.dim}")
-    return OperatorMatrix.create(op1.matrix @ op2.matrix, op1.acting_modes, op1.cutoff or op2.cutoff)
-
-
-def expectation(op: OperatorMatrix, state: State) -> complex:
-    """⟨ψ|O|ψ⟩ or Tr[ρ O], using the state's carried (unnormalized) weight."""
-    modes = op.acting_modes
-    if isinstance(state, PureState):
-        if modes is None and len(state.modes) == 1:
-            op = op.bound_to(state.modes)
-        applied = apply(op, state)
-        return complex(np.vdot(state.amps, applied.amps))
-    if modes is None and len(state.modes) == 1:
-        op = op.bound_to(state.modes)
-    full = embed(op, _require_bound(op), state.modes, state.cutoff).matrix
-    return complex(np.trace(state.matrix @ full))
-
-
-def inner_product(s1: PureState, s2: PureState) -> complex:
-    """⟨s1|s2⟩."""
-    if s1.modes != s2.modes or s1.cutoff != s2.cutoff:
-        raise DimensionMismatchError("inner_product requires identical modes and cutoff")
-    return complex(np.vdot(s1.amps, s2.amps))
-
-
-def normalize(state: State) -> tuple[State, float]:
-    """Rescale to unit weight; returns (normalized state, discarded weight)."""
-    if isinstance(state, PureState):
-        w = state.norm_tag
-        if w <= 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return PureState.create(state.modes, state.cutoff, state.amps / np.sqrt(w)), w
-    w = state.trace_tag
-    if w <= 0.0:
-        raise ValueError("cannot normalize a zero-trace state")
-    return MixedState.create(state.modes, state.cutoff, state.matrix / w), w
 
 
 def tensor(s1: State, s2: State) -> State:
@@ -456,14 +334,3 @@ def state_to_json_dict(state: State) -> dict:
         "data": [[float(z.real), float(z.imag)] for z in flat],
     }
 
-
-def state_from_json_dict(doc: dict) -> State:
-    modes = tuple(doc["modes"])
-    cutoff = Cutoff(int(doc["cutoff"]))
-    data = np.array([complex(re, im) for re, im in doc["data"]], dtype=np.complex128)
-    if doc["kind"] == "pure":
-        return PureState.create(modes, cutoff, data)
-    if doc["kind"] == "mixed":
-        n = cutoff.d ** len(modes)
-        return MixedState.create(modes, cutoff, data.reshape(n, n))
-    raise ValueError(f"unknown state kind {doc['kind']!r}")

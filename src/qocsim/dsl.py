@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -145,7 +146,11 @@ def _parse_int(tok: str, ln: int, col: int, errs: _Collector) -> int | None:
     if not _INT_RE.match(tok):
         errs.add(ln, col, "malformed-number", f"expected an integer, got {tok!r}")
         return None
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        errs.add(ln, col, "malformed-number", f"integer of {len(tok)} digits is too long")
+        return None
 
 
 def parse(text: str) -> CircuitSpec:
@@ -227,6 +232,9 @@ def parse(text: str) -> CircuitSpec:
                     if n is not None:
                         if n < 0:
                             errs.add(args[0][1], args[0][2], "bad-argument", "fock level must be >= 0")
+                        elif n > sys.float_info.max:
+                            errs.add(args[0][1], args[0][2], "bad-argument",
+                                     "fock level is too large for a float")
                         else:
                             stmt = InputStmt(mtok, "fock", (float(n),))
             elif ktok == "vacuum":
@@ -655,7 +663,8 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
     column, spare = np.arange(len(rows)), np.empty(len(rows))
     held_whole = (k == 0) & (g > 0.0)  # then j = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
+        # a row with j net creations holds nothing below level j, so j >= 512 passes nowhere
+        while jm < _MAX_CUTOFF:
             top = _LEVELS[:levels, None]
             # P(n + 1) = a[n] P(n) − b[n] P(n − 1)
             a, b = (q * (2 * top + 1) + (1 - q) * x) / (top + 1), top / (top + 1) * (q * q)
@@ -679,9 +688,10 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
             if passed.any(axis=0).all():
                 return passed.argmax(axis=0) + 2
             if levels == _MAX_CUTOFF:
-                raise CutoffCeilingError(f"no cutoff up to {_MAX_CUTOFF} keeps the predicted "
-                                         "leak within the budget; pass an explicit cutoff")
+                break
             levels = min(2 * levels, _MAX_CUTOFF)
+    raise CutoffCeilingError(f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within "
+                             "the budget; pass an explicit cutoff")
 
 
 @dataclass(frozen=True)

@@ -152,15 +152,11 @@ class Ensemble:
         """Members with one axis per mode (the last mode first) and K last."""
         return self.members.reshape(self.dims[::-1] + (self.members.shape[1],))
 
-    def _populations(self) -> np.ndarray:
-        """Diagonal of ρ in the joint Fock basis."""
-        m = self.members
-        return np.sum(m.real**2 + m.imag**2, axis=1)
-
     def populations(self, modes: Sequence[str]) -> np.ndarray:
         """Unnormalized photon-number distribution of ``modes``, one axis each in that order."""
         M = len(self.modes)
-        t = self._populations().reshape(self.dims[::-1])
+        v = self.members
+        t = np.sum(v.real**2 + v.imag**2, axis=1).reshape(self.dims[::-1])
         return np.einsum(t, list(range(M)), [M - 1 - self.modes.index(m) for m in modes])
 
     def _mode_first(self, mode: str) -> np.ndarray:
@@ -190,11 +186,6 @@ class Ensemble:
             q = self._charges()
             rho[q[:, None] != q] = 0.0
         return MixedState.create(self.modes, Cutoff(max(self.dims)), rho)
-
-    def pattern_probability(self, pattern, detectors) -> float:
-        """Tr[ρ ⊗ Eᵢ] over the ensemble without densifying it."""
-        joint = measurement.joint_diagonal(self.modes, self.dims, pattern.requirements, detectors)
-        return float(joint @ self._populations())
 
     def reduced(self, mode: str) -> MixedState:
         """The unnormalized state of ``mode``, every other mode traced out."""
@@ -278,12 +269,6 @@ class ExecutionResult:
     def joint_probability(self) -> float:
         """The product of the herald probabilities: the probability of the whole record."""
         return math.prod((h.probability for h in self.heralds), start=1.0)
-
-    def output_value(self, kind: str, mode: str | None = None):
-        for out, value in zip(self.plan.spec.outputs, self.outputs):
-            if out.kind == kind and (mode is None or out.mode == mode):
-                return value
-        raise KeyError(f"no {kind!r} output for mode {mode!r}")
 
 
 def input_state(stmt: InputStmt, cutoff: Cutoff) -> State:

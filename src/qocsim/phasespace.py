@@ -1,4 +1,4 @@
-"""Wigner-function evaluation, fidelity, and nonclassicality diagnostics.
+"""Wigner grids and their diagnostics, fidelity, and grid files.
 
 Convention: W(β) = (2/π)·Tr[ρ D(β) Π D(−β)] with Π the photon-number parity
 and D the displacement operator, so W(0) = 2/π for vacuum and ∫W d²β = 1.
@@ -29,17 +29,12 @@ __all__ = [
     "NonFiniteWignerError",
     "WignerGrid",
     "wigner",
-    "wigner_point",
-    "gaussian_wigner_oracle",
     "fidelity",
     "uhlmann_fidelity",
     "min_wigner",
-    "parity_expectation",
     "grid_integral",
     "save_grid_csv",
-    "load_grid_csv",
     "save_grid_json",
-    "load_grid_json",
 ]
 
 DEFAULT_GRID: "GridSpec"
@@ -152,14 +147,9 @@ def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
             )
         c_L = y0 - y1 * (L + 1 - radii) * (1.0 / math.sqrt(L + 1))
         # not in place: numpy's in-place product of one-element arrays (a
-        # wigner_point call) rounds differently from this one
+        # single-point evaluation) rounds differently from this one
         total = c_L[where] + total * (two_beta * (1.0 / math.sqrt(L + 1)))
     return (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
-
-
-def wigner_point(state: State, beta: complex) -> float:
-    """W at a single phase-space point of the state normalized to unit trace."""
-    return float(_wigner_values(_normalized_rho(state), np.array([complex(beta)]))[0])
 
 
 def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
@@ -169,28 +159,6 @@ def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     im = grid.im_axis()
     betas = re[None, :] + 1j * im[:, None]
     return WignerGrid(re, im, _wigner_values(rho, betas))
-
-
-def gaussian_wigner_oracle(kind: str, params, beta: complex) -> float:
-    """Closed-form W(β) for Gaussian reference states (independent test oracle).
-
-    kind='coherent': params = α;  W = (2/π)·exp(−2|β−α|²).
-    kind='thermal':  params = n̄;  W = 2/(π(2n̄+1))·exp(−2|β|²/(2n̄+1)).
-    """
-    if kind == "coherent":
-        alpha = complex(params)
-        return float(2.0 / np.pi * np.exp(-2.0 * abs(beta - alpha) ** 2))
-    if kind == "thermal":
-        nbar = float(params)
-        width = 2.0 * nbar + 1.0
-        return float(2.0 / (np.pi * width) * np.exp(-2.0 * abs(beta) ** 2 / width))
-    raise ValueError(f"unknown Gaussian kind {kind!r}")
-
-
-def parity_expectation(state: State) -> float:
-    """⟨Π⟩ from photon-number populations of the state normalized to unit trace."""
-    pops = np.real(np.diag(_normalized_rho(state)))
-    return float(np.sum((-1.0) ** np.arange(pops.size) * pops))
 
 
 def fidelity(reference: State, state: State) -> float:
@@ -264,23 +232,6 @@ def save_grid_csv(grid: WignerGrid, path) -> None:
                 writer.writerow([repr(float(re)), repr(float(im)), repr(float(grid.values[i, j]))])
 
 
-def load_grid_csv(path) -> WignerGrid:
-    res, ims, vals = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["re", "im", "W"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        for re_s, im_s, w_s in reader:
-            res.append(float(re_s))
-            ims.append(float(im_s))
-            vals.append(float(w_s))
-    re_axis = np.array(sorted(set(res)))
-    im_axis = np.array(sorted(set(ims)))
-    values = np.array(vals).reshape(im_axis.size, re_axis.size)
-    return WignerGrid(re_axis, im_axis, values)
-
-
 def save_grid_json(grid: WignerGrid, path) -> None:
     doc = {
         "re_axis": [float(x) for x in grid.re_axis],
@@ -289,13 +240,3 @@ def save_grid_json(grid: WignerGrid, path) -> None:
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def load_grid_json(path) -> WignerGrid:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return WignerGrid(
-        np.array(doc["re_axis"], dtype=float),
-        np.array(doc["im_axis"], dtype=float),
-        np.array(doc["values"], dtype=float),
-    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,6 +95,8 @@ class SchemeParams:
             raise ValueError("nbar must be finite and >= 0, fock_n >= 0")
         if self.fock_n % 1:  # also inf, whose remainder is nan
             raise ValueError(f"fock_n must be an integer, got {self.fock_n!r}")
+        if self.fock_n > sys.float_info.max:
+            raise ValueError("fock_n is too large for a float")
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if self.input_kind == "fock" and self.cutoff is not None and self.fock_n >= self.cutoff:

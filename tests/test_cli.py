@@ -106,6 +106,29 @@ def test_fock_level_at_or_above_an_explicit_cutoff_exits_1(tmp_path):
             assert "error:" in res.output.lower() and f"cutoff {cutoff} is not above" in res.output
 
 
+def test_fock_literal_too_large_for_a_float_exits_1(tmp_path):
+    big = "1" + "0" * 400
+    circuit = tmp_path / "fock.qoc"
+    circuit.write_text(FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", f"input a fock {big}"))
+    for target, message in ((("fig1", "--fock", big), "fock_n is too large for a float"),
+                            ((str(circuit),), "[bad-argument] fock level is too large for a float")):
+        res = _run("run", *target, "--out", str(tmp_path))
+        assert res.exit_code == EXIT_USAGE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output.lower() and message in res.output
+
+
+@pytest.mark.parametrize("level", ["511", "512", "513", "600"])
+def test_fock_level_above_the_policy_ceiling_exits_2(tmp_path, level):
+    circuit = tmp_path / "fock.qoc"
+    circuit.write_text(FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", f"input a fock {level}"))
+    for target in (("fig1", "--fock", level), (str(circuit),)):
+        res = _run("run", *target, "--out", str(tmp_path))
+        assert res.exit_code == EXIT_NUMERICAL, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "numerical failure: no cutoff up to 512" in res.output
+
+
 def test_non_finite_circuit_literal_exits_1(tmp_path):
     text = FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", "input a thermal 1e400")
     circuit = tmp_path / "hot.qoc"

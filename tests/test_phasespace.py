@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -11,19 +13,15 @@ from qocsim.phasespace import (
     GridSpec,
     NonFiniteWignerError,
     fidelity,
-    gaussian_wigner_oracle,
     grid_integral,
-    load_grid_csv,
-    load_grid_json,
     min_wigner,
-    parity_expectation,
     save_grid_csv,
     save_grid_json,
     uhlmann_fidelity,
     wigner,
-    wigner_point,
 )
 from qocsim.scheme import SchemeParams, run_interferometer
+from reference import gaussian_wigner_oracle, parity_expectation, wigner_point
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -271,18 +269,25 @@ def test_fidelity_with_a_mixed_reference_matches_the_pure_overlap():
 
 
 def test_grid_serialization_round_trip(tmp_path):
+    # the CLI's grid files, read back with csv and json alone
     state = coherent_state(0.8, Cutoff(14))
     grid = wigner(state, GridSpec.square(-1.5, 1.5, 11))
     csv_path = tmp_path / "w.csv"
     json_path = tmp_path / "w.json"
     save_grid_csv(grid, csv_path)
     save_grid_json(grid, json_path)
-    g1 = load_grid_csv(csv_path)
-    g2 = load_grid_json(json_path)
-    for g in (g1, g2):
-        assert np.array_equal(g.values, grid.values)
-        assert np.array_equal(g.re_axis, grid.re_axis)
-        assert np.array_equal(g.im_axis, grid.im_axis)
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["re", "im", "W"]
+    re, im, w = np.array(rows, dtype=float).T  # row-major: re varies fastest
+    shape = grid.values.shape
+    assert np.array_equal(re.reshape(shape), np.broadcast_to(grid.re_axis, shape))
+    assert np.array_equal(im.reshape(shape), np.broadcast_to(grid.im_axis[:, None], shape))
+    assert np.array_equal(w.reshape(shape), grid.values)
+    doc = json.loads(json_path.read_text())
+    assert np.array_equal(doc["re_axis"], grid.re_axis)
+    assert np.array_equal(doc["im_axis"], grid.im_axis)
+    assert np.array_equal(doc["values"], grid.values)
 
 
 def test_grid_spec_validation():
