@@ -2,9 +2,9 @@
 
 The package is organized as:
 
-* :mod:`qocsim.core` — states, operators, their application and reduction
-* :mod:`qocsim.elements` — input states and optical-element unitaries
-* :mod:`qocsim.measurement` — detector models and their diagonal POVM elements
+* :mod:`qocsim.core` — states, and plain-array operators applied to named modes
+* :mod:`qocsim.elements` — input states and optical-element unitaries (ndarrays)
+* :mod:`qocsim.measurement` — the diagonal POVM element of a herald, from its fields
 * :mod:`qocsim.phasespace` — Wigner grids, fidelities and grid files
 * :mod:`qocsim.dsl` — the `.qoc` circuit language, parser, and compiler
 * :mod:`qocsim.engine` — staged and brute-force plan executors
@@ -17,7 +17,6 @@ from importlib import resources
 from .core import (
     Cutoff,
     MixedState,
-    OperatorMatrix,
     PureState,
     annihilation_matrix,
     apply,
@@ -27,8 +26,6 @@ from .core import (
 )
 from .dsl import CircuitSpec, CutoffPolicy, compile_circuit, parse, print_circuit
 from .elements import (
-    BeamSplitterParams,
-    SqueezerParams,
     beam_splitter_unitary,
     coherent_state,
     fock_state,
@@ -37,7 +34,7 @@ from .elements import (
     vacuum,
 )
 from .engine import LeakBudgetError, execute_plan, execute_plan_brute
-from .measurement import DetectorModel, ZeroProbabilityError
+from .measurement import ZeroProbabilityError
 from .phasespace import (
     GridSpec,
     WignerGrid,

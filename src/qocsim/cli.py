@@ -28,13 +28,7 @@ from click.core import ParameterSource
 
 from .core import Cutoff, state_to_json_dict, truncated_commutator
 from .dsl import CircuitParseError, CutoffCeilingError, CutoffPolicy, compile_circuit, parse
-from .elements import (
-    BeamSplitterParams,
-    SqueezerParams,
-    _pair_ladders,
-    beam_splitter_unitary,
-    two_mode_squeezer_unitary,
-)
+from .elements import _pair_ladders, beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan
 from .measurement import ZeroProbabilityError
 from .phasespace import GridSpec, NonFiniteWignerError, min_wigner, save_grid_csv, save_grid_json
@@ -327,7 +321,7 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     # truncated-commutator structure across cutoffs
     worst = 0.0
     for d in range(2, 65):
-        comm = truncated_commutator(Cutoff(d)).matrix
+        comm = truncated_commutator(Cutoff(d))
         expect = np.diag(np.concatenate([np.ones(d - 1), [-(d - 1.0)]]))
         worst = max(worst, float(np.max(np.abs(comm - expect))))
     checks.append(("commutator diag(1,...,1,-(d-1)) for d=2..64", worst <= 1e-12, f"max dev {worst:.2e}"))
@@ -335,7 +329,7 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     d = 20
     cut = Cutoff(d)
     t, r = math.sqrt(T), math.sqrt(1 - T)
-    bs = beam_splitter_unitary(BeamSplitterParams(T, ("b", "c")), cut).matrix
+    bs = beam_splitter_unitary(T, cut)
     a1, a2 = _pair_ladders(cut)
     tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
     blk = tot <= d - 2
@@ -345,12 +339,12 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     )
     checks.append(("beam-splitter conjugation (both signs)", dev <= OPERATOR_TOL, f"max dev {dev:.2e}"))
 
-    sq = two_mode_squeezer_unitary(SqueezerParams(s, ("a", "d")), cut).matrix
+    sq = two_mode_squeezer_unitary(s, cut)
     blk_sq = tot <= d - 9  # 8-level margin under the truncation boundary
     dev = _block_dev(sq @ a1 @ sq.conj().T, math.cosh(s) * a1 + math.sinh(s) * a2.conj().T, blk_sq)
     checks.append(("squeezer conjugation S a S† = μa + νd†", dev <= OPERATOR_TOL, f"max dev {dev:.2e}"))
 
-    hom = beam_splitter_unitary(BeamSplitterParams(0.5, ("b", "c")), Cutoff(4)).matrix
+    hom = beam_splitter_unitary(0.5, Cutoff(4))
     v11 = np.zeros(16, dtype=complex)
     v11[1 + 4 * 1] = 1.0
     outv = hom @ v11

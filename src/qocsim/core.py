@@ -10,8 +10,11 @@ listed mode is the fastest-varying digit.  This ordering is fixed so that saved
 states are portable.
 
 States are immutable value objects; all operations here are pure functions.
-Unnormalized states are first class: ``norm_tag`` / ``trace_tag`` record the
-carried weight, which downstream conditioning probabilities are ratios of.
+An operator is a plain complex ndarray: :func:`apply` takes the matrix
+together with the modes it acts on, and the elementary matrices come back as
+arrays.  Unnormalized states are first class: ``norm_tag`` / ``trace_tag``
+record the carried weight, which downstream conditioning probabilities are
+ratios of.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "Cutoff",
     "PureState",
     "MixedState",
-    "OperatorMatrix",
     "DimensionMismatchError",
     "UnknownModeError",
     "annihilation_matrix",
@@ -147,68 +149,24 @@ class MixedState:
 State = PureState | MixedState
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix acting on ``acting_modes`` (little-endian pair index).
-
-    ``acting_modes`` may be ``None`` for a generic single-mode operator that is
-    bound to concrete modes with :meth:`bound_to` before :func:`apply`.
-    """
-
-    matrix: np.ndarray
-    acting_modes: tuple[str, ...] | None = None
-    cutoff: Cutoff | None = None
-
-    @classmethod
-    def create(
-        cls,
-        matrix: np.ndarray,
-        acting_modes: Iterable[str] | None = None,
-        cutoff: Cutoff | None = None,
-    ) -> "OperatorMatrix":
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got {matrix.shape}")
-        modes = _as_modes(acting_modes) if acting_modes is not None else None
-        if modes is not None and cutoff is not None:
-            if matrix.shape[0] != cutoff.d ** len(modes):
-                raise DimensionMismatchError(
-                    f"operator dim {matrix.shape[0]} != d^|modes| = {cutoff.d ** len(modes)}"
-                )
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        return cls(matrix, modes, cutoff)
-
-    def bound_to(self, modes: Iterable[str]) -> "OperatorMatrix":
-        return OperatorMatrix.create(self.matrix, modes, self.cutoff)
-
-
 # ---------------------------------------------------------------------------
 # elementary single-mode operators
 
 
-def annihilation_matrix(cutoff: Cutoff) -> OperatorMatrix:
+def annihilation_matrix(cutoff: Cutoff) -> np.ndarray:
     """Matrix of a with <n-1|a|n> = sqrt(n)."""
-    d = cutoff.d
-    mat = np.diag(np.sqrt(np.arange(1, d, dtype=np.float64)), k=1).astype(np.complex128)
-    return OperatorMatrix.create(mat, cutoff=cutoff)
+    return np.diag(np.sqrt(np.arange(1, cutoff.d, dtype=np.float64)), k=1).astype(np.complex128)
 
 
-def truncated_commutator(cutoff: Cutoff) -> OperatorMatrix:
+def truncated_commutator(cutoff: Cutoff) -> np.ndarray:
     """a·a† − a†·a on the truncated space: diag(1, ..., 1, -(d-1))."""
-    a = annihilation_matrix(cutoff).matrix
+    a = annihilation_matrix(cutoff)
     ad = a.conj().T
-    return OperatorMatrix.create(a @ ad - ad @ a, cutoff=cutoff)
+    return a @ ad - ad @ a
 
 
 # ---------------------------------------------------------------------------
 # application
-
-
-def _require_bound(op: OperatorMatrix) -> tuple[str, ...]:
-    if op.acting_modes is None:
-        raise ValueError("operator is not bound to modes; use bound_to(...)")
-    return op.acting_modes
 
 
 def apply_matrix(
@@ -248,12 +206,16 @@ def apply_matrix(
     return out.reshape(arr.shape)
 
 
-def apply(op: OperatorMatrix, state: State) -> State:
-    """Apply an operator to a state: O|ψ⟩ or O ρ O†."""
-    modes = _require_bound(op)
+def apply(matrix: np.ndarray, modes: Iterable[str], state: State) -> State:
+    """Apply the matrix acting on ``modes`` (little-endian) to a state: O|ψ⟩ or O ρ O†."""
+    modes = _as_modes(modes)
     for m in modes:
         state.mode_index(m)
-    dense = [(np.arange(op.matrix.shape[0])[None], op.matrix[None])]
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    n = state.cutoff.d ** len(modes)
+    if matrix.shape != (n, n):
+        raise DimensionMismatchError(f"operator has shape {matrix.shape}, expected {(n, n)}")
+    dense = [(np.arange(n)[None], matrix[None])]
     dims = (state.cutoff.d,) * len(state.modes)
     if isinstance(state, PureState):
         amps = apply_matrix(state.amps, state.modes, dims, dense, modes)

@@ -28,25 +28,24 @@ generator is real antisymmetric, so ``D = diag(iʲ)`` turns it into ``i·J``
 with ``J`` real symmetric tridiagonal; the chains are exponentiated through
 the eigendecomposition of ``J``, all of them by one batched
 ``numpy.linalg.eigh`` per build, and kept grouped by chain length.  The
-public dense builders assemble their d²×d² matrix from the same sectors at
-d1 = d2 = d.  The beam splitter is exact on every block of
-fixed total photon number that fits under both cutoffs, while the squeezer
-(which changes total photon number) is accurate away from a band at the top.
+public dense builders take the element's one number (T or s) and a cutoff and
+return their read-only d²×d² ndarray, assembled from the same sectors at
+d1 = d2 = d; the modes it acts on are named where it is applied.  The beam
+splitter is exact on every block of fixed total photon number that fits under
+both cutoffs, while the squeezer (which changes total photon number) is
+accurate away from a band at the top.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cutoff, MixedState, OperatorMatrix, PureState, annihilation_matrix
+from .core import Cutoff, MixedState, PureState, annihilation_matrix
 
 __all__ = [
-    "BeamSplitterParams",
-    "SqueezerParams",
     "fock_state",
     "vacuum",
     "coherent_state",
@@ -58,54 +57,6 @@ __all__ = [
 
 # Poisson weight a coherent state may lose to the cutoff without a warning.
 _DISCARDED_WARN = 1e-6
-
-
-@dataclass(frozen=True)
-class BeamSplitterParams:
-    """Intensity transmittivity T and the ordered (transmitted, reflected) pair."""
-
-    transmittivity: float
-    modes: tuple[str, str] = ("a", "b")
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.transmittivity <= 1.0:
-            raise ValueError(f"transmittivity must be in (0, 1], got {self.transmittivity}")
-        if self.modes[0] == self.modes[1]:
-            raise ValueError("beam splitter modes must differ")
-
-    @property
-    def t(self) -> float:
-        return float(np.sqrt(self.transmittivity))
-
-    @property
-    def r(self) -> float:
-        return float(np.sqrt(1.0 - self.transmittivity))
-
-
-@dataclass(frozen=True)
-class SqueezerParams:
-    """Two-mode squeezer coupling s on the ordered (signal, idler) pair."""
-
-    coupling: float
-    modes: tuple[str, str] = ("a", "d")
-
-    def __post_init__(self) -> None:
-        if self.coupling < 0.0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-        if self.modes[0] == self.modes[1]:
-            raise ValueError("squeezer modes must differ")
-
-    @property
-    def mu(self) -> float:
-        return float(np.cosh(self.coupling))
-
-    @property
-    def nu(self) -> float:
-        return float(np.sinh(self.coupling))
-
-    @property
-    def lam(self) -> float:
-        return float(np.tanh(self.coupling))
 
 
 def fock_state(n: int, cutoff: Cutoff, mode: str = "a") -> PureState:
@@ -163,7 +114,7 @@ def thermal_state(nbar: float, cutoff: Cutoff, mode: str = "a") -> MixedState:
 def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     """(a1, a2) on the two-mode space; pair index = n1 + d*n2 (mode 1 fastest)."""
     d = cutoff.d
-    a = annihilation_matrix(cutoff).matrix
+    a = annihilation_matrix(cutoff)
     eye = np.eye(d, dtype=np.complex128)
     a1 = np.kron(eye, a)  # fast digit = first listed mode
     a2 = np.kron(a, eye)
@@ -235,28 +186,25 @@ def element_sectors(
     return tuple(sectors)
 
 
-def _dense_unitary(
-    kind: str, value: float, modes: tuple[str, str], cutoff: Cutoff
-) -> OperatorMatrix:
-    """The element's d²×d² unitary, each group's blocks scattered onto its rows.
-
-    The matrix is frozen in place rather than passed to
-    ``OperatorMatrix.create``, whose defensive copy would double the peak
-    memory of a build (d⁴ complex entries, 41 MB at d=40).
-    """
+def _dense_unitary(kind: str, value: float, cutoff: Cutoff) -> np.ndarray:
+    """The element's read-only d²×d² unitary, each group's blocks scattered onto its rows."""
     d = cutoff.d
     u = np.zeros((d * d, d * d), dtype=np.complex128)
     for idx, blocks in element_sectors(kind, value, d, d):
         u[idx[:, :, None], idx[:, None, :]] = blocks
     u.setflags(write=False)
-    return OperatorMatrix(u, tuple(modes), cutoff)
+    return u
 
 
-def beam_splitter_unitary(params: BeamSplitterParams, cutoff: Cutoff) -> OperatorMatrix:
-    """Two-mode beam-splitter unitary realizing the conventions above."""
-    return _dense_unitary("bs", params.transmittivity, params.modes, cutoff)
+def beam_splitter_unitary(transmittivity: float, cutoff: Cutoff) -> np.ndarray:
+    """Two-mode beam-splitter unitary of intensity transmittivity T, by the conventions above."""
+    if not 0.0 < transmittivity <= 1.0:
+        raise ValueError(f"transmittivity must be in (0, 1], got {transmittivity}")
+    return _dense_unitary("bs", transmittivity, cutoff)
 
 
-def two_mode_squeezer_unitary(params: SqueezerParams, cutoff: Cutoff) -> OperatorMatrix:
+def two_mode_squeezer_unitary(coupling: float, cutoff: Cutoff) -> np.ndarray:
     """Two-mode squeezer exp(−s·a†d† + s·d a) on (signal, idler)."""
-    return _dense_unitary("tmsq", params.coupling, params.modes, cutoff)
+    if coupling < 0.0:
+        raise ValueError(f"coupling must be >= 0, got {coupling}")
+    return _dense_unitary("tmsq", coupling, cutoff)

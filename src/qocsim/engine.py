@@ -47,12 +47,13 @@ BLAS library competes with it for the cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
 largest), builds the full joint space of every declared input up front,
-applies embedded conditioning operators without any tracing, and reduces only
-at the end.  It builds every
-element as one dense matrix, uncached, through the public builders (which
-assemble it from the same chain exponentials), and applies it as one dense
+applies every herald as the dense matrix √E on its mode without any tracing,
+and reduces only at the end.  It builds every element as one dense ndarray,
+uncached, through the public builders (which assemble it from the same chain
+exponentials), and applies it with :func:`~qocsim.core.apply` as one dense
 product.  It exists as an independent oracle: both executors must agree to
-1e-10 on small circuits at uniform cutoffs.
+1e-10 on small circuits at uniform cutoffs.  Both read a herald's E from
+:func:`~qocsim.measurement.povm_diagonal`, given the herald's own fields.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .core import (
     Cutoff,
     DimensionMismatchError,
     MixedState,
-    OperatorMatrix,
     PureState,
     State,
     apply,
@@ -79,8 +79,6 @@ from .core import (
 )
 from .dsl import CircuitSpec, ElementStmt, ExecutionPlan, HeraldStmt, InputStmt
 from .elements import (
-    BeamSplitterParams,
-    SqueezerParams,
     beam_splitter_unitary,
     coherent_state,
     element_sectors,
@@ -89,7 +87,7 @@ from .elements import (
     two_mode_squeezer_unitary,
     vacuum,
 )
-from .measurement import DetectorModel, Requirement, ZeroProbabilityError
+from .measurement import ZeroProbabilityError
 from .phasespace import GridSpec, fidelity, wigner
 
 __all__ = [
@@ -235,12 +233,6 @@ class Ensemble:
         self.members = evecs[:, keep] * np.sqrt(evals[keep])
 
 
-def _herald_diagonal(stmt: HeraldStmt, d: int) -> np.ndarray:
-    """The diagonal of the POVM element the herald ``stmt`` accepts, on d levels."""
-    detector = DetectorModel("on-off" if stmt.onoff else "number-resolving", stmt.eta)
-    return measurement.povm_diagonal(Requirement(stmt.requirement, stmt.count), detector, d)
-
-
 @dataclass(frozen=True)
 class HeraldRecord:
     mode: str
@@ -317,10 +309,8 @@ def _check_modes(stmt: ElementStmt) -> None:
 def _unitary_matrix(stmt: ElementStmt, d: int) -> np.ndarray:
     """The element's dense d²×d² unitary from the public builders, uncached."""
     _check_modes(stmt)
-    cutoff = Cutoff(d)
-    if stmt.kind == "bs":
-        return beam_splitter_unitary(BeamSplitterParams(stmt.value), cutoff).matrix
-    return two_mode_squeezer_unitary(SqueezerParams(stmt.value), cutoff).matrix
+    build = beam_splitter_unitary if stmt.kind == "bs" else two_mode_squeezer_unitary
+    return build(stmt.value, Cutoff(d))
 
 
 # The sectors do not depend on the modes the element acts on, only on their
@@ -411,7 +401,8 @@ def _herald(
     """One herald: condition and trace, compact, then check the leak."""
     d = ens.dims[ens.modes.index(stmt.mode)]
     before = ens.weight
-    ens = ens.condition(stmt.mode, _herald_diagonal(stmt, d))
+    ens = ens.condition(stmt.mode, measurement.povm_diagonal(
+        stmt.requirement, stmt.count, stmt.eta, stmt.onoff, d))
     after = ens.weight
     if after <= 0.0:
         raise ZeroProbabilityError(
@@ -509,12 +500,11 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
 
     for op in spec.operations:
         if isinstance(op, ElementStmt):
-            mat = _unitary_matrix(op, d)
-            state = apply(OperatorMatrix.create(mat, op.modes, cutoff), state)
+            state = apply(_unitary_matrix(op, d), op.modes, state)
             continue
-        root = np.diag(np.sqrt(_herald_diagonal(op, d)))
+        diag = measurement.povm_diagonal(op.requirement, op.count, op.eta, op.onoff, d)
         before = weight(state)
-        state = apply(OperatorMatrix.create(root, (op.mode,), cutoff), state)
+        state = apply(np.diag(np.sqrt(diag)), (op.mode,), state)
         after = weight(state)
         if after <= 0.0:
             raise ZeroProbabilityError(

@@ -8,8 +8,14 @@ Glauber, Phys. Rev. 177, 1882 (1969): each diagonal of ρ is summed against
 normalized generalized Laguerre functions of 4|β|² by Clenshaw's recurrence,
 run once per distinct radius |β| of the grid, and the diagonals are combined
 by Horner's rule in 2β over every grid point, as in QuTiP (Johansson et al.,
-Comput. Phys. Commun. 184, 1234 (2013)).  The result is exact for the
-truncated ρ: no larger Fock space and no matrix exponential are involved.
+Comput. Phys. Commun. 184, 1234 (2013)), from ρ's highest nonzero diagonal
+down.  The result is exact for the truncated ρ: no larger Fock space and no
+matrix exponential are involved.  A grid's geometry (its axes, the radii and
+2β of its points) is computed once per :class:`GridSpec` and shared.
+
+:func:`fidelity` of two Fock-diagonal states, the thermal case, reads
+(Σₙ √(pₙqₙ))² off their populations; other mixed references take the
+Uhlmann route.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,8 +119,35 @@ def _normalized_rho(state: State) -> np.ndarray:
     return rho / weight
 
 
-def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """W(β) for an array of β values; rho is used as given (not normalized).
+def _geometry(betas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What :func:`_wigner_values` needs of the points β.
+
+    The distinct radii x = 4|β|², each point's index into them, 2β and the
+    prefactor (2/π)·e^{−x/2}.
+    """
+    x = 4.0 * np.abs(betas) ** 2
+    radii, where = np.unique(x, return_inverse=True)
+    return radii, where.reshape(x.shape), 2.0 * betas, (2.0 / np.pi) * np.exp(-0.5 * x)
+
+
+@lru_cache(maxsize=4)
+def _grid_geometry(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The grid's two axes and its :func:`_geometry`, computed once per spec and read-only."""
+    re, im = grid.re_axis(), grid.im_axis()
+    out = (re, im) + _geometry(re[None, :] + 1j * im[:, None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _highest_diagonal(rho: np.ndarray) -> int:
+    """The largest L whose L-th upper diagonal of ρ holds a nonzero entry."""
+    rows, cols = np.nonzero(rho)
+    return int(np.max(cols - rows, initial=0))
+
+
+def _wigner_values(rho: np.ndarray, geometry: tuple[np.ndarray, ...]) -> np.ndarray:
+    """W(β) at the points of ``geometry`` (see :func:`_geometry`); rho is used as given.
 
     W = (2/π)·e^{−2|β|²}·Re Σ_L (2β)^L/√(L!)·c_L(4|β|²), with
     c_L(x) = Σ_m ρ'_{m,m+L}·f_m(x) over the L-th upper diagonal of ρ' (ρ with
@@ -121,7 +155,9 @@ def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     normalized generalized Laguerre functions, which obey
     f_{m+1} = −(2m+L+1−x)/√((m+1)(m+L+1))·f_m − √(m(m+L)/((m+1)(m+L+1)))·f_{m−1},
     f_0 = 1, f_1 = −(L+1−x)/√(L+1).  Each c_L is summed by Clenshaw's
-    recurrence from the top of its diagonal, the sum over L by Horner's rule.
+    recurrence from the top of its diagonal, the sum over L by Horner's rule,
+    which starts at ρ's highest nonzero diagonal: the diagonals above it add
+    exact zeros, so skipping them changes no bit.
 
     c_L depends on β only through x, so each Clenshaw recurrence runs once per
     distinct radius (the 6,561 points of the default grid share 1,313 values
@@ -130,14 +166,10 @@ def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     numpy divides a complex number by a real one as a product with the
     reciprocal, so the cheaper ``* (1.0 / √n)`` gives the same bits as ``/ √n``.
     """
-    d = rho.shape[0]
-    x = 4.0 * np.abs(betas) ** 2
-    radii, where = np.unique(x, return_inverse=True)
-    where = where.reshape(x.shape)
-    two_beta = 2.0 * betas
+    radii, where, two_beta, prefactor = geometry
     rho2 = 2.0 * rho - np.diag(np.diag(rho))
-    total = np.zeros(betas.shape, dtype=np.complex128)
-    for L in range(d - 1, -1, -1):
+    total = np.zeros(two_beta.shape, dtype=np.complex128)
+    for L in range(_highest_diagonal(rho), -1, -1):
         c = np.diag(rho2, L)
         y0, y1 = c[-1], 0.0
         for k in range(c.size - 1, 0, -1):
@@ -149,28 +181,43 @@ def _wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
         # not in place: numpy's in-place product of one-element arrays (a
         # single-point evaluation) rounds differently from this one
         total = c_L[where] + total * (two_beta * (1.0 / math.sqrt(L + 1)))
-    return (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
+    return prefactor * total.real
 
 
 def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """Sample W(β) of the state normalized to unit trace on a rectangular grid (row-major)."""
     rho = _normalized_rho(state)
-    re = grid.re_axis()
-    im = grid.im_axis()
-    betas = re[None, :] + 1j * im[:, None]
-    return WignerGrid(re, im, _wigner_values(rho, betas))
+    re, im, *geometry = _grid_geometry(grid)
+    return WignerGrid(re.copy(), im.copy(), _wigner_values(rho, geometry))
+
+
+def _fock_populations(state: State) -> np.ndarray | None:
+    """The normalized photon-number distribution of a Fock-diagonal state, else ``None``."""
+    rho = to_mixed(state)
+    p = np.diagonal(rho.matrix)
+    if np.count_nonzero(rho.matrix) > np.count_nonzero(p):
+        return None
+    return p.real / rho.trace_tag
 
 
 def fidelity(reference: State, state: State) -> float:
     """Jozsa's fidelity of ``state`` with ``reference``, both normalized first.
 
-    For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩; a mixed reference goes
-    to :func:`uhlmann_fidelity`.
+    For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩.  A mixed reference
+    and a state that are both diagonal in the Fock basis (a thermal input
+    against a charge-dephased branch) give F = (Σₙ √(pₙqₙ))² from their
+    populations; any other mixed reference goes to :func:`uhlmann_fidelity`,
+    whose eigenvalue floor would drop the small but real pₙqₙ of a thermal
+    tail.
     """
     if reference.modes != state.modes or reference.cutoff != state.cutoff:
         raise DimensionMismatchError("fidelity requires identical modes and cutoff")
     if not isinstance(reference, PureState):
-        return uhlmann_fidelity(reference, to_mixed(state))
+        p, q = _fock_populations(reference), _fock_populations(state)
+        if p is None or q is None:
+            return uhlmann_fidelity(reference, to_mixed(state))
+        val = float(np.sum(np.sqrt(p * q)) ** 2)
+        return min(val, 1.0) if val <= 1.0 + 1e-9 else val
     ref = reference.amps / np.sqrt(reference.norm_tag)
     if isinstance(state, PureState):
         val = abs(np.vdot(ref, state.amps)) ** 2 / state.norm_tag

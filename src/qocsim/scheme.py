@@ -39,7 +39,6 @@ from .dsl import (
 )
 from .engine import Ensemble, execute_plan, input_state
 from . import measurement
-from .measurement import DetectorModel, click
 from .phasespace import (
     DEFAULT_GRID,
     GridSpec,
@@ -216,7 +215,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     # one pass over the post-BS3 ensemble serves all three click statistics
     pops = post.populations(("b", "c"))
     click_b, click_c = (
-        measurement.povm_diagonal(click, DetectorModel("on-off", eta), res.cutoffs[m])
+        measurement.povm_diagonal("click", None, eta, True, res.cutoffs[m])
         for m, eta in (("b", params.eta_pd1), ("c", params.eta_pd2))
     )
     p_b = float(click_b @ pops.sum(axis=1)) / w

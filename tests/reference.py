@@ -17,15 +17,14 @@ from qocsim.core import (
     Cutoff,
     DimensionMismatchError,
     MixedState,
-    OperatorMatrix,
     PureState,
     State,
     UnknownModeError,
     annihilation_matrix,
     apply,
 )
-from qocsim.measurement import DetectorModel, Requirement, ZeroProbabilityError, povm_diagonal
-from qocsim.phasespace import _normalized_rho, _wigner_values
+from qocsim.measurement import ZeroProbabilityError, povm_diagonal
+from qocsim.phasespace import _geometry, _normalized_rho, _wigner_values
 
 ZERO_PROBABILITY_FLOOR = 1e-300
 
@@ -34,24 +33,22 @@ ZERO_PROBABILITY_FLOOR = 1e-300
 # dense operator algebra
 
 
-def creation_matrix(cutoff: Cutoff) -> OperatorMatrix:
+def creation_matrix(cutoff: Cutoff) -> np.ndarray:
     """Matrix of a† (transpose of a); the top level annihilates (truncation leak)."""
-    return OperatorMatrix.create(annihilation_matrix(cutoff).matrix.T, cutoff=cutoff)
+    return annihilation_matrix(cutoff).T
 
 
-def number_matrix(cutoff: Cutoff) -> OperatorMatrix:
-    return OperatorMatrix.create(
-        np.diag(np.arange(cutoff.d, dtype=np.float64)).astype(np.complex128), cutoff=cutoff
-    )
+def number_matrix(cutoff: Cutoff) -> np.ndarray:
+    return np.diag(np.arange(cutoff.d, dtype=np.float64)).astype(np.complex128)
 
 
 def embed(
-    op: OperatorMatrix,
+    op: np.ndarray,
     target_modes: Iterable[str],
     full_modes: Iterable[str],
     cutoff: Cutoff,
-) -> OperatorMatrix:
-    """Tensor ``op`` (acting on ``target_modes``) with identity on the rest.
+) -> np.ndarray:
+    """Tensor the matrix ``op`` (acting on ``target_modes``) with identity on the rest.
 
     The result's index ordering follows ``full_modes`` little-endian.
     """
@@ -61,29 +58,26 @@ def embed(
         if m not in full:
             raise UnknownModeError(m)
     d = cutoff.d
-    if op.matrix.shape[0] != d ** len(target):
+    if op.shape[0] != d ** len(target):
         raise DimensionMismatchError(
-            f"operator dim {op.matrix.shape[0]} != d^{len(target)} = {d ** len(target)}"
+            f"operator dim {op.shape[0]} != d^{len(target)} = {d ** len(target)}"
         )
     M = len(full)
     # start with modes ordered (target..., rest...), target digits fastest,
     # then permute axes into the requested full order
     rest = [m for m in full if m not in target]
     interim = list(target) + rest
-    big = np.kron(np.eye(d ** len(rest), dtype=np.complex128), op.matrix)
+    big = np.kron(np.eye(d ** len(rest), dtype=np.complex128), op)
     big_t = big.reshape((d,) * (2 * M))
     perm = [M - 1 - interim.index(m) for m in reversed(full)]
-    result = big_t.transpose(perm + [M + p for p in perm]).reshape(d**M, d**M)
-    return OperatorMatrix.create(result, full, cutoff)
+    return big_t.transpose(perm + [M + p for p in perm]).reshape(d**M, d**M)
 
 
-def expectation(op: OperatorMatrix, state: State) -> complex:
-    """⟨ψ|O|ψ⟩ or Tr[ρ O], using the state's carried (unnormalized) weight."""
-    if op.acting_modes is None and len(state.modes) == 1:
-        op = op.bound_to(state.modes)
+def expectation(op: np.ndarray, modes: Iterable[str], state: State) -> complex:
+    """⟨ψ|O|ψ⟩ or Tr[ρ O] of ``op`` on ``modes``, with the state's carried (unnormalized) weight."""
     if isinstance(state, PureState):
-        return complex(np.vdot(state.amps, apply(op, state).amps))
-    full = embed(op, op.acting_modes, state.modes, state.cutoff).matrix
+        return complex(np.vdot(state.amps, apply(op, modes, state).amps))
+    full = embed(op, modes, state.modes, state.cutoff)
     return complex(np.trace(state.matrix @ full))
 
 
@@ -98,7 +92,7 @@ def inner_product(s1: PureState, s2: PureState) -> complex:
 # heralded conditioning and pattern probabilities
 
 
-def condition(state: State, mode: str, element: OperatorMatrix) -> tuple[State, float]:
+def condition(state: State, mode: str, element: np.ndarray) -> tuple[State, float]:
     """Condition on a diagonal POVM element at ``mode`` and trace that mode out.
 
     Returns the unnormalized conditional state (its carried weight equals the
@@ -107,10 +101,10 @@ def condition(state: State, mode: str, element: OperatorMatrix) -> tuple[State, 
     Raises :class:`ZeroProbabilityError` on vanishing outcomes and
     ``ValueError`` for an element that is not diagonal in the Fock basis.
     """
-    if not np.allclose(element.matrix, np.diag(np.diag(element.matrix)), atol=1e-14):
+    if not np.allclose(element, np.diag(np.diag(element)), atol=1e-14):
         raise ValueError("condition needs a POVM element diagonal in the Fock basis")
     d = state.cutoff.d
-    diag = np.real(np.diag(element.matrix))
+    diag = np.real(np.diag(element))
     # moving `mode` to the front keeps the relative digit order of the other
     # modes, so the slices below are already laid out for `remaining`
     remaining = tuple(m for m in state.modes if m != mode)
@@ -144,19 +138,17 @@ def _check_prob(prob: float, weight: float) -> None:
         )
 
 
-def pattern_probability(
-    ensemble,
-    requirements: Mapping[str, Requirement],
-    detectors: Mapping[str, DetectorModel],
-) -> float:
-    """Tr[ρ ⊗ᵢ Eᵢ] of an engine ``Ensemble``, the identity on modes without a requirement.
+def pattern_probability(ensemble, heralds: Mapping[str, tuple]) -> float:
+    """Tr[ρ ⊗ᵢ Eᵢ] of an engine ``Ensemble``, the identity on modes without a herald.
 
-    The joint diagonal is the Kronecker product of every mode's POVM diagonal,
-    read against the ensemble's joint populations without densifying ρ.
+    ``heralds`` maps a mode to its herald's fields (requirement, count, η,
+    on-off).  The joint diagonal is the Kronecker product of every mode's
+    POVM diagonal, read against the ensemble's joint populations without
+    densifying ρ.
     """
     joint = np.ones(1)
     for m, d in zip(ensemble.modes, ensemble.dims):  # later modes are slower digits
-        e = povm_diagonal(requirements[m], detectors[m], d) if m in requirements else np.ones(d)
+        e = povm_diagonal(*heralds[m], d) if m in heralds else np.ones(d)
         joint = np.kron(e, joint)
     members = ensemble.members
     return float(joint @ np.sum(members.real**2 + members.imag**2, axis=1))
@@ -190,7 +182,7 @@ def parity_expectation(state: State) -> float:
 
 def wigner_point(state: State, beta: complex) -> float:
     """W at one phase-space point of the state normalized to unit trace (the grid kernel on one β)."""
-    return float(_wigner_values(_normalized_rho(state), np.array([complex(beta)]))[0])
+    return float(_wigner_values(_normalized_rho(state), _geometry(np.array([complex(beta)])))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qocsim.core import (
     Cutoff,
     DimensionMismatchError,
     MixedState,
-    OperatorMatrix,
     PureState,
     UnknownModeError,
     annihilation_matrix,
@@ -33,50 +32,50 @@ def test_cutoff_requires_at_least_two_levels():
 
 
 def test_annihilation_d2_matrix():
-    a = annihilation_matrix(Cutoff(2)).matrix
+    a = annihilation_matrix(Cutoff(2))
     assert np.allclose(a, [[0, 1], [0, 0]])
 
 
 def test_annihilation_entries_sqrt_n():
-    a = annihilation_matrix(Cutoff(4)).matrix
+    a = annihilation_matrix(Cutoff(4))
     assert a[2, 3] == pytest.approx(np.sqrt(3), abs=1e-12)
 
 
 def test_annihilation_kills_vacuum():
     a = annihilation_matrix(Cutoff(5))
-    out = apply(a.bound_to(("a",)), vacuum(Cutoff(5)))
+    out = apply(a, ("a",), vacuum(Cutoff(5)))
     assert np.allclose(out.amps, 0)
 
 
 def test_creation_basics():
     c2 = Cutoff(2)
-    out = apply(creation_matrix(c2).bound_to(("a",)), vacuum(c2))
+    out = apply(creation_matrix(c2), ("a",), vacuum(c2))
     assert np.allclose(out.amps, [0, 1])
     # top level leaks to zero
     c3 = Cutoff(3)
-    out = apply(creation_matrix(c3).bound_to(("a",)), fock_state(2, c3))
+    out = apply(creation_matrix(c3), ("a",), fock_state(2, c3))
     assert np.allclose(out.amps, 0)
-    assert creation_matrix(Cutoff(5)).matrix[4, 3] == pytest.approx(2.0, abs=1e-12)
+    assert creation_matrix(Cutoff(5))[4, 3] == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", list(range(2, 65)))
 def test_truncated_commutator_structure(d):
-    comm = truncated_commutator(Cutoff(d)).matrix
+    comm = truncated_commutator(Cutoff(d))
     expected = np.diag(np.concatenate([np.ones(d - 1), [-(d - 1.0)]]))
     assert np.max(np.abs(comm - expected)) <= 1e-12
 
 
 def test_embed_identity_is_identity():
     c = Cutoff(3)
-    out = embed(OperatorMatrix.create(np.eye(3)), ("x",), ("x", "y"), c)
-    assert np.allclose(out.matrix, np.eye(9))
+    out = embed(np.eye(3), ("x",), ("x", "y"), c)
+    assert np.allclose(out, np.eye(9))
 
 
 def test_embed_annihilation_first_mode():
     c = Cutoff(3)
     st11 = tensor(fock_state(1, c, "m0"), fock_state(1, c, "m1"))
-    op = embed(annihilation_matrix(c).bound_to(("m0",)), ("m0",), ("m0", "m1"), c)
-    out = apply(op.bound_to(("m0", "m1")), st11)
+    op = embed(annihilation_matrix(c), ("m0",), ("m0", "m1"), c)
+    out = apply(op, ("m0", "m1"), st11)
     # |1,1> -> |0,1>: flat index 0 + 3*1 = 3
     expected = np.zeros(9)
     expected[3] = 1
@@ -86,8 +85,8 @@ def test_embed_annihilation_first_mode():
 def test_embed_disjoint_supports_commute():
     c = Cutoff(3)
     a = annihilation_matrix(c)
-    first = embed(a, ("m0",), ("m0", "m1"), c).matrix
-    last = embed(a, ("m1",), ("m0", "m1"), c).matrix
+    first = embed(a, ("m0",), ("m0", "m1"), c)
+    last = embed(a, ("m1",), ("m0", "m1"), c)
     assert np.allclose(first @ last, last @ first)
 
 
@@ -96,13 +95,9 @@ def test_embed_respects_composition():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    from qocsim.core import OperatorMatrix
-
-    ox = OperatorMatrix.create(x)
-    oy = OperatorMatrix.create(y)
-    ex = embed(ox, ("p",), ("p", "q"), c).matrix
-    ey = embed(oy, ("p",), ("p", "q"), c).matrix
-    exy = embed(OperatorMatrix.create(x @ y), ("p",), ("p", "q"), c).matrix
+    ex = embed(x, ("p",), ("p", "q"), c)
+    ey = embed(y, ("p",), ("p", "q"), c)
+    exy = embed(x @ y, ("p",), ("p", "q"), c)
     assert np.allclose(ex @ ey, exy, atol=1e-12)
 
 
@@ -118,14 +113,10 @@ def test_two_mode_embed_matches_kron_convention():
     c = Cutoff(3)
     rng = np.random.default_rng(3)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    from qocsim.core import OperatorMatrix
-
-    op = OperatorMatrix.create(m, ("x", "y"), c)
-    full = embed(op, ("x", "y"), ("x", "y", "z"), c).matrix
+    full = embed(m, ("x", "y"), ("x", "y", "z"), c)
     assert np.allclose(full, np.kron(np.eye(3), m))
     # embedding with the pair reversed permutes the operator's own digits
-    op_rev = OperatorMatrix.create(m, ("y", "x"), c)
-    full_rev = embed(op_rev, ("y", "x"), ("x", "y", "z"), c).matrix
+    full_rev = embed(m, ("y", "x"), ("x", "y", "z"), c)
     perm = m.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
     assert np.allclose(full_rev, np.kron(np.eye(3), perm))
 
@@ -149,7 +140,7 @@ def test_apply_matrix_sectors_equal_their_block_diagonal_matrix(d):
     modes = ("x", "y", "z")
     members = rng.normal(size=(d**3, 5)) + 1j * rng.normal(size=(d**3, 5))
     for op_modes in itertools.permutations(modes, 2):
-        full = embed(OperatorMatrix.create(dense, op_modes, c), op_modes, modes, c).matrix
+        full = embed(dense, op_modes, modes, c)
         for arr in (members, members[:, 0]):
             for ops in (sectors, [(np.arange(len(dense))[None], dense[None])]):
                 out = apply_matrix(arr, modes, (d,) * 3, ops, op_modes)
@@ -201,7 +192,7 @@ def test_apply_matrix_with_mixed_mode_dimensions_equals_embedded_operator():
     c = Cutoff(3)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     for op_modes in itertools.permutations(modes, 2):
-        want = embed(OperatorMatrix.create(m, op_modes, c), op_modes, modes, c).matrix
+        want = embed(m, op_modes, modes, c)
         assert np.abs(_embedded(m, op_modes, modes, (3, 3, 3)) - want).max() <= 1e-15
 
 
@@ -211,18 +202,29 @@ def test_apply_unitary_preserves_norm():
     from scipy.stats import unitary_group
 
     u = unitary_group.rvs(6, random_state=rng)
-    from qocsim.core import OperatorMatrix
 
     vec = rng.normal(size=6) + 1j * rng.normal(size=6)
     state = PureState.create(("a",), c, vec)
-    out = apply(OperatorMatrix.create(u, ("a",), c), state)
+    out = apply(u, ("a",), state)
     assert out.norm_tag == pytest.approx(state.norm_tag, abs=1e-10)
+
+
+def test_apply_rejects_a_matrix_that_does_not_fit_its_modes():
+    c = Cutoff(3)
+    state = tensor(vacuum(c, "x"), vacuum(c, "y"))
+    for bad in (np.eye(9)[:, :8], np.eye(3), np.eye(27)):
+        with pytest.raises(DimensionMismatchError):
+            apply(bad, ("x", "y"), state)
+    with pytest.raises(ValueError, match="duplicate mode"):
+        apply(np.eye(9), ("x", "x"), state)
+    with pytest.raises(UnknownModeError):
+        apply(np.eye(3), ("z",), state)
 
 
 def test_expectation_number_coherent():
     c = Cutoff(20)
     alpha = coherent_state(1.0, c)
-    assert expectation(number_matrix(c), alpha).real == pytest.approx(1.0, abs=1e-9)
+    assert expectation(number_matrix(c), ("a",), alpha).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inner_product_equals_norm_tag():

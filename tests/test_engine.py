@@ -20,12 +20,7 @@ from qocsim.dsl import (
     compile_circuit,
     parse,
 )
-from qocsim.elements import (
-    BeamSplitterParams,
-    SqueezerParams,
-    beam_splitter_unitary,
-    two_mode_squeezer_unitary,
-)
+from qocsim.elements import beam_splitter_unitary, two_mode_squeezer_unitary
 from qocsim.engine import (
     Ensemble,
     LeakBudgetError,
@@ -377,14 +372,14 @@ def _rebuilt(groups, d1, d2):
 
 def _built_unitary(kind, value, c):
     if kind == "bs":
-        return beam_splitter_unitary(BeamSplitterParams(value, ("x", "y")), c)
-    return two_mode_squeezer_unitary(SqueezerParams(value, ("x", "y")), c)
+        return beam_splitter_unitary(value, c)
+    return two_mode_squeezer_unitary(value, c)
 
 
 @pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.3)])
 @pytest.mark.parametrize("d", [4, 7])
 def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
-    u = _built_unitary(kind, value, Cutoff(d)).matrix
+    u = _built_unitary(kind, value, Cutoff(d))
     assert np.array_equal(_rebuilt(_unitary_matrix_cached(kind, value, d, d), d, d), u)
 
 
@@ -399,7 +394,7 @@ def test_sector_application_matches_embedded_unitary(kind, value, d):
     members = rng.normal(size=(d**3, 3)) + 1j * rng.normal(size=(d**3, 3))
     # adjacent, non-adjacent and reversed pairs
     for op_modes in itertools.permutations(modes, 2):
-        full = embed(u.bound_to(op_modes), op_modes, modes, c).matrix
+        full = embed(u, op_modes, modes, c)
         for arr in (members, members[:, 0]):
             out = apply_matrix(arr, modes, (d,) * 3, sectors, op_modes)
             assert np.abs(out - full @ arr).max() <= 1e-13, op_modes

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qocsim import phasespace
 from qocsim.core import Cutoff, MixedState, PureState, to_mixed
 from qocsim.elements import coherent_state, fock_state, thermal_state, vacuum
 from qocsim.phasespace import (
@@ -157,6 +159,43 @@ def test_wigner_grid_matches_pointwise_kernel(d, grid_spec):
         assert wigner_point(state, betas[i, j]) == grid.values[i, j]
 
 
+def _hex(grid) -> list[str]:
+    return [float(v).hex() for v in grid.values.ravel()]
+
+
+@pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, OFF_CENTRE_GRID],
+                         ids=["default-grid", "off-centre-grid"])
+def test_laguerre_sum_from_the_highest_nonzero_diagonal_changes_no_bit(grid_spec, monkeypatch):
+    # every diagonal above ρ's highest nonzero one adds exact zeros
+    branch = run_interferometer(SchemeParams(input_kind="thermal", nbar=1.0)).pd1_branch
+    d = 8
+    rho = np.diag(np.linspace(1.0, 0.2, d)).astype(np.complex128)
+    rho[np.arange(d - 3), np.arange(3, d)] = 0.05 + 0.02j  # ρ_{n,n+3}
+    rho += np.triu(rho, 1).conj().T
+    banded = MixedState.create(("a",), Cutoff(d), rho)
+    for state, top in ((branch, 0), (banded, 3)):
+        assert phasespace._highest_diagonal(state.matrix) == top
+        skipped = wigner(state, grid_spec)
+        with monkeypatch.context() as m:
+            m.setattr(phasespace, "_highest_diagonal", lambda rho: rho.shape[0] - 1)
+            full = wigner(state, grid_spec)
+        assert _hex(skipped) == _hex(full)
+
+
+def test_a_returned_grid_cannot_change_a_later_one():
+    # the grid geometry is computed once per GridSpec and shared
+    state = coherent_state(0.8, Cutoff(10))
+    spec = GridSpec((-1.0, 1.0, 5), (-0.5, 2.0, 4))
+    first = wigner(state, spec)
+    values = first.values.copy()
+    first.re_axis[:] = 7.0
+    first.im_axis[:] = 7.0
+    later = wigner(state, spec)
+    assert np.array_equal(later.re_axis, np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(later.im_axis, np.linspace(-0.5, 2.0, 4))
+    assert _hex(later) == [float(v).hex() for v in values.ravel()]
+
+
 def test_wigner_point_rejects_a_zero_weight_state():
     zero = MixedState.create(("a",), Cutoff(4), np.zeros((4, 4)))
     for evaluate in (lambda s: wigner_point(s, 0.0), wigner):
@@ -266,6 +305,33 @@ def test_fidelity_with_a_mixed_reference_matches_the_pure_overlap():
         rho = MixedState.create(("a",), c, g @ g.conj().T)
         for state in (rho, PureState.create(("a",), c, vec())):
             assert abs(fidelity(to_mixed(phi), state) - fidelity(phi, state)) <= 1e-10
+
+
+def _fidelity_to_40_digits(p: np.ndarray, q: np.ndarray) -> float:
+    """(Σₙ √(pₙqₙ))² of two population vectors, each normalized, in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p = [decimal.Decimal(float(x)) for x in p]
+        q = [decimal.Decimal(float(x)) for x in q]
+        sp, sq = sum(p), sum(q)
+        root = sum((x / sp * (y / sq)).sqrt() for x, y in zip(p, q))
+        return float(root * root)
+
+
+@pytest.mark.parametrize("nbar", [0.5, 0.95, 2.0])
+def test_thermal_fidelities_match_a_40_digit_sum(nbar):
+    # both states are Fock-diagonal; the Uhlmann route's eigenvalue floor used
+    # to drop their real tail (-2.6e-7 at nbar = 0.95)
+    res = run_interferometer(SchemeParams(input_kind="thermal", nbar=nbar))
+    c = Cutoff(res.cutoff)
+    T = res.params.transmittivity
+    for got, ref, branch in (
+        (res.fidelity_pd2_vs_input, thermal_state(nbar, c), res.pd2_branch),
+        (res.fidelity_pd2_vs_attenuated, thermal_state(T**2 * nbar, c), res.pd2_branch),
+        (res.fidelity_pd1_vs_input, thermal_state(nbar, c), res.pd1_branch),
+    ):
+        want = _fidelity_to_40_digits(np.diag(ref.matrix).real, np.diag(branch.matrix).real)
+        assert abs(got - want) <= 1e-14
 
 
 def test_grid_serialization_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from qocsim import builtin_circuit_text, engine, measurement, scheme
 from qocsim.core import Cutoff, MixedState
 from qocsim.dsl import compile_circuit, parse
 from qocsim.engine import LeakBudgetError, execute_plan, input_state
-from qocsim.measurement import DetectorModel, click
 from qocsim.phasespace import fidelity, wigner
 from qocsim.scheme import (
     SchemeParams,
@@ -44,6 +43,11 @@ def _pinned(params: SchemeParams, branch: str, cutoffs: dict[str, int], may_doub
     return replace(plan, cutoffs=cutoffs, may_double=may_double)
 
 
+def _clicks(params: SchemeParams) -> tuple[tuple, tuple]:
+    """The herald fields of an on-off click at PD1 (mode b) and at PD2 (mode c)."""
+    return ("click", None, params.eta_pd1, True), ("click", None, params.eta_pd2, True)
+
+
 def _three_execution_oracle(params: SchemeParams) -> SchemeResult:
     """One execution per circuit: pd2 at the predicted cutoffs, pd1 and none pinned to its."""
     res_pd2 = execute_plan(_pinned(params, "pd2", _predicted(params), params.cutoff is None))
@@ -61,14 +65,11 @@ def _three_execution_oracle(params: SchemeParams) -> SchemeResult:
     rho_pd2 = branch(res_pd2, w_pd2)
     rho_pd1 = branch(res_pd1, w_pd1)
     post = res_pre.final_state  # up to 40**3 dimensions: never densified
-    dets = {
-        "b": DetectorModel("on-off", params.eta_pd1),
-        "c": DetectorModel("on-off", params.eta_pd2),
-    }
+    b, c = _clicks(params)
     w = post.weight
-    p_b = pattern_probability(post, {"b": click}, dets) / w
-    p_c = pattern_probability(post, {"c": click}, dets) / w
-    p_bc = pattern_probability(post, {"b": click, "c": click}, dets) / w
+    p_b = pattern_probability(post, {"b": b}) / w
+    p_c = pattern_probability(post, {"c": c}) / w
+    p_bc = pattern_probability(post, {"b": b, "c": c}) / w
     input_ref = input_state(params.input_stmt(), cutoff)
     attenuated = replace(params, alpha=params.t * params.alpha,
                          nbar=params.transmittivity**2 * params.nbar)
@@ -193,14 +194,11 @@ def test_click_statistics_match_three_pattern_probabilities():
         cutoffs = _predicted(params)
         assert res.cutoff == cutoffs["a"]
         post = execute_plan(_pinned(params, "none", cutoffs)).final_state
-        dets = {
-            "b": DetectorModel("on-off", params.eta_pd1),
-            "c": DetectorModel("on-off", params.eta_pd2),
-        }
+        b, c = _clicks(params)
         w = post.weight
-        for name, pattern in (("p_b", {"b": click}), ("p_c", {"c": click}),
-                              ("p_bc", {"b": click, "c": click})):
-            want = pattern_probability(post, pattern, dets) / w
+        for name, pattern in (("p_b", {"b": b}), ("p_c", {"c": c}),
+                              ("p_bc", {"b": b, "c": c})):
+            want = pattern_probability(post, pattern) / w
             assert abs(getattr(res, name) - want) <= 1e-14 * want, name
 
 
