@@ -187,9 +187,10 @@ def apply_matrix(
     (little-endian over ``op_modes``, each at its own dimension), and
     ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them.
     The rows of all ``idx`` must partition that space; a dense ``N×N`` matrix
-    ``mat`` is the single group ``(arange(N)[None], mat[None])``.  The op
-    digits are brought to the front and each group is one stacked matrix
-    product, ``out[idx] = blocks @ x[idx]``.
+    ``mat`` is the single group ``(arange(N)[None], mat[None])``, and an
+    element unitary the single group of its slots.  The op digits are brought
+    to the front and each group is one stacked matrix product,
+    ``out[idx] = blocks @ x[idx]``.
     """
     M = len(state_modes)
     k = len(op_modes)

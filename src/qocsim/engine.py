@@ -37,11 +37,11 @@ every mode at twice its value.
 
 Element unitaries are cached and applied as their photon-number sectors: the
 beam splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
-d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, all
-exponentiated by one batched ``numpy.linalg.eigh`` and stacked by chain
-length (see :func:`~qocsim.elements.element_sectors`), and applying it
-costs one stacked matrix product per chain length, at most
-``min(d1, d2)`` of them, instead of a (d1·d2)²-entry contraction.  Every
+d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, packed
+into ``max(d1, d2)`` slots of ``min(d1, d2)`` states and built from an
+eigenbasis cached per truncation shape (see
+:func:`~qocsim.elements.element_sectors`), and applying it costs one stacked
+matrix product instead of a (d1·d2)²-entry contraction.  Every
 BLAS call of a run goes through numpy's one OpenBLAS thread pool; no second
 BLAS library competes with it for the cores.
 
@@ -315,12 +315,13 @@ def _unitary_matrix(stmt: ElementStmt, d: int) -> np.ndarray:
 
 # The sectors do not depend on the modes the element acts on, only on their
 # cutoffs.  One Fig.-1 run needs at most 4 (kind, value, d1, d2) keys per
-# attempt: BS1, the squeezer, BS2 and BS3.
+# attempt: BS1, the squeezer, BS2 and BS3.  A repeated element skips even
+# the rescaling of its shape's cached eigenbasis.
 @lru_cache(maxsize=16)
 def _unitary_matrix_cached(
     kind: str, value: float, d1: int, d2: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The element unitary on the d1×d2 pair space as ``(idx, blocks)`` chain-length groups."""
+    """The element unitary on the d1×d2 pair space as one ``(idx, blocks)`` group of slots."""
     return element_sectors(kind, value, d1, d2)
 
 

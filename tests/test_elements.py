@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 from qocsim.core import Cutoff, apply, tensor
 from qocsim.elements import (
+    _chain_basis,
     _pair_ladders,
     beam_splitter_unitary,
     coherent_state,
@@ -18,7 +19,9 @@ from qocsim.elements import (
     two_mode_squeezer_unitary,
     vacuum,
 )
+from qocsim.engine import _unitary_matrix_cached
 from qocsim.measurement import povm_element
+from qocsim.scheme import SchemeParams, run_interferometer
 from reference import condition, expectation, inner_product, number_matrix
 
 
@@ -286,7 +289,7 @@ def _rect_ladders(d1, d2):
 
 
 def _check_grouped_layout(groups, d1, d2):
-    """Groups of rising chain length whose idx rows partition range(d1·d2), all read-only."""
+    """Groups of rising block size whose idx rows partition range(d1·d2), all read-only."""
     lengths = [idx.shape[1] for idx, _ in groups]
     assert lengths == sorted(set(lengths)) and lengths[-1] <= min(d1, d2)
     for idx, blocks in groups:
@@ -303,7 +306,7 @@ def _check_grouped_layout(groups, d1, d2):
 def test_sector_blocks_match_expm_of_their_own_chain(kind, value, d1, d2):
     # each block against scipy's expm of the generator restricted to its idx
     # row, the generator taken from the ladder operators, not from the chain
-    # formula; a row must be a whole chain, uncoupled from every other state
+    # formula; a row must be whole chains, uncoupled from every other state
     a1, a2 = _rect_ladders(d1, d2)
     if kind == "bs":  # acos(t)·(a2†a1 − a1†a2)
         m = a2.T @ a1
@@ -324,8 +327,8 @@ def test_sector_blocks_match_expm_of_their_own_chain(kind, value, d1, d2):
 
 @pytest.mark.parametrize("d1, d2", [(1, 6), (6, 1), (1, 1), (5, 5), (9, 4)])
 def test_sector_builds_raise_no_warning(d1, d2):
-    # the padded sites of the shorter chains must stay decoupled and finite,
-    # also where a pair space is one level wide or the splitter is T = 1
+    # the two chains of a slot must stay decoupled and finite, also where a
+    # pair space is one level wide or the splitter is T = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, value in (("bs", 1.0), ("bs", 0.7), ("tmsq", 0.0), ("tmsq", 0.4)):
@@ -371,6 +374,90 @@ def test_element_build_keeps_one_copy_of_its_matrix():
         tracemalloc.stop()
     assert peak <= 1.25 * u.nbytes
     assert not u.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# slot layout and the per-shape eigenbasis cache
+
+SHAPES = [(1, 1), (1, 6), (6, 1), (2, 7), (5, 5), (9, 4), (4, 9), (29, 6), (40, 40)]
+
+
+def _sector_labels(kind, idx, d1):
+    """Each state's conserved quantity: n1 + n2 for the splitter, n1 − n2 for the squeezer."""
+    n1, n2 = idx % d1, idx // d1
+    return n1 + n2 if kind == "bs" else n1 - n2
+
+
+@pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.4)])
+@pytest.mark.parametrize("d1, d2", SHAPES)
+def test_slots_hold_one_whole_chain_or_two_that_fill_it(kind, value, d1, d2):
+    groups = element_sectors(kind, value, d1, d2)
+    assert len(groups) == 1
+    (idx, blocks), L = groups[0], min(d1, d2)
+    assert idx.shape == (max(d1, d2), L)
+    assert np.array_equal(np.sort(idx.ravel()), np.arange(d1 * d2))
+    every = _sector_labels(kind, np.arange(d1 * d2), d1)
+    for row, block in zip(idx, blocks):
+        labels = _sector_labels(kind, row, d1)
+        # a slot holds each of its chains whole, as one run of positions
+        runs = [np.flatnonzero(labels == label) for label in dict.fromkeys(labels.tolist())]
+        assert len(runs) in (1, 2)
+        for run in runs:
+            assert np.array_equal(run, np.arange(run[0], run[0] + len(run)))
+            assert np.count_nonzero(every == labels[run[0]]) == len(run)
+        if len(runs) == 2:
+            a, b = runs
+            assert len(a) + len(b) == L
+            assert not block[np.ix_(a, b)].any() and not block[np.ix_(b, a)].any()
+
+
+def test_a_new_value_at_a_cached_shape_reuses_its_eigenbasis():
+    _chain_basis.cache_clear()
+    for kind, values in (("bs", (0.9, 0.6)), ("tmsq", (0.1, 0.5))):
+        before = _chain_basis.cache_info()
+        for value in values:
+            element_sectors(kind, value, 11, 5)
+        after = _chain_basis.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), kind
+        for a in (*_chain_basis(kind, 11, 5), *element_sectors(kind, values[0], 11, 5)[0]):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+
+
+def test_runs_are_bit_identical_from_a_cold_or_a_warmed_basis_cache():
+    def bits(result):
+        out = []
+        for name, value in vars(result).items():
+            if isinstance(value, float):
+                out.append((name, value.hex()))
+            elif hasattr(value, "matrix"):
+                out.append((name, value.matrix.tobytes(), value.trace_tag.hex()))
+        return out
+
+    params = dict(alpha=1.1, transmittivity=0.93, coupling=0.17)
+    _chain_basis.cache_clear()
+    _unitary_matrix_cached.cache_clear()
+    cold = bits(run_interferometer(SchemeParams(**params)))
+    _chain_basis.cache_clear()
+    for T, s in ((0.95, 0.15), (0.91, 0.2), (0.93, 0.12)):
+        run_interferometer(SchemeParams(alpha=1.1, transmittivity=T, coupling=s))
+    _unitary_matrix_cached.cache_clear()
+    hits = _chain_basis.cache_info().hits
+    warm = bits(run_interferometer(SchemeParams(**params)))
+    assert _chain_basis.cache_info().hits > hits
+    assert warm == cold and len(cold) == 14
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 7), (9, 4), (40, 40), (70, 8)])
+def test_whole_beam_splitter_chains_keep_their_exact_spectrum(d1, d2):
+    # the chain at total photon number N < min(d1, d2) is 2·J_x of spin N/2
+    idx, v, lam = _chain_basis("bs", d1, d2)
+    labels = _sector_labels("bs", idx, d1)
+    for N in range(min(d1, d2)):
+        slot, pos = np.nonzero(labels == N)
+        (s,) = set(slot)
+        cols = np.flatnonzero((v[s][pos] ** 2).sum(axis=0) > 0.5)
+        assert lam[s, cols].tolist() == list(range(-N, N + 1, 2)), N
 
 
 # ---------------------------------------------------------------------------

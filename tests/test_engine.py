@@ -352,9 +352,9 @@ def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
 def _rebuilt(groups, d1, d2):
     """The dense d1·d2-square matrix of grouped sectors, with the layout checked.
 
-    Each group holds the chains of one length L, in rising L: an ``(n, L)``
-    idx and an ``(n, L, L)`` stack of blocks, both read-only.  The idx rows
-    of all groups partition ``range(d1·d2)``.
+    Each group holds blocks of one size L, in rising L: an ``(n, L)`` idx
+    and an ``(n, L, L)`` stack of blocks, both read-only.  The idx rows of
+    all groups partition ``range(d1·d2)``.
     """
     lengths = [idx.shape[1] for idx, _ in groups]
     assert lengths == sorted(set(lengths)) and lengths[-1] <= min(d1, d2)
