@@ -24,7 +24,7 @@ from .core import (
     tensor,
     truncated_commutator,
 )
-from .dsl import CircuitSpec, CutoffPolicy, compile_circuit, parse, print_circuit
+from .dsl import CircuitSpec, compile_circuit, parse, print_circuit
 from .elements import (
     beam_splitter_unitary,
     coherent_state,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 parse/validation/usage errors or a failed
 ``verify-commutation`` check, 2 numerical failure (leak budget exceeded, a
-zero-probability herald, no adaptive cutoff up to the policy's ceiling, a
+zero-probability herald, no adaptive cutoff up to the compiler's ceiling, a
 cutoff too large for memory, or a Wigner grid whose values overflow).  All
 artifacts are deterministic: identical configuration yields byte-identical
 files.
@@ -27,7 +27,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .core import Cutoff, state_to_json_dict, truncated_commutator
-from .dsl import CircuitParseError, CutoffCeilingError, CutoffPolicy, compile_circuit, parse
+from .dsl import CircuitParseError, CutoffCeilingError, compile_circuit, parse
 from .elements import _pair_ladders, beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan
 from .measurement import ZeroProbabilityError
@@ -259,7 +259,7 @@ def cmd_run(circuit, alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff,
             sys.exit(EXIT_USAGE)
     spec = parse(path.read_text())
     try:
-        plan = compile_circuit(spec, CutoffPolicy(explicit=cutoff, leak_budget=leak_budget))
+        plan = compile_circuit(spec, cutoff=cutoff, leak_budget=leak_budget)
     except CutoffCeilingError:
         raise
     except ValueError as exc:  # a Fock input at or above the explicit cutoff

@@ -1,8 +1,9 @@
 """Truncated Fock-space linear algebra: states, operators, their application and reduction.
 
 Every mode of a state is truncated to the same dimension ``d`` (levels
-0..d-1); only the kernel :func:`apply_matrix` also takes one dimension per
-mode, for the staged executor's per-mode cutoffs.  Multimode amplitudes are
+0..d-1); only the kernel :func:`apply_matrix`, which takes a block-diagonal
+operator as one ``(idx, blocks)`` stack, also takes one dimension per mode,
+for the staged executor's per-mode cutoffs.  Multimode amplitudes are
 stored as flat vectors with little-endian mode indexing: for a state over
 ``modes = (m0, m1, ..., m_{M-1})`` the basis index of the occupation
 ``(n0, n1, ..., n_{M-1})`` is ``n0 + n1*d + n2*d**2 + ...``, i.e. the first
@@ -173,7 +174,7 @@ def apply_matrix(
     arr: np.ndarray,
     state_modes: Sequence[str],
     dims: Sequence[int],
-    sectors: Sequence[tuple[np.ndarray, np.ndarray]],
+    sectors: tuple[np.ndarray, np.ndarray],
     op_modes: Sequence[str],
 ) -> np.ndarray:
     """Apply a block-diagonal operator on ``op_modes`` to the ket digits of a flat array.
@@ -182,14 +183,13 @@ def apply_matrix(
     may differ.  ``arr`` has shape ``(prod(dims),)`` or ``(prod(dims), X)``
     with little-endian digits over ``state_modes``; trailing axes (e.g. the bra
     side of a density matrix) ride along untouched.  The operator is given as
-    groups of equally sized sectors ``(idx, blocks)``: ``idx`` is an ``(n, L)``
-    int array whose rows select basis indices of the operator space
+    its equally sized sectors ``(idx, blocks)``: ``idx`` is an ``(n, L)`` int
+    array whose rows partition the basis indices of the operator space
     (little-endian over ``op_modes``, each at its own dimension), and
-    ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them.
-    The rows of all ``idx`` must partition that space; a dense ``N×N`` matrix
-    ``mat`` is the single group ``(arange(N)[None], mat[None])``, and an
-    element unitary the single group of its slots.  The op digits are brought
-    to the front and each group is one stacked matrix product,
+    ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them.  A
+    dense ``N×N`` matrix ``mat`` is ``(arange(N)[None], mat[None])``, and an
+    element unitary the stack of its slots.  The op digits are brought to the
+    front and the operator is one stacked matrix product,
     ``out[idx] = blocks @ x[idx]``.
     """
     M = len(state_modes)
@@ -200,9 +200,9 @@ def apply_matrix(
     axes = [M - 1 - i for i in pos]
     front = np.moveaxis(arr.reshape(tuple(reversed(dims)) + trailing), axes, range(k))
     x = front.reshape(math.prod(dims[i] for i in pos), -1)
+    idx, blocks = sectors
     out = np.empty(x.shape, dtype=np.complex128)
-    for idx, blocks in sectors:
-        out[idx] = blocks @ x[idx]
+    out[idx] = blocks @ x[idx]
     out = np.moveaxis(out.reshape(front.shape), range(k), axes)
     return out.reshape(arr.shape)
 
@@ -216,7 +216,7 @@ def apply(matrix: np.ndarray, modes: Iterable[str], state: State) -> State:
     n = state.cutoff.d ** len(modes)
     if matrix.shape != (n, n):
         raise DimensionMismatchError(f"operator has shape {matrix.shape}, expected {(n, n)}")
-    dense = [(np.arange(n)[None], matrix[None])]
+    dense = (np.arange(n)[None], matrix[None])
     dims = (state.cutoff.d,) * len(state.modes)
     if isinstance(state, PureState):
         amps = apply_matrix(state.amps, state.modes, dims, dense, modes)

@@ -12,16 +12,17 @@ Grammar (one statement per line, ``#`` starts a comment)::
     out probs
     out state <mode>
 
-Every declared mode needs exactly one input statement.  Heralds are
+Every declared mode needs exactly one input statement, and an output kind
+may be requested once per mode (once in all, for ``probs``).  Heralds are
 destructive: each herald also traces its mode out, and a heralded
 mode may not be referenced afterwards.  Elements and
 heralds execute in file order.  The canonical printer orders statements as
 modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
 
-The compiler sizes each mode's Fock cutoff from the spec alone
-(:class:`CutoffPolicy`): unless one is given explicitly for every mode, it is
-the smallest d at which a Gaussian tail model of the circuit keeps that mode
-within the leak budget at every checked stage.
+The compiler (:func:`compile_circuit`) sizes each mode's Fock cutoff from the
+spec alone: unless one is given explicitly for every mode, it is the smallest
+d at which a Gaussian tail model of the circuit keeps that mode within the
+leak budget at every checked stage.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "CircuitParseError",
     "parse",
     "print_circuit",
-    "CutoffPolicy",
     "CutoffCeilingError",
     "ExecutionPlan",
     "compile_circuit",
@@ -325,8 +325,8 @@ def parse(text: str) -> CircuitSpec:
             if otok == "probs":
                 if args:
                     errs.add(l1, c1, "bad-argument", "out probs takes no arguments")
-                else:
-                    outputs.append(OutputStmt("probs"))
+                    continue
+                out = OutputStmt("probs")
             elif otok in ("wigner", "fidelity", "state"):
                 if not args:
                     errs.add(l1, c1, "bad-argument", f"out {otok} takes a mode")
@@ -352,19 +352,24 @@ def parse(text: str) -> CircuitSpec:
                     if cnt < 2 or not hi > lo:
                         errs.add(lg, cg, "bad-argument", "grid needs min < max and count >= 2")
                         continue
-                    outputs.append(OutputStmt("wigner", mtok, (lo, hi, cnt)))
+                    out = OutputStmt("wigner", mtok, (lo, hi, cnt))
                 elif otok == "fidelity":
                     if len(args) != 2 or args[1][0] != "input":
                         errs.add(l1, c1, "bad-argument", "out fidelity takes <mode> input")
                         continue
-                    outputs.append(OutputStmt("fidelity", mtok))
+                    out = OutputStmt("fidelity", mtok)
                 else:
                     if len(args) != 1:
                         errs.add(l1, c1, "bad-argument", "out state takes <mode>")
                         continue
-                    outputs.append(OutputStmt("state", mtok))
+                    out = OutputStmt("state", mtok)
             else:
                 errs.add(l1, c1, "unknown-keyword", f"unknown output request {otok!r}")
+                continue
+            if any((o.kind, o.mode) == (out.kind, out.mode) for o in outputs):  # same artifact
+                errs.add(ln, col, "duplicate-output", f"repeats an earlier out {otok} request")
+            else:
+                outputs.append(out)
         else:
             errs.add(ln, col, "unknown-keyword", f"unknown keyword {kw!r}")
 
@@ -633,7 +638,11 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple:
 
 
 class CutoffCeilingError(ValueError):
-    """No cutoff up to the policy's ceiling keeps the predicted leak within the budget."""
+    """No cutoff up to 512 keeps the predicted leak within the budget."""
+
+    def __init__(self) -> None:
+        super().__init__(f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within the "
+                         "budget; pass an explicit cutoff")
 
 
 def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndarray:
@@ -657,14 +666,17 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
     """
     x, q, k, j, g, w = rows.T
     xm, qm, km, jm = rows[:, :4].max(axis=0).tolist()
+    # a row past the float range passes at no level, and neither does one with
+    # j >= 512 net creations: it holds nothing below level j
+    if not (np.isfinite(rows).all() and jm < _MAX_CUTOFF):
+        raise CutoffCeilingError()
     start = jm + km + (xm - math.log(limit)) / (1.0 - qm) if qm < 1.0 else _MAX_CUTOFF
     levels = min(_MAX_CUTOFF, max(2, math.ceil(start)))
     j = j.astype(int)
     column, spare = np.arange(len(rows)), np.empty(len(rows))
     held_whole = (k == 0) & (g > 0.0)  # then j = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a row with j net creations holds nothing below level j, so j >= 512 passes nowhere
-        while jm < _MAX_CUTOFF:
+        while True:
             top = _LEVELS[:levels, None]
             # P(n + 1) = a[n] P(n) − b[n] P(n − 1)
             a, b = (q * (2 * top + 1) + (1 - q) * x) / (top + 1), top / (top + 1) * (q * q)
@@ -688,49 +700,8 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
             if passed.any(axis=0).all():
                 return passed.argmax(axis=0) + 2
             if levels == _MAX_CUTOFF:
-                break
+                raise CutoffCeilingError()
             levels = min(2 * levels, _MAX_CUTOFF)
-    raise CutoffCeilingError(f"no cutoff up to {_MAX_CUTOFF} keeps the predicted leak within "
-                             "the budget; pass an explicit cutoff")
-
-
-@dataclass(frozen=True)
-class CutoffPolicy:
-    """Cutoff selection: an explicit value, or each mode's smallest d the leak budget allows.
-
-    Adaptive rule: a tail model of every live mode (:func:`_tail_model`) is
-    evaluated from the spec alone, starting at the exact input tails (Poisson
-    for coherent, geometric for thermal, a point mass for Fock inputs).  Each
-    mode's cutoff is the smallest d at which every stage the executor checks,
-    those of the forked ``branches`` included, keeps that mode's predicted
-    top-level population within ``leak_budget``, so a mode that only ever
-    holds a tapped photon or two keeps a few levels.  Both halves run as
-    arrays: one pass over the stacked stages, then one (levels × rows) table of
-    every stage's leaks (:func:`_group_cutoffs`).  A mode that needs more than
-    512 levels raises :class:`CutoffCeilingError`.  The executor doubles every
-    mode's cutoff once if the prediction still falls short.  An explicit cutoff
-    holds for every mode and is never doubled: failing loudly is the point of
-    pinning one.
-    """
-
-    explicit: int | None = None
-    leak_budget: float = 1e-6
-
-    def choose(self, spec: CircuitSpec, branches: Branches = ()) -> tuple[dict[str, int], bool]:
-        """Returns (cutoff per mode, may_double)."""
-        if self.explicit is not None:
-            if self.explicit < 2:
-                raise ValueError("cutoff must be >= 2")
-            if any(i.kind == "fock" and i.params[0] >= self.explicit for i in spec.inputs):
-                raise ValueError(f"cutoff {self.explicit} is not above a fock input's level")
-            return dict.fromkeys(spec.modes, self.explicit), False
-        if not self.leak_budget > 0.0:
-            raise ValueError("an adaptive cutoff needs leak_budget > 0")
-        rows, starts, modes, factor = _tail_model(spec, _CLICK_FLOOR * self.leak_budget, branches)
-        cutoffs = dict.fromkeys(spec.modes, 2)
-        for mode, d in zip(modes, _group_cutoffs(rows, starts, self.leak_budget * factor).tolist()):
-            cutoffs[mode] = max(cutoffs[mode], d)
-        return cutoffs, True
 
 
 def _charge_signs(spec: CircuitSpec) -> dict[str, int] | None:
@@ -786,18 +757,31 @@ class ExecutionPlan:
 
 
 def compile_circuit(
-    spec: CircuitSpec, policy: CutoffPolicy = CutoffPolicy(), branches: Branches = ()
+    spec: CircuitSpec, *, branches: Branches = (), cutoff: int | None = None,
+    leak_budget: float = 1e-6,
 ) -> ExecutionPlan:
     """Size a validated spec, and the herald sequences that fork from it, for execution.
 
-    The plan is the spec plus each mode's cutoff from ``policy``, the
-    ``branches`` and each mode's charge sign (:func:`_charge_signs`), with
-    which the staged executor carries Fock-diagonal inputs collapsed by
-    charge; when to attach a mode is the executor's business.  Each entry of
-    ``branches`` heralds distinct modes that some statement uses and no herald
-    of the spec traces; the executor runs it on the spec's final state, and
-    the policy sizes the cutoffs for those stages too.  Compilation is
-    deterministic and idempotent.
+    The plan is the spec plus each mode's cutoff, the ``branches`` and each
+    mode's charge sign (:func:`_charge_signs`), with which the staged executor
+    carries Fock-diagonal inputs collapsed by charge; when to attach a mode is
+    the executor's business.  Each entry of ``branches`` heralds distinct
+    modes that some statement uses and no herald of the spec traces; the
+    executor runs it on the spec's final state, and the cutoffs are sized for
+    those stages too.  Compilation is deterministic and idempotent.
+
+    An explicit ``cutoff`` holds for every mode and is never doubled: failing
+    loudly is the point of pinning one.  Otherwise a tail model of every live
+    mode (:func:`_tail_model`) is evaluated from the spec alone, starting at
+    the exact input tails (Poisson for coherent, geometric for thermal, a
+    point mass for Fock inputs).  Each mode's cutoff is the smallest d at
+    which every stage the executor checks, those of the forked ``branches``
+    included, keeps that mode's predicted top-level population within
+    ``leak_budget``, so a mode that only ever holds a tapped photon or two
+    keeps a few levels (:func:`_group_cutoffs`).  A mode that needs more than
+    512 levels, or a tail past the float range, raises
+    :class:`CutoffCeilingError`.  The executor doubles every mode's cutoff
+    once if the prediction still falls short.
     """
     branches = tuple(map(tuple, branches))
     touched: set[str] = set()
@@ -818,6 +802,21 @@ def compile_circuit(
         if not live.issuperset(modes) or len(set(modes)) < len(modes):
             raise ValueError(f"branch heralds {modes} must each trace a distinct live mode")
 
-    cutoffs, may_double = policy.choose(spec, branches)
-    return ExecutionPlan(spec, cutoffs, policy.leak_budget, may_double, branches,
+    if cutoff is not None:
+        if cutoff < 2:
+            raise ValueError("cutoff must be >= 2")
+        if any(i.kind == "fock" and i.params[0] >= cutoff for i in spec.inputs):
+            raise ValueError(f"cutoff {cutoff} is not above a fock input's level")
+        cutoffs = dict.fromkeys(spec.modes, cutoff)
+    else:
+        if not leak_budget > 0.0:
+            raise ValueError("an adaptive cutoff needs leak_budget > 0")
+        try:
+            rows, starts, modes, factor = _tail_model(spec, _CLICK_FLOOR * leak_budget, branches)
+        except OverflowError:  # cosh s past the float range
+            raise CutoffCeilingError() from None
+        cutoffs = dict.fromkeys(spec.modes, 2)
+        for mode, d in zip(modes, _group_cutoffs(rows, starts, leak_budget * factor).tolist()):
+            cutoffs[mode] = max(cutoffs[mode], d)
+    return ExecutionPlan(spec, cutoffs, leak_budget, cutoff is None, branches,
                          _charge_signs(spec))

@@ -32,13 +32,13 @@ chain generator is real antisymmetric, so ``D = diag(iʲ)`` turns it into
 number (θ = arccos √T, or s) times a fixed matrix.  Its eigenvectors thus
 depend only on the kind and (d1, d2): they are found once per truncation
 shape, by one batched ``numpy.linalg.eigh`` over the slots, and cached, and a
-build at a new T or s is one phase rescaling and one batched product.  The
-public dense builders take the element's one number (T or s) and a cutoff and
-return their read-only d²×d² ndarray, assembled from the same sectors at
-d1 = d2 = d; the modes it acts on are named where it is applied.  The beam
-splitter is exact on every block of fixed total photon number that fits under
-both cutoffs, while the squeezer (which changes total photon number) is
-accurate away from a band at the top.
+build at a new T or s is one phase rescaling and one batched product, itself
+cached by value.  The public dense builders take the element's one number (T
+or s) and a cutoff and return their read-only d²×d² ndarray, scattered from
+the same cached sectors at d1 = d2 = d; the modes it acts on are named where
+it is applied.  The beam splitter is exact on every block of fixed total
+photon number that fits under both cutoffs, while the squeezer (which changes
+total photon number) is accurate away from a band at the top.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState
     """|α⟩ with C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized over the truncation.
 
     Warns when the truncation discards more than 1e-6 of the Poisson weight.
+    If every kept amplitude underflows (|α|² ≫ d), they are taken relative to
+    the largest, so the state stays finite, its weight near the top level.
     """
     d = cutoff.d
     alpha = complex(alpha)
@@ -89,16 +91,20 @@ def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState
         return vacuum(cutoff, mode)
     # log-domain magnitudes to stay finite for large n
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
-    logmag = n * np.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
+    shape = n * np.log(abs(alpha)) - 0.5 * log_fact
+    norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
     phase = np.exp(1j * n * np.angle(alpha))
-    amps = np.exp(logmag) * phase
+    amps = np.exp(shape - 0.5 * norm2) * phase
     kept = np.linalg.norm(amps)
     if 1.0 - kept**2 > _DISCARDED_WARN:
         warnings.warn(
             f"cutoff d={d} discards {1.0 - kept**2:.3g} of the coherent state's weight "
-            f"(|alpha|^2 = {abs(alpha)**2:.3g}); truncation may be inadequate",
+            f"(|alpha|^2 = {norm2:.3g}); truncation may be inadequate",
             stacklevel=2,
         )
+    if kept == 0.0:
+        amps = np.exp(shape - shape.max()) * phase
+        kept = np.linalg.norm(amps)
     amps /= kept
     return PureState.create((mode,), cutoff, amps)
 
@@ -179,10 +185,15 @@ def _chain_basis(
     return basis
 
 
+# The sectors do not depend on the modes the element acts on, only on their
+# cutoffs.  One Fig.-1 run needs at most 4 (kind, value, d1, d2) keys per
+# attempt: BS1, the squeezer, BS2 and BS3.  A repeated element skips even
+# the rescaling of its shape's cached eigenbasis.
+@lru_cache(maxsize=16)
 def element_sectors(
     kind: str, value: float, d1: int, d2: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The element's unitary on the d1×d2 pair space as one ``(idx, blocks)`` group of slots.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The element's unitary on the d1×d2 pair space as its stack of slots ``(idx, blocks)``.
 
     ``kind`` is ``"bs"`` (``value`` = T) or ``"tmsq"`` (``value`` = s).  Each
     sector is one tridiagonal chain of the generator G, whose couplings are
@@ -208,7 +219,8 @@ def element_sectors(
     of a 40-digit ``mpmath.expm`` of each chain (9.9e-15 on the one whole
     70-state chain), against 3.2e-15 for a complex scaling-and-squaring
     ``expm``.
-    Every block is complex128 and both arrays are read-only.
+    Every block is complex128, both arrays are read-only, and the pair is
+    cached by value: the staged executor and the dense builders share it.
     """
     idx, v, lam = _chain_basis(kind, d1, d2)
     scale = float(np.arccos(np.sqrt(value))) if kind == "bs" else value
@@ -217,14 +229,14 @@ def element_sectors(
     real = (np.array([1, 1j, -1, -1j])[(k[:, None] - k) % 4] * w).real  # i^(j−k)
     blocks = real.astype(np.complex128)
     blocks.setflags(write=False)
-    return ((idx, blocks),)
+    return idx, blocks
 
 
 def _dense_unitary(kind: str, value: float, cutoff: Cutoff) -> np.ndarray:
     """The element's read-only d²×d² unitary, each slot's block scattered onto its row."""
     d = cutoff.d
     u = np.zeros((d * d, d * d), dtype=np.complex128)
-    ((idx, blocks),) = element_sectors(kind, value, d, d)
+    idx, blocks = element_sectors(kind, value, d, d)
     u[idx[:, :, None], idx[:, None, :]] = blocks
     u.setflags(write=False)
     return u

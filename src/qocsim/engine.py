@@ -29,28 +29,28 @@ charges, and every density matrix the ensemble hands out is dephased so (on
 one mode, whose levels all differ in charge, D keeps the diagonal).
 
 The cutoffs are the plan's: explicit (the same for every mode), or predicted
-per mode from the leak budget by :class:`~qocsim.dsl.CutoffPolicy`, which
+per mode from the leak budget by :func:`~qocsim.dsl.compile_circuit`, which
 sizes the branch stages as well; the executor only runs the plan.  The leak
 monitor checks every live mode's top-level population after every stage, the
-branches' included, and predicted cutoffs that still leak are retried once,
-every mode at twice its value.
+branches' included (a NaN population fails it too), and predicted cutoffs that
+still leak are retried once, every mode at twice its value.
 
-Element unitaries are cached and applied as their photon-number sectors: the
-beam splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
+Element unitaries are applied as their photon-number sectors: the beam
+splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
 d1×d2 pair space is kept only as its ``d1 + d2 − 1`` diagonal blocks, packed
-into ``max(d1, d2)`` slots of ``min(d1, d2)`` states and built from an
-eigenbasis cached per truncation shape (see
-:func:`~qocsim.elements.element_sectors`), and applying it costs one stacked
-matrix product instead of a (d1·d2)²-entry contraction.  Every
-BLAS call of a run goes through numpy's one OpenBLAS thread pool; no second
-BLAS library competes with it for the cores.
+into ``max(d1, d2)`` slots of ``min(d1, d2)`` states, built from an
+eigenbasis cached per truncation shape and cached by value as one
+``(idx, blocks)`` pair (see :func:`~qocsim.elements.element_sectors`), and
+applying it costs one stacked matrix product instead of a (d1·d2)²-entry
+contraction.  Every BLAS call of a run goes through numpy's one OpenBLAS
+thread pool; no second BLAS library competes with it for the cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
 largest), builds the full joint space of every declared input up front,
 applies every herald as the dense matrix √E on its mode without any tracing,
-and reduces only at the end.  It builds every element as one dense ndarray,
-uncached, through the public builders (which assemble it from the same chain
-exponentials), and applies it with :func:`~qocsim.core.apply` as one dense
+and reduces only at the end.  It builds every element as one dense ndarray
+through the public builders, which scatter the same cached read-only sectors
+onto it, and applies it with :func:`~qocsim.core.apply` as one dense
 product.  It exists as an independent oracle: both executors must agree to
 1e-10 on small circuits at uniform cutoffs.  Both read a herald's E from
 :func:`~qocsim.measurement.povm_diagonal`, given the herald's own fields.
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,7 +68,6 @@ import numpy as np
 from . import measurement
 from .core import (
     Cutoff,
-    DimensionMismatchError,
     MixedState,
     PureState,
     State,
@@ -130,7 +129,7 @@ class Ensemble:
     vector vₖ.  Without ``signs`` the state is ρ = Σₖ |vₖ⟩⟨vₖ|.  With them (the
     plan's charge sign per mode), a column may hold parts of distinct charge
     Q = Σ sₘ nₘ, and the state is Σₖ |vₖ⟩⟨vₖ| with every element between
-    distinct charges dropped, as :meth:`reduced` and :meth:`to_mixed` return it.
+    distinct charges dropped, as :meth:`reduced` returns it.
     """
 
     modes: tuple[str, ...]
@@ -170,21 +169,6 @@ class Ensemble:
             q = (self.signs[m] * np.arange(d)[:, None] + q).ravel()
         return q
 
-    def to_mixed(self) -> MixedState:
-        """The density matrix; a ``MixedState`` needs every mode at the same cutoff."""
-        if len(set(self.dims)) > 1:
-            kept = ", ".join(f"{mode}: d={d}" for mode, d in zip(self.modes, self.dims))
-            raise DimensionMismatchError(
-                f"to_mixed needs one cutoff on every mode, but the modes keep {kept}; "
-                "take each mode's state with reduced(mode)"
-            )
-        m = self.members
-        rho = m @ m.conj().T
-        if self.signs is not None:
-            q = self._charges()
-            rho[q[:, None] != q] = 0.0
-        return MixedState.create(self.modes, Cutoff(max(self.dims)), rho)
-
     def reduced(self, mode: str) -> MixedState:
         """The unnormalized state of ``mode``, every other mode traced out."""
         if self.signs is not None:  # its levels differ in charge: only the diagonal
@@ -201,7 +185,7 @@ class Ensemble:
         out = {}
         for i, (m, d) in enumerate(zip(self.modes, self.dims)):
             top = np.take(t, d - 1, axis=M - 1 - i)
-            out[m] = float(np.vdot(top, top).real) / total if total > 0 else 0.0
+            out[m] = float(np.vdot(top, top).real) / total if total != 0.0 else 0.0
         return out
 
     def condition(self, mode: str, diag: np.ndarray) -> Ensemble:
@@ -212,12 +196,12 @@ class Ensemble:
         """
         t = self._mode_first(mode)
         support = np.nonzero(diag > 0.0)[0]
-        rest = t.shape[1] // self.members.shape[1]
-        # (n, rest, k) -> (rest, k, n): member order is k-major, n-minor
-        branches = (np.sqrt(diag[support])[:, None] * t[support]).reshape(
-            support.size, rest, -1
-        )
-        branches = branches.transpose(1, 2, 0).reshape(rest, -1)
+        k = self.members.shape[1]
+        rest = t.shape[1] // k
+        # (n, rest, k) -> (rest, k, n): member order is k-major, n-minor; sizes
+        # are explicit, so an all-zero E leaves no member and zero weight
+        branches = (np.sqrt(diag[support])[:, None] * t[support]).reshape(support.size, rest, k)
+        branches = branches.transpose(1, 2, 0).reshape(rest, k * support.size)
         branches = branches[:, np.any(branches, axis=0)]
         i = self.modes.index(mode)
         return Ensemble(self.modes[:i] + self.modes[i + 1:], self.dims[:i] + self.dims[i + 1:],
@@ -244,7 +228,7 @@ class HeraldRecord:
 class ExecutionResult:
     plan: ExecutionPlan
     cutoffs: dict[str, int]  # the cutoffs the run settled at, per mode
-    # staged: Ensemble (its reduced and to_mixed dephase by charge); brute oracle: State
+    # staged: Ensemble (its reduced dephases by charge); brute oracle: State
     final_state: Ensemble | State | None
     heralds: list[HeraldRecord]
     leak_max: float
@@ -306,25 +290,6 @@ def _check_modes(stmt: ElementStmt) -> None:
         raise ValueError(f"{stmt.kind} modes must differ, got {stmt.modes}")
 
 
-def _unitary_matrix(stmt: ElementStmt, d: int) -> np.ndarray:
-    """The element's dense d²×d² unitary from the public builders, uncached."""
-    _check_modes(stmt)
-    build = beam_splitter_unitary if stmt.kind == "bs" else two_mode_squeezer_unitary
-    return build(stmt.value, Cutoff(d))
-
-
-# The sectors do not depend on the modes the element acts on, only on their
-# cutoffs.  One Fig.-1 run needs at most 4 (kind, value, d1, d2) keys per
-# attempt: BS1, the squeezer, BS2 and BS3.  A repeated element skips even
-# the rescaling of its shape's cached eigenbasis.
-@lru_cache(maxsize=16)
-def _unitary_matrix_cached(
-    kind: str, value: float, d1: int, d2: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The element unitary on the d1×d2 pair space as one ``(idx, blocks)`` group of slots."""
-    return element_sectors(kind, value, d1, d2)
-
-
 class _LeakMonitor:
     def __init__(self, budget: float, cutoffs: dict[str, int]):
         self.budget = budget
@@ -334,7 +299,7 @@ class _LeakMonitor:
     def check(self, stage: str, populations: dict[str, float]) -> None:
         for mode, leak in populations.items():
             self.max_seen = max(self.max_seen, leak)
-            if leak > self.budget:
+            if not leak <= self.budget:  # a NaN leak fails too
                 raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoffs)
 
 
@@ -453,7 +418,7 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
             attach(op.modes)
             _check_modes(op)
             d1, d2 = (cutoffs[m] for m in op.modes)
-            sectors = _unitary_matrix_cached(op.kind, op.value, d1, d2)
+            sectors = element_sectors(op.kind, op.value, d1, d2)
             ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, op.modes)
             monitor.check(f"{op.kind} {'/'.join(op.modes)}", ens.top_level_population())
         else:
@@ -501,7 +466,10 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
 
     for op in spec.operations:
         if isinstance(op, ElementStmt):
-            state = apply(_unitary_matrix(op, d), op.modes, state)
+            _check_modes(op)
+            # the dense d²×d² unitary from the public builders
+            build = beam_splitter_unitary if op.kind == "bs" else two_mode_squeezer_unitary
+            state = apply(build(op.value, cutoff), op.modes, state)
             continue
         diag = measurement.povm_diagonal(op.requirement, op.count, op.eta, op.onoff, d)
         before = weight(state)

@@ -67,14 +67,6 @@ class GridSpec:
     def square(cls, lo: float, hi: float, count: int) -> "GridSpec":
         return cls((lo, hi, count), (lo, hi, count))
 
-    def re_axis(self) -> np.ndarray:
-        lo, hi, n = self.re_range
-        return np.linspace(lo, hi, n)
-
-    def im_axis(self) -> np.ndarray:
-        lo, hi, n = self.im_range
-        return np.linspace(lo, hi, n)
-
 
 DEFAULT_GRID = GridSpec.square(-3.0, 3.0, 81)
 
@@ -100,19 +92,12 @@ class WignerGrid:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteWignerError("Wigner values must be finite")
 
-    def cell_area(self) -> float:
-        return float((self.re_axis[1] - self.re_axis[0]) * (self.im_axis[1] - self.im_axis[0]))
-
-
-def _single_mode_rho(state: State) -> np.ndarray:
-    if len(state.modes) != 1:
-        raise DimensionMismatchError("Wigner evaluation requires a single-mode state")
-    return to_mixed(state).matrix
-
 
 def _normalized_rho(state: State) -> np.ndarray:
     """The single-mode density matrix divided by its trace, as every W evaluator takes it."""
-    rho = _single_mode_rho(state)
+    if len(state.modes) != 1:
+        raise DimensionMismatchError("Wigner evaluation requires a single-mode state")
+    rho = to_mixed(state).matrix
     weight = float(np.real(np.trace(rho)))
     if weight <= 0:
         raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
@@ -133,7 +118,7 @@ def _geometry(betas: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=4)
 def _grid_geometry(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """The grid's two axes and its :func:`_geometry`, computed once per spec and read-only."""
-    re, im = grid.re_axis(), grid.im_axis()
+    re, im = (np.linspace(*axis) for axis in (grid.re_range, grid.im_range))
     out = (re, im) + _geometry(re[None, :] + 1j * im[:, None])
     for a in out:
         a.setflags(write=False)
@@ -255,15 +240,10 @@ def min_wigner(grid: WignerGrid) -> tuple[complex, float]:
     return beta, float(grid.values[i, j])
 
 
-def grid_integral(grid: WignerGrid, radius: float | None = None) -> float:
-    """Riemann sum of W over the grid, optionally restricted to |β| ≤ radius."""
-    vals = grid.values
-    if radius is not None:
-        re = grid.re_axis[None, :]
-        im = grid.im_axis[:, None]
-        mask = re**2 + im**2 <= radius**2
-        vals = np.where(mask, vals, 0.0)
-    return float(np.sum(vals) * grid.cell_area())
+def grid_integral(grid: WignerGrid) -> float:
+    """Riemann sum of W over the grid."""
+    cell = (grid.re_axis[1] - grid.re_axis[0]) * (grid.im_axis[1] - grid.im_axis[0])
+    return float(np.sum(grid.values) * cell)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 from .core import Cutoff, MixedState
 from .dsl import (
     CircuitSpec,
-    CutoffPolicy,
     ElementStmt,
     HeraldStmt,
     InputStmt,
@@ -75,7 +74,7 @@ class SchemeParams:
     eta_pd1: float = 1.0
     eta_pd2: float = 1.0
     pd0_onoff: bool = False
-    cutoff: int | None = None  # None: adaptive policy
+    cutoff: int | None = None  # None: adaptive, sized per mode by compile_circuit
     leak_budget: float = 1e-6
     swap_bs3_sign: bool = False
 
@@ -114,9 +113,6 @@ class SchemeParams:
         if self.input_kind == "thermal":
             return InputStmt("a", "thermal", (float(self.nbar),))
         return InputStmt("a", "fock", (float(self.fock_n),))
-
-    def policy(self) -> CutoffPolicy:
-        return CutoffPolicy(explicit=self.cutoff, leak_budget=self.leak_budget)
 
 
 def _pd0_herald(params: SchemeParams) -> HeraldStmt:
@@ -184,10 +180,6 @@ class SchemeResult:
     fidelity_pd1_vs_input: float | None
     leak_max: float
 
-    def normalized_branch(self, which: str) -> MixedState:
-        rho = _branch(self, which)
-        return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
-
 
 def run_interferometer(params: SchemeParams) -> SchemeResult:
     """Exact staged simulation of both accepted branches plus click statistics.
@@ -195,7 +187,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     One plan runs: the ``none`` circuit with the trailing heralds of the
     ``pd2`` and ``pd1`` circuits as its branches, both conditioning its
     post-BS3 ensemble inside the same cutoff retry and leak checks; the click
-    statistics come from that ensemble too.  The policy sizes the branch
+    statistics come from that ensemble too.  The compiler sizes the branch
     stages with the shared ones, so each mode's adaptive cutoff is the larger
     of the two branch circuits' predictions for it, and a circuit file for one
     branch, run at these cutoffs, reproduces its numbers to rounding.
@@ -203,7 +195,8 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     """
     prefix = build_fig1_circuit(params, "none")
     tails = (_branch_heralds(params, "pd2"), _branch_heralds(params, "pd1"))
-    res = execute_plan(compile_circuit(prefix, params.policy(), branches=tails))
+    res = execute_plan(compile_circuit(prefix, branches=tails, cutoff=params.cutoff,
+                                       leak_budget=params.leak_budget))
     (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
     pd0_prob = res.heralds[0].probability
@@ -258,15 +251,11 @@ def _scaled_branch(branch: Ensemble, weight: float) -> MixedState:
     return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag * weight)
 
 
-def _branch(result: SchemeResult, which: str) -> MixedState:
-    """The unnormalised state of the ``'pd1'`` or ``'pd2'`` branch."""
+def branch_wigner(result: SchemeResult, which: str, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
+    """W of the ``'pd1'`` or ``'pd2'`` branch, whose stored state is unnormalised."""
     if which not in ("pd1", "pd2"):
         raise ValueError(f"unknown branch {which!r}")
-    return result.pd2_branch if which == "pd2" else result.pd1_branch
-
-
-def branch_wigner(result: SchemeResult, which: str, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
-    return wigner(_branch(result, which), grid)
+    return wigner(result.pd2_branch if which == "pd2" else result.pd1_branch, grid)
 
 
 def commutation_report(params: SchemeParams, alphas: list[float]) -> list[dict]:
@@ -308,15 +297,15 @@ def efficiency_degradation(params: SchemeParams, eta: float) -> DegradationResul
     """PD2-branch fidelity loss (vs the input) from inefficient PD1/PD2.
 
     One execution: the PD2 heralds at efficiency 1 and at ``eta`` are two
-    branches of the same post-BS3 ensemble, sized together by the policy.
+    branches of the same post-BS3 ensemble, sized together by the compiler.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
     tails = tuple(
         _branch_heralds(replace(params, eta_pd1=e, eta_pd2=e), "pd2") for e in (1.0, eta)
     )
-    plan = compile_circuit(build_fig1_circuit(params, "none"), params.policy(), branches=tails)
-    res = execute_plan(plan)
+    res = execute_plan(compile_circuit(build_fig1_circuit(params, "none"), branches=tails,
+                                       cutoff=params.cutoff, leak_budget=params.leak_budget))
     reference = input_state(params.input_stmt(), Cutoff(res.cutoffs["a"]))
     ideal, lossy = (fidelity(reference, ens.reduced("a")) for ens, _ in res.branches)
     return DegradationResult(eta=eta, fidelity_ideal=ideal, fidelity_degraded=lossy)

@@ -2,9 +2,10 @@
 
 None of these is on a product path, so they live with the tests: dense
 operator algebra on a uniform cutoff, heralded conditioning of a state, the
-pattern probabilities of an ensemble, closed-form Wigner values of Gaussian
-states and single-point Wigner evaluation.  Each is written directly from its
-definition and serves as an oracle; ``output_value`` is a lookup helper.
+pattern probabilities and density matrix of an ensemble, closed-form Wigner
+values of Gaussian states and single-point Wigner evaluation.  Each is written
+directly from its definition and serves as an oracle; ``output_value`` and
+``normalized_branch`` are lookup helpers.
 """
 
 from __future__ import annotations
@@ -154,6 +155,20 @@ def pattern_probability(ensemble, heralds: Mapping[str, tuple]) -> float:
     return float(joint @ np.sum(members.real**2 + members.imag**2, axis=1))
 
 
+def ensemble_to_mixed(ensemble) -> MixedState:
+    """The density matrix Σₖ |vₖ⟩⟨vₖ| of an engine ``Ensemble`` at one cutoff on every mode.
+
+    With charge signs every element between distinct charges is dropped, as
+    the ensemble's own ``reduced`` does.
+    """
+    m = ensemble.members
+    rho = m @ m.conj().T
+    if ensemble.signs is not None:
+        q = ensemble._charges()
+        rho[q[:, None] != q] = 0.0
+    return MixedState.create(ensemble.modes, Cutoff(max(ensemble.dims)), rho)
+
+
 # ---------------------------------------------------------------------------
 # Wigner values
 
@@ -187,6 +202,12 @@ def wigner_point(state: State, beta: complex) -> float:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def normalized_branch(result, which: str) -> MixedState:
+    """A ``SchemeResult``'s ``'pd1'`` or ``'pd2'`` branch state, normalized to unit trace."""
+    rho = getattr(result, f"{which}_branch")
+    return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
 
 
 def output_value(result, kind: str, mode: str | None = None):

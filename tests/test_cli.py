@@ -166,6 +166,44 @@ def test_numerical_failures_exit_2_without_a_traceback(tmp_path, args):
     assert "numerical failure:" in res.output
 
 
+def _circuit(tmp_path, old: str, new: str) -> str:
+    """fig1.qoc with the line ``old`` replaced by ``new``, written under ``tmp_path``."""
+    text = FIG1_QOC.read_text()
+    assert f"{old}\n" in text
+    path = tmp_path / "edited.qoc"
+    path.write_text(text.replace(f"{old}\n", f"{new}\n"))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ("--eta-pd1", "0"), ("--eta-pd2", "0"), ("--eta-pd0", "0"), ("--eta-pd0", "0", "--onoff"),
+    ("qoc", "herald b noclick onoff", "herald b click eta=0"),
+    ("--alpha", "40", "--cutoff", "10"), ("--alpha", "1e154"), ("--alpha", "1e200"),
+    ("--alpha", "1e200", "--cutoff", "10"), ("--s", "711"), ("--s", "1e3"),
+    ("qoc", "input a coherent 1.0 0.0", "input a coherent 1e200 0.0"),
+    ("qoc", "tmsq a d s=0.1", "tmsq a d s=1e3"),
+], ids=["eta-pd1", "eta-pd2", "eta-pd0", "eta-pd0-onoff", "qoc-eta0", "alpha40-d10", "alpha1e154",
+        "alpha1e200", "alpha1e200-d10", "s711", "s1e3", "qoc-alpha1e200", "qoc-s1e3"])
+def test_zero_probability_heralds_and_huge_inputs_exit_2_and_write_no_report(tmp_path, args):
+    # a herald that can never fire, a coherent state wholly above its cutoff,
+    # or a Gaussian tail past the float range: a typed failure, never NaN
+    target = (_circuit(tmp_path, *args[1:]),) if args[0] == "qoc" else ("fig1", *args)
+    out = tmp_path / "out"
+    res = _run("run", *target, "--out", str(out))
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "numerical failure:" in res.output
+    assert not list(out.glob("*report*"))
+
+
+def test_repeated_output_in_a_circuit_file_exits_1(tmp_path):
+    circuit = _circuit(tmp_path, "out state a", "out wigner a -2:2:5\nout wigner a -1:1:3")
+    res = _run("run", circuit, "--out", str(tmp_path / "out"))
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert "[duplicate-output]" in res.output and "line 16" in res.output
+    assert not (tmp_path / "out" / "wigner_a.json").exists()
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 9.61 GiB for an array with shape (195112, 3306)")
 
@@ -204,7 +242,7 @@ import json, sys
 import qocsim, qocsim.cli
 from qocsim.scheme import (SchemeParams, branch_wigner, build_fig1_circuit, commutation_report,
                            efficiency_degradation, run_interferometer)
-from qocsim.dsl import CutoffPolicy, compile_circuit
+from qocsim.dsl import compile_circuit
 from qocsim.engine import execute_plan_brute
 from qocsim.phasespace import GridSpec
 
@@ -233,7 +271,7 @@ seen["efficiency_degradation"] = loaded()
 commutation_report(SchemeParams(), [0.6])
 seen["commutation_report"] = loaded()
 spec = build_fig1_circuit(SchemeParams(alpha=0.5), "pd2")
-execute_plan_brute(compile_circuit(spec, CutoffPolicy(explicit=5, leak_budget=1.0)))
+execute_plan_brute(compile_circuit(spec, cutoff=5, leak_budget=1.0))
 seen["execute_plan_brute"] = loaded()
 cli("run", "fig1")
 seen["cli run fig1"] = loaded()

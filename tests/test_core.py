@@ -125,24 +125,19 @@ def test_two_mode_embed_matches_kron_convention():
 def test_apply_matrix_sectors_equal_their_block_diagonal_matrix(d):
     c = Cutoff(d)
     rng = np.random.default_rng(d)
-    # a random partition of the pair space into pieces of sizes 1, 1, 2, 2, 3
-    # and the rest, grouped by size as (idx, blocks) stacks
-    pieces = [p for p in np.split(rng.permutation(d * d), [1, 2, 4, 6, 9]) if p.size]
+    # a random partition of the pair space into d pieces of d states, as one
+    # (idx, blocks) stack
+    idx = rng.permutation(d * d).reshape(d, d)
+    blocks = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
     dense = np.zeros((d * d, d * d), dtype=np.complex128)
-    sectors = []
-    for L in sorted({p.size for p in pieces}):
-        idx = np.array([p for p in pieces if p.size == L])
-        size = (len(idx), L, L)
-        blocks = rng.normal(size=size) + 1j * rng.normal(size=size)
-        for row, block in zip(idx, blocks):
-            dense[np.ix_(row, row)] = block
-        sectors.append((idx, blocks))
+    for row, block in zip(idx, blocks):
+        dense[np.ix_(row, row)] = block
     modes = ("x", "y", "z")
     members = rng.normal(size=(d**3, 5)) + 1j * rng.normal(size=(d**3, 5))
     for op_modes in itertools.permutations(modes, 2):
         full = embed(dense, op_modes, modes, c)
         for arr in (members, members[:, 0]):
-            for ops in (sectors, [(np.arange(len(dense))[None], dense[None])]):
+            for ops in ((idx, blocks), (np.arange(len(dense))[None], dense[None])):
                 out = apply_matrix(arr, modes, (d,) * 3, ops, op_modes)
                 assert out.shape == arr.shape
                 assert np.abs(out - full @ arr).max() <= 1e-13, op_modes
@@ -173,18 +168,16 @@ def test_apply_matrix_with_mixed_mode_dimensions_equals_embedded_operator():
     members = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
     for op_modes in itertools.permutations(modes, 2):
         d1, d2 = (dims[modes.index(m)] for m in op_modes)
-        labels = rng.integers(0, 3, size=d1 * d2)
+        # max(d1, d2) random slots of min(d1, d2) states, as an element's
+        L = min(d1, d2)
+        idx = rng.permutation(d1 * d2).reshape(-1, L)
+        blocks = rng.normal(size=(len(idx), L, L)) + 1j * rng.normal(size=(len(idx), L, L))
         dense = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-        sectors = []
-        for label in np.unique(labels):
-            idx = np.flatnonzero(labels == label)
-            size = (idx.size, idx.size)
-            block = rng.normal(size=size) + 1j * rng.normal(size=size)
-            dense[np.ix_(idx, idx)] = block
-            sectors.append((idx[None], block[None]))
+        for row, block in zip(idx, blocks):
+            dense[np.ix_(row, row)] = block
         full = _embedded(dense, op_modes, modes, dims)
         for arr in (members, members[:, 0]):
-            for ops in (sectors, [(np.arange(len(dense))[None], dense[None])]):
+            for ops in ((idx, blocks), (np.arange(len(dense))[None], dense[None])):
                 out = apply_matrix(arr, modes, dims, ops, op_modes)
                 assert out.shape == arr.shape
                 assert np.abs(out - full @ arr).max() <= 1e-13, op_modes

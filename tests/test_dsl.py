@@ -9,7 +9,6 @@ from qocsim.dsl import (
     CircuitParseError,
     CircuitSpec,
     CutoffCeilingError,
-    CutoffPolicy,
     ElementStmt,
     HeraldStmt,
     InputStmt,
@@ -122,6 +121,22 @@ def test_no_outputs():
     with pytest.raises(CircuitParseError) as exc:
         parse("modes a\ninput a vacuum\n")
     assert "no-outputs" in issue_codes(exc.value)
+
+
+def test_repeated_output_is_rejected_at_the_second_request():
+    # a second request of one kind on one mode would overwrite the first's artifact
+    head = "modes a b\ninput a vacuum\ninput b vacuum\nbs a b T=0.5\n"
+    for first, second in (("out wigner a -2:2:5", "out wigner a -1:1:3"),
+                          ("out state a", "out state a"),
+                          ("out fidelity a input", "out fidelity a input"),
+                          ("out probs", "out probs")):
+        with pytest.raises(CircuitParseError) as exc:
+            parse(f"{head}{first}\nout state b\n{second}\n")
+        (issue,) = exc.value.issues
+        assert (issue.code, issue.line, issue.column) == ("duplicate-output", 7, 1)
+    # one request of each kind on each mode is fine
+    spec = parse(f"{head}out wigner a -2:2:5\nout wigner b -2:2:5\nout state a\nout probs\n")
+    assert len(spec.outputs) == 4
 
 
 def test_mode_reuse_after_herald():
@@ -254,8 +269,8 @@ def test_fuzz_token_soup(tokens):
 
 def test_compile_idempotent():
     spec = parse(FIG1_TEXT)
-    p1 = compile_circuit(spec, CutoffPolicy())
-    p2 = compile_circuit(parse(print_circuit(spec)), CutoffPolicy())
+    p1 = compile_circuit(spec)
+    p2 = compile_circuit(parse(print_circuit(spec)))
     assert p1 == p2
 
 
@@ -283,53 +298,53 @@ def test_cutoff_policy_rules():
         ("modes a\ninput a thermal 1.0\nout state a\n", geometric),
     ):
         for budget in (1e-4, 1e-6, 1e-9):
-            plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=budget))
+            plan = compile_circuit(parse(text), leak_budget=budget)
             assert plan.cutoff == _smallest_passing(pmf, budget) and plan.may_double
-        plan = compile_circuit(parse(text), CutoffPolicy())
+        plan = compile_circuit(parse(text))
         assert execute_plan(plan).cutoff == plan.cutoff
         with pytest.raises(LeakBudgetError):
-            execute_plan(compile_circuit(parse(text), CutoffPolicy(explicit=plan.cutoff - 1)))
+            execute_plan(compile_circuit(parse(text), cutoff=plan.cutoff - 1))
     # past P(n) ~ 1e150 (peaks near 1e155 at α = 19, 1e172 at α = 20) the
     # policy must still match the exact Poisson law, summed in log space
     for alpha, budget, want in ((19.0, 1e-4, 426), (19.0, 1e-6, 450),
                                 (20.0, 1e-4, 468), (20.0, 1e-6, 493)):
         text = f"modes a\ninput a coherent {alpha} 0.0\nout state a\n"
-        plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=budget))
+        plan = compile_circuit(parse(text), leak_budget=budget)
         lam = alpha * alpha
         logp = np.array([n * math.log(lam) - lam - math.lgamma(n + 1) for n in range(600)])
         d = 2 + int(np.argmax((logp - np.logaddexp.accumulate(logp))[1:] <= math.log(budget)))
         assert plan.cutoff == d == want
     vac = parse("modes a\ninput a vacuum\nout probs\n")
-    assert compile_circuit(vac, CutoffPolicy()).cutoff == 2
+    assert compile_circuit(vac).cutoff == 2
     fock = parse("modes a\ninput a fock 3\nout probs\n")
-    assert compile_circuit(fock, CutoffPolicy()).cutoff == 5  # level 3 below the top
-    explicit = compile_circuit(vac, CutoffPolicy(explicit=7))
+    assert compile_circuit(fock).cutoff == 5  # level 3 below the top
+    explicit = compile_circuit(vac, cutoff=7)
     assert explicit.cutoff == 7 and explicit.may_double is False
     # a Fock level needs an explicit cutoff above it
-    assert compile_circuit(fock, CutoffPolicy(explicit=4)).cutoff == 4
+    assert compile_circuit(fock, cutoff=4).cutoff == 4
     for cutoff in (2, 3):
         with pytest.raises(ValueError, match="is not above a fock input's level"):
-            compile_circuit(fock, CutoffPolicy(explicit=cutoff))
+            compile_circuit(fock, cutoff=cutoff)
     with pytest.raises(ValueError, match="leak_budget > 0"):
-        compile_circuit(vac, CutoffPolicy(leak_budget=0.0))
+        compile_circuit(vac, leak_budget=0.0)
 
 
 def test_compile_rejects_branch_heralds_on_modes_not_live():
     # mode e is declared but no statement uses it
     text = FIG1_TEXT.replace("herald b noclick onoff\nherald c click onoff\n", "")
     spec = parse(text.replace("modes a b c d", "modes a b c d e") + "input e vacuum\n")
-    plan = compile_circuit(spec, CutoffPolicy(), branches=[[HeraldStmt("b", "noclick")]])
+    plan = compile_circuit(spec, branches=[[HeraldStmt("b", "noclick")]])
     assert plan.branches == ((HeraldStmt("b", "noclick"),),)
     for tail in ([HeraldStmt("d", "click")], [HeraldStmt("b", "click"), HeraldStmt("b", "click")],
                  [HeraldStmt("e", "click")]):
         with pytest.raises(ValueError, match="distinct live mode"):
-            compile_circuit(spec, CutoffPolicy(), branches=[tail])
+            compile_circuit(spec, branches=[tail])
 
 
 def test_policy_ceiling_failure_is_typed():
     spec = parse("modes a\ninput a coherent 25.0 0.0\nout state a\n")
     with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
-        compile_circuit(spec, CutoffPolicy())
+        compile_circuit(spec)
     assert issubclass(CutoffCeilingError, ValueError)
 
 
@@ -338,7 +353,7 @@ def test_policy_rejects_a_fock_level_the_ceiling_cannot_hold(level):
     # the heralded idler photon adds one level, so fig1 needs level + 2 levels
     spec = parse(FIG1_TEXT.replace("input a coherent 1.0 0.0", f"input a fock {level}"))
     with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
-        CutoffPolicy().choose(spec)
+        compile_circuit(spec)
 
 
 @pytest.mark.parametrize("digits, code", [(400, "bad-argument"), (5000, "malformed-number")],
@@ -354,4 +369,4 @@ def test_policy_doubling_stops_at_the_ceiling_from_any_start():
     # the first pass runs 498 levels here, not a power of two: the next is 512
     spec = parse("modes a\ninput a coherent 22.0 0.0\nout state a\n")
     with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
-        compile_circuit(spec, CutoffPolicy())
+        compile_circuit(spec)

@@ -19,7 +19,6 @@ from qocsim.elements import (
     two_mode_squeezer_unitary,
     vacuum,
 )
-from qocsim.engine import _unitary_matrix_cached
 from qocsim.measurement import povm_element
 from qocsim.scheme import SchemeParams, run_interferometer
 from reference import condition, expectation, inner_product, number_matrix
@@ -288,17 +287,14 @@ def _rect_ladders(d1, d2):
     return np.kron(np.eye(d2), low1), np.kron(low2, np.eye(d1))
 
 
-def _check_grouped_layout(groups, d1, d2):
-    """Groups of rising block size whose idx rows partition range(d1·d2), all read-only."""
-    lengths = [idx.shape[1] for idx, _ in groups]
-    assert lengths == sorted(set(lengths)) and lengths[-1] <= min(d1, d2)
-    for idx, blocks in groups:
-        n, L = idx.shape
-        assert idx.dtype.kind == "i" and blocks.dtype == np.complex128
-        assert blocks.shape == (n, L, L)
-        assert not idx.flags.writeable and not blocks.flags.writeable
-    covered = np.sort(np.concatenate([idx.ravel() for idx, _ in groups]))
-    assert np.array_equal(covered, np.arange(d1 * d2))
+def _check_layout(idx, blocks, d1, d2):
+    """One stack of slots whose idx rows partition range(d1·d2), both arrays read-only."""
+    n, L = idx.shape
+    assert L <= min(d1, d2)
+    assert idx.dtype.kind == "i" and blocks.dtype == np.complex128
+    assert blocks.shape == (n, L, L)
+    assert not idx.flags.writeable and not blocks.flags.writeable
+    assert np.array_equal(np.sort(idx.ravel()), np.arange(d1 * d2))
 
 
 @pytest.mark.parametrize("kind, value", [("bs", 0.5), ("tmsq", 0.8)])
@@ -314,15 +310,14 @@ def test_sector_blocks_match_expm_of_their_own_chain(kind, value, d1, d2):
     else:  # s·(a2 a1 − a1†a2†)
         m = a2 @ a1
         gen = value * (m - m.T)
-    groups = element_sectors(kind, value, d1, d2)
-    _check_grouped_layout(groups, d1, d2)
-    for idx, blocks in groups:
-        for row, block in zip(idx, blocks):
-            rest = np.setdiff1d(np.arange(d1 * d2), row)
-            assert not gen[np.ix_(row, rest)].any()
-            chain = gen[np.ix_(row, row)]
-            assert np.abs(block - expm(chain.astype(np.complex128))).max() <= 1e-13
-            assert np.abs(block.conj().T @ block - np.eye(len(row))).max() <= 1e-13
+    idx, blocks = element_sectors(kind, value, d1, d2)
+    _check_layout(idx, blocks, d1, d2)
+    for row, block in zip(idx, blocks):
+        rest = np.setdiff1d(np.arange(d1 * d2), row)
+        assert not gen[np.ix_(row, rest)].any()
+        chain = gen[np.ix_(row, row)]
+        assert np.abs(block - expm(chain.astype(np.complex128))).max() <= 1e-13
+        assert np.abs(block.conj().T @ block - np.eye(len(row))).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d1, d2", [(1, 6), (6, 1), (1, 1), (5, 5), (9, 4)])
@@ -332,10 +327,9 @@ def test_sector_builds_raise_no_warning(d1, d2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, value in (("bs", 1.0), ("bs", 0.7), ("tmsq", 0.0), ("tmsq", 0.4)):
-            groups = element_sectors(kind, value, d1, d2)
-            _check_grouped_layout(groups, d1, d2)
-            for _, blocks in groups:
-                assert np.isfinite(blocks).all()
+            idx, blocks = element_sectors(kind, value, d1, d2)
+            _check_layout(idx, blocks, d1, d2)
+            assert np.isfinite(blocks).all()
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
@@ -391,9 +385,8 @@ def _sector_labels(kind, idx, d1):
 @pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.4)])
 @pytest.mark.parametrize("d1, d2", SHAPES)
 def test_slots_hold_one_whole_chain_or_two_that_fill_it(kind, value, d1, d2):
-    groups = element_sectors(kind, value, d1, d2)
-    assert len(groups) == 1
-    (idx, blocks), L = groups[0], min(d1, d2)
+    idx, blocks = element_sectors(kind, value, d1, d2)
+    L = min(d1, d2)
     assert idx.shape == (max(d1, d2), L)
     assert np.array_equal(np.sort(idx.ravel()), np.arange(d1 * d2))
     every = _sector_labels(kind, np.arange(d1 * d2), d1)
@@ -412,6 +405,7 @@ def test_slots_hold_one_whole_chain_or_two_that_fill_it(kind, value, d1, d2):
 
 
 def test_a_new_value_at_a_cached_shape_reuses_its_eigenbasis():
+    element_sectors.cache_clear()
     _chain_basis.cache_clear()
     for kind, values in (("bs", (0.9, 0.6)), ("tmsq", (0.1, 0.5))):
         before = _chain_basis.cache_info()
@@ -419,7 +413,7 @@ def test_a_new_value_at_a_cached_shape_reuses_its_eigenbasis():
             element_sectors(kind, value, 11, 5)
         after = _chain_basis.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), kind
-        for a in (*_chain_basis(kind, 11, 5), *element_sectors(kind, values[0], 11, 5)[0]):
+        for a in (*_chain_basis(kind, 11, 5), *element_sectors(kind, values[0], 11, 5)):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0
 
@@ -436,12 +430,12 @@ def test_runs_are_bit_identical_from_a_cold_or_a_warmed_basis_cache():
 
     params = dict(alpha=1.1, transmittivity=0.93, coupling=0.17)
     _chain_basis.cache_clear()
-    _unitary_matrix_cached.cache_clear()
+    element_sectors.cache_clear()
     cold = bits(run_interferometer(SchemeParams(**params)))
     _chain_basis.cache_clear()
     for T, s in ((0.95, 0.15), (0.91, 0.2), (0.93, 0.12)):
         run_interferometer(SchemeParams(alpha=1.1, transmittivity=T, coupling=s))
-    _unitary_matrix_cached.cache_clear()
+    element_sectors.cache_clear()
     hits = _chain_basis.cache_info().hits
     warm = bits(run_interferometer(SchemeParams(**params)))
     assert _chain_basis.cache_info().hits > hits

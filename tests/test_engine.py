@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,10 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from qocsim import engine
-from qocsim.core import Cutoff, DimensionMismatchError, MixedState, apply_matrix, to_mixed
+from qocsim.core import Cutoff, MixedState, apply_matrix, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
-    CutoffPolicy,
     ElementStmt,
     HeraldStmt,
     InputStmt,
@@ -20,19 +18,18 @@ from qocsim.dsl import (
     compile_circuit,
     parse,
 )
-from qocsim.elements import beam_splitter_unitary, two_mode_squeezer_unitary
+from qocsim.elements import beam_splitter_unitary, element_sectors, two_mode_squeezer_unitary
 from qocsim.engine import (
     Ensemble,
     LeakBudgetError,
-    _unitary_matrix_cached,
     execute_plan,
     execute_plan_brute,
 )
 from qocsim.measurement import ZeroProbabilityError
 from qocsim.scheme import SchemeParams, build_fig1_circuit, run_interferometer
-from reference import embed, output_value
+from reference import embed, ensemble_to_mixed, output_value
 
-LOOSE = CutoffPolicy(explicit=6, leak_budget=1.0)
+LOOSE = {"cutoff": 6, "leak_budget": 1.0}
 
 
 def _random_circuit(rng: np.random.Generator, n_heralds: int) -> CircuitSpec:
@@ -95,7 +92,7 @@ def test_staged_equals_brute_on_randomized_circuits():
     built = 0
     while built < 10:
         spec = _random_circuit(rng, n_heralds=int(rng.integers(1, 3)))
-        plan = compile_circuit(spec, LOOSE)
+        plan = compile_circuit(spec, **LOOSE)
         try:
             _compare(plan)
         except ZeroProbabilityError:
@@ -108,7 +105,7 @@ def test_plan_execution_deterministic():
         "modes a b\ninput a coherent 0.5 0.0\ninput b vacuum\n"
         "bs a b T=0.9\nherald b click onoff\nout probs\nout state a\n"
     )
-    plan = compile_circuit(parse(text), LOOSE)
+    plan = compile_circuit(parse(text), **LOOSE)
     r1 = execute_plan(plan)
     r2 = execute_plan(plan)
     assert r1.joint_probability == r2.joint_probability
@@ -134,7 +131,7 @@ def _run_recording_stages(monkeypatch, plan):
 
 
 def test_fig1_attaches_each_mode_right_before_its_first_use(monkeypatch):
-    plan = compile_circuit(parse(FIG1_QOC.read_text()), CutoffPolicy())
+    plan = compile_circuit(parse(FIG1_QOC.read_text()))
     result, stages = _run_recording_stages(monkeypatch, plan)
     # a and b before BS1, d before the squeezer, c before BS2; each herald
     # traces its mode, and nothing names a heralded mode again
@@ -158,7 +155,7 @@ def test_output_only_mode_is_attached_and_unused_mode_never_is(monkeypatch):
         "input d coherent 0.5 0.0\nbs a b T=0.9\nherald b click onoff\n"
         "out probs\nout state c\nout state a\n"
     )
-    plan = compile_circuit(parse(text), LOOSE)
+    plan = compile_circuit(parse(text), **LOOSE)
     result, stages = _run_recording_stages(monkeypatch, plan)
     assert stages == ["prepare a", "prepare b", "bs a/b", "herald b", "prepare c"]
     assert result.final_state.modes == ("a", "c")
@@ -172,7 +169,7 @@ def test_output_only_mode_is_attached_and_unused_mode_never_is(monkeypatch):
 
 def test_leak_budget_raises_with_diagnostic():
     text = "modes a\ninput a coherent 1.0 0.0\nout state a\n"
-    plan = compile_circuit(parse(text), CutoffPolicy(explicit=4, leak_budget=1e-6))
+    plan = compile_circuit(parse(text), cutoff=4, leak_budget=1e-6)
     with pytest.raises(LeakBudgetError) as exc:
         execute_plan(plan)
     assert exc.value.cutoff == 4
@@ -183,7 +180,7 @@ def test_adaptive_cutoff_doubles_once_on_leak():
     # a policy-compiled plan whose cutoff is lowered below the budget stands
     # for a misprediction: it is retried once at twice that cutoff
     text = "modes a\ninput a thermal 1.0\nout state a\n"
-    plan = compile_circuit(parse(text), CutoffPolicy(leak_budget=1e-6))
+    plan = compile_circuit(parse(text), leak_budget=1e-6)
     assert execute_plan(plan).cutoff == plan.cutoff
     low = replace(plan, cutoffs={"a": plan.cutoff - 4})
     assert execute_plan(low).cutoff == 2 * low.cutoff
@@ -196,7 +193,7 @@ def test_zero_probability_herald_raises():
         "modes a b\ninput a vacuum\ninput b vacuum\n"
         "bs a b T=0.9\nherald b exactly 3\nout state a\n"
     )
-    plan = compile_circuit(parse(text), LOOSE)
+    plan = compile_circuit(parse(text), **LOOSE)
     with pytest.raises(ZeroProbabilityError):
         execute_plan(plan)
 
@@ -208,7 +205,7 @@ def test_mixed_input_with_inefficient_heralds_matches_brute():
         "herald b click eta=0.55 onoff\nherald c exactly 1\n"
         "out probs\nout state a\n"
     )
-    plan = compile_circuit(parse(text), LOOSE)
+    plan = compile_circuit(parse(text), **LOOSE)
     _compare(plan)
 
 
@@ -216,19 +213,19 @@ def test_ensemble_compaction_preserves_density_matrix():
     rng = np.random.default_rng(5)
     members = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
     ens = Ensemble(("a",), (4,), members)
-    before = ens.to_mixed().matrix
+    before = ensemble_to_mixed(ens).matrix
     ens.compact()
     assert ens.members.shape[0] == 4 and ens.members.shape[1] <= 4
-    assert np.max(np.abs(ens.to_mixed().matrix - before)) < 1e-12
+    assert np.max(np.abs(ensemble_to_mixed(ens).matrix - before)) < 1e-12
 
 
 @pytest.mark.parametrize("first", ["coherent 0.7 0.2", "thermal 0.6"])
 def test_vacuum_mode_is_attached_by_zero_padding(first):
     # the einsum outer product with the vacuum member, which the zero-pad replaced
-    policy = CutoffPolicy(explicit=7, leak_budget=1.0)
-    one = compile_circuit(parse(f"modes a\ninput a {first}\nout state a\n"), policy)
+    one = compile_circuit(parse(f"modes a\ninput a {first}\nout state a\n"), cutoff=7,
+                          leak_budget=1.0)
     two = f"modes a b\ninput a {first}\ninput b vacuum\nout state a\nout state b\n"
-    plan = compile_circuit(parse(two), policy)
+    plan = compile_circuit(parse(two), cutoff=7, leak_budget=1.0)
     old = execute_plan(one).final_state.members
     vac = np.zeros((7, 1), dtype=np.complex128)
     vac[0, 0] = 1.0
@@ -245,35 +242,12 @@ def test_final_state_types():
         "modes a b\ninput a coherent 0.4 0.0\ninput b vacuum\nbs a b T=0.9\nout probs\n",
         "modes a b\ninput a thermal 0.4\ninput b vacuum\nbs a b T=0.9\nout probs\n",
     ):
-        plan = compile_circuit(parse(text), LOOSE)
+        plan = compile_circuit(parse(text), **LOOSE)
         staged = execute_plan(plan).final_state
         brute = execute_plan_brute(plan).final_state
         assert isinstance(staged, Ensemble)
         assert staged.modes == brute.modes
-        assert np.max(np.abs(staged.to_mixed().matrix - to_mixed(brute).matrix)) < 1e-10
-
-
-@pytest.mark.parametrize("kind", [{"alpha": 1.0}, {"input_kind": "thermal", "nbar": 0.95}],
-                         ids=["coherent", "thermal"])
-def test_to_mixed_at_per_mode_cutoffs_fails_before_allocating(kind):
-    # the Fig. 1 `none` plan at adaptive cutoffs keeps a large cutoff on a only
-    params = SchemeParams(**kind)
-    final = execute_plan(compile_circuit(build_fig1_circuit(params, "none"),
-                                         params.policy())).final_state
-    assert len(set(final.dims)) > 1
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionMismatchError) as err:
-            final.to_mixed()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000  # the dim x dim matrix alone would take megabytes
-    for mode, d in zip(final.modes, final.dims):
-        assert f"{mode}: d={d}" in str(err.value)
-    assert "reduced(mode)" in str(err.value)
-    # the named way out works: a's state at its own cutoff
-    assert final.reduced("a").matrix.shape == (final.dims[0],) * 2
+        assert np.max(np.abs(ensemble_to_mixed(staged).matrix - to_mixed(brute).matrix)) < 1e-10
 
 
 # (inputs, operations, charge signs or None, members K of the final ensemble);
@@ -305,15 +279,27 @@ CHARGE_CASES = {
 def test_charge_collapse_matches_brute(name):
     inputs, ops, signs, members = CHARGE_CASES[name]
     text = f"modes a b c\n{inputs}{ops}out probs\nout state a\nout state b\n"
-    plan = compile_circuit(parse(text), LOOSE)
+    plan = compile_circuit(parse(text), **LOOSE)
     assert plan.charge_signs == signs
     rs, rb = _compare(plan)
     staged = rs.final_state
     assert staged.members.shape[1] == members
     # the two live modes' joint state, dephased by charge when collapsed
-    assert np.max(np.abs(staged.to_mixed().matrix - rb.final_state.matrix)) < 1e-10
+    assert np.max(np.abs(ensemble_to_mixed(staged).matrix - rb.final_state.matrix)) < 1e-10
     mb = output_value(rb, "state", "b").matrix
     assert np.max(np.abs(output_value(rs, "state", "b").matrix - mb)) < 1e-10
+
+
+@pytest.mark.parametrize("inp", ["coherent 0.8 0.0", "thermal 0.5"])
+@pytest.mark.parametrize("herald", ["click eta=0", "exactly 1 eta=0", "click eta=0 onoff"])
+def test_a_herald_that_cannot_fire_raises_in_both_executors(inp, herald):
+    # E is zero on every level, so no member survives and the weight is 0
+    text = (f"modes a b\ninput a {inp}\ninput b vacuum\nbs a b T=0.7\n"
+            f"herald b {herald}\nout probs\n")
+    plan = compile_circuit(parse(text), **LOOSE)
+    for executor in (execute_plan, execute_plan_brute):
+        with pytest.raises(ZeroProbabilityError, match="zero probability"):
+            executor(plan)
 
 
 def test_element_with_repeated_mode_is_rejected():
@@ -323,7 +309,7 @@ def test_element_with_repeated_mode_is_rejected():
         (ElementStmt("bs", ("a", "a"), 0.5),),
         (OutputStmt("probs"),),
     )
-    plan = compile_circuit(spec, LOOSE)
+    plan = compile_circuit(spec, **LOOSE)
     for executor in (execute_plan, execute_plan_brute):
         with pytest.raises(ValueError, match="modes must differ"):
             executor(plan)
@@ -331,16 +317,16 @@ def test_element_with_repeated_mode_is_rejected():
 
 def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
     params = SchemeParams(alpha=1.2, transmittivity=0.9, coupling=0.2)
-    _unitary_matrix_cached.cache_clear()
+    element_sectors.cache_clear()
     first = run_interferometer(params)
-    info = _unitary_matrix_cached.cache_info()
+    info = element_sectors.cache_info()
     # the predicted cutoffs (a 14, b 9, c 8, d 7) pass on their first attempt,
     # which builds BS1 (14×9), the squeezer (14×7), BS2 (14×8) and BS3 (8×9):
     # BS1 and BS2 no longer share an entry, since b and c keep different
     # cutoffs.  Nothing evicted.
     assert info.currsize == info.misses == 4
     second = run_interferometer(params)
-    assert _unitary_matrix_cached.cache_info().misses == info.misses
+    assert element_sectors.cache_info().misses == info.misses
     for f in fields(first):
         a, b = getattr(first, f.name), getattr(second, f.name)
         if isinstance(a, MixedState):
@@ -349,24 +335,22 @@ def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
             assert a == b, f.name
 
 
-def _rebuilt(groups, d1, d2):
-    """The dense d1·d2-square matrix of grouped sectors, with the layout checked.
+def _rebuilt(sectors, d1, d2):
+    """The dense d1·d2-square matrix of a stack of slots, with the layout checked.
 
-    Each group holds blocks of one size L, in rising L: an ``(n, L)`` idx
-    and an ``(n, L, L)`` stack of blocks, both read-only.  The idx rows of
-    all groups partition ``range(d1·d2)``.
+    ``sectors`` is an ``(n, L)`` idx, L at most min(d1, d2), whose rows
+    partition ``range(d1·d2)``, and an ``(n, L, L)`` stack of blocks, both
+    read-only.
     """
-    lengths = [idx.shape[1] for idx, _ in groups]
-    assert lengths == sorted(set(lengths)) and lengths[-1] <= min(d1, d2)
-    idx_all = np.concatenate([idx.ravel() for idx, _ in groups])
-    assert np.array_equal(np.sort(idx_all), np.arange(d1 * d2))
+    idx, blocks = sectors
+    n, L = idx.shape
+    assert L <= min(d1, d2)
+    assert np.array_equal(np.sort(idx.ravel()), np.arange(d1 * d2))
+    assert blocks.shape == (n, L, L) and blocks.dtype == np.complex128
+    assert not idx.flags.writeable and not blocks.flags.writeable
     out = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-    for idx, blocks in groups:
-        n, L = idx.shape
-        assert blocks.shape == (n, L, L) and blocks.dtype == np.complex128
-        assert not idx.flags.writeable and not blocks.flags.writeable
-        for row, block in zip(idx, blocks):
-            out[np.ix_(row, row)] = block
+    for row, block in zip(idx, blocks):
+        out[np.ix_(row, row)] = block
     return out
 
 
@@ -380,7 +364,7 @@ def _built_unitary(kind, value, c):
 @pytest.mark.parametrize("d", [4, 7])
 def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
     u = _built_unitary(kind, value, Cutoff(d))
-    assert np.array_equal(_rebuilt(_unitary_matrix_cached(kind, value, d, d), d, d), u)
+    assert np.array_equal(_rebuilt(element_sectors(kind, value, d, d), d, d), u)
 
 
 @pytest.mark.parametrize("kind, value", [("bs", 0.7), ("tmsq", 0.3)])
@@ -388,7 +372,7 @@ def test_cached_sectors_partition_and_rebuild_the_unitary(kind, value, d):
 def test_sector_application_matches_embedded_unitary(kind, value, d):
     c = Cutoff(d)
     u = _built_unitary(kind, value, c)
-    sectors = _unitary_matrix_cached(kind, value, d, d)
+    sectors = element_sectors(kind, value, d, d)
     rng = np.random.default_rng(d)
     modes = ("a", "b", "c")
     members = rng.normal(size=(d**3, 3)) + 1j * rng.normal(size=(d**3, 3))
@@ -416,7 +400,7 @@ def test_rectangular_sectors_match_dense_expm(d1, d2):
     }
     for kind, values in (("bs", (0.5, 0.9, 1.0)), ("tmsq", (0.05, 0.3, 0.9))):
         for value in values:
-            rebuilt = _rebuilt(_unitary_matrix_cached(kind, value, d1, d2), d1, d2)
+            rebuilt = _rebuilt(element_sectors(kind, value, d1, d2), d1, d2)
             dense = expm(generators[kind](value).astype(np.complex128))
             assert np.abs(rebuilt - dense).max() <= 1e-13, (kind, value)
 
@@ -443,7 +427,8 @@ def test_leak_monitor_matches_population_formula():
 @pytest.mark.parametrize("branch", ["pd2", "pd1"])
 def test_fig1_branch_with_thermal_input_matches_brute(branch, pd0):
     params = SchemeParams(input_kind="thermal", nbar=0.4, cutoff=6, leak_budget=1.0, **pd0)
-    plan = compile_circuit(build_fig1_circuit(params, branch), params.policy())
+    plan = compile_circuit(build_fig1_circuit(params, branch), cutoff=params.cutoff,
+                           leak_budget=params.leak_budget)
     rs, _ = _compare(plan)
     # the thermal input rides as one vector; K>1 comes from the levels the
     # heralds keep (c's click, and d's on-off click), so the collapsed

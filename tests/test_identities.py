@@ -9,19 +9,21 @@ import numpy as np
 import pytest
 
 from qocsim.core import MixedState
-from qocsim.dsl import (CircuitSpec, CutoffPolicy, ElementStmt, HeraldStmt, InputStmt,
-                        compile_circuit, parse)
+from qocsim.dsl import (CircuitSpec, ElementStmt, HeraldStmt, InputStmt, compile_circuit,
+                        parse)
 from qocsim.engine import execute_plan
 from qocsim.scheme import (SchemeParams, SchemeResult, _branch_heralds, build_fig1_circuit,
                            run_interferometer)
+from reference import output_value
 
 TOL = 1e-13
 
 
 def _adaptive_cutoffs(params: SchemeParams) -> dict[str, int]:
-    """The policy's per-mode cutoffs for run_interferometer's plan."""
+    """The compiler's per-mode cutoffs for run_interferometer's plan."""
     tails = tuple(_branch_heralds(params, b) for b in ("pd2", "pd1"))
-    return params.policy().choose(build_fig1_circuit(params, "none"), tails)[0]
+    return compile_circuit(build_fig1_circuit(params, "none"), branches=tails,
+                           cutoff=params.cutoff, leak_budget=params.leak_budget).cutoffs
 
 
 PHASE_CASES = {
@@ -71,12 +73,12 @@ def test_pd0_loss_is_a_beam_splitter_to_a_traced_mode(params, pd0_onoff):
     # binomial thinning at η is a beam splitter of transmittivity η followed
     # by an ideal detector; mode e is traced out by its two ideal on-off outcomes
     params = replace(params, pd0_onoff=pd0_onoff, eta_pd0=0.7)
-    policy = CutoffPolicy(explicit=12, leak_budget=1.0)
+    loose = {"cutoff": 12, "leak_budget": 1.0}
     for branch in ("pd2", "pd1"):
         spec = build_fig1_circuit(params, branch)
-        lossy = execute_plan(compile_circuit(spec, policy))
+        lossy = execute_plan(compile_circuit(spec, **loose))
         split = execute_plan(compile_circuit(
-            _loss_as_beam_splitter(spec, params.eta_pd0), policy,
+            _loss_as_beam_splitter(spec, params.eta_pd0), **loose,
             branches=[[HeraldStmt("e", "noclick", None, 1.0, True)],
                       [HeraldStmt("e", "click", None, 1.0, True)]]))
         want = [h.probability for h in lossy.heralds]
@@ -85,14 +87,20 @@ def test_pd0_loss_is_a_beam_splitter_to_a_traced_mode(params, pd0_onoff):
         assert np.abs(rho - lossy.final_state.reduced("a").matrix).max() <= TOL
 
 
-def _number_resolved_fig1(n: int, T: float, s: float, branch: str) -> str:
-    """Fig. 1 on a Fock input n, every herald number-resolving: one photon at PD0,
+def _number_resolved_fig1(inp: str, T: float, s: float, branch: str, out: str = "probs") -> str:
+    """Fig. 1 on the input ``inp``, every herald number-resolving: one photon at PD0,
     then one at the branch's detector and none at the other."""
     dark, bright = ("b", "c") if branch == "pd2" else ("c", "b")
-    return (f"modes a b c d\ninput a fock {n}\ninput b vacuum\ninput c vacuum\n"
+    return (f"modes a b c d\ninput a {inp}\ninput b vacuum\ninput c vacuum\n"
             f"input d vacuum\nbs a b T={T}\ntmsq a d s={s}\nherald d exactly 1\n"
             f"bs a c T={T}\nbs c b T=0.5\nherald {dark} exactly 0\n"
-            f"herald {bright} exactly 1\nout probs\n")
+            f"herald {bright} exactly 1\nout {out}\n")
+
+
+def _closed_form(T: float, s: float, branch: str) -> tuple[float, float]:
+    """(g, h) of the branch operator K ∝ gⁿ̂(1 + h n̂)."""
+    mu, t = math.cosh(s), math.sqrt(T)
+    return T / mu, 1.0 - mu / t if branch == "pd2" else 1.0 + mu / t
 
 
 @pytest.mark.parametrize("branch", ["pd2", "pd1"])
@@ -102,11 +110,30 @@ def test_branch_weights_follow_the_closed_form_at_all_orders(T, s, branch):
     # for PD2/PD1, so a Fock input n is kept with weight ∝ g²ⁿ(1 + hn)²; as
     # T → 1 and s → 0 K becomes 1 (PD2) and 1 + 2n̂ (PD1), the paper's claim.
     # At (0.8, 0.3) K_PD2 changes sign between n = 5 and 6.
-    g = T / math.cosh(s)
-    h = 1.0 - math.cosh(s) / math.sqrt(T) if branch == "pd2" else 1.0 + math.cosh(s) / math.sqrt(T)
-    policy = CutoffPolicy(explicit=24)
-    w = [execute_plan(compile_circuit(parse(_number_resolved_fig1(n, T, s, branch)), policy))
+    g, h = _closed_form(T, s, branch)
+    w = [execute_plan(compile_circuit(parse(_number_resolved_fig1(f"fock {n}", T, s, branch)),
+                                      cutoff=24))
          .joint_probability for n in range(11)]
     for n in range(11):
         want = g ** (2 * n) * (1.0 + h * n) ** 2
         assert abs(w[n] / w[0] - want) <= 1e-12 * want, n
+
+
+@pytest.mark.parametrize("branch", ["pd2", "pd1"])
+@pytest.mark.parametrize("T, s", [(0.99, 0.1), (0.9, 0.1), (0.8, 0.3)])
+def test_coherent_branch_states_follow_the_closed_form_at_all_orders(T, s, branch):
+    # K|α⟩ ∝ gⁿ̂(1 + h n̂)|α⟩ = (1 + h·g·α·a†)|gα⟩: the coherent input keeps
+    # its shape, shrunk by g, and the branch adds h·g·α·a† (for PD2 the
+    # identity, for PD1 1 + 2n̂ as T → 1 and s → 0)
+    g, h = _closed_form(T, s, branch)
+    n = np.arange(24)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    for alpha in (0.6, 1.0, 1.4, 0.8 - 0.9j):
+        a = complex(alpha)
+        text = _number_resolved_fig1(f"coherent {a.real} {a.imag}", T, s, branch, "state a")
+        res = execute_plan(compile_circuit(parse(text), cutoff=24))
+        rho = output_value(res, "state", "a").matrix
+        c = np.exp(n * np.log(abs(g * a)) - 0.5 * log_fact) * np.exp(1j * n * cmath.phase(a))
+        v = c + h * g * a * np.sqrt(n) * np.concatenate(([0.0], c[:-1]))
+        fid = float(np.real(v.conj() @ rho @ v)) / float(np.real(np.vdot(v, v)))
+        assert 1.0 - fid <= 1e-12, alpha

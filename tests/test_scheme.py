@@ -9,8 +9,9 @@ import pytest
 
 from qocsim import builtin_circuit_text, engine, measurement, scheme
 from qocsim.core import Cutoff, MixedState
-from qocsim.dsl import compile_circuit, parse
+from qocsim.dsl import CutoffCeilingError, compile_circuit, parse
 from qocsim.engine import LeakBudgetError, execute_plan, input_state
+from qocsim.measurement import ZeroProbabilityError
 from qocsim.phasespace import fidelity, wigner
 from qocsim.scheme import (
     SchemeParams,
@@ -19,7 +20,7 @@ from qocsim.scheme import (
     build_fig1_circuit,
     run_interferometer,
 )
-from reference import output_value, pattern_probability
+from reference import normalized_branch, output_value, pattern_probability
 
 TOL = 1e-12
 POLICY_TABLE = Path(__file__).parent / "data" / "policy_cutoffs.json"
@@ -27,8 +28,14 @@ POLICY_TABLE = Path(__file__).parent / "data" / "policy_cutoffs.json"
 
 def _predicted(params: SchemeParams) -> dict[str, int]:
     """Each mode's cutoff: the larger of the pd2 and pd1 circuits' predictions."""
-    pd2, pd1 = (params.policy().choose(build_fig1_circuit(params, b))[0] for b in ("pd2", "pd1"))
+    pd2, pd1 = (_compiled(params, build_fig1_circuit(params, b)).cutoffs for b in ("pd2", "pd1"))
     return {m: max(pd2[m], pd1[m]) for m in pd2}
+
+
+def _compiled(params: SchemeParams, spec, branches=()):
+    """The plan of ``spec`` at the cutoff and leak budget of ``params``."""
+    return compile_circuit(spec, branches=branches, cutoff=params.cutoff,
+                           leak_budget=params.leak_budget)
 
 
 def _tails(params: SchemeParams) -> tuple:
@@ -39,7 +46,7 @@ def _tails(params: SchemeParams) -> tuple:
 
 def _pinned(params: SchemeParams, branch: str, cutoffs: dict[str, int], may_double=False):
     """The branch circuit's plan with its per-mode cutoffs replaced by ``cutoffs``."""
-    plan = compile_circuit(build_fig1_circuit(params, branch), params.policy())
+    plan = _compiled(params, build_fig1_circuit(params, branch))
     return replace(plan, cutoffs=cutoffs, may_double=may_double)
 
 
@@ -254,7 +261,7 @@ def test_fig1_circuit_file_agrees_with_run_interferometer():
     assert abs(rest - sch.pd2_weight) <= TOL
     assert abs(output_value(res, "fidelity", "a") - sch.fidelity_pd2_vs_input) <= TOL
     state = output_value(res, "state", "a").matrix
-    assert np.max(np.abs(state - sch.normalized_branch("pd2").matrix)) <= TOL
+    assert np.max(np.abs(state - normalized_branch(sch, "pd2").matrix)) <= TOL
 
 
 @pytest.mark.parametrize("name", ["alpha1", "thermal"])
@@ -263,8 +270,27 @@ def test_branch_wigner_is_the_normalized_branch_grid(name):
     res = run_interferometer(CASES[name])
     for which in ("pd1", "pd2"):
         got = branch_wigner(res, which).values
-        want = wigner(res.normalized_branch(which)).values
+        want = wigner(normalized_branch(res, which)).values
         assert np.max(np.abs(got - want)) <= 1e-15, which
+
+
+@pytest.mark.filterwarnings("ignore:cutoff d=", "ignore::RuntimeWarning")
+@pytest.mark.parametrize("kw, error", [
+    ({"eta_pd1": 0.0}, ZeroProbabilityError),
+    ({"eta_pd2": 0.0}, ZeroProbabilityError),
+    ({"eta_pd0": 0.0, "pd0_onoff": True}, ZeroProbabilityError),
+    ({"alpha": 40.0, "cutoff": 10}, LeakBudgetError),
+    ({"alpha": 1e200, "cutoff": 10}, LeakBudgetError),
+    ({"alpha": 1e154}, CutoffCeilingError),
+    ({"alpha": 1e308}, CutoffCeilingError),
+    ({"coupling": 711.0}, CutoffCeilingError),
+], ids=["eta-pd1", "eta-pd2", "eta-pd0-onoff", "alpha40-d10", "alpha1e200-d10", "alpha1e154",
+        "alpha1e308", "s711"])
+def test_degenerate_inputs_raise_a_typed_failure(kw, error):
+    # a detector that cannot fire, a coherent state wholly above its cutoff
+    # (its kept amplitudes all underflow), or a tail past the float range
+    with pytest.raises(error):
+        run_interferometer(SchemeParams(**kw))
 
 
 def test_an_unknown_branch_name_is_rejected():
@@ -272,8 +298,6 @@ def test_an_unknown_branch_name_is_rejected():
     for which in ("PD2", "pd3", "none", ""):
         with pytest.raises(ValueError, match="unknown branch"):
             branch_wigner(res, which)
-        with pytest.raises(ValueError, match="unknown branch"):
-            res.normalized_branch(which)
 
 
 def test_heralds_build_no_dense_povm_element(monkeypatch):
@@ -288,7 +312,7 @@ def test_heralds_build_no_dense_povm_element(monkeypatch):
             assert 0.0 < res.p_bc < min(res.p_b, res.p_c)
     scheme.efficiency_degradation(SchemeParams(alpha=1.0), 0.7)
     params = SchemeParams(alpha=0.5, **lossy, cutoff=6)
-    plan = compile_circuit(build_fig1_circuit(params), params.policy())
+    plan = _compiled(params, build_fig1_circuit(params))
     assert len(engine.execute_plan_brute(plan).heralds) == 3
 
 
@@ -322,8 +346,8 @@ def test_per_mode_cutoffs_match_a_generous_uniform_cutoff(name):
             continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(a, MixedState):
-            rho = got.normalized_branch(f.name[:3]).matrix
-            ref = want.normalized_branch(f.name[:3]).matrix
+            rho = normalized_branch(got, f.name[:3]).matrix
+            ref = normalized_branch(want, f.name[:3]).matrix
             padded = np.zeros_like(ref)
             padded[: rho.shape[0], : rho.shape[0]] = rho
             assert np.abs(padded - ref).max() <= tol, f.name
@@ -383,8 +407,8 @@ def test_forked_choose_matches_the_two_circuit_max():
     for _ in range(300):
         params = _random_params(rng)
         prefix = build_fig1_circuit(params, "none")
-        cutoffs, may_double = params.policy().choose(prefix, _tails(params))
-        assert cutoffs == _predicted(params) and may_double, params
+        plan = _compiled(params, prefix, _tails(params))
+        assert plan.cutoffs == _predicted(params) and plan.may_double, params
         kinds.add((params.input_kind, params.pd0_onoff, params.swap_bs3_sign))
     assert len(kinds) == 12
 
@@ -404,8 +428,8 @@ def test_policy_reproduces_the_pinned_cutoffs():
         if n < 300:
             assert params == _random_params(rng)
         prefix = build_fig1_circuit(params, "none")
-        cutoffs, may_double = params.policy().choose(prefix, _tails(params))
-        assert cutoffs == entry["cutoffs"] and may_double, (n, params)
+        plan = _compiled(params, prefix, _tails(params))
+        assert plan.cutoffs == entry["cutoffs"] and plan.may_double, (n, params)
 
 
 @pytest.mark.parametrize("params, eta", [
