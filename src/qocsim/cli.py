@@ -1,14 +1,21 @@
 """Command-line frontend.
 
+Artifacts go to ``--out`` (default ``QOCSIM_OUT_DIR``, else the working
+directory), each ``<name>.*`` as ``.json``, ``.csv`` or both, as ``--format``
+says.  ``run fig1`` writes ``fig1_report.*``; ``run <circuit>.qoc`` writes
+``report.*``, ``wigner_<mode>.*`` and ``state_<mode>.json``; ``wigner`` writes
+``wigner_pd1.*``, ``wigner_pd2.*`` and ``wigner_summary.json``; ``sweep``
+writes ``sweep.*``, a row per point that ran, and, if any point failed
+numerically, ``sweep_failures.json``; ``verify-commutation`` writes
+``verify_commutation.*``.  The three ``.json`` names are JSON whatever
+``--format`` says.
+
 Exit codes: 0 success, 1 parse/validation/usage errors or a failed
 ``verify-commutation`` check, 2 numerical failure (leak budget exceeded, a
 zero-probability herald, no adaptive cutoff up to the compiler's ceiling, a
-cutoff too large for memory, or a Wigner grid whose values overflow).  All
-artifacts are deterministic: identical configuration yields byte-identical
-files.
-
-The default output directory is taken from ``QOCSIM_OUT_DIR`` (falling back to
-the working directory).
+cutoff too large for memory, or a Wigner grid whose values overflow), also
+of a single ``sweep`` point.  All artifacts are deterministic: identical
+configuration yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 
@@ -26,12 +34,13 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .core import Cutoff, state_to_json_dict, truncated_commutator
+from .core import Cutoff, MixedState, state_to_json_dict, truncated_commutator
 from .dsl import CircuitParseError, CutoffCeilingError, compile_circuit, parse
 from .elements import _pair_ladders, beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan
 from .measurement import ZeroProbabilityError
-from .phasespace import GridSpec, NonFiniteWignerError, min_wigner, save_grid_csv, save_grid_json
+from .phasespace import (GridSpec, NonFiniteWignerError, WignerGrid, min_wigner, save_grid_csv,
+                         save_grid_json)
 from .scheme import SchemeParams, branch_wigner, commutation_report, run_interferometer
 
 EXIT_OK = 0
@@ -66,15 +75,27 @@ def _dump_json(doc, path: Path) -> None:
         fh.write("\n")
 
 
-def _dump_csv(rows: list[dict], path: Path) -> None:
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
+def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = None) -> None:
+    """Write ``name``.json and ``name``.csv in ``out_dir``, or the one ``--format`` names.
+
+    The JSON holds ``doc`` and the CSV ``rows`` (none when there are no rows);
+    a :class:`WignerGrid` ``doc`` is written whole to both.
+    """
+    json_path, csv_path = out_dir / f"{name}.json", out_dir / f"{name}.csv"
+    grid = isinstance(doc, WignerGrid)
+    if fmt in ("json", "both"):
+        (save_grid_json if grid else _dump_json)(doc, json_path)
+    if fmt in ("csv", "both"):
+        if grid:
+            save_grid_csv(doc, csv_path)
+        elif rows:
+            cols = list(rows[0].keys())
+            with open(csv_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(cols)
+                for row in rows:
+                    writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
+                                     for c in cols])
 
 
 @contextmanager
@@ -125,36 +146,23 @@ def _float_list(text: str, name: str) -> list[float]:
     return vals
 
 
-def _scheme_params(
-    alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff, leak_budget,
-) -> SchemeParams:
+def _scheme_params(alpha, nbar, fock, **opts) -> SchemeParams:
+    """The fig1 options as ``SchemeParams``: a coherent input unless --nbar or --fock picks one."""
     if sum(x is not None for x in (alpha, nbar, fock)) > 1:
         raise click.UsageError("choose one of --alpha / --nbar / --fock")
     if nbar is not None:
-        kind, a, nb, fn = "thermal", 1.0, nbar, 1
-    elif fock is not None:
-        kind, a, nb, fn = "fock", 1.0, 1.0, fock
-    else:
-        kind, a, nb, fn = "coherent", (alpha if alpha is not None else 1.0), 1.0, 1
-    return _validated(
-        input_kind=kind,
-        alpha=complex(a),
-        nbar=nb,
-        fock_n=fn,
-        transmittivity=T,
-        coupling=s,
-        eta_pd0=eta_pd0,
-        eta_pd1=eta_pd1,
-        eta_pd2=eta_pd2,
-        pd0_onoff=onoff,
-        cutoff=cutoff,
-        leak_budget=leak_budget,
-    )
+        return _validated(input_kind="thermal", nbar=nbar, **opts)
+    if fock is not None:
+        return _validated(input_kind="fock", fock_n=fock, **opts)
+    if alpha is not None:
+        opts["alpha"] = complex(alpha)
+    return _validated(**opts)
 
 
 def _result_report(res) -> dict:
+    """The input's fields, then every scalar field of the ``SchemeResult``, in its order."""
     p = res.params
-    return {
+    report = {
         "input_kind": p.input_kind,
         "alpha_re": complex(p.alpha).real,
         "alpha_im": complex(p.alpha).imag,
@@ -165,20 +173,12 @@ def _result_report(res) -> dict:
         "eta_pd0": p.eta_pd0,
         "eta_pd1": p.eta_pd1,
         "eta_pd2": p.eta_pd2,
-        "cutoff": res.cutoff,
-        "pd0_probability": res.pd0_probability,
-        "pd1_weight": res.pd1_weight,
-        "pd2_weight": res.pd2_weight,
-        "p_b": res.p_b,
-        "p_c": res.p_c,
-        "p_bc": res.p_bc,
-        "p_bc_given_b": res.p_bc_given_b,
-        "p_bc_given_c": res.p_bc_given_c,
-        "fidelity_pd2_vs_input": res.fidelity_pd2_vs_input,
-        "fidelity_pd2_vs_attenuated": res.fidelity_pd2_vs_attenuated,
-        "fidelity_pd1_vs_input": res.fidelity_pd1_vs_input,
-        "leak_max": res.leak_max,
     }
+    for f in fields(res):
+        value = getattr(res, f.name)
+        if not isinstance(value, (SchemeParams, MixedState)):
+            report[f.name] = value
+    return report
 
 
 class _FiniteRange(click.FloatRange):
@@ -191,37 +191,37 @@ class _FiniteRange(click.FloatRange):
         return rv
 
 
-# the ranges SchemeParams accepts, checked by click so a bad value is a usage error
-CUTOFF_RANGE = click.IntRange(min=2)
-BUDGET_RANGE = _FiniteRange(min=0, min_open=True)
-
-common_options = [
-    click.option("--alpha", type=float, default=None, help="coherent input amplitude"),
-    click.option("--nbar", type=click.FloatRange(min=0), default=None,
-                 help="thermal input mean photon number"),
-    click.option("--fock", type=click.IntRange(min=0), default=None, help="Fock input level"),
-    click.option("--T", "T", type=float, default=0.99, show_default=True, help="tap transmittivity"),
-    click.option("--s", "s", type=float, default=0.1, show_default=True, help="squeezer coupling"),
-    click.option("--eta-pd0", type=float, default=1.0, show_default=True),
-    click.option("--eta-pd1", type=float, default=1.0, show_default=True),
-    click.option("--eta-pd2", type=float, default=1.0, show_default=True),
-    click.option("--onoff", is_flag=True, help="use an on-off detector for the PD0 herald"),
-    click.option("--cutoff", type=CUTOFF_RANGE, default=None,
+# Each option is declared once and listed by every command that takes it.  One
+# that sets a SchemeParams field is named after it, and click checks the range
+# SchemeParams accepts, so that a bad value is a usage error.
+T_OPTION = click.Option(["--T", "transmittivity"], type=float, default=SchemeParams.transmittivity,
+                        show_default=True, help="tap transmittivity")
+S_OPTION = click.Option(["--s", "coupling"], type=float, default=SchemeParams.coupling,
+                        show_default=True, help="squeezer coupling")
+fig1_options = [
+    click.Option(["--alpha"], type=float, help="coherent input amplitude"),
+    click.Option(["--nbar"], type=click.FloatRange(min=0), help="thermal input mean photon number"),
+    click.Option(["--fock"], type=click.IntRange(min=0), help="Fock input level"),
+    T_OPTION,
+    S_OPTION,
+    *(click.Option([f"--eta-{pd}"], type=float, default=getattr(SchemeParams, f"eta_{pd}"),
+                   show_default=True)
+      for pd in ("pd0", "pd1", "pd2")),
+    click.Option(["--onoff", "pd0_onoff"], is_flag=True,
+                 help="use an on-off detector for the PD0 herald"),
+]
+cutoff_options = [
+    click.Option(["--cutoff"], type=click.IntRange(min=2),
                  help="explicit Fock cutoff for every mode, never raised "
                       "(default: predicted per mode from the leak budget)"),
-    click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True),
-    click.option("--out", type=str, default=None, help="output directory (default $QOCSIM_OUT_DIR or .)"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",
+    click.Option(["--leak-budget"], type=_FiniteRange(min=0, min_open=True),
+                 default=SchemeParams.leak_budget, show_default=True),
+]
+output_options = [
+    click.Option(["--out"], help="output directory (default $QOCSIM_OUT_DIR or .)"),
+    click.Option(["--format", "fmt"], type=click.Choice(["json", "csv", "both"]), default="both",
                  show_default=True),
 ]
-
-
-def _add_options(opts):
-    def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return wrap
 
 
 @click.group(cls=_Main)
@@ -229,21 +229,14 @@ def main() -> None:
     """Truncated Fock-space simulator for heralded add/subtract interferometry."""
 
 
-@main.command("run")
-@click.argument("circuit")
-@_add_options(common_options)
-def cmd_run(circuit, alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff,
-            cutoff, leak_budget, out, fmt) -> None:
+@main.command("run", params=[click.Argument(["circuit"]), *fig1_options, *cutoff_options,
+                             *output_options])
+def cmd_run(circuit, out, fmt, **opts) -> None:
     """Run the built-in `fig1` scenario or a `.qoc` circuit file."""
     out_dir = _out_dir(out)
     if circuit == "fig1":
-        params = _scheme_params(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2,
-                                onoff, cutoff, leak_budget)
-        report = _result_report(run_interferometer(params))
-        if fmt in ("json", "both"):
-            _dump_json(report, out_dir / "fig1_report.json")
-        if fmt in ("csv", "both"):
-            _dump_csv([report], out_dir / "fig1_report.csv")
+        report = _result_report(run_interferometer(_scheme_params(**opts)))
+        _write(out_dir, "fig1_report", fmt, report, [report])
         click.echo(f"fig1 report written to {out_dir}")
         return
     path = Path(circuit)
@@ -252,14 +245,13 @@ def cmd_run(circuit, alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff,
         sys.exit(EXIT_USAGE)
     # the circuit file fixes its own input, elements and detectors
     ctx = click.get_current_context()
-    for name in ("alpha", "nbar", "fock", "T", "s", "eta_pd0", "eta_pd1", "eta_pd2", "onoff"):
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            click.echo(f"error: --{name.replace('_', '-')} applies only to the fig1 scenario",
-                       err=True)
+    for opt in fig1_options:
+        if ctx.get_parameter_source(opt.name) is not ParameterSource.DEFAULT:
+            click.echo(f"error: {opt.opts[0]} applies only to the fig1 scenario", err=True)
             sys.exit(EXIT_USAGE)
     spec = parse(path.read_text())
     try:
-        plan = compile_circuit(spec, cutoff=cutoff, leak_budget=leak_budget)
+        plan = compile_circuit(spec, cutoff=opts["cutoff"], leak_budget=opts["leak_budget"])
     except CutoffCeilingError:
         raise
     except ValueError as exc:  # a Fock input at or above the explicit cutoff
@@ -274,10 +266,7 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
         "cutoff": result.cutoff,
         "joint_probability": result.joint_probability,
         "leak_max": result.leak_max,
-        "heralds": [
-            {"mode": h.mode, "requirement": h.requirement, "probability": h.probability}
-            for h in result.heralds
-        ],
+        "heralds": [asdict(h) for h in result.heralds],
     }
     for stmt, value in zip(result.plan.spec.outputs, result.outputs):
         if stmt.kind == "probs":
@@ -287,33 +276,25 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
         elif stmt.kind == "state":
             _dump_json(state_to_json_dict(value), out_dir / f"state_{stmt.mode}.json")
         elif stmt.kind == "wigner":
-            if fmt in ("csv", "both"):
-                save_grid_csv(value, out_dir / f"wigner_{stmt.mode}.csv")
-            if fmt in ("json", "both"):
-                save_grid_json(value, out_dir / f"wigner_{stmt.mode}.json")
-    if fmt in ("json", "both"):
-        _dump_json(report, out_dir / "report.json")
-    if fmt in ("csv", "both"):
-        flat = {k: v for k, v in report.items() if isinstance(v, (int, float, str))}
-        _dump_csv([flat], out_dir / "report.csv")
+            _write(out_dir, f"wigner_{stmt.mode}", fmt, value)
+    flat = {k: v for k, v in report.items() if isinstance(v, (int, float, str))}
+    _write(out_dir, "report", fmt, report, [flat])
 
 
-@main.command("verify-commutation")
-@click.option("--alphas", type=str, default="0,0.6,1,1.4", show_default=True,
-              help="comma-separated coherent amplitudes")
-@click.option("--T", "T", type=float, default=0.99, show_default=True)
-@click.option("--s", "s", type=float, default=0.1, show_default=True)
-@click.option("--cutoff", type=CUTOFF_RANGE, default=None)
-@click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True)
-@click.option("--swap-bs3-sign", is_flag=True,
-              help="flip the BS3 sign convention (sanity check: identity moves to PD1)")
-@click.option("--out", type=str, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",
-              show_default=True)
-def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out, fmt) -> None:
+@main.command("verify-commutation", params=[
+    click.Option(["--alphas"], default="0,0.6,1,1.4", show_default=True,
+                 help="comma-separated coherent amplitudes"),
+    T_OPTION,
+    S_OPTION,
+    *cutoff_options,
+    click.Option(["--swap-bs3-sign"], is_flag=True,
+                 help="flip the BS3 sign convention (sanity check: identity moves to PD1)"),
+    *output_options,
+])
+def cmd_verify_commutation(alphas, out, fmt, **opts) -> None:
     """Operator-level identity checks plus a coherent-amplitude sweep."""
-    base = _validated(transmittivity=T, coupling=s, cutoff=cutoff,
-                      leak_budget=leak_budget, swap_bs3_sign=swap_bs3_sign)
+    base = _validated(**opts)
+    T, s = base.transmittivity, base.coupling
     alpha_list = _float_list(alphas, "--alphas")
     out_dir = _out_dir(out)
     checks: list[tuple[str, bool, str]] = []
@@ -374,11 +355,9 @@ def cmd_verify_commutation(alphas, T, s, cutoff, leak_budget, swap_bs3_sign, out
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         click.echo(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    if fmt in ("json", "both"):
-        _dump_json({"checks": [{"name": n, "pass": bool(ok), "detail": dt} for n, ok, dt in checks],
-                    "rows": rows}, out_dir / "verify_commutation.json")
-    if fmt in ("csv", "both"):
-        _dump_csv(rows, out_dir / "verify_commutation.csv")
+    doc = {"checks": [{"name": n, "pass": bool(ok), "detail": dt} for n, ok, dt in checks],
+           "rows": rows}
+    _write(out_dir, "verify_commutation", fmt, doc, rows)
     sys.exit(EXIT_OK if all_ok else EXIT_USAGE)
 
 
@@ -387,12 +366,10 @@ def _block_dev(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> float:
     return float(diff[np.ix_(mask, mask)].max())
 
 
-@main.command("wigner")
-@_add_options(common_options)
+@main.command("wigner", params=[*fig1_options, *cutoff_options, *output_options])
 @click.option("--grid", type=str, default="-3:3:81", show_default=True,
               help="<min>:<max>:<count> square grid")
-def cmd_wigner(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff,
-               leak_budget, out, fmt, grid) -> None:
+def cmd_wigner(out, fmt, grid, **opts) -> None:
     """Wigner grids of the PD1-only and PD2-only branches."""
     out_dir = _out_dir(out)
     try:
@@ -401,33 +378,26 @@ def cmd_wigner(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2, onoff, cutoff
     except ValueError:
         click.echo(f"error: bad --grid {grid!r}", err=True)
         sys.exit(EXIT_USAGE)
-    params = _scheme_params(alpha, nbar, fock, T, s, eta_pd0, eta_pd1, eta_pd2,
-                            onoff, cutoff, leak_budget)
-    res = run_interferometer(params)
+    res = run_interferometer(_scheme_params(**opts))
     summary = {}
     for which in ("pd1", "pd2"):
         g = branch_wigner(res, which, gspec)
-        if fmt in ("csv", "both"):
-            save_grid_csv(g, out_dir / f"wigner_{which}.csv")
-        if fmt in ("json", "both"):
-            save_grid_json(g, out_dir / f"wigner_{which}.json")
+        _write(out_dir, f"wigner_{which}", fmt, g)
         beta, wmin = min_wigner(g)
         summary[which] = {"min_wigner": wmin, "at_re": beta.real, "at_im": beta.imag}
         click.echo(f"{which}: min W = {wmin:.6f} at beta = {beta:.3f}")
     _dump_json(summary, out_dir / "wigner_summary.json")
 
 
-@main.command("sweep")
-@click.option("--alpha", type=str, default="1.0", show_default=True, help="comma-separated")
-@click.option("--T", "T", type=str, default="0.99", show_default=True, help="comma-separated")
-@click.option("--s", "s", type=str, default="0.1", show_default=True, help="comma-separated")
-@click.option("--eta", type=str, default="1.0", show_default=True,
-              help="comma-separated PD1/PD2 efficiencies")
-@click.option("--cutoff", type=CUTOFF_RANGE, default=None)
-@click.option("--leak-budget", type=BUDGET_RANGE, default=1e-6, show_default=True)
-@click.option("--out", type=str, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both",
-              show_default=True)
+@main.command("sweep", params=[
+    *(click.Option([f"--{name}", name], default=default, show_default=True,
+                   help="comma-separated")
+      for name, default in (("alpha", "1.0"), ("T", "0.99"), ("s", "0.1"))),
+    click.Option(["--eta"], default="1.0", show_default=True,
+                 help="comma-separated PD1/PD2 efficiencies"),
+    *cutoff_options,
+    *output_options,
+])
 def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, out, fmt) -> None:
     """Cartesian sweep over alpha/T/s/eta; one report row per point."""
     out_dir = _out_dir(out)
@@ -436,18 +406,25 @@ def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, out, fmt) -> None:
     Ts = _float_list(T, "--T")
     ss = _float_list(s, "--s")
     etas = _float_list(eta, "--eta")
+    points = sorted(product(alphas, Ts, ss, etas))
     params = [
         _validated(alpha=complex(a), transmittivity=tv, coupling=sv, eta_pd1=ev, eta_pd2=ev,
                    cutoff=cutoff, leak_budget=leak_budget)
-        for a, tv, sv, ev in sorted(product(alphas, Ts, ss, etas))
+        for a, tv, sv, ev in points
     ]
 
-    rows = [_result_report(run_interferometer(p)) for p in params]
-    if fmt in ("json", "both"):
-        _dump_json(rows, out_dir / "sweep.json")
-    if fmt in ("csv", "both"):
-        _dump_csv(rows, out_dir / "sweep.csv")
+    rows, failures = [], []
+    for point, p in zip(points, params):
+        try:
+            rows.append(_result_report(run_interferometer(p)))
+        except NUMERICAL_FAILURES as exc:  # reported; the other points still run
+            click.echo(f"numerical failure: {exc} at (alpha, T, s, eta) = {point}", err=True)
+            failures.append({**dict(zip(("alpha", "T", "s", "eta"), point)), "message": str(exc)})
+    _write(out_dir, "sweep", fmt, rows, rows)
     click.echo(f"{len(rows)} sweep rows written to {out_dir}")
+    if failures:
+        _dump_json(failures, out_dir / "sweep_failures.json")
+        sys.exit(EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -811,8 +811,9 @@ def compile_circuit(
     else:
         if not leak_budget > 0.0:
             raise ValueError("an adaptive cutoff needs leak_budget > 0")
-        try:
-            rows, starts, modes, factor = _tail_model(spec, _CLICK_FLOOR * leak_budget, branches)
+        try:  # a tail past the float range is a non-finite row, which _group_cutoffs refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows, starts, modes, factor = _tail_model(spec, _CLICK_FLOOR * leak_budget, branches)
         except OverflowError:  # cosh s past the float range
             raise CutoffCeilingError() from None
         cutoffs = dict.fromkeys(spec.modes, 2)

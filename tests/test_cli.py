@@ -310,6 +310,35 @@ def test_sweep_output_is_byte_identical_across_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_failing_sweep_point_is_reported_and_the_others_still_run(tmp_path):
+    # at η = 0 the PD2 click cannot fire; the η = 1 points still run, and the
+    # sweep writes exactly the rows of a sweep over those points alone
+    mixed, good = tmp_path / "mixed", tmp_path / "good"
+    res = _run("sweep", "--alpha", "0.5,1", "--eta", "0,1", "--out", str(mixed))
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.count("numerical failure: ") == 2
+    assert _run("sweep", "--alpha", "0.5,1", "--eta", "1", "--out", str(good)).exit_code == EXIT_OK
+    assert not (good / "sweep_failures.json").exists()
+    for name in ("sweep.json", "sweep.csv"):
+        assert (mixed / name).read_bytes() == (good / name).read_bytes()
+    message = "herald click on mode 'c' has zero probability"
+    assert json.loads((mixed / "sweep_failures.json").read_text()) == [
+        {"alpha": a, "T": 0.99, "s": 0.1, "eta": 0.0, "message": message} for a in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("flag, commands", [
+    *((flag, ("run", "wigner", "sweep", "verify-commutation"))
+      for flag in ("--cutoff", "--leak-budget", "--out", "--format")),
+    *((flag, ("run", "wigner", "verify-commutation")) for flag in ("--T", "--s")),
+])
+def test_shared_options_are_declared_alike(flag, commands):
+    # type, default, range and help of an option are the same on every command
+    infos = [[p.to_info_dict() for p in main.commands[c].params if flag in p.opts]
+             for c in commands]
+    assert all(info == infos[0] and len(info) == 1 for info in infos), flag
+
+
 @pytest.mark.parametrize("swap, code", [(False, EXIT_OK), (True, EXIT_USAGE)],
                          ids=["as-built", "swapped-bs3"])
 def test_verify_commutation_exit_code(tmp_path, swap, code):

@@ -1,5 +1,6 @@
-"""Exact identities at explicit cutoffs: between execution paths, each held to
-1e-13, and between the Fig. 1 branches and their closed form, held to 1e-12."""
+"""Exact identities at explicit cutoffs: between execution paths or inputs, each
+held to 1e-13, and between the Fig. 1 branches and their closed form, held to
+1e-12."""
 
 import cmath
 import math
@@ -8,9 +9,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qocsim.core import MixedState
+from qocsim.core import Cutoff, MixedState
 from qocsim.dsl import (CircuitSpec, ElementStmt, HeraldStmt, InputStmt, compile_circuit,
                         parse)
+from qocsim.elements import thermal_state
 from qocsim.engine import execute_plan
 from qocsim.scheme import (SchemeParams, SchemeResult, _branch_heralds, build_fig1_circuit,
                            run_interferometer)
@@ -51,6 +53,36 @@ def test_input_phase_rotates_every_branch_by_the_number_operator(name, phi):
             assert np.abs(a.matrix - u[:, None] * b.matrix * u.conj()).max() <= TOL, f.name
         elif isinstance(b, float):
             assert abs(a - b) <= TOL, f.name
+
+
+@pytest.mark.parametrize("name", list(PHASE_CASES))
+def test_conjugate_input_conjugates_every_branch(name):
+    # every element and herald is real in the Fock basis, so α → α* maps each
+    # branch ρ to ρ* and leaves every probability and fidelity unchanged
+    params = replace(PHASE_CASES[name], alpha=0.8 - 0.9j)
+    want, got = run_interferometer(params), run_interferometer(replace(params, alpha=0.8 + 0.9j))
+    for f in fields(SchemeResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, MixedState):
+            assert np.abs(a.matrix - b.matrix.conj()).max() <= TOL, f.name
+        elif isinstance(b, float):
+            assert abs(a - b) <= TOL, f.name
+
+
+@pytest.mark.parametrize("nbar, T, s, d", [(0.8, 0.95, 0.2, 16), (0.5, 0.9, 0.1, 20),
+                                           (1.0, 0.99, 0.3, 24)])
+def test_thermal_branches_are_the_fock_branches_mixed_by_the_thermal_law(nbar, T, s, d):
+    # every stage is linear in the input state, and the thermal input at d
+    # levels is Σₙ pₙ|n⟩⟨n|, so each joint branch P(PD0)·ρ is Σₙ pₙ of the
+    # Fock-n ones; the thermal run carries its members packed by charge
+    base = SchemeParams(transmittivity=T, coupling=s, cutoff=d, leak_budget=1.0)
+    law = np.real(np.diag(thermal_state(nbar, Cutoff(d)).matrix))
+    thermal = run_interferometer(replace(base, input_kind="thermal", nbar=nbar))
+    fock = [run_interferometer(replace(base, input_kind="fock", fock_n=n)) for n in range(d)]
+    for branch in ("pd1_branch", "pd2_branch"):
+        want = sum(p * r.pd0_probability * getattr(r, branch).matrix for p, r in zip(law, fock))
+        got = thermal.pd0_probability * getattr(thermal, branch).matrix
+        assert np.abs(got - want).max() <= TOL, branch
 
 
 def _loss_as_beam_splitter(spec: CircuitSpec, eta: float) -> CircuitSpec:

@@ -293,6 +293,16 @@ def test_degenerate_inputs_raise_a_typed_failure(kw, error):
         run_interferometer(SchemeParams(**kw))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kw", [{"alpha": 1e154}, {"alpha": 1e160}, {"coupling": 355.0},
+                                {"coupling": 400.0}], ids=["alpha1e154", "alpha1e160", "s355", "s400"])
+def test_tails_past_the_float_range_fail_typed_without_a_numpy_warning(kw):
+    # the tail model's overflow leaves a non-finite row, which the cutoff
+    # search refuses; numpy must not print a RuntimeWarning on the way
+    with pytest.raises(CutoffCeilingError):
+        run_interferometer(SchemeParams(**kw))
+
+
 def test_an_unknown_branch_name_is_rejected():
     res = run_interferometer(CASES["alpha1"])
     for which in ("PD2", "pd3", "none", ""):
