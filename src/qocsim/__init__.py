@@ -5,7 +5,7 @@ The package is organized as:
 * :mod:`qocsim.core` — states, and plain-array operators applied to named modes
 * :mod:`qocsim.elements` — input states and optical-element unitaries (ndarrays)
 * :mod:`qocsim.measurement` — the diagonal POVM element of a herald, from its fields
-* :mod:`qocsim.phasespace` — Wigner grids, fidelities and grid files
+* :mod:`qocsim.phasespace` — Wigner grids and fidelities
 * :mod:`qocsim.dsl` — the `.qoc` circuit language, parser, and compiler
 * :mod:`qocsim.engine` — staged and brute-force plan executors
 * :mod:`qocsim.scheme` — the four-mode interferometer and its diagnostics

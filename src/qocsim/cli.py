@@ -5,10 +5,11 @@ directory), each ``<name>.*`` as ``.json``, ``.csv`` or both, as ``--format``
 says.  ``run fig1`` writes ``fig1_report.*``; ``run <circuit>.qoc`` writes
 ``report.*``, ``wigner_<mode>.*`` and ``state_<mode>.json``; ``wigner`` writes
 ``wigner_pd1.*``, ``wigner_pd2.*`` and ``wigner_summary.json``; ``sweep``
-writes ``sweep.*``, a row per point that ran, and, if any point failed
-numerically, ``sweep_failures.json``; ``verify-commutation`` writes
-``verify_commutation.*``.  The three ``.json`` names are JSON whatever
-``--format`` says.
+writes ``sweep.*``, a row per point that ran (the CSV header even if none
+did), and, if any point failed numerically, ``sweep_failures.json``;
+``verify-commutation`` writes ``verify_commutation.*``.  The three ``.json``
+names are JSON whatever ``--format`` says.  :func:`_write` owns every
+artifact's format; the physics modules write no files.
 
 Exit codes: 0 success, 1 parse/validation/usage errors or a failed
 ``verify-commutation`` check, 2 numerical failure (leak budget exceeded, a
@@ -26,22 +27,23 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 import click
 import numpy as np
 from click.core import ParameterSource
 
-from .core import Cutoff, MixedState, state_to_json_dict, truncated_commutator
+from .core import Cutoff, MixedState, PureState, truncated_commutator
 from .dsl import CircuitParseError, CutoffCeilingError, compile_circuit, parse
 from .elements import _pair_ladders, beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan
 from .measurement import ZeroProbabilityError
-from .phasespace import (GridSpec, NonFiniteWignerError, WignerGrid, min_wigner, save_grid_csv,
-                         save_grid_json)
-from .scheme import SchemeParams, branch_wigner, commutation_report, run_interferometer
+from .phasespace import GridSpec, NonFiniteWignerError, WignerGrid, min_wigner
+from .scheme import (SchemeParams, SchemeResult, branch_wigner, commutation_report,
+                     run_interferometer)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,33 +71,40 @@ def _out_dir(out: str | None) -> Path:
     return path
 
 
-def _dump_json(doc, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = None) -> None:
+def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = None,
+           columns: list[str] | None = None) -> None:
     """Write ``name``.json and ``name``.csv in ``out_dir``, or the one ``--format`` names.
 
-    The JSON holds ``doc`` and the CSV ``rows`` (none when there are no rows);
-    a :class:`WignerGrid` ``doc`` is written whole to both.
+    The JSON holds ``doc``, indented with sorted keys, and the CSV ``rows``
+    under ``columns`` (default: the first row's keys; no CSV if ``rows`` is
+    None), floats as their ``repr``.  A :class:`WignerGrid` is written as
+    compact JSON ``{re_axis, im_axis, values}`` and as the rows ``(re, im, W)``,
+    ``re`` fastest; a state as JSON ``{modes, cutoff, kind, data: [[re, im],
+    ...]}``, a density matrix row-major.
     """
-    json_path, csv_path = out_dir / f"{name}.json", out_dir / f"{name}.csv"
     grid = isinstance(doc, WignerGrid)
+    if grid:
+        rows = [{"re": re, "im": im, "W": w}
+                for im, row in zip(doc.im_axis.tolist(), doc.values.tolist())
+                for re, w in zip(doc.re_axis.tolist(), row)]
+        doc = {"re_axis": doc.re_axis.tolist(), "im_axis": doc.im_axis.tolist(),
+               "values": doc.values.tolist()}
+    elif isinstance(doc, (PureState, MixedState)):
+        pure = isinstance(doc, PureState)
+        flat = (doc.amps if pure else doc.matrix.ravel()).tolist()
+        doc = {"modes": list(doc.modes), "cutoff": doc.cutoff.d,
+               "kind": "pure" if pure else "mixed", "data": [[z.real, z.imag] for z in flat]}
     if fmt in ("json", "both"):
-        (save_grid_json if grid else _dump_json)(doc, json_path)
-    if fmt in ("csv", "both"):
-        if grid:
-            save_grid_csv(doc, csv_path)
-        elif rows:
-            cols = list(rows[0].keys())
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(cols)
-                for row in rows:
-                    writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
-                                     for c in cols])
+        text = json.dumps(doc) if grid else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        (out_dir / f"{name}.json").write_text(text)
+    if fmt in ("csv", "both") and rows is not None:
+        cols = list(rows[0]) if columns is None else columns
+        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cols)
+            for row in rows:
+                writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
+                                 for c in cols])
 
 
 @contextmanager
@@ -159,10 +168,14 @@ def _scheme_params(alpha, nbar, fock, **opts) -> SchemeParams:
     return _validated(**opts)
 
 
-def _result_report(res) -> dict:
-    """The input's fields, then every scalar field of the ``SchemeResult``, in its order."""
-    p = res.params
-    report = {
+# SchemeResult's scalar fields, in declaration order: the report's result columns
+RESULT_FIELDS = [name for name, hint in get_type_hints(SchemeResult).items()
+                 if hint not in (SchemeParams, MixedState)]
+
+
+def _input_report(p: SchemeParams) -> dict:
+    """The report's input columns."""
+    return {
         "input_kind": p.input_kind,
         "alpha_re": complex(p.alpha).real,
         "alpha_im": complex(p.alpha).imag,
@@ -174,11 +187,11 @@ def _result_report(res) -> dict:
         "eta_pd1": p.eta_pd1,
         "eta_pd2": p.eta_pd2,
     }
-    for f in fields(res):
-        value = getattr(res, f.name)
-        if not isinstance(value, (SchemeParams, MixedState)):
-            report[f.name] = value
-    return report
+
+
+def _result_report(res: SchemeResult) -> dict:
+    """The input's columns, then every scalar field of the ``SchemeResult``."""
+    return {**_input_report(res.params), **{name: getattr(res, name) for name in RESULT_FIELDS}}
 
 
 class _FiniteRange(click.FloatRange):
@@ -274,7 +287,7 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
         elif stmt.kind == "fidelity":
             report[f"fidelity_{stmt.mode}_vs_input"] = value
         elif stmt.kind == "state":
-            _dump_json(state_to_json_dict(value), out_dir / f"state_{stmt.mode}.json")
+            _write(out_dir, f"state_{stmt.mode}", "json", value)
         elif stmt.kind == "wigner":
             _write(out_dir, f"wigner_{stmt.mode}", fmt, value)
     flat = {k: v for k, v in report.items() if isinstance(v, (int, float, str))}
@@ -386,7 +399,7 @@ def cmd_wigner(out, fmt, grid, **opts) -> None:
         beta, wmin = min_wigner(g)
         summary[which] = {"min_wigner": wmin, "at_re": beta.real, "at_im": beta.imag}
         click.echo(f"{which}: min W = {wmin:.6f} at beta = {beta:.3f}")
-    _dump_json(summary, out_dir / "wigner_summary.json")
+    _write(out_dir, "wigner_summary", "json", summary)
 
 
 @main.command("sweep", params=[
@@ -420,10 +433,10 @@ def cmd_sweep(alpha, T, s, eta, cutoff, leak_budget, out, fmt) -> None:
         except NUMERICAL_FAILURES as exc:  # reported; the other points still run
             click.echo(f"numerical failure: {exc} at (alpha, T, s, eta) = {point}", err=True)
             failures.append({**dict(zip(("alpha", "T", "s", "eta"), point)), "message": str(exc)})
-    _write(out_dir, "sweep", fmt, rows, rows)
+    _write(out_dir, "sweep", fmt, rows, rows, [*_input_report(params[0]), *RESULT_FIELDS])
     click.echo(f"{len(rows)} sweep rows written to {out_dir}")
     if failures:
-        _dump_json(failures, out_dir / "sweep_failures.json")
+        _write(out_dir, "sweep_failures", "json", failures)
         sys.exit(EXIT_NUMERICAL)
 
 

@@ -1,21 +1,21 @@
 """Truncated Fock-space linear algebra: states, operators, their application and reduction.
 
 Every mode of a state is truncated to the same dimension ``d`` (levels
-0..d-1); only the kernel :func:`apply_matrix`, which takes a block-diagonal
-operator as one ``(idx, blocks)`` stack, also takes one dimension per mode,
-for the staged executor's per-mode cutoffs.  Multimode amplitudes are
-stored as flat vectors with little-endian mode indexing: for a state over
-``modes = (m0, m1, ..., m_{M-1})`` the basis index of the occupation
-``(n0, n1, ..., n_{M-1})`` is ``n0 + n1*d + n2*d**2 + ...``, i.e. the first
-listed mode is the fastest-varying digit.  This ordering is fixed so that saved
-states are portable.
+0..d-1).  Multimode amplitudes are stored as flat vectors with little-endian
+mode indexing: for a state over ``modes = (m0, m1, ..., m_{M-1})`` the basis
+index of the occupation ``(n0, n1, ..., n_{M-1})`` is
+``n0 + n1*d + n2*d**2 + ...``, i.e. the first listed mode is the
+fastest-varying digit.
 
 States are immutable value objects; all operations here are pure functions.
 An operator is a plain complex ndarray: :func:`apply` takes the matrix
 together with the modes it acts on, and the elementary matrices come back as
-arrays.  Unnormalized states are first class: ``norm_tag`` / ``trace_tag``
-record the carried weight, which downstream conditioning probabilities are
-ratios of.
+arrays.  :func:`apply` and :func:`partial_trace` are plain numpy contractions
+(the brute-force oracle's algebra); :func:`apply_matrix` is the staged
+engine's kernel only, which takes a block-diagonal operator as one
+``(idx, blocks)`` stack and one dimension per mode, for its per-mode cutoffs.
+Unnormalized states are first class: ``norm_tag`` / ``trace_tag`` record the
+carried weight, which downstream conditioning probabilities are ratios of.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "partial_trace",
     "tensor",
     "to_mixed",
-    "state_to_json_dict",
 ]
 
 NORM_TAG_TOL = 1e-12
@@ -186,9 +185,8 @@ def apply_matrix(
     its equally sized sectors ``(idx, blocks)``: ``idx`` is an ``(n, L)`` int
     array whose rows partition the basis indices of the operator space
     (little-endian over ``op_modes``, each at its own dimension), and
-    ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them.  A
-    dense ``N×N`` matrix ``mat`` is ``(arange(N)[None], mat[None])``, and an
-    element unitary the stack of its slots.  The op digits are brought to the
+    ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them, for
+    an element unitary the stack of its slots.  The op digits are brought to the
     front and the operator is one stacked matrix product,
     ``out[idx] = blocks @ x[idx]``.
     """
@@ -210,19 +208,21 @@ def apply_matrix(
 def apply(matrix: np.ndarray, modes: Iterable[str], state: State) -> State:
     """Apply the matrix acting on ``modes`` (little-endian) to a state: O|ψ⟩ or O ρ O†."""
     modes = _as_modes(modes)
-    for m in modes:
-        state.mode_index(m)
+    M, d, k = len(state.modes), state.cutoff.d, len(modes)
+    # C order makes the first axis the slowest digit: mode i is axis M-1-i
+    axes = [M - 1 - state.mode_index(m) for m in reversed(modes)]
     matrix = np.asarray(matrix, dtype=np.complex128)
-    n = state.cutoff.d ** len(modes)
-    if matrix.shape != (n, n):
-        raise DimensionMismatchError(f"operator has shape {matrix.shape}, expected {(n, n)}")
-    dense = (np.arange(n)[None], matrix[None])
-    dims = (state.cutoff.d,) * len(state.modes)
+    if matrix.shape != (d**k, d**k):
+        raise DimensionMismatchError(f"operator has shape {matrix.shape}, expected {(d**k, d**k)}")
+    op = matrix.reshape((d,) * (2 * k))
+
+    def on_ket(arr: np.ndarray) -> np.ndarray:  # shaped (d**M,) or (d**M, X)
+        out = np.tensordot(op, arr.reshape((d,) * M + arr.shape[1:]), axes=(range(k, 2 * k), axes))
+        return np.moveaxis(out, range(k), axes).reshape(arr.shape)
+
     if isinstance(state, PureState):
-        amps = apply_matrix(state.amps, state.modes, dims, dense, modes)
-        return PureState.create(state.modes, state.cutoff, amps)
-    ket = apply_matrix(state.matrix, state.modes, dims, dense, modes)
-    both = apply_matrix(ket.conj().T, state.modes, dims, dense, modes).conj().T
+        return PureState.create(state.modes, state.cutoff, on_ket(state.amps))
+    both = on_ket(on_ket(state.matrix).conj().T).conj().T
     return MixedState.create(state.modes, state.cutoff, both)
 
 
@@ -247,53 +247,16 @@ def to_mixed(state: State) -> MixedState:
 
 
 def partial_trace(state: State, keep_modes: Iterable[str]) -> MixedState:
-    """Reduced density matrix over ``keep_modes`` (trace preserved)."""
+    """Reduced density matrix over ``keep_modes``, in that order (trace preserved)."""
     keep = _as_modes(keep_modes)
     if not keep:
         raise ValueError("keep_modes must be nonempty")
-    for m in keep:
-        if m not in state.modes:
-            raise UnknownModeError(m)
-    d = state.cutoff.d
-    keep_sorted = tuple(m for m in state.modes if m in keep)
-    rho = to_mixed(state)
-    drop = [m for m in state.modes if m not in keep]
-    cur_modes = list(state.modes)
-    cur = rho.matrix
-    for m in drop:
-        Mcur = len(cur_modes)
-        tview = cur.reshape((d,) * (2 * Mcur))
-        ax_ket = Mcur - 1 - cur_modes.index(m)
-        ax_bra = Mcur + ax_ket
-        tview = np.trace(tview, axis1=ax_ket, axis2=ax_bra)
-        cur_modes.remove(m)
-        dim = d ** len(cur_modes)
-        cur = tview.reshape(dim, dim)
-    # cur is ordered by cur_modes == keep_sorted; reorder to requested keep order
-    if keep_sorted != keep:
-        Mk = len(keep)
-        tview = cur.reshape((d,) * (2 * Mk))
-        perm = [Mk - 1 - keep_sorted.index(m) for m in reversed(keep)]
-        perm_full = perm + [Mk + p for p in perm]
-        cur = tview.transpose(perm_full).reshape(d**Mk, d**Mk)
-    return MixedState.create(keep, state.cutoff, cur)
-
-
-# ---------------------------------------------------------------------------
-# JSON persistence: { modes, cutoff, kind, data: [[re, im], ...] } row-major
-
-
-def state_to_json_dict(state: State) -> dict:
-    if isinstance(state, PureState):
-        flat = state.amps
-        kind = "pure"
-    else:
-        flat = state.matrix.reshape(-1)  # row-major
-        kind = "mixed"
-    return {
-        "modes": list(state.modes),
-        "cutoff": state.cutoff.d,
-        "kind": kind,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
+    kept = [state.mode_index(m) for m in reversed(keep)]
+    M, d = len(state.modes), state.cutoff.d
+    # mode i is ket axis M-1-i and bra axis 2M-1-i, labelled i and M+i; a
+    # traced mode's bra reuses its ket label, so einsum sums that diagonal
+    ket = list(range(M - 1, -1, -1))
+    bra = [M + i if i in kept else i for i in ket]
+    rho = to_mixed(state).matrix.reshape((d,) * (2 * M))
+    out = np.einsum(rho, ket + bra, kept + [M + i for i in kept])
+    return MixedState.create(keep, state.cutoff, out.reshape(d ** len(keep), -1))

@@ -48,11 +48,13 @@ thread pool; no second BLAS library competes with it for the cores.
 The brute-force executor runs every mode at one uniform cutoff (the plan's
 largest), builds the full joint space of every declared input up front,
 applies every herald as the dense matrix √E on its mode without any tracing,
-and reduces only at the end.  It builds every element as one dense ndarray
-through the public builders, which scatter the same cached read-only sectors
-onto it, and applies it with :func:`~qocsim.core.apply` as one dense
-product.  It exists as an independent oracle: both executors must agree to
-1e-10 on small circuits at uniform cutoffs.  Both read a herald's E from
+and reduces only at the end.  It applies every dense operator with
+:func:`~qocsim.core.apply`, its own tensor contraction, never the staged
+kernel :func:`~qocsim.core.apply_matrix`.  It exists as an independent
+oracle: both executors must agree to 1e-10 on small circuits at uniform
+cutoffs.  Two things it still shares with the staged executor: it builds every
+element as one dense ndarray through the public builders, which scatter the
+same cached read-only sectors onto it, and both read a herald's E from
 :func:`~qocsim.measurement.povm_diagonal`, given the herald's own fields.
 """
 

@@ -1,4 +1,4 @@
-"""Wigner grids and their diagnostics, fidelity, and grid files.
+"""Wigner grids and their diagnostics, and fidelity.
 
 Convention: W(β) = (2/π)·Tr[ρ D(β) Π D(−β)] with Π the photon-number parity
 and D the displacement operator, so W(0) = 2/π for vacuum and ∫W d²β = 1.
@@ -20,8 +20,6 @@ Uhlmann route.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,8 +38,6 @@ __all__ = [
     "uhlmann_fidelity",
     "min_wigner",
     "grid_integral",
-    "save_grid_csv",
-    "save_grid_json",
 ]
 
 DEFAULT_GRID: "GridSpec"
@@ -173,7 +169,10 @@ def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """Sample W(β) of the state normalized to unit trace on a rectangular grid (row-major)."""
     rho = _normalized_rho(state)
     re, im, *geometry = _grid_geometry(grid)
-    return WignerGrid(re.copy(), im.copy(), _wigner_values(rho, geometry))
+    # a grid too far out overflows; WignerGrid rejects the non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _wigner_values(rho, geometry)
+    return WignerGrid(re.copy(), im.copy(), values)
 
 
 def _fock_populations(state: State) -> np.ndarray | None:
@@ -244,26 +243,3 @@ def grid_integral(grid: WignerGrid) -> float:
     """Riemann sum of W over the grid."""
     cell = (grid.re_axis[1] - grid.re_axis[0]) * (grid.im_axis[1] - grid.im_axis[0])
     return float(np.sum(grid.values) * cell)
-
-
-# ---------------------------------------------------------------------------
-# serialization: CSV rows (re, im, W) and JSON {re_axis, im_axis, values}
-
-
-def save_grid_csv(grid: WignerGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "W"])
-        for i, im in enumerate(grid.im_axis):
-            for j, re in enumerate(grid.re_axis):
-                writer.writerow([repr(float(re)), repr(float(im)), repr(float(grid.values[i, j]))])
-
-
-def save_grid_json(grid: WignerGrid, path) -> None:
-    doc = {
-        "re_axis": [float(x) for x in grid.re_axis],
-        "im_axis": [float(x) for x in grid.im_axis],
-        "values": [[float(v) for v in row] for row in grid.values],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)

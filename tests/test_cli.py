@@ -1,5 +1,6 @@
 """Exit codes and artifacts of the ``qocsim`` command line."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,9 +10,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import numpy as np
 import qocsim
 from qocsim import cli
 from qocsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from qocsim.core import Cutoff, PureState, to_mixed
+from qocsim.elements import coherent_state
+from qocsim.phasespace import GridSpec, wigner
 
 FIG1_QOC = Path(qocsim.__file__).parent / "circuits" / "fig1.qoc"
 
@@ -325,6 +330,52 @@ def test_a_failing_sweep_point_is_reported_and_the_others_still_run(tmp_path):
     message = "herald click on mode 'c' has zero probability"
     assert json.loads((mixed / "sweep_failures.json").read_text()) == [
         {"alpha": a, "T": 0.99, "s": 0.1, "eta": 0.0, "message": message} for a in (0.5, 1.0)]
+
+
+def test_a_sweep_whose_every_point_fails_writes_a_header_only_csv(tmp_path):
+    # the header is a successful sweep's, and the failures are still listed
+    failed, good = tmp_path / "failed", tmp_path / "good"
+    res = _run("sweep", "--eta", "0", "--format", "csv", "--out", str(failed))
+    assert res.exit_code == EXIT_NUMERICAL, res.output
+    assert not (failed / "sweep.json").exists()
+    assert (failed / "sweep_failures.json").exists()
+    assert _run("sweep", "--format", "csv", "--out", str(good)).exit_code == EXIT_OK
+    header = (good / "sweep.csv").read_bytes().splitlines(keepends=True)[0]
+    assert (failed / "sweep.csv").read_bytes() == header
+
+
+def test_grid_serialization_round_trip(tmp_path):
+    # the CLI's grid files, read back with csv and json alone
+    state = coherent_state(0.8, Cutoff(14))
+    grid = wigner(state, GridSpec.square(-1.5, 1.5, 11))
+    cli._write(tmp_path, "w", "both", grid)
+    with open(tmp_path / "w.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["re", "im", "W"]
+    re, im, w = np.array(rows, dtype=float).T  # row-major: re varies fastest
+    shape = grid.values.shape
+    assert np.array_equal(re.reshape(shape), np.broadcast_to(grid.re_axis, shape))
+    assert np.array_equal(im.reshape(shape), np.broadcast_to(grid.im_axis[:, None], shape))
+    assert np.array_equal(w.reshape(shape), grid.values)
+    doc = json.loads((tmp_path / "w.json").read_text())
+    assert np.array_equal(doc["re_axis"], grid.re_axis)
+    assert np.array_equal(doc["im_axis"], grid.im_axis)
+    assert np.array_equal(doc["values"], grid.values)
+
+
+def test_json_round_trip_pure_and_mixed(tmp_path):
+    # the CLI's state files, read back with json alone
+    c = Cutoff(3)
+    rng = np.random.default_rng(13)
+    vec = rng.normal(size=9) + 1j * rng.normal(size=9)
+    pure = PureState.create(("a", "b"), c, vec)
+    mixed = to_mixed(pure)
+    for state, kind, want in ((pure, "pure", pure.amps), (mixed, "mixed", mixed.matrix)):
+        cli._write(tmp_path, kind, "json", state)
+        doc = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert doc["kind"] == kind and doc["modes"] == ["a", "b"] and doc["cutoff"] == 3
+        back = np.array([complex(re, im) for re, im in doc["data"]]).reshape(want.shape)
+        assert np.array_equal(back, want)
 
 
 @pytest.mark.parametrize("flag, commands", [

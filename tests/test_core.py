@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from qocsim.core import (
     apply,
     apply_matrix,
     partial_trace,
-    state_to_json_dict,
     tensor,
     to_mixed,
     truncated_commutator,
@@ -293,22 +291,6 @@ def test_little_endian_flat_indexing():
     state = tensor(fock_state(1, c, "m0"), fock_state(2, c, "m1"))
     # occupation (n0, n1) = (1, 2) -> index 1 + 2*3 = 7
     assert np.argmax(np.abs(state.amps)) == 7
-
-
-def test_json_round_trip_pure_and_mixed(tmp_path):
-    # the CLI's state files, read back with json alone
-    c = Cutoff(3)
-    rng = np.random.default_rng(13)
-    vec = rng.normal(size=9) + 1j * rng.normal(size=9)
-    pure = PureState.create(("a", "b"), c, vec)
-    mixed = to_mixed(pure)
-    for state, kind, want in ((pure, "pure", pure.amps), (mixed, "mixed", mixed.matrix)):
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(state_to_json_dict(state)))
-        doc = json.loads(path.read_text())
-        assert doc["kind"] == kind and doc["modes"] == ["a", "b"] and doc["cutoff"] == 3
-        back = np.array([complex(re, im) for re, im in doc["data"]]).reshape(want.shape)
-        assert np.array_equal(back, want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qocsim import engine
+from qocsim import core, engine
 from qocsim.core import Cutoff, MixedState, apply_matrix, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
@@ -435,3 +435,15 @@ def test_fig1_branch_with_thermal_input_matches_brute(branch, pd0):
     # ensemble is still mixed
     assert plan.charge_signs == {"a": 1, "b": 1, "c": 1, "d": -1}
     assert rs.final_state.members.shape[1] > 1
+
+
+def test_brute_oracle_does_not_run_the_staged_kernel(monkeypatch):
+    # the oracle applies dense operators by its own contraction, so a fault in
+    # the staged engine's apply_matrix cannot hide in both executors at once
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force executor called core.apply_matrix")
+
+    monkeypatch.setattr(core, "apply_matrix", refuse)
+    params = SchemeParams(alpha=0.5)
+    for branch in ("pd2", "pd1"):
+        _compare(compile_circuit(build_fig1_circuit(params, branch), **LOOSE))

@@ -1,6 +1,6 @@
 """Exact identities at explicit cutoffs: between execution paths or inputs, each
 held to 1e-13, and between the Fig. 1 branches and their closed form, held to
-1e-12."""
+1e-12.  The BS3 swap is also held at adaptive cutoffs, within the leak bound."""
 
 import cmath
 import math
@@ -169,3 +169,67 @@ def test_coherent_branch_states_follow_the_closed_form_at_all_orders(T, s, branc
         v = c + h * g * a * np.sqrt(n) * np.concatenate(([0.0], c[:-1]))
         fid = float(np.real(v.conj() @ rho @ v)) / float(np.real(np.vdot(v, v)))
         assert 1.0 - fid <= 1e-12, alpha
+
+
+# each field of the swapped run and the field of the plain run it equals; the
+# attenuated-input fidelity is taken on PD2 alone and has no PD1 counterpart
+SWAPPED = {"pd1_branch": "pd2_branch", "pd1_weight": "pd2_weight", "p_b": "p_c",
+           "p_bc_given_b": "p_bc_given_c", "fidelity_pd1_vs_input": "fidelity_pd2_vs_input"}
+SWAPPED |= {v: k for k, v in SWAPPED.items()} | {"pd0_probability": "pd0_probability",
+                                                  "p_bc": "p_bc"}
+SWAP_CASES = {
+    "coherent": SchemeParams(alpha=1.2),
+    "thermal": SchemeParams(input_kind="thermal", nbar=0.8),
+    "fock": SchemeParams(input_kind="fock", fock_n=2),
+    "thermal-onoff-lossy": SchemeParams(input_kind="thermal", nbar=0.6, pd0_onoff=True,
+                                        eta_pd0=0.8, eta_pd1=0.7, eta_pd2=0.7,
+                                        transmittivity=0.9, coupling=0.25),
+}
+
+
+def _plain_and_swapped(params: SchemeParams) -> tuple[SchemeResult, SchemeResult]:
+    return run_interferometer(params), run_interferometer(replace(params, swap_bs3_sign=True))
+
+
+@pytest.mark.parametrize("name", list(SWAP_CASES))
+def test_swapping_bs3_exchanges_the_branches(name):
+    # BS3 on (b, c) instead of (c, b) sends its outputs b → c and c → −b; the
+    # on-off heralds do not see the sign, so with η_pd1 = η_pd2 the swapped
+    # run's PD1 branch is the plain run's PD2 branch and vice versa.  Both run
+    # at one explicit cutoff: at adaptive ones the compiler sizes b and c
+    # differently on the two sides (see the next test)
+    plain, swapped = _plain_and_swapped(replace(SWAP_CASES[name], cutoff=16, leak_budget=1.0))
+    for field, other in SWAPPED.items():
+        a, b = getattr(swapped, field), getattr(plain, other)
+        if isinstance(b, MixedState):
+            assert np.abs(a.matrix - b.matrix).max() <= TOL, field
+        elif field.startswith("p_bc_given"):  # a ratio over p_b or p_c ≈ 0.01
+            assert abs(a - b) <= 1e-12 * b, field
+        else:
+            assert abs(a - b) <= TOL, field
+
+
+# leak-checked stages in one Fig. 1 execution (4 prepares, 4 unitaries, 3 heralds)
+LEAK_STAGES = 11
+
+
+def test_swapping_bs3_at_adaptive_cutoffs_holds_within_the_leak_bound():
+    # the swap moves the no-click herald from b to c, so the compiler sizes
+    # b and c differently on the two sides and each side truncates its own way;
+    # every stage's leak is within the budget, so a branch of weight w moves by
+    # at most LEAK_STAGES·budget/w
+    params = SWAP_CASES["thermal-onoff-lossy"]
+    cuts = _adaptive_cutoffs(params)
+    assert cuts["b"] != cuts["c"]
+    assert _adaptive_cutoffs(replace(params, swap_bs3_sign=True)) == {
+        **cuts, "b": cuts["c"], "c": cuts["b"]}
+    plain, swapped = _plain_and_swapped(params)
+    tol = LEAK_STAGES * params.leak_budget / min(plain.pd1_weight, plain.pd2_weight)
+    for field, other in SWAPPED.items():
+        a, b = getattr(swapped, field), getattr(plain, other)
+        if isinstance(b, MixedState):
+            assert np.abs(a.matrix / a.trace_tag - b.matrix / b.trace_tag).max() <= tol, field
+        elif field.startswith("fidelity"):
+            assert abs(a - b) <= tol, field
+        else:
+            assert abs(a - b) <= tol * abs(b), field
