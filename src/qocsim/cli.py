@@ -267,7 +267,7 @@ def cmd_run(circuit, out, fmt, **opts) -> None:
         plan = compile_circuit(spec, cutoff=opts["cutoff"], leak_budget=opts["leak_budget"])
     except CutoffCeilingError:
         raise
-    except ValueError as exc:  # a Fock input at or above the explicit cutoff
+    except ValueError as exc:  # a Fock level or an exactly count at or above the explicit cutoff
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     _write_circuit_outputs(execute_plan(plan), out_dir, fmt)

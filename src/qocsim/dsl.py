@@ -22,7 +22,10 @@ modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
 The compiler (:func:`compile_circuit`) sizes each mode's Fock cutoff from the
 spec alone: unless one is given explicitly for every mode, it is the smallest
 d at which a Gaussian tail model of the circuit keeps that mode within the
-leak budget at every checked stage.
+leak budget at every checked stage, and a mode heralded ``exactly k`` keeps
+k − 1 levels more.  It also checks the parser's mode rules on every spec,
+also one built in code: each statement and output names declared modes, none
+that a herald has traced, and no mode twice.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ __all__ = [
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+# each input kind's and output request's arguments: their count and the usage in its issue
+_INPUT_ARGS = {"coherent": "<re> <im>", "thermal": "<nbar>", "fock": "<n>", "vacuum": ""}
+_OUTPUT_ARGS = {"probs": "", "wigner": "<mode> <min>:<max>:<count>", "fidelity": "<mode> input",
+                "state": "<mode>"}
 
 
 @dataclass(frozen=True)
@@ -115,15 +122,10 @@ class CircuitParseError(ValueError):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self.issues: list[ParseIssue] = []
-
-    def add(self, line: int, column: int, code: str, message: str) -> None:
-        self.issues.append(ParseIssue(line, column, code, message))
+_Token = tuple[str, int, int]  # (text, line, column)
 
 
-def _tokenize(text: str) -> list[list[tuple[str, int, int]]]:
+def _tokenize(text: str) -> list[list[_Token]]:
     """Per line: list of (token, line_no, column); comments stripped."""
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -134,264 +136,203 @@ def _tokenize(text: str) -> list[list[tuple[str, int, int]]]:
     return out
 
 
-def _parse_float(tok: str, ln: int, col: int, errs: _Collector) -> float | None:
-    value = float(tok) if _NUMBER_RE.match(tok) else math.nan  # 1e400 overflows to inf
-    if not math.isfinite(value):
-        errs.add(ln, col, "malformed-number", f"expected a finite number, got {tok!r}")
-        return None
-    return value
-
-
-def _parse_int(tok: str, ln: int, col: int, errs: _Collector) -> int | None:
-    if not _INT_RE.match(tok):
-        errs.add(ln, col, "malformed-number", f"expected an integer, got {tok!r}")
-        return None
-    try:
-        return int(tok)
-    except ValueError:  # more digits than int() converts
-        errs.add(ln, col, "malformed-number", f"integer of {len(tok)} digits is too long")
-        return None
-
-
 def parse(text: str) -> CircuitSpec:
     """Parse and validate circuit text; raises :class:`CircuitParseError` on issues."""
-    errs = _Collector()
-    lines = _tokenize(text)
-
+    issues: list[ParseIssue] = []
     modes: tuple[str, ...] = ()
     modes_seen = False
     inputs: dict[str, InputStmt] = {}
-    input_lines: dict[str, int] = {}
     operations: list[ElementStmt | HeraldStmt] = []
     outputs: list[OutputStmt] = []
     heralded: set[str] = set()
 
-    def check_mode(tok: str, ln: int, col: int) -> bool:
-        if tok not in modes:
-            errs.add(ln, col, "undeclared-mode", f"mode {tok!r} is not declared")
-            return False
-        if tok in heralded:
-            errs.add(ln, col, "mode-after-herald", f"mode {tok!r} was heralded and traced")
-            return False
-        return True
+    def bad(tok: _Token, code: str, message: str, skip: int = 0) -> None:
+        """Record an issue at ``tok``, ``skip`` columns into it."""
+        issues.append(ParseIssue(tok[1], tok[2] + skip, code, message))
 
-    for toks in lines:
-        kw, ln, col = toks[0]
-        rest = toks[1:]
+    def number(text: str, tok: _Token, skip: int = 0, integer: bool = False) -> float | int | None:
+        """``text``, found ``skip`` columns into ``tok``, as a finite float or an int."""
+        if integer:
+            message = f"expected an integer, got {text!r}"
+            if _INT_RE.match(text):
+                try:
+                    return int(text)
+                except ValueError:  # more digits than int() converts
+                    message = f"integer of {len(text)} digits is too long"
+        else:
+            value = float(text) if _NUMBER_RE.match(text) else math.nan  # 1e400 overflows to inf
+            if math.isfinite(value):
+                return value
+            message = f"expected a finite number, got {text!r}"
+        bad(tok, "malformed-number", message, skip)
+        return None
+
+    def mode(tok: _Token, live: bool = True) -> bool:
+        """Whether ``tok`` names a declared mode and, if ``live``, one no herald has traced."""
+        if tok[0] not in modes:
+            bad(tok, "undeclared-mode", f"mode {tok[0]!r} is not declared")
+        elif live and tok[0] in heralded:
+            bad(tok, "mode-after-herald", f"mode {tok[0]!r} was heralded and traced")
+        else:
+            return True
+        return False
+
+    for toks in _tokenize(text):
+        kw, rest = toks[0][0], toks[1:]
+        first = len(issues)  # a statement with issues of its own is dropped
         if kw == "modes":
             if modes_seen:
-                errs.add(ln, col, "duplicate-modes-line", "only one modes line is allowed")
+                bad(toks[0], "duplicate-modes-line", "only one modes line is allowed")
                 continue
             modes_seen = True
             if not rest:
-                errs.add(ln, col, "no-modes-declared", "modes line declares no modes")
-                continue
-            seen: list[str] = []
-            for tok, l2, c2 in rest:
-                if tok in seen:
-                    errs.add(l2, c2, "duplicate-mode", f"mode {tok!r} declared twice")
+                bad(toks[0], "no-modes-declared", "modes line declares no modes")
+            for tok in rest:
+                if tok[0] in modes:
+                    bad(tok, "duplicate-mode", f"mode {tok[0]!r} declared twice")
                 else:
-                    seen.append(tok)
-            modes = tuple(seen)
+                    modes += (tok[0],)
         elif kw == "input":
             if len(rest) < 2:
-                errs.add(ln, col, "bad-argument", "input needs a mode and a kind")
+                bad(toks[0], "bad-argument", "input needs a mode and a kind")
                 continue
-            (mtok, l2, c2), (ktok, l3, c3) = rest[0], rest[1]
-            if mtok not in modes:
-                errs.add(l2, c2, "undeclared-mode", f"mode {mtok!r} is not declared")
+            mtok, ktok, args = rest[0], rest[1], rest[2:]
+            kind = ktok[0]
+            if not mode(mtok, live=False):
                 continue
-            if mtok in inputs:
-                errs.add(l2, c2, "duplicate-input", f"mode {mtok!r} already has an input")
-                continue
-            args = rest[2:]
-            stmt: InputStmt | None = None
-            if ktok == "coherent":
-                if len(args) != 2:
-                    errs.add(l3, c3, "bad-argument", "coherent takes <re> <im>")
-                else:
-                    re_v = _parse_float(*args[0], errs)
-                    im_v = _parse_float(*args[1], errs)
-                    if re_v is not None and im_v is not None:
-                        stmt = InputStmt(mtok, "coherent", (re_v, im_v))
-            elif ktok == "thermal":
-                if len(args) != 1:
-                    errs.add(l3, c3, "bad-argument", "thermal takes <nbar>")
-                else:
-                    nb = _parse_float(*args[0], errs)
-                    if nb is not None:
-                        if nb < 0:
-                            errs.add(args[0][1], args[0][2], "bad-argument", "nbar must be >= 0")
-                        else:
-                            stmt = InputStmt(mtok, "thermal", (nb,))
-            elif ktok == "fock":
-                if len(args) != 1:
-                    errs.add(l3, c3, "bad-argument", "fock takes <n>")
-                else:
-                    n = _parse_int(*args[0], errs)
-                    if n is not None:
-                        if n < 0:
-                            errs.add(args[0][1], args[0][2], "bad-argument", "fock level must be >= 0")
-                        elif n > sys.float_info.max:
-                            errs.add(args[0][1], args[0][2], "bad-argument",
-                                     "fock level is too large for a float")
-                        else:
-                            stmt = InputStmt(mtok, "fock", (float(n),))
-            elif ktok == "vacuum":
-                if args:
-                    errs.add(l3, c3, "bad-argument", "vacuum takes no arguments")
-                else:
-                    stmt = InputStmt(mtok, "vacuum", ())
+            if mtok[0] in inputs:
+                bad(mtok, "duplicate-input", f"mode {mtok[0]!r} already has an input")
+            elif kind not in _INPUT_ARGS:
+                bad(ktok, "unknown-keyword", f"unknown input kind {kind!r}")
+            elif len(args) != len(_INPUT_ARGS[kind].split()):
+                bad(ktok, "bad-argument", f"{kind} takes {_INPUT_ARGS[kind] or 'no arguments'}")
             else:
-                errs.add(l3, c3, "unknown-keyword", f"unknown input kind {ktok!r}")
-            if stmt is not None:
-                inputs[mtok] = stmt
-                input_lines[mtok] = ln
+                values = [number(tok[0], tok, integer=kind == "fock") for tok in args]
+                if len(issues) > first:
+                    continue
+                if kind == "thermal" and values[0] < 0:
+                    bad(args[0], "bad-argument", "nbar must be >= 0")
+                elif kind == "fock" and values[0] < 0:
+                    bad(args[0], "bad-argument", "fock level must be >= 0")
+                elif kind == "fock" and values[0] > sys.float_info.max:
+                    bad(args[0], "bad-argument", "fock level is too large for a float")
+                else:
+                    inputs[mtok[0]] = InputStmt(mtok[0], kind, tuple(map(float, values)))
         elif kw in ("bs", "tmsq"):
             pname = "T" if kw == "bs" else "s"
             if len(rest) != 3:
-                errs.add(ln, col, "bad-argument", f"{kw} takes <m1> <m2> {pname}=<float>")
+                bad(toks[0], "bad-argument", f"{kw} takes <m1> <m2> {pname}=<float>")
                 continue
-            (m1, l1, c1), (m2, l2, c2), (ptok, lp, cp) = rest
-            ok = check_mode(m1, l1, c1) & check_mode(m2, l2, c2)
-            if m1 == m2:
-                errs.add(l2, c2, "modes-must-differ", f"{kw} modes must differ")
-                ok = False
-            if not ptok.startswith(pname + "="):
-                errs.add(lp, cp, "bad-argument", f"expected {pname}=<float>, got {ptok!r}")
+            m1, m2, ptok = rest
+            mode(m1)
+            mode(m2)
+            if m1[0] == m2[0]:
+                bad(m2, "modes-must-differ", f"{kw} modes must differ")
+            if not ptok[0].startswith(pname + "="):
+                bad(ptok, "bad-argument", f"expected {pname}=<float>, got {ptok[0]!r}")
                 continue
-            val = _parse_float(ptok[len(pname) + 1 :], lp, cp + len(pname) + 1, errs)
-            if val is None or not ok:
+            val = number(ptok[0][2:], ptok, 2)
+            if len(issues) > first:
                 continue
             if kw == "bs" and not 0.0 < val <= 1.0:
-                errs.add(lp, cp, "bad-argument", "T must be in (0, 1]")
-                continue
-            if kw == "tmsq" and val < 0.0:
-                errs.add(lp, cp, "bad-argument", "s must be >= 0")
-                continue
-            operations.append(ElementStmt(kw, (m1, m2), val))
+                bad(ptok, "bad-argument", "T must be in (0, 1]")
+            elif kw == "tmsq" and val < 0.0:
+                bad(ptok, "bad-argument", "s must be >= 0")
+            else:
+                operations.append(ElementStmt(kw, (m1[0], m2[0]), val))
         elif kw == "herald":
             if len(rest) < 2:
-                errs.add(ln, col, "bad-argument", "herald takes <mode> <requirement>")
+                bad(toks[0], "bad-argument", "herald takes <mode> <requirement>")
                 continue
-            (mtok, l1, c1), (rtok, l2, c2) = rest[0], rest[1]
-            args = rest[2:]
+            mtok, rtok, args = rest[0], rest[1], rest[2:]
             count = None
-            if rtok == "exactly":
+            if rtok[0] == "exactly":
                 if not args:
-                    errs.add(l2, c2, "bad-argument", "exactly takes <n>")
+                    bad(rtok, "bad-argument", "exactly takes <n>")
                     continue
-                count = _parse_int(*args[0], errs)
+                count = number(args[0][0], args[0], integer=True)
                 args = args[1:]
                 if count is None:
                     continue
                 if count < 0:
-                    errs.add(l2, c2, "bad-argument", "exactly count must be >= 0")
+                    bad(rtok, "bad-argument", "exactly count must be >= 0")
                     continue
-            elif rtok not in ("click", "noclick"):
-                errs.add(l2, c2, "unknown-keyword", f"unknown herald requirement {rtok!r}")
+            elif rtok[0] not in ("click", "noclick"):
+                bad(rtok, "unknown-keyword", f"unknown herald requirement {rtok[0]!r}")
                 continue
-            eta = 1.0
-            onoff = False
-            bad = False
-            for tok, lt, ct in args:
-                if tok == "onoff":
+            eta, onoff = 1.0, False
+            for tok in args:
+                if tok[0] == "onoff":
                     onoff = True
-                elif tok.startswith("eta="):
-                    ev = _parse_float(tok[4:], lt, ct + 4, errs)
-                    if ev is None:
-                        bad = True
-                    elif not 0.0 <= ev <= 1.0:
-                        errs.add(lt, ct, "bad-argument", "eta must be in [0, 1]")
-                        bad = True
-                    else:
+                elif not tok[0].startswith("eta="):
+                    bad(tok, "bad-argument", f"unexpected herald option {tok[0]!r}")
+                elif (ev := number(tok[0][4:], tok, 4)) is not None:
+                    if 0.0 <= ev <= 1.0:
                         eta = ev
-                else:
-                    errs.add(lt, ct, "bad-argument", f"unexpected herald option {tok!r}")
-                    bad = True
-            if onoff and rtok == "exactly":
-                errs.add(l2, c2, "bad-argument", "an on-off detector cannot resolve exact counts")
-                bad = True
-            if not check_mode(mtok, l1, c1) or bad:
-                continue
-            heralded.add(mtok)
-            operations.append(HeraldStmt(mtok, rtok, count, eta, onoff))
+                    else:
+                        bad(tok, "bad-argument", "eta must be in [0, 1]")
+            if onoff and rtok[0] == "exactly":
+                bad(rtok, "bad-argument", "an on-off detector cannot resolve exact counts")
+            if mode(mtok) and len(issues) == first:
+                heralded.add(mtok[0])
+                operations.append(HeraldStmt(mtok[0], rtok[0], count, eta, onoff))
         elif kw == "out":
             if not rest:
-                errs.add(ln, col, "bad-argument", "out takes a request kind")
+                bad(toks[0], "bad-argument", "out takes a request kind")
                 continue
-            (otok, l1, c1) = rest[0]
-            args = rest[1:]
-            if otok == "probs":
-                if args:
-                    errs.add(l1, c1, "bad-argument", "out probs takes no arguments")
-                    continue
-                out = OutputStmt("probs")
-            elif otok in ("wigner", "fidelity", "state"):
-                if not args:
-                    errs.add(l1, c1, "bad-argument", f"out {otok} takes a mode")
-                    continue
-                mtok, l2, c2 = args[0]
-                if mtok not in modes:
-                    errs.add(l2, c2, "undeclared-mode", f"mode {mtok!r} is not declared")
-                    continue
-                if otok == "wigner":
-                    if len(args) != 2:
-                        errs.add(l1, c1, "bad-argument", "out wigner takes <mode> <min>:<max>:<count>")
-                        continue
-                    gtok, lg, cg = args[1]
-                    parts = gtok.split(":")
-                    if len(parts) != 3:
-                        errs.add(lg, cg, "bad-argument", f"expected <min>:<max>:<count>, got {gtok!r}")
-                        continue
-                    lo = _parse_float(parts[0], lg, cg, errs)
-                    hi = _parse_float(parts[1], lg, cg + len(parts[0]) + 1, errs)
-                    cnt = _parse_int(parts[2], lg, cg + len(parts[0]) + len(parts[1]) + 2, errs)
-                    if lo is None or hi is None or cnt is None:
-                        continue
-                    if cnt < 2 or not hi > lo:
-                        errs.add(lg, cg, "bad-argument", "grid needs min < max and count >= 2")
-                        continue
-                    out = OutputStmt("wigner", mtok, (lo, hi, cnt))
-                elif otok == "fidelity":
-                    if len(args) != 2 or args[1][0] != "input":
-                        errs.add(l1, c1, "bad-argument", "out fidelity takes <mode> input")
-                        continue
-                    out = OutputStmt("fidelity", mtok)
-                else:
-                    if len(args) != 1:
-                        errs.add(l1, c1, "bad-argument", "out state takes <mode>")
-                        continue
-                    out = OutputStmt("state", mtok)
-            else:
-                errs.add(l1, c1, "unknown-keyword", f"unknown output request {otok!r}")
+            otok, args = rest[0], rest[1:]
+            kind = otok[0]
+            usage = _OUTPUT_ARGS.get(kind)
+            if usage is None:
+                bad(otok, "unknown-keyword", f"unknown output request {kind!r}")
                 continue
+            if usage and not args:
+                bad(otok, "bad-argument", f"out {kind} takes a mode")
+                continue
+            if usage and not mode(args[0], live=False):
+                continue
+            if len(args) != len(usage.split()) or kind == "fidelity" and args[1][0] != "input":
+                bad(otok, "bad-argument", f"out {kind} takes {usage or 'no arguments'}")
+                continue
+            grid = None
+            if kind == "wigner":
+                gtok = args[1]
+                parts = gtok[0].split(":")
+                if len(parts) != 3:
+                    bad(gtok, "bad-argument", f"expected <min>:<max>:<count>, got {gtok[0]!r}")
+                    continue
+                lo = number(parts[0], gtok)
+                hi = number(parts[1], gtok, len(parts[0]) + 1)
+                cnt = number(parts[2], gtok, len(parts[0]) + len(parts[1]) + 2, integer=True)
+                if len(issues) > first:
+                    continue
+                if cnt < 2 or not hi > lo:
+                    bad(gtok, "bad-argument", "grid needs min < max and count >= 2")
+                    continue
+                grid = (lo, hi, cnt)
+            out = OutputStmt(kind, args[0][0] if args else None, grid)
             if any((o.kind, o.mode) == (out.kind, out.mode) for o in outputs):  # same artifact
-                errs.add(ln, col, "duplicate-output", f"repeats an earlier out {otok} request")
+                bad(toks[0], "duplicate-output", f"repeats an earlier out {kind} request")
             else:
                 outputs.append(out)
         else:
-            errs.add(ln, col, "unknown-keyword", f"unknown keyword {kw!r}")
+            bad(toks[0], "unknown-keyword", f"unknown keyword {kw!r}")
 
+    top = ("", 1, 1)  # whole-file issues are reported at line 1, column 1
     if not modes:
-        errs.add(1, 1, "no-modes-declared", "no modes declared")
+        bad(top, "no-modes-declared", "no modes declared")
     for m in modes:
         if m not in inputs:
-            errs.add(1, 1, "missing-input", f"mode {m!r} has no input statement")
+            bad(top, "missing-input", f"mode {m!r} has no input statement")
     for out in outputs:
-        if out.mode is not None and out.mode in heralded:
-            errs.add(
-                1, 1, "mode-after-herald",
-                f"output requests mode {out.mode!r}, which was heralded and traced",
-            )
+        if out.mode in heralded:
+            bad(top, "mode-after-herald",
+                f"output requests mode {out.mode!r}, which was heralded and traced")
     if not outputs:
-        errs.add(1, 1, "no-outputs", "at least one output request is required")
-
-    if errs.issues:
-        raise CircuitParseError(errs.issues)
-
-    ordered_inputs = tuple(inputs[m] for m in modes)
-    return CircuitSpec(modes, ordered_inputs, tuple(operations), tuple(outputs))
+        bad(top, "no-outputs", "at least one output request is required")
+    if issues:
+        raise CircuitParseError(issues)
+    return CircuitSpec(modes, tuple(inputs[m] for m in modes), tuple(operations), tuple(outputs))
 
 
 def _fmt(x: float) -> str:
@@ -402,14 +343,8 @@ def print_circuit(spec: CircuitSpec) -> str:
     """Canonical text form; comments are not preserved."""
     lines = ["modes " + " ".join(spec.modes)]
     for inp in spec.inputs:
-        if inp.kind == "coherent":
-            lines.append(f"input {inp.mode} coherent {_fmt(inp.params[0])} {_fmt(inp.params[1])}")
-        elif inp.kind == "thermal":
-            lines.append(f"input {inp.mode} thermal {_fmt(inp.params[0])}")
-        elif inp.kind == "fock":
-            lines.append(f"input {inp.mode} fock {int(inp.params[0])}")
-        else:
-            lines.append(f"input {inp.mode} vacuum")
+        params = (str(int(p)) if inp.kind == "fock" else _fmt(p) for p in inp.params)
+        lines.append(" ".join(["input", inp.mode, inp.kind, *params]))
     for op in spec.operations:
         if isinstance(op, ElementStmt):
             pname = "T" if op.kind == "bs" else "s"
@@ -424,15 +359,9 @@ def print_circuit(spec: CircuitSpec) -> str:
                 parts.append("onoff")
             lines.append(" ".join(parts))
     for out in spec.outputs:
-        if out.kind == "probs":
-            lines.append("out probs")
-        elif out.kind == "wigner":
-            lo, hi, cnt = out.grid
-            lines.append(f"out wigner {out.mode} {_fmt(lo)}:{_fmt(hi)}:{cnt}")
-        elif out.kind == "fidelity":
-            lines.append(f"out fidelity {out.mode} input")
-        else:
-            lines.append(f"out state {out.mode}")
+        grid = out.grid and f"{_fmt(out.grid[0])}:{_fmt(out.grid[1])}:{out.grid[2]}"
+        tail = grid or ("input" if out.kind == "fidelity" else None)
+        lines.append(" ".join(w for w in ("out", out.kind, out.mode, tail) if w))
     return "\n".join(lines) + "\n"
 
 
@@ -762,6 +691,11 @@ def compile_circuit(
 ) -> ExecutionPlan:
     """Size a validated spec, and the herald sequences that fork from it, for execution.
 
+    The parser's mode rules are checked here for every spec, so that a spec
+    built in code obeys them too: each element, herald and output names only
+    declared modes, none that an earlier herald traced, and no mode twice
+    (``ValueError`` otherwise).  The executors rely on these rules.
+
     The plan is the spec plus each mode's cutoff, the ``branches`` and each
     mode's charge sign (:func:`_charge_signs`), with which the staged executor
     carries Fock-diagonal inputs collapsed by charge; when to attach a mode is
@@ -771,42 +705,65 @@ def compile_circuit(
     those stages too.  Compilation is deterministic and idempotent.
 
     An explicit ``cutoff`` holds for every mode and is never doubled: failing
-    loudly is the point of pinning one.  Otherwise a tail model of every live
-    mode (:func:`_tail_model`) is evaluated from the spec alone, starting at
-    the exact input tails (Poisson for coherent, geometric for thermal, a
-    point mass for Fock inputs).  Each mode's cutoff is the smallest d at
-    which every stage the executor checks, those of the forked ``branches``
-    included, keeps that mode's predicted top-level population within
-    ``leak_budget``, so a mode that only ever holds a tapped photon or two
-    keeps a few levels (:func:`_group_cutoffs`).  A mode that needs more than
-    512 levels, or a tail past the float range, raises
-    :class:`CutoffCeilingError`.  The executor doubles every mode's cutoff
-    once if the prediction still falls short.
+    loudly is the point of pinning one.  It must be above every Fock input's
+    level and every ``exactly`` herald's count (``ValueError`` otherwise).
+    Otherwise a tail model of every live mode (:func:`_tail_model`) is
+    evaluated from the spec alone, starting at the exact input tails (Poisson
+    for coherent, geometric for thermal, a point mass for Fock inputs).  Each
+    mode's cutoff is the smallest d at which every stage the executor checks,
+    those of the forked ``branches`` included, keeps that mode's predicted
+    top-level population within ``leak_budget``, so a mode that only ever
+    holds a tapped photon or two keeps a few levels (:func:`_group_cutoffs`).
+    A mode that needs more than 512 levels, or a tail past the float range,
+    raises :class:`CutoffCeilingError`.  The executor doubles every mode's
+    cutoff once if the prediction still falls short.
+
+    A mode heralded ``exactly k`` with k >= 2, in the spec or in a branch,
+    keeps k − 1 levels more than predicted; more than 512 raises
+    :class:`CutoffCeilingError` too.  The prediction covers the mode's tail
+    before its herald; the shift keeps as many levels above k as it keeps
+    above a single photon.  In Fig. 1 that holds P(PD0) within 1e-7 of a run
+    with ten more levels for k = 2 to 7, where d = k + 1 is 2.5e-2 off at
+    k = 5.
     """
     branches = tuple(map(tuple, branches))
     touched: set[str] = set()
     heralded: set[str] = set()
-    for op in spec.operations:
-        if isinstance(op, ElementStmt):
-            touched.update(op.modes)
-        else:
-            if op.mode not in touched:
+    for stmt in (*spec.operations, *(out for out in spec.outputs if out.mode is not None)):
+        named = stmt.modes if isinstance(stmt, ElementStmt) else (stmt.mode,)
+        for m in named:
+            if m not in spec.modes:
+                raise ValueError(f"mode {m!r} is not declared")
+            if m in heralded:
+                raise ValueError(f"mode {m!r} was heralded and traced")
+        if len(set(named)) < len(named):
+            raise ValueError(f"{stmt.kind} modes must differ, got {named}")
+        if isinstance(stmt, ElementStmt):
+            touched.update(named)
+        elif isinstance(stmt, HeraldStmt):
+            if stmt.mode not in touched:
                 warnings.warn(
-                    f"herald on mode {op.mode!r} which no element has touched",
+                    f"herald on mode {stmt.mode!r} which no element has touched",
                     stacklevel=2,
                 )
-            heralded.add(op.mode)
+            heralded.add(stmt.mode)
     live = (touched | {out.mode for out in spec.outputs if out.mode is not None}) - heralded
     for tail in branches:
         modes = [op.mode for op in tail]
         if not live.issuperset(modes) or len(set(modes)) < len(modes):
             raise ValueError(f"branch heralds {modes} must each trace a distinct live mode")
+    exact: dict[str, int] = {}  # the largest exactly count heralded on each mode
+    for op in (*spec.operations, *sum(branches, ())):
+        if isinstance(op, HeraldStmt) and op.requirement == "exactly":
+            exact[op.mode] = max(exact.get(op.mode, 0), op.count)
 
     if cutoff is not None:
         if cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if any(i.kind == "fock" and i.params[0] >= cutoff for i in spec.inputs):
             raise ValueError(f"cutoff {cutoff} is not above a fock input's level")
+        if any(k >= cutoff for k in exact.values()):
+            raise ValueError(f"cutoff {cutoff} is not above an exactly herald's count")
         cutoffs = dict.fromkeys(spec.modes, cutoff)
     else:
         if not leak_budget > 0.0:
@@ -819,5 +776,9 @@ def compile_circuit(
         cutoffs = dict.fromkeys(spec.modes, 2)
         for mode, d in zip(modes, _group_cutoffs(rows, starts, leak_budget * factor).tolist()):
             cutoffs[mode] = max(cutoffs[mode], d)
+        for mode, k in exact.items():
+            cutoffs[mode] += max(0, k - 1)
+        if max(cutoffs.values()) > _MAX_CUTOFF:
+            raise CutoffCeilingError()
     return ExecutionPlan(spec, cutoffs, leak_budget, cutoff is None, branches,
                          _charge_signs(spec))

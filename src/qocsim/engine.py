@@ -1,10 +1,12 @@
 """Plan executors: a staged ensemble evaluator and a brute-force reference.
 
 Both walk the plan's spec, its operations and then its outputs, in file
-order.  The staged executor attaches each mode's input right before the first
-statement that uses it, traces every heralded mode immediately, and
-represents (possibly mixed) states as one weighted ensemble of pure vectors
-vₖ, held as the columns of a single ``(dim, K)`` array.  Every
+order.  Neither checks the spec's mode rules (declared, untraced and distinct
+modes in every statement): :func:`~qocsim.dsl.compile_circuit` is their one
+gate, for every spec.  The staged executor attaches each mode's input right
+before the first statement that uses it, traces every heralded mode
+immediately, and represents (possibly mixed) states as one weighted ensemble
+of pure vectors vₖ, held as the columns of a single ``(dim, K)`` array.  Every
 mode keeps its own number of levels, the plan's per-mode cutoff, and ``dim``
 is their product: in Fig. 1 only the input mode needs the large cutoff (d ≈ 30
 for a thermal input), while the tap modes and the idler keep 5–10 levels, so
@@ -287,11 +289,6 @@ def _pack_by_charge(members: np.ndarray, charges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_modes(stmt: ElementStmt) -> None:
-    if stmt.modes[0] == stmt.modes[1]:
-        raise ValueError(f"{stmt.kind} modes must differ, got {stmt.modes}")
-
-
 class _LeakMonitor:
     def __init__(self, budget: float, cutoffs: dict[str, int]):
         self.budget = budget
@@ -418,7 +415,6 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
     for op in spec.operations:
         if isinstance(op, ElementStmt):
             attach(op.modes)
-            _check_modes(op)
             d1, d2 = (cutoffs[m] for m in op.modes)
             sectors = element_sectors(op.kind, op.value, d1, d2)
             ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, op.modes)
@@ -468,7 +464,6 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
 
     for op in spec.operations:
         if isinstance(op, ElementStmt):
-            _check_modes(op)
             # the dense d²×d² unitary from the public builders
             build = beam_splitter_unitary if op.kind == "bs" else two_mode_squeezer_unitary
             state = apply(build(op.value, cutoff), op.modes, state)

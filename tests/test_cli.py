@@ -111,6 +111,19 @@ def test_fock_level_at_or_above_an_explicit_cutoff_exits_1(tmp_path):
             assert "error:" in res.output.lower() and f"cutoff {cutoff} is not above" in res.output
 
 
+def test_an_exactly_herald_at_or_above_an_explicit_cutoff_exits_1(tmp_path):
+    circuit = tmp_path / "k5.qoc"
+    circuit.write_text(FIG1_QOC.read_text().replace("herald d exactly 1", "herald d exactly 5"))
+    res = _run("run", str(circuit), "--out", str(tmp_path / "adaptive"))
+    assert res.exit_code == EXIT_OK, res.output
+    for cutoff in ("3", "5"):
+        res = _run("run", str(circuit), "--cutoff", cutoff, "--out", str(tmp_path / "pinned"))
+        assert res.exit_code == EXIT_USAGE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: cutoff {cutoff} is not above an exactly herald's count" in res.output
+    assert not (tmp_path / "pinned" / "report.json").exists()
+
+
 def test_fock_literal_too_large_for_a_float_exits_1(tmp_path):
     big = "1" + "0" * 400
     circuit = tmp_path / "fock.qoc"

@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from qocsim.dsl import (
     print_circuit,
 )
 from qocsim.engine import LeakBudgetError, execute_plan
+
+PARSE_ISSUES = Path(__file__).parent / "data" / "parse_issues.json"
 
 FIG1_TEXT = """\
 # four-mode heralded add/subtract interferometer
@@ -180,6 +185,19 @@ def test_errors_carry_line_numbers():
 def test_print_parse_round_trip_fig1():
     spec = parse(FIG1_TEXT)
     assert parse(print_circuit(spec)) == spec
+
+
+def test_pinned_texts_keep_their_issues_or_canonical_text():
+    cases = json.loads(PARSE_ISSUES.read_text(encoding="utf-8"))["cases"]
+    assert len(cases) >= 450
+    for case in cases:
+        try:
+            printed = print_circuit(parse(case["text"]))
+        except CircuitParseError as exc:
+            issues = [[i.line, i.column, i.code, i.message] for i in exc.issues]
+            assert issues == case.get("issues"), case["text"]
+        else:
+            assert printed == case.get("printed"), case["text"]
 
 
 def test_comments_not_preserved():
@@ -370,3 +388,51 @@ def test_policy_doubling_stops_at_the_ceiling_from_any_start():
     spec = parse("modes a\ninput a coherent 22.0 0.0\nout state a\n")
     with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):
         compile_circuit(spec)
+
+
+def _fig1_exactly(k: int, inp: str = "coherent 1.0 0.0") -> str:
+    return FIG1_TEXT.replace("herald d exactly 1", f"herald d exactly {k}").replace(
+        "input a coherent 1.0 0.0", f"input a {inp}")
+
+
+def test_an_exactly_herald_keeps_k_minus_1_more_levels_on_its_mode():
+    cutoffs = {k: compile_circuit(parse(_fig1_exactly(k))).cutoffs for k in (0, 1, 5)}
+    assert cutoffs[0]["d"] == cutoffs[1]["d"] == 5
+    assert cutoffs[5]["d"] == 9
+    # a branch tail's exactly herald is sized the same way
+    text = "modes a b\ninput a coherent 1.0 0.0\ninput b vacuum\nbs a b T=0.5\nout state a\n"
+    spec = parse(text)
+    plans = [compile_circuit(spec, branches=[[HeraldStmt("b", "exactly", k)]]) for k in (1, 4)]
+    assert plans[1].cutoffs["b"] == plans[0].cutoffs["b"] + 3
+
+
+def test_an_exactly_count_past_the_ceiling_is_typed():
+    text = ("modes a b\ninput a coherent 1.0 0.0\ninput b vacuum\nbs a b T=0.5\n"
+            "herald a noclick\nherald b exactly {}\nout probs\n")
+    predicted = compile_circuit(parse(text.format(1))).cutoffs["b"]
+    last = 512 - predicted + 1  # the largest count whose mode still fits in 512 levels
+    assert compile_circuit(parse(text.format(last))).cutoffs["b"] == 512
+    with pytest.raises(CutoffCeilingError):
+        compile_circuit(parse(text.format(last + 1)))
+
+
+@pytest.mark.parametrize("cutoff", [3, 5])
+def test_an_exactly_count_at_or_above_an_explicit_cutoff_is_rejected(cutoff):
+    message = f"cutoff {cutoff} is not above an exactly herald's count"
+    with pytest.raises(ValueError, match=message):
+        compile_circuit(parse(_fig1_exactly(5)), cutoff=cutoff)
+    spec = parse("modes a b\ninput a vacuum\ninput b vacuum\nbs a b T=0.5\nout state a\n")
+    with pytest.raises(ValueError, match=message):
+        compile_circuit(spec, branches=[[HeraldStmt("b", "exactly", 5)]], cutoff=cutoff)
+    compile_circuit(spec, branches=[[HeraldStmt("b", "exactly", 5)]], cutoff=6)
+
+
+@pytest.mark.parametrize("inp", ["coherent 1.0 0.0", "thermal 1.0"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_an_exactly_herald_is_converged_at_its_sized_cutoff(inp, k):
+    plan = compile_circuit(parse(_fig1_exactly(k, inp)))
+    wider = replace(plan, cutoffs={**plan.cutoffs, "d": plan.cutoffs["d"] + 10})
+    (run, ref) = (execute_plan(p) for p in (plan, wider))
+    assert run.heralds[0].mode == "d"
+    assert run.heralds[0].probability == pytest.approx(ref.heralds[0].probability, rel=1e-7)
+    assert run.outputs[1] == pytest.approx(ref.outputs[1], rel=1e-7)  # fidelity of a to its input

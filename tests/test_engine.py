@@ -309,10 +309,32 @@ def test_element_with_repeated_mode_is_rejected():
         (ElementStmt("bs", ("a", "a"), 0.5),),
         (OutputStmt("probs"),),
     )
-    plan = compile_circuit(spec, **LOOSE)
-    for executor in (execute_plan, execute_plan_brute):
-        with pytest.raises(ValueError, match="modes must differ"):
-            executor(plan)
+    with pytest.raises(ValueError, match="modes must differ"):
+        compile_circuit(spec, **LOOSE)
+
+
+BS = ElementStmt("bs", ("a", "b"), 0.5)
+CLICK_B = HeraldStmt("b", "click", None, 1.0, True)
+
+
+@pytest.mark.parametrize("operations, outputs, message", [
+    ((ElementStmt("bs", ("a", "q"), 0.5),), (), "mode 'q' is not declared"),
+    ((BS, HeraldStmt("q", "click")), (), "mode 'q' is not declared"),
+    ((BS,), (OutputStmt("state", "q"),), "mode 'q' is not declared"),
+    ((BS, CLICK_B, BS), (OutputStmt("fidelity", "a"),), "mode 'b' was heralded and traced"),
+    ((BS, CLICK_B, CLICK_B), (), "mode 'b' was heralded and traced"),
+    ((BS, CLICK_B), (OutputStmt("fidelity", "b"),), "mode 'b' was heralded and traced"),
+])
+def test_compile_rejects_a_statement_on_an_undeclared_or_traced_mode(operations, outputs, message):
+    # specs built in code get the parser's mode rules from the compiler, for both executors
+    spec = CircuitSpec(
+        ("a", "b"),
+        (InputStmt("a", "coherent", (1.0, 0.0)), InputStmt("b", "vacuum", ())),
+        operations,
+        (OutputStmt("probs"),) + outputs,
+    )
+    with pytest.raises(ValueError, match=message):
+        compile_circuit(spec, **LOOSE)
 
 
 def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
