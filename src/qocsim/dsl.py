@@ -692,9 +692,10 @@ def compile_circuit(
     """Size a validated spec, and the herald sequences that fork from it, for execution.
 
     The parser's mode rules are checked here for every spec, so that a spec
-    built in code obeys them too: each element, herald and output names only
-    declared modes, none that an earlier herald traced, and no mode twice
-    (``ValueError`` otherwise).  The executors rely on these rules.
+    built in code obeys them too: each declared mode has one input, each
+    input, element, herald and output names only declared modes, none that an
+    earlier herald traced, and no mode twice (``ValueError`` otherwise).  The
+    executors rely on these rules.
 
     The plan is the spec plus each mode's cutoff, the ``branches`` and each
     mode's charge sign (:func:`_charge_signs`), with which the staged executor
@@ -729,7 +730,10 @@ def compile_circuit(
     branches = tuple(map(tuple, branches))
     touched: set[str] = set()
     heralded: set[str] = set()
-    for stmt in (*spec.operations, *(out for out in spec.outputs if out.mode is not None)):
+    for m in spec.modes:
+        if (count := [i.mode for i in spec.inputs].count(m)) != 1:
+            raise ValueError(f"mode {m!r} " + ("already has an input" if count else "has no input statement"))
+    for stmt in (*spec.inputs, *spec.operations, *(out for out in spec.outputs if out.mode is not None)):
         named = stmt.modes if isinstance(stmt, ElementStmt) else (stmt.mode,)
         for m in named:
             if m not in spec.modes:

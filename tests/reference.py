@@ -3,9 +3,9 @@
 None of these is on a product path, so they live with the tests: dense
 operator algebra on a uniform cutoff, heralded conditioning of a state, the
 pattern probabilities and density matrix of an ensemble, closed-form Wigner
-values of Gaussian states and single-point Wigner evaluation.  Each is written
-directly from its definition and serves as an oracle; ``output_value`` and
-``normalized_branch`` are lookup helpers.
+values of Gaussian states and pointwise Wigner evaluation by the Laguerre
+series.  Each is written directly from its definition and serves as an
+oracle; ``output_value`` and ``normalized_branch`` are lookup helpers.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from qocsim.core import (
     UnknownModeError,
     annihilation_matrix,
     apply,
+    to_mixed,
 )
 from qocsim.measurement import ZeroProbabilityError, povm_diagonal
-from qocsim.phasespace import _geometry, _normalized_rho, _wigner_values
 
 ZERO_PROBABILITY_FLOOR = 1e-300
 
@@ -189,15 +189,51 @@ def gaussian_wigner_oracle(kind: str, params, beta: complex) -> float:
     raise ValueError(f"unknown Gaussian kind {kind!r}")
 
 
+def _unit_trace_rho(state: State) -> np.ndarray:
+    """The single-mode density matrix divided by its trace."""
+    if len(state.modes) != 1:
+        raise DimensionMismatchError("Wigner evaluation requires a single-mode state")
+    rho = to_mixed(state).matrix
+    weight = float(np.real(np.trace(rho)))
+    if weight <= 0:
+        raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
+    return rho / weight
+
+
 def parity_expectation(state: State) -> float:
     """⟨Π⟩ from photon-number populations of the state normalized to unit trace."""
-    pops = np.real(np.diag(_normalized_rho(state)))
+    pops = np.real(np.diag(_unit_trace_rho(state)))
     return float(np.sum((-1.0) ** np.arange(pops.size) * pops))
 
 
-def wigner_point(state: State, beta: complex) -> float:
-    """W at one phase-space point of the state normalized to unit trace (the grid kernel on one β)."""
-    return float(_wigner_values(_normalized_rho(state), _geometry(np.array([complex(beta)])))[0])
+def wigner_point(state: State, beta):
+    """W at the phase-space point(s) β of the state normalized to unit trace.
+
+    The Laguerre expansion of Cahill & Glauber, Phys. Rev. 177, 1882 (1969),
+    summed at every β on its own: W = (2/π)·e^{−2|β|²}·Re Σ_L (2β)^L/√(L!)·c_L(4|β|²),
+    with c_L(x) = Σ_m ρ'_{m,m+L}·f_m(x) over the L-th upper diagonal of ρ'
+    (ρ with its off-diagonals doubled) and f_m = (−1)ᵐ·√(m!·L!/(m+L)!)·L_m^(L)
+    the normalized generalized Laguerre functions, each c_L by Clenshaw's
+    recurrence and the sum over L by Horner's rule.  A scalar β gives a float,
+    an array of them an array of W.
+    """
+    rho = _unit_trace_rho(state)
+    betas = np.asarray(beta, dtype=np.complex128)
+    x = 4.0 * np.abs(betas) ** 2
+    rho2 = 2.0 * rho - np.diag(np.diag(rho))
+    total = np.zeros(betas.shape, dtype=np.complex128)
+    for L in range(rho.shape[0] - 1, -1, -1):
+        c = np.diag(rho2, L)
+        y0, y1 = c[-1], 0.0
+        for k in range(c.size - 1, 0, -1):
+            y0, y1 = (
+                c[k - 1] - y1 * np.sqrt(k * (k + L) / ((k + 1) * (k + L + 1))),
+                y0 - y1 * (2 * k + L + 1 - x) / np.sqrt((k + 1) * (k + L + 1)),
+            )
+        c_L = y0 - y1 * (L + 1 - x) / np.sqrt(L + 1)
+        total = c_L + total * (2.0 * betas / np.sqrt(L + 1))
+    values = (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

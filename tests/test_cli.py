@@ -17,6 +17,8 @@ from qocsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from qocsim.core import Cutoff, PureState, to_mixed
 from qocsim.elements import coherent_state
 from qocsim.phasespace import GridSpec, wigner
+from qocsim.scheme import SchemeParams, branch_wigner, run_interferometer
+from reference import gaussian_wigner_oracle
 
 FIG1_QOC = Path(qocsim.__file__).parent / "circuits" / "fig1.qoc"
 
@@ -171,17 +173,36 @@ def test_leak_failure_at_pinned_cutoff_exits_2(tmp_path):
         ("run", "fig1", "--alpha", "25"),
         ("sweep", "--alpha", "25"),
         ("verify-commutation", "--alphas", "25"),
-        ("wigner", "--grid", "-1e20:1e20:5"),
+        ("wigner", "--grid", "-1.7e308:1.7e308:5"),
     ],
     ids=["verify-leak", "run-ceiling", "sweep-ceiling", "verify-ceiling", "wigner-overflow"],
 )
 def test_numerical_failures_exit_2_without_a_traceback(tmp_path, args):
     # a leak at a pinned cutoff, no adaptive cutoff up to the policy's ceiling,
-    # or a finite grid so wide that W overflows
+    # or finite grid bounds whose spacing overflows
     res = _run(*args, "--out", str(tmp_path))
     assert res.exit_code == EXIT_NUMERICAL, res.output
     assert isinstance(res.exception, SystemExit)
     assert "numerical failure:" in res.output
+
+
+def test_a_far_grid_exits_0_with_the_gaussian_tails(tmp_path):
+    # every point but the centre lies 5e19 or more from the origin, where the
+    # coherent oracle (and every branch) is exactly 0; the centre is the
+    # branch's W(0), as a grid near the origin has it up to rounding
+    res = _run("wigner", "--grid", "-1e20:1e20:5", "--out", str(tmp_path))
+    assert res.exit_code == EXIT_OK, res.output
+    near = run_interferometer(SchemeParams())
+    for which in ("pd1", "pd2"):
+        doc = json.loads((tmp_path / f"wigner_{which}.json").read_text())
+        assert doc["re_axis"] == doc["im_axis"] == [-1e20, -5e19, 0.0, 5e19, 1e20]
+        centre = branch_wigner(near, which, GridSpec.square(-1.0, 1.0, 3)).values[1, 1]
+        for y, row in zip(doc["im_axis"], doc["values"]):
+            for x, w in zip(doc["re_axis"], row):
+                if x == y == 0.0:
+                    assert abs(w - centre) <= 5e-15
+                else:
+                    assert w == gaussian_wigner_oracle("coherent", 1.0, complex(x, y)) == 0.0
 
 
 def _circuit(tmp_path, old: str, new: str) -> str:

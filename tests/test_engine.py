@@ -337,6 +337,25 @@ def test_compile_rejects_a_statement_on_an_undeclared_or_traced_mode(operations,
         compile_circuit(spec, **LOOSE)
 
 
+A_COHERENT, B_VACUUM = InputStmt("a", "coherent", (1.0, 0.0)), InputStmt("b", "vacuum", ())
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ((A_COHERENT,), "mode 'b' has no input statement"),
+    ((A_COHERENT, B_VACUUM, InputStmt("b", "thermal", (1.0,))), "mode 'b' already has an input"),
+    ((A_COHERENT, B_VACUUM, InputStmt("q", "vacuum", ())), "mode 'q' is not declared"),
+], ids=["missing-input", "duplicate-input", "undeclared-input"])
+@pytest.mark.parametrize("executor", [execute_plan, execute_plan_brute], ids=["staged", "brute"])
+def test_compile_gives_every_declared_mode_one_input(inputs, message, executor):
+    # a spec built in code gets the parser's input rules from the compiler, so
+    # neither executor meets it: a missing input raised a bare KeyError in the
+    # staged one, a duplicate ran there against a ValueError in the brute one,
+    # and an undeclared one was ignored by both
+    spec = CircuitSpec(("a", "b"), inputs, (BS,), (OutputStmt("probs"), OutputStmt("fidelity", "a")))
+    with pytest.raises(ValueError, match=message):
+        executor(compile_circuit(spec, **LOOSE))
+
+
 def test_unitary_cache_holds_one_run_and_rebuilds_nothing():
     params = SchemeParams(alpha=1.2, transmittivity=0.9, coupling=0.2)
     element_sectors.cache_clear()

@@ -25,24 +25,35 @@ from reference import gaussian_wigner_oracle, parity_expectation, wigner_point
 TWO_OVER_PI = 2.0 / math.pi
 
 
+def _at(state, beta: complex, grid_spec: GridSpec) -> float:
+    """The value of ``wigner(state, grid_spec)`` at the grid point β."""
+    grid = wigner(state, grid_spec)
+    i, j = np.flatnonzero(grid.im_axis == beta.imag), np.flatnonzero(grid.re_axis == beta.real)
+    assert i.size == j.size == 1, f"{beta} is not a point of {grid_spec}"
+    return float(grid.values[i[0], j[0]])
+
+
+AROUND_ORIGIN = GridSpec.square(-1.0, 1.0, 3)  # holds 0 and 1
+
+
 def test_vacuum_wigner_at_origin():
     state = vacuum(Cutoff(12))
-    assert wigner_point(state, 0.0) == pytest.approx(TWO_OVER_PI, abs=1e-9)
+    assert _at(state, 0j, AROUND_ORIGIN) == pytest.approx(TWO_OVER_PI, abs=1e-9)
 
 
 def test_coherent_wigner_peak():
     state = coherent_state(1.0, Cutoff(25))
-    assert wigner_point(state, 1.0) == pytest.approx(TWO_OVER_PI, abs=1e-9)
+    assert _at(state, 1 + 0j, AROUND_ORIGIN) == pytest.approx(TWO_OVER_PI, abs=1e-9)
 
 
 def test_thermal_wigner_at_origin():
     state = thermal_state(1.0, Cutoff(30))
-    assert wigner_point(state, 0.0) == pytest.approx(TWO_OVER_PI / 3.0, abs=1e-9)
+    assert _at(state, 0j, AROUND_ORIGIN) == pytest.approx(TWO_OVER_PI / 3.0, abs=1e-9)
 
 
 def test_fock_one_wigner_at_origin():
     state = fock_state(1, Cutoff(12))
-    assert wigner_point(state, 0.0) == pytest.approx(-TWO_OVER_PI, abs=1e-9)
+    assert _at(state, 0j, AROUND_ORIGIN) == pytest.approx(-TWO_OVER_PI, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -60,21 +71,31 @@ def test_gaussian_oracle_values(kind, params, expected):
 def test_wigner_matches_gaussian_oracle_on_disk():
     d = 30
     cut = Cutoff(d)
-    pts = [
-        complex(x, y)
-        for x in np.linspace(-3, 3, 9)
-        for y in np.linspace(-3, 3, 9)
-        if abs(complex(x, y)) <= 3.0
-    ]
-    coh = coherent_state(1.0, cut)
-    ther = thermal_state(1.0, cut)
-    for beta in pts:
-        assert wigner_point(coh, beta) == pytest.approx(
-            gaussian_wigner_oracle("coherent", 1.0, beta), abs=1e-6
-        )
-        assert wigner_point(ther, beta) == pytest.approx(
-            gaussian_wigner_oracle("thermal", 1.0, beta), abs=1e-6
-        )
+    grid_spec = GridSpec.square(-3.0, 3.0, 9)
+    for kind, state in (("coherent", coherent_state(1.0, cut)), ("thermal", thermal_state(1.0, cut))):
+        grid = wigner(state, grid_spec)
+        for i, y in enumerate(grid.im_axis):
+            for j, x in enumerate(grid.re_axis):
+                beta = complex(x, y)
+                if abs(beta) <= 3.0:
+                    assert grid.values[i, j] == pytest.approx(
+                        gaussian_wigner_oracle(kind, 1.0, beta), abs=1e-6
+                    )
+
+
+@pytest.mark.parametrize("d", [480, 600])
+def test_far_point_whose_first_hermite_function_underflows(d):
+    # at β = 20, φ_0(2·Re β) = π^(-1/4)·e^(-800) underflows while the φ_k near
+    # k = 800 are O(0.1): a table without its binary exponent gives W = 0 here.
+    # At d = 480 the truncation of the coherent state moves W by 7.9e-6; at
+    # d = 600 the kernel's own rounding is left (1.8e-14), and a walk that
+    # builds each column by one ladder operator alone is 1.7e-4 off
+    grid = wigner(coherent_state(19.0, Cutoff(d)), GridSpec((19.5, 20.0, 2), (-0.5, 0.0, 2)))
+    tol = 1e-5 if d == 480 else 1e-12
+    for i, y in enumerate(grid.im_axis):
+        for j, x in enumerate(grid.re_axis):
+            want = gaussian_wigner_oracle("coherent", 19.0, complex(x, y))
+            assert abs(grid.values[i, j] - want) <= tol
 
 
 @pytest.mark.parametrize("d", [12, 40, 64])
@@ -102,58 +123,28 @@ def test_wigner_matches_displaced_parity_definition(d):
             shifted = disp @ padded @ disp.conj().T
             expected = TWO_OVER_PI * float(parity @ np.real(np.diag(shifted)))
             assert abs(grid.values[i, j] - expected) <= 1e-12
-            assert abs(wigner_point(state, beta) - grid.values[i, j]) <= 1e-15
+            assert abs(wigner_point(state, beta) - grid.values[i, j]) <= 5e-15
 
 
-def _pointwise_wigner_values(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """The Laguerre-series kernel with every Clenshaw recurrence run on every β.
-
-    A pointwise reference for the grid kernel, which runs each recurrence once
-    per distinct radius and gathers the sums back onto the grid.
-    """
-    d = rho.shape[0]
-    x = 4.0 * np.abs(betas) ** 2
-    rho2 = 2.0 * rho - np.diag(np.diag(rho))
-    total = np.zeros(betas.shape, dtype=np.complex128)
-    for L in range(d - 1, -1, -1):
-        c = np.diag(rho2, L)
-        y0, y1 = c[-1], 0.0
-        for k in range(c.size - 1, 0, -1):
-            y0, y1 = (
-                c[k - 1] - y1 * np.sqrt(k * (k + L) / ((k + 1) * (k + L + 1))),
-                y0 - y1 * (2 * k + L + 1 - x) / np.sqrt((k + 1) * (k + L + 1)),
-            )
-        c_L = y0 - y1 * (L + 1 - x) / np.sqrt(L + 1)
-        total = c_L + total * (2.0 * betas / np.sqrt(L + 1))
-    return (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
-
-
-# most radii of the default grid repeat (1,313 distinct among 6,561 points);
-# this off-centre, non-square grid repeats none
 OFF_CENTRE_GRID = GridSpec((-0.83, 2.41, 23), (0.37, 1.96, 17))
 
 
 @pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, OFF_CENTRE_GRID],
                          ids=["default-grid", "off-centre-grid"])
-@pytest.mark.parametrize("d", [2, 12, 40, "pd1-branch"])
+@pytest.mark.parametrize("d", [2, 12, 40, "pd1-branch", "thermal-branch"])
 def test_wigner_grid_matches_pointwise_kernel(d, grid_spec):
     if d == "pd1-branch":  # a heralded branch, unnormalized: its trace is ≈0.03
         state = run_interferometer(SchemeParams(alpha=1.0)).pd1_branch
         assert 0.0 < state.trace_tag < 0.1
+    elif d == "thermal-branch":  # Fock-diagonal: the sector columns in closed form
+        state = run_interferometer(SchemeParams(input_kind="thermal", nbar=1.0)).pd1_branch
     else:
         rng = np.random.default_rng(1000 + d)
         g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
         state = MixedState.create(("a",), Cutoff(d), g @ g.conj().T)
     grid = wigner(state, grid_spec)
-    rho = state.matrix / float(np.real(np.trace(state.matrix)))  # as wigner() normalizes
     betas = grid.re_axis[None, :] + 1j * grid.im_axis[:, None]
-    distinct = np.unique(4.0 * np.abs(betas) ** 2).size
-    assert (distinct < betas.size) == (grid_spec is DEFAULT_GRID)
-    assert np.max(np.abs(grid.values - _pointwise_wigner_values(rho, betas))) <= 1e-15
-    # a single point of the same state runs the same operations as its grid entry
-    rows, cols = betas.shape
-    for i, j in ((0, 0), (rows // 2, cols // 2), (rows - 1, cols // 3), (rows // 4, cols - 1)):
-        assert wigner_point(state, betas[i, j]) == grid.values[i, j]
+    assert np.max(np.abs(grid.values - wigner_point(state, betas))) <= 5e-15
 
 
 def _hex(grid) -> list[str]:
@@ -162,25 +153,30 @@ def _hex(grid) -> list[str]:
 
 @pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, OFF_CENTRE_GRID],
                          ids=["default-grid", "off-centre-grid"])
-def test_laguerre_sum_from_the_highest_nonzero_diagonal_changes_no_bit(grid_spec, monkeypatch):
-    # every diagonal above ρ's highest nonzero one adds exact zeros
+def test_sector_walk_within_the_highest_nonzero_diagonal_matches_the_full_walk(
+    grid_spec, monkeypatch
+):
+    # the sector columns outside ρ's band meet only zeros of ρ.  The band's
+    # edge column (or, for a Fock-diagonal ρ, the closed form) rounds
+    # differently from the full walk, which builds it from its outer
+    # neighbour: by less than one unit in the last place of 2/π (≤ 6.3e-17 here)
     branch = run_interferometer(SchemeParams(input_kind="thermal", nbar=1.0)).pd1_branch
     d = 8
     rho = np.diag(np.linspace(1.0, 0.2, d)).astype(np.complex128)
     rho[np.arange(d - 3), np.arange(3, d)] = 0.05 + 0.02j  # ρ_{n,n+3}
     rho += np.triu(rho, 1).conj().T
     banded = MixedState.create(("a",), Cutoff(d), rho)
-    for state, top in ((branch, 0), (banded, 3)):
-        assert phasespace._highest_diagonal(state.matrix) == top
-        skipped = wigner(state, grid_spec)
+    for state, band in ((branch, 0), (banded, 3)):
+        assert phasespace._bandwidth(state.matrix) == band
+        skipped = wigner(state, grid_spec).values
         with monkeypatch.context() as m:
-            m.setattr(phasespace, "_highest_diagonal", lambda rho: rho.shape[0] - 1)
-            full = wigner(state, grid_spec)
-        assert _hex(skipped) == _hex(full)
+            m.setattr(phasespace, "_bandwidth", lambda rho: rho.shape[0] - 1)
+            full = wigner(state, grid_spec).values
+        assert np.max(np.abs(skipped - full)) <= np.spacing(TWO_OVER_PI)
 
 
 def test_a_returned_grid_cannot_change_a_later_one():
-    # the grid geometry is computed once per GridSpec and shared
+    # the grid's axes and Hermite tables are computed once per GridSpec and shared
     state = coherent_state(0.8, Cutoff(10))
     spec = GridSpec((-1.0, 1.0, 5), (-0.5, 2.0, 4))
     first = wigner(state, spec)
@@ -207,17 +203,33 @@ def test_parity_expectation_rejects_a_zero_weight_state():
 
 
 def test_wigner_overflow_is_a_typed_error():
-    # finite but far out: the truncated series overflows to inf and nan, which
-    # WignerGrid rejects; numpy's overflow warnings are silenced, not printed
+    # bounds within the float range whose spacing is not: the axes and W are
+    # not finite, which WignerGrid rejects; numpy's warnings are silenced, not printed
     with warnings.catch_warnings(), pytest.raises(NonFiniteWignerError):
         warnings.simplefilter("error", RuntimeWarning)
-        wigner(coherent_state(1.0, Cutoff(12)), GridSpec.square(-1e20, 1e20, 5))
+        wigner(coherent_state(1.0, Cutoff(12)), GridSpec.square(-1.7e308, 1.7e308, 5))
+
+
+@pytest.mark.parametrize("kind", ["coherent", "thermal"])
+def test_a_far_grid_evaluates_to_the_gaussian_values(kind):
+    # every φ_k at 2e20 underflows to 0, so W is 0 off the centre and exact at it
+    state = (coherent_state if kind == "coherent" else thermal_state)(1.0, Cutoff(30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = wigner(state, GridSpec.square(-1e20, 1e20, 5))
+        # twice these abscissae overflows; W is 0 there all the same
+        assert not wigner(state, GridSpec((-1e308, -9e307, 2), (-1.0, 1.0, 3))).values.any()
+    for i, y in enumerate(grid.im_axis):
+        for j, x in enumerate(grid.re_axis):
+            want = gaussian_wigner_oracle(kind, 1.0, complex(x, y))
+            assert abs(grid.values[i, j] - want) <= 1e-15
+            assert (grid.values[i, j] == 0.0) == (x != 0.0 or y != 0.0)
 
 
 def test_parity_identity_at_origin():
     d = 20
     state = coherent_state(0.9, Cutoff(d))
-    w0 = wigner_point(state, 0.0)
+    w0 = _at(state, 0j, AROUND_ORIGIN)
     assert w0 == pytest.approx(TWO_OVER_PI * parity_expectation(state), abs=1e-10)
 
 
