@@ -12,15 +12,15 @@ An operator is a plain complex ndarray: :func:`apply` takes the matrix
 together with the modes it acts on, and the elementary matrices come back as
 arrays.  :func:`apply` and :func:`partial_trace` are plain numpy contractions
 (the brute-force oracle's algebra); :func:`apply_matrix` is the staged
-engine's kernel only, which takes a block-diagonal operator as one
-``(idx, blocks)`` stack and one dimension per mode, for its per-mode cutoffs.
+engine's kernel only, which takes a real block-diagonal operator as one
+``(idx, blocks)`` stack and one dimension per mode, for its per-mode cutoffs,
+and reaches the operator's digits through transposed views.
 Unnormalized states are first class: ``norm_tag`` / ``trace_tag`` record the
 carried weight, which downstream conditioning probabilities are ratios of.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,10 +94,10 @@ class PureState:
             )
         amps = amps.copy()
         amps.setflags(write=False)
-        return cls(modes, cutoff, amps, float(np.sum(np.abs(amps) ** 2)))
+        return cls(modes, cutoff, amps, float((np.abs(amps) ** 2).sum()))
 
     def __post_init__(self) -> None:
-        actual = float(np.sum(np.abs(self.amps) ** 2))
+        actual = float((np.abs(self.amps) ** 2).sum())
         if abs(actual - self.norm_tag) > NORM_TAG_TOL * max(1.0, actual):
             raise ValueError(f"norm_tag {self.norm_tag} != actual {actual}")
 
@@ -128,14 +128,14 @@ class MixedState:
             )
         matrix = matrix.copy()
         matrix.setflags(write=False)
-        return cls(modes, cutoff, matrix, float(np.real(np.trace(matrix))))
+        return cls(modes, cutoff, matrix, float(matrix.trace().real))
 
     def __post_init__(self) -> None:
-        tr = float(np.real(np.trace(self.matrix)))
+        tr = float(self.matrix.trace().real)
         scale = max(1.0, abs(tr))
         if abs(tr - self.trace_tag) > NORM_TAG_TOL * scale:
             raise ValueError(f"trace_tag {self.trace_tag} != actual {tr}")
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
         if herm > HERMITICITY_TOL * scale:
             raise ValueError(f"density matrix not Hermitian (deviation {herm})")
 
@@ -176,33 +176,34 @@ def apply_matrix(
     sectors: tuple[np.ndarray, np.ndarray],
     op_modes: Sequence[str],
 ) -> np.ndarray:
-    """Apply a block-diagonal operator on ``op_modes`` to the ket digits of a flat array.
+    """Apply a real block-diagonal operator on ``op_modes`` to the ket digits of a flat array.
 
     ``dims[i]`` is the number of levels kept on ``state_modes[i]``; the modes
-    may differ.  ``arr`` has shape ``(prod(dims),)`` or ``(prod(dims), X)``
-    with little-endian digits over ``state_modes``; trailing axes (e.g. the bra
-    side of a density matrix) ride along untouched.  The operator is given as
-    its equally sized sectors ``(idx, blocks)``: ``idx`` is an ``(n, L)`` int
-    array whose rows partition the basis indices of the operator space
-    (little-endian over ``op_modes``, each at its own dimension), and
-    ``blocks`` the ``(n, L, L)`` stack of the operator restricted to them, for
-    an element unitary the stack of its slots.  The op digits are brought to the
-    front and the operator is one stacked matrix product,
-    ``out[idx] = blocks @ x[idx]``.
+    may differ.  ``arr`` is complex128 of shape ``(prod(dims),)`` or
+    ``(prod(dims), X)`` with little-endian digits over ``state_modes``;
+    trailing axes (e.g. the bra side of a density matrix) ride along
+    untouched.  The operator is given as its equally sized sectors ``(idx,
+    blocks)``: ``idx`` is an ``(n, L)`` int array whose rows partition the
+    basis indices of the operator space (little-endian over ``op_modes``, each
+    at its own dimension), and ``blocks`` the real ``(n, L, L)`` stack of the
+    operator restricted to them, for an element unitary the stack of its
+    slots.  Each slot's rows are gathered through a transposed view of the
+    array with the op digits leading, multiplied as one stacked real product
+    on their interleaved (re, im) pairs, ``blocks @ x[idx]``, and written
+    through the same view of one fresh array.
     """
     M = len(state_modes)
-    k = len(op_modes)
-    trailing = arr.shape[1:]
-    # C order makes the first axis the slowest digit, so op_modes[-1] leads
-    pos = [state_modes.index(m) for m in reversed(op_modes)]
-    axes = [M - 1 - i for i in pos]
-    front = np.moveaxis(arr.reshape(tuple(reversed(dims)) + trailing), axes, range(k))
-    x = front.reshape(math.prod(dims[i] for i in pos), -1)
+    # C order makes the first axis the slowest digit: mode i is axis M-1-i
+    lead = [M - 1 - state_modes.index(m) for m in reversed(op_modes)]
+    axes = lead + [a for a in range(M + 1) if a not in lead]
+    shape = tuple(reversed(dims)) + (-1,)
     idx, blocks = sectors
-    out = np.empty(x.shape, dtype=np.complex128)
-    out[idx] = blocks @ x[idx]
-    out = np.moveaxis(out.reshape(front.shape), range(k), axes)
-    return out.reshape(arr.shape)
+    digits = np.unravel_index(idx, [dims[M - 1 - a] for a in lead])
+    x = arr.reshape(shape).transpose(axes)[digits]
+    y = blocks @ x.reshape(idx.shape + (-1,)).view(np.float64)
+    out = np.empty_like(arr)
+    out.reshape(shape).transpose(axes)[digits] = y.view(np.complex128).reshape(x.shape)
+    return out
 
 
 def apply(matrix: np.ndarray, modes: Iterable[str], state: State) -> State:

@@ -35,6 +35,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -373,6 +374,8 @@ def print_circuit(spec: CircuitSpec) -> str:
 # has not met the budget by then needs an explicit cutoff.
 _MAX_CUTOFF = 512
 _LEVELS = np.arange(_MAX_CUTOFF + 1)
+# the Laguerre recurrence's factors 2n + 1, n + 1 and n/(n + 1), one row per level
+_ODD, _NEXT, _FRAC = (c[:, None] for c in (2 * _LEVELS + 1, _LEVELS + 1, _LEVELS / (_LEVELS + 1)))
 _LOG2E = 1.0 / math.log(2.0)
 _EYE2 = np.eye(2)
 # A click on a squeezer's idler counts every photon number n >= 1 whose
@@ -381,25 +384,26 @@ _EYE2 = np.eye(2)
 _CLICK_FLOOR = 1e-3
 
 
-def _element_symplectic(op: ElementStmt, index: dict[str, int], size: int) -> np.ndarray:
-    """The element's map on the quadratures x = a + a†, p = −i(a − a†).
+@lru_cache(maxsize=16)
+def _element_symplectic(kind: str, value: float, i: int, j: int, size: int) -> np.ndarray:
+    """The read-only map of an element on quadratures i, i + 1 and j, j + 1 of ``size``.
 
-    Conventions as in :mod:`qocsim.elements`: the beam splitter sends
-    ⟨a1⟩ → t⟨a1⟩ − r⟨a2⟩ and ⟨a2⟩ → r⟨a1⟩ + t⟨a2⟩, the squeezer
-    ⟨a⟩ → μ⟨a⟩ − ν⟨d†⟩.
+    The quadratures are x = a + a†, p = −i(a − a†), and the conventions as in
+    :mod:`qocsim.elements`: the beam splitter sends ⟨a1⟩ → t⟨a1⟩ − r⟨a2⟩ and
+    ⟨a2⟩ → r⟨a1⟩ + t⟨a2⟩, the squeezer ⟨a⟩ → μ⟨a⟩ − ν⟨d†⟩.
     """
     s = np.eye(size)
-    i, j = (2 * index[m] for m in op.modes)
-    if op.kind == "bs":
-        t, r = math.sqrt(op.value), math.sqrt(1.0 - op.value)
+    if kind == "bs":
+        t, r = math.sqrt(value), math.sqrt(1.0 - value)
         for q in (0, 1):
             s[i + q, i + q] = s[j + q, j + q] = t
             s[i + q, j + q], s[j + q, i + q] = -r, r
     else:
-        mu, nu = math.cosh(op.value), math.sinh(op.value)
+        mu, nu = math.cosh(value), math.sinh(value)
         s[i, i] = s[i + 1, i + 1] = s[j, j] = s[j + 1, j + 1] = mu
         s[i, j] = s[j, i] = -nu
         s[i + 1, j + 1] = s[j + 1, i + 1] = nu
+    s.setflags(write=False)
     return s
 
 
@@ -483,8 +487,10 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple:
     mode is the weighted sum over its rows, held within budget × ``factor``.
     """
     index = {m: i for i, m in enumerate(spec.modes)}
-    cov = np.eye(2 * len(index))
-    mean = np.zeros(2 * len(index))
+    size = 2 * len(index)
+    # the Gaussian as one matrix, [[cov, mean], [meanᵀ, 1]] at first: an element's map,
+    # extended by 1, and a herald's Schur complement update both (the last row is unread)
+    state = np.eye(size + 1)
     vacuum = {inp.mode for inp in spec.inputs if inp.kind == "vacuum"}
     counts = {(0, 0): 0.0}  # (creations, annihilations) -> ln relative weight
     boost = 0.0
@@ -493,28 +499,26 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple:
     for inp in spec.inputs:
         i = 2 * index[inp.mode]
         if inp.kind == "coherent":
-            mean[i : i + 2] = 2.0 * inp.params[0], 2.0 * inp.params[1]
+            state[i : i + 2, size] = state[size, i : i + 2] = 2.0 * inp.params[0], 2.0 * inp.params[1]
         elif inp.kind == "thermal":
-            cov[i : i + 2, i : i + 2] *= 2.0 * inp.params[0] + 1.0
+            state[i : i + 2, i : i + 2] *= 2.0 * inp.params[0] + 1.0
         elif inp.kind == "fock":
             counts = {(c + int(inp.params[0]), a): w for (c, a), w in counts.items()}
-    covs, means, stages = [], [], []  # stages: (live modes, counts, ln boost)
+    states, stages = [], []  # stages: (live modes, counts, ln boost)
 
-    def record(live: tuple[str, ...], cov: np.ndarray, mean: np.ndarray, counts: dict) -> None:
-        covs.append(cov)
-        means.append(mean)
+    def record(live: tuple[str, ...], state: np.ndarray, counts: dict) -> None:
+        states.append(state)
         stages.append((live, counts, boost))
 
-    def condition(op: HeraldStmt, live: tuple[str, ...], cov: np.ndarray, mean: np.ndarray,
+    def condition(op: HeraldStmt, live: tuple[str, ...], state: np.ndarray,
                   counts: dict) -> tuple:
-        hb = slice(2 * index[op.mode], 2 * index[op.mode] + 2)
-        block, centre, e = cov[hb, hb], mean[hb], op.eta
+        h = 2 * index[op.mode]
+        cross, e = state[h : h + 2], op.eta  # the mode's rows: its block, its mean last
+        block = cross[:, h : h + 2]
         (p, r), (t, u) = block.tolist()
         p, r, t, u = e * p + 2.0 - e, e * r, e * t, e * u + 2.0 - e  # η·block + (1 − η) + 1
         f = e / (p * u - r * t)
-        gain = cov[:, hb] @ np.array([[u * f, -r * f], [-t * f, p * f]])
-        mean = mean - gain @ centre
-        cov = cov - gain @ cov[hb, :]
+        state = state - state[:, h : h + 2] @ np.array([[u * f, -r * f], [-t * f, p * f]]) @ cross
         create = last.get(op.mode) == "tmsq"
         # a stage's leak is a sum over its counts, so merged counts add
         new_counts: dict[tuple[int, int], float] = {}
@@ -525,21 +529,21 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple:
                 detected = {0: 0.0}
             elif create:
                 vb = e * block + (1.0 - e) * _EYE2
-                detected = _click_counts(vb, math.sqrt(e) * centre, max(0, c - a), floor)
+                detected = _click_counts(vb, math.sqrt(e) * cross[:, size], max(0, c - a), floor)
             else:
                 detected = {1: 0.0}
             for n, wn in detected.items():
                 key = (c + n, a) if create else (c, a + n)
                 new_counts[key] = w + wn if key not in new_counts else float(
                     np.logaddexp(new_counts[key], w + wn))
-        return tuple(m for m in live if m != op.mode), cov, mean, new_counts
+        return tuple(m for m in live if m != op.mode), state, new_counts
 
     live = spec.modes
-    record(live, cov, mean, counts)
+    record(live, state, counts)
     for op in spec.operations:
         if isinstance(op, ElementStmt):
-            s = _element_symplectic(op, index, cov.shape[0])
-            cov, mean = s @ cov @ s.T, s @ mean
+            s = _element_symplectic(op.kind, op.value, *(2 * index[m] for m in op.modes), size + 1)
+            state = s @ state @ s.T
             if op.kind == "tmsq":
                 boost += 2.0 * math.log(math.cosh(op.value))
             elif any(m in vacuum and m not in last for m in op.modes):
@@ -547,23 +551,26 @@ def _tail_model(spec: CircuitSpec, floor: float, branches: Branches) -> tuple:
             for m in op.modes:
                 last[m] = op.kind
         else:
-            live, cov, mean, counts = condition(op, live, cov, mean, counts)
-        record(live, cov, mean, counts)
+            live, state, counts = condition(op, live, state, counts)
+        record(live, state, counts)
     for tail in branches:
-        walk = (live, cov, mean, counts)
+        walk = (live, state, counts)
         for op in tail:
             walk = condition(op, *walk)
             record(*walk)
-    shape = (len(covs), len(index), 2)
-    blocks = np.einsum("siaib->siab", np.array(covs).reshape(shape + shape[1:]))
-    x, q = (v.tolist() for v in _displaced_thermal(blocks, np.array(means).reshape(shape)))
-    rows, starts, modes = [], [], []
+    stack = np.array(states)
+    shape = (len(states), len(index), 2)
+    blocks = np.einsum("siaib->siab", stack[:, :size, :size].reshape(shape + shape[1:]))
+    x, q = (v.tolist() for v in _displaced_thermal(blocks, stack[:, :size, size].reshape(shape)))
+    rows, starts, modes = [], [], []  # rows: six numbers each, one after another
     for xs, qs, (live, counts, g) in zip(x, q, stages):
-        starts += range(len(rows), len(rows) + len(live) * len(counts), len(counts))
+        n = len(rows) // 6
+        starts += range(n, n + len(live) * len(counts), len(counts))
         modes += live
-        rows += [(xs[index[m]], qs[index[m]], c + a, max(0, c - a), g, w)
-                 for m in live for (c, a), w in counts.items()]
-    return np.array(rows, dtype=float), starts, modes, factor
+        for m in live:
+            for (c, a), w in counts.items():
+                rows += (xs[index[m]], qs[index[m]], c + a, max(0, c - a), g, w)
+    return np.array(rows, dtype=float).reshape(-1, 6), starts, modes, factor
 
 
 class CutoffCeilingError(ValueError):
@@ -601,21 +608,22 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
         raise CutoffCeilingError()
     start = jm + km + (xm - math.log(limit)) / (1.0 - qm) if qm < 1.0 else _MAX_CUTOFF
     levels = min(_MAX_CUTOFF, max(2, math.ceil(start)))
-    j = j.astype(int)
+    power, scale, j = k - j, np.exp(w), j.astype(int)
     column, spare = np.arange(len(rows)), np.empty(len(rows))
     held_whole = (k == 0) & (g > 0.0)  # then j = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             top = _LEVELS[:levels, None]
             # P(n + 1) = a[n] P(n) − b[n] P(n − 1)
-            a, b = (q * (2 * top + 1) + (1 - q) * x) / (top + 1), top / (top + 1) * (q * q)
+            a = (q * _ODD[:levels] + (1 - q) * x) / _NEXT[:levels]
+            b = _FRAC[:levels] * (q * q)
             pmf = np.zeros((levels + 2, len(rows)))  # pmf[n] = P(n); the last row stays 0
             prev, cur = pmf[-1], pmf[0]
             cur[:] = np.ldexp(1.0, -(x * _LOG2E).astype(int))
             for am, bm, nxt in zip(a, b, pmf[1:-1]):
-                np.multiply(am, cur, out=nxt)
-                np.multiply(bm, prev, out=spare)
-                np.subtract(nxt, spare, out=nxt)
+                np.multiply(am, cur, nxt)
+                np.multiply(bm, prev, spare)
+                np.subtract(nxt, spare, nxt)
                 prev, cur = cur, nxt
             perm = np.maximum(top + 1 - _LEVELS[: int(jm) + 1], 0.0)
             perm[:, 0] = 1.0  # then perm.cumprod(axis=1)[n, j] = n!/(n − j)!
@@ -623,8 +631,8 @@ def _group_cutoffs(rows: np.ndarray, starts: list[int], limit: float) -> np.ndar
             weight = level.cumsum(axis=0)
             ratio = np.where(level > 0.0, pmf[1 : levels + 1] / level, 0.0)
             held = np.where(held_whole, np.where(ratio < 1.0, level / (1.0 - ratio), np.inf),
-                            level * top ** (k - j) * np.exp(np.minimum(g * top, 700.0)))
-            leak = np.where(weight > 0.0, held / weight, 1.0) * np.exp(w)
+                            level * top**power * np.exp(np.minimum(g * top, 700.0)))
+            leak = np.where(weight > 0.0, held / weight, 1.0) * scale
             passed = np.add.reduceat(leak, starts, axis=1)[1:] <= limit
             if passed.any(axis=0).all():
                 return passed.argmax(axis=0) + 2

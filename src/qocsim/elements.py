@@ -26,7 +26,7 @@ them), and the unitary is kept as its sectors (:func:`element_sectors`)
 instead of one exponential of the ``d1·d2``-square generator.  The chain
 lengths are L and 1…L−1 twice, so the chains pack into ``max(d1, d2)`` slots
 of L states: a chain of length l < L shares its slot with one of length
-L − l, uncoupled from it, and the unitary is one stack of L×L blocks.  Every
+L − l, uncoupled from it, and the unitary is one stack of real L×L blocks.  Every
 chain generator is real antisymmetric, so ``D = diag(iʲ)`` turns it into
 ``i·J`` with ``J`` real symmetric tridiagonal, and ``J`` is the element's one
 number (θ = arccos √T, or s) times a fixed matrix.  Its eigenvectors thus
@@ -84,11 +84,23 @@ def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState
     If every kept amplitude underflows (|α|² ≫ d), they are taken relative to
     the largest, so the state stays finite, its weight near the top level.
     """
-    d = cutoff.d
     alpha = complex(alpha)
-    n = np.arange(d)
+    amps, lost = _coherent_amplitudes(alpha, cutoff.d)
+    if lost > _DISCARDED_WARN:
+        norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
+        warnings.warn(
+            f"cutoff d={cutoff.d} discards {lost:.3g} of the coherent state's weight "
+            f"(|alpha|^2 = {norm2:.3g}); truncation may be inadequate",
+            stacklevel=2,
+        )
+    return PureState.create((mode,), cutoff, amps)
+
+
+def _coherent_amplitudes(alpha: complex, d: int) -> tuple[np.ndarray, float]:
+    """The amplitudes of :func:`coherent_state` on d levels, and the weight the truncation drops."""
     if alpha == 0:
-        return vacuum(cutoff, mode)
+        return np.eye(1, d, dtype=np.complex128)[0], 0.0
+    n = np.arange(d)
     # log-domain magnitudes to stay finite for large n
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
     shape = n * np.log(abs(alpha)) - 0.5 * log_fact
@@ -96,31 +108,30 @@ def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(shape - 0.5 * norm2) * phase
     kept = np.linalg.norm(amps)
-    if 1.0 - kept**2 > _DISCARDED_WARN:
-        warnings.warn(
-            f"cutoff d={d} discards {1.0 - kept**2:.3g} of the coherent state's weight "
-            f"(|alpha|^2 = {norm2:.3g}); truncation may be inadequate",
-            stacklevel=2,
-        )
+    lost = 1.0 - kept**2
     if kept == 0.0:
         amps = np.exp(shape - shape.max()) * phase
         kept = np.linalg.norm(amps)
-    amps /= kept
-    return PureState.create((mode,), cutoff, amps)
+    return amps / kept, lost
 
 
 def thermal_state(nbar: float, cutoff: Cutoff, mode: str = "a") -> MixedState:
     """Thermal state with P(n) = n̄ⁿ/(n̄+1)^{n+1}, renormalized over the truncation."""
+    p = _thermal_populations(nbar, cutoff.d)
+    return MixedState.create((mode,), cutoff, np.diag(p).astype(np.complex128))
+
+
+def _thermal_populations(nbar: float, d: int) -> np.ndarray:
+    """The diagonal of :func:`thermal_state` on d levels."""
     if nbar < 0:
         raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    d = cutoff.d
     if nbar == 0:
         p = np.zeros(d)
         p[0] = 1.0
     else:
         p = np.exp(np.arange(d) * np.log(nbar / (nbar + 1.0))) / (nbar + 1.0)
         p /= p.sum()
-    return MixedState.create((mode,), cutoff, np.diag(p).astype(np.complex128))
+    return p
 
 
 def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -219,15 +230,14 @@ def element_sectors(
     of a 40-digit ``mpmath.expm`` of each chain (9.9e-15 on the one whole
     70-state chain), against 3.2e-15 for a complex scaling-and-squaring
     ``expm``.
-    Every block is complex128, both arrays are read-only, and the pair is
+    Every block is real (float64), both arrays are read-only, and the pair is
     cached by value: the staged executor and the dense builders share it.
     """
     idx, v, lam = _chain_basis(kind, d1, d2)
     scale = float(np.arccos(np.sqrt(value))) if kind == "bs" else value
     w = (v * np.exp(1j * scale * lam)[:, None, :]) @ v.transpose(0, 2, 1)
     k = np.arange(idx.shape[1])
-    real = (np.array([1, 1j, -1, -1j])[(k[:, None] - k) % 4] * w).real  # i^(j−k)
-    blocks = real.astype(np.complex128)
+    blocks = (np.array([1, 1j, -1, -1j])[(k[:, None] - k) % 4] * w).real.copy()  # i^(j−k)
     blocks.setflags(write=False)
     return idx, blocks
 

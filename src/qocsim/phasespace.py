@@ -204,7 +204,7 @@ def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
 def _fock_populations(state: State) -> np.ndarray | None:
     """The normalized photon-number distribution of a Fock-diagonal state, else ``None``."""
     rho = to_mixed(state)
-    p = np.diagonal(rho.matrix)
+    p = rho.matrix.diagonal()
     if np.count_nonzero(rho.matrix) > np.count_nonzero(p):
         return None
     return p.real / rho.trace_tag
@@ -226,7 +226,7 @@ def fidelity(reference: State, state: State) -> float:
         p, q = _fock_populations(reference), _fock_populations(state)
         if p is None or q is None:
             return uhlmann_fidelity(reference, to_mixed(state))
-        val = float(np.sum(np.sqrt(p * q)) ** 2)
+        val = float(np.sqrt(p * q).sum() ** 2)
         return min(val, 1.0) if val <= 1.0 + 1e-9 else val
     ref = reference.amps / np.sqrt(reference.norm_tag)
     if isinstance(state, PureState):

@@ -25,8 +25,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import Cutoff, MixedState
 from .dsl import (
     CircuitSpec,
@@ -36,7 +34,7 @@ from .dsl import (
     OutputStmt,
     compile_circuit,
 )
-from .engine import Ensemble, execute_plan, input_state
+from .engine import execute_plan, input_state
 from . import measurement
 from .phasespace import (
     DEFAULT_GRID,
@@ -200,8 +198,8 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
     pd0_prob = res.heralds[0].probability
-    w_pd2 = float(np.prod([h.probability for h in heralds_pd2]))
-    w_pd1 = float(np.prod([h.probability for h in heralds_pd1]))
+    w_pd2 = math.prod(h.probability for h in heralds_pd2)
+    w_pd1 = math.prod(h.probability for h in heralds_pd1)
 
     post = res.final_state
     w = post.weight
@@ -215,8 +213,8 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     p_c = float(pops.sum(axis=0) @ click_c) / w
     p_bc = float(click_b @ pops @ click_c) / w
 
-    rho_pd2 = _scaled_branch(ens_pd2, w_pd2)
-    rho_pd1 = _scaled_branch(ens_pd1, w_pd1)
+    rho_pd2 = ens_pd2.reduced("a", w_pd2)
+    rho_pd1 = ens_pd1.reduced("a", w_pd1)
 
     cutoff = Cutoff(res.cutoffs["a"])
     input_ref = input_state(params.input_stmt(), cutoff)
@@ -243,12 +241,6 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
         fidelity_pd1_vs_input=fidelity(input_ref, rho_pd1),
         leak_max=res.leak_max,
     )
-
-
-def _scaled_branch(branch: Ensemble, weight: float) -> MixedState:
-    """The branch's state on mode a, rescaled to trace ``weight``."""
-    rho = branch.reduced("a")
-    return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag * weight)
 
 
 def branch_wigner(result: SchemeResult, which: str, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:

@@ -339,6 +339,19 @@ def test_run_paths_never_load_numpy_ma_or_scipy(tmp_path):
     assert {step: mods for step, mods in seen.items() if mods} == {}
 
 
+def test_a_loose_leak_budget_runs_fig1_without_a_truncation_warning(tmp_path):
+    # at --leak-budget 1e-3 the coherent input and the attenuated reference sit
+    # at d=9, which drops 1.1e-6 of their Poisson weight; the leak monitor
+    # judges that against the run's budget, so nothing reaches stderr
+    src = str(Path(qocsim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "qocsim.cli", "run", "fig1", "--leak-budget", "1e-3",
+                          "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stderr == ""
+    assert (tmp_path / "fig1_report.json").is_file()
+
+
 def test_sweep_output_is_byte_identical_across_runs(tmp_path):
     outputs = []
     for run in ("first", "second"):

@@ -124,10 +124,10 @@ def test_apply_matrix_sectors_equal_their_block_diagonal_matrix(d):
     c = Cutoff(d)
     rng = np.random.default_rng(d)
     # a random partition of the pair space into d pieces of d states, as one
-    # (idx, blocks) stack
+    # (idx, blocks) stack of real blocks, like an element's
     idx = rng.permutation(d * d).reshape(d, d)
-    blocks = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
-    dense = np.zeros((d * d, d * d), dtype=np.complex128)
+    blocks = rng.normal(size=(d, d, d))
+    dense = np.zeros((d * d, d * d))
     for row, block in zip(idx, blocks):
         dense[np.ix_(row, row)] = block
     modes = ("x", "y", "z")
@@ -169,8 +169,8 @@ def test_apply_matrix_with_mixed_mode_dimensions_equals_embedded_operator():
         # max(d1, d2) random slots of min(d1, d2) states, as an element's
         L = min(d1, d2)
         idx = rng.permutation(d1 * d2).reshape(-1, L)
-        blocks = rng.normal(size=(len(idx), L, L)) + 1j * rng.normal(size=(len(idx), L, L))
-        dense = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+        blocks = rng.normal(size=(len(idx), L, L))
+        dense = np.zeros((d1 * d2, d1 * d2))
         for row, block in zip(idx, blocks):
             dense[np.ix_(row, row)] = block
         full = _embedded(dense, op_modes, modes, dims)

@@ -291,7 +291,7 @@ def _check_layout(idx, blocks, d1, d2):
     """One stack of slots whose idx rows partition range(d1·d2), both arrays read-only."""
     n, L = idx.shape
     assert L <= min(d1, d2)
-    assert idx.dtype.kind == "i" and blocks.dtype == np.complex128
+    assert idx.dtype.kind == "i" and blocks.dtype == np.float64
     assert blocks.shape == (n, L, L)
     assert not idx.flags.writeable and not blocks.flags.writeable
     assert np.array_equal(np.sort(idx.ravel()), np.arange(d1 * d2))

@@ -142,6 +142,28 @@ def test_fig1_attaches_each_mode_right_before_its_first_use(monkeypatch):
     assert result.cutoffs == plan.cutoffs
 
 
+@pytest.mark.parametrize("params", [SchemeParams(alpha=1.0),
+                                    SchemeParams(input_kind="thermal", nbar=1.0)],
+                         ids=["coherent", "thermal-by-charge"])
+def test_fig1_run_checks_every_live_mode_after_each_of_its_13_stages(monkeypatch, params):
+    # the shared stages, then the pd2 and the pd1 branch's two heralds each
+    checked = []
+    check = engine._LeakMonitor.check
+
+    def recording(self, stage, populations):
+        checked.append((stage, "".join(populations)))
+        check(self, stage, populations)
+
+    monkeypatch.setattr(engine._LeakMonitor, "check", recording)
+    run_interferometer(params)
+    assert checked == [
+        ("prepare a", "a"), ("prepare b", "ab"), ("bs a/b", "ab"), ("prepare d", "abd"),
+        ("tmsq a/d", "abd"), ("herald d", "ab"), ("prepare c", "abc"), ("bs a/c", "abc"),
+        ("bs c/b", "abc"), ("herald b", "ac"), ("herald c", "a"), ("herald c", "ab"),
+        ("herald b", "a"),
+    ]
+
+
 def test_circuit_without_heralds_checks_no_herald_stage(monkeypatch):
     text = "modes a b\ninput a vacuum\ninput b vacuum\nbs a b T=0.5\nout probs\n"
     result, stages = _run_recording_stages(monkeypatch, compile_circuit(parse(text)))
@@ -387,7 +409,7 @@ def _rebuilt(sectors, d1, d2):
     n, L = idx.shape
     assert L <= min(d1, d2)
     assert np.array_equal(np.sort(idx.ravel()), np.arange(d1 * d2))
-    assert blocks.shape == (n, L, L) and blocks.dtype == np.complex128
+    assert blocks.shape == (n, L, L) and blocks.dtype == np.float64
     assert not idx.flags.writeable and not blocks.flags.writeable
     out = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
     for row, block in zip(idx, blocks):

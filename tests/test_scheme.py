@@ -24,6 +24,7 @@ from reference import normalized_branch, output_value, pattern_probability
 
 TOL = 1e-12
 POLICY_TABLE = Path(__file__).parent / "data" / "policy_cutoffs.json"
+OUTPUT_TABLE = Path(__file__).parent / "data" / "scheme_outputs.json"
 
 
 def _predicted(params: SchemeParams) -> dict[str, int]:
@@ -440,6 +441,19 @@ def test_policy_reproduces_the_pinned_cutoffs():
         prefix = build_fig1_circuit(params, "none")
         plan = _compiled(params, prefix, _tails(params))
         assert plan.cutoffs == entry["cutoffs"] and plan.may_double, (n, params)
+
+
+def test_run_reproduces_the_pinned_outputs():
+    # every numeric SchemeResult field at 16 pool points of each benchmark
+    # workload, written before the staged kernels moved to transposed views
+    # and real blocks; only the evaluation changed, so no output may drift
+    doc = json.loads(OUTPUT_TABLE.read_text())
+    assert len(doc["points"]) == 3 * 16
+    for entry in doc["points"]:
+        res = run_interferometer(SchemeParams(**entry["params"]))
+        for f in doc["fields"]:
+            want = entry["outputs"][f]
+            assert abs(getattr(res, f) - want) <= TOL * abs(want), (entry["params"], f)
 
 
 @pytest.mark.parametrize("params, eta", [
