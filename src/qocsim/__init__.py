@@ -12,8 +12,6 @@ The package is organized as:
 * :mod:`qocsim.cli` — the ``qocsim`` command-line tool
 """
 
-from importlib import resources
-
 from .core import (
     Cutoff,
     MixedState,
@@ -24,10 +22,9 @@ from .core import (
     tensor,
     truncated_commutator,
 )
-from .dsl import CircuitSpec, compile_circuit, parse, print_circuit
+from .dsl import CircuitSpec, compile_circuit, parse
 from .elements import (
     beam_splitter_unitary,
-    coherent_state,
     fock_state,
     thermal_state,
     two_mode_squeezer_unitary,
@@ -47,13 +44,7 @@ from .scheme import (
     SchemeResult,
     build_fig1_circuit,
     commutation_report,
-    efficiency_degradation,
     run_interferometer,
 )
 
 __version__ = "0.1.0"
-
-
-def builtin_circuit_text(name: str = "fig1") -> str:
-    """Canonical text of a circuit shipped with the package."""
-    return resources.files("qocsim").joinpath(f"circuits/{name}.qoc").read_text()

@@ -36,7 +36,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .core import Cutoff, MixedState, PureState, truncated_commutator
+from .core import Cutoff, MixedState, truncated_commutator
 from .dsl import CircuitParseError, CutoffCeilingError, compile_circuit, parse
 from .elements import _pair_ladders, beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan
@@ -79,8 +79,8 @@ def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = No
     under ``columns`` (default: the first row's keys; no CSV if ``rows`` is
     None), floats as their ``repr``.  A :class:`WignerGrid` is written as
     compact JSON ``{re_axis, im_axis, values}`` and as the rows ``(re, im, W)``,
-    ``re`` fastest; a state as JSON ``{modes, cutoff, kind, data: [[re, im],
-    ...]}``, a density matrix row-major.
+    ``re`` fastest; a state as JSON ``{modes, cutoff, kind: "mixed", data:
+    [[re, im], ...]}``, its density matrix row-major.
     """
     grid = isinstance(doc, WignerGrid)
     if grid:
@@ -89,11 +89,9 @@ def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = No
                 for re, w in zip(doc.re_axis.tolist(), row)]
         doc = {"re_axis": doc.re_axis.tolist(), "im_axis": doc.im_axis.tolist(),
                "values": doc.values.tolist()}
-    elif isinstance(doc, (PureState, MixedState)):
-        pure = isinstance(doc, PureState)
-        flat = (doc.amps if pure else doc.matrix.ravel()).tolist()
-        doc = {"modes": list(doc.modes), "cutoff": doc.cutoff.d,
-               "kind": "pure" if pure else "mixed", "data": [[z.real, z.imag] for z in flat]}
+    elif isinstance(doc, MixedState):
+        doc = {"modes": list(doc.modes), "cutoff": doc.cutoff.d, "kind": "mixed",
+               "data": [[z.real, z.imag] for z in doc.matrix.ravel().tolist()]}
     if fmt in ("json", "both"):
         text = json.dumps(doc) if grid else json.dumps(doc, indent=2, sort_keys=True) + "\n"
         (out_dir / f"{name}.json").write_text(text)

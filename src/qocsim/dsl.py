@@ -15,9 +15,8 @@ Grammar (one statement per line, ``#`` starts a comment)::
 Every declared mode needs exactly one input statement, and an output kind
 may be requested once per mode (once in all, for ``probs``).  Heralds are
 destructive: each herald also traces its mode out, and a heralded
-mode may not be referenced afterwards.  Elements and
-heralds execute in file order.  The canonical printer orders statements as
-modes / inputs / operations / outputs; ``parse(print_circuit(spec)) == spec``.
+mode may not be referenced afterwards.  Elements and heralds execute in file
+order.
 
 The compiler (:func:`compile_circuit`) sizes each mode's Fock cutoff from the
 spec alone: unless one is given explicitly for every mode, it is the smallest
@@ -48,7 +47,6 @@ __all__ = [
     "ParseIssue",
     "CircuitParseError",
     "parse",
-    "print_circuit",
     "CutoffCeilingError",
     "ExecutionPlan",
     "compile_circuit",
@@ -334,36 +332,6 @@ def parse(text: str) -> CircuitSpec:
     if issues:
         raise CircuitParseError(issues)
     return CircuitSpec(modes, tuple(inputs[m] for m in modes), tuple(operations), tuple(outputs))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def print_circuit(spec: CircuitSpec) -> str:
-    """Canonical text form; comments are not preserved."""
-    lines = ["modes " + " ".join(spec.modes)]
-    for inp in spec.inputs:
-        params = (str(int(p)) if inp.kind == "fock" else _fmt(p) for p in inp.params)
-        lines.append(" ".join(["input", inp.mode, inp.kind, *params]))
-    for op in spec.operations:
-        if isinstance(op, ElementStmt):
-            pname = "T" if op.kind == "bs" else "s"
-            lines.append(f"{op.kind} {op.modes[0]} {op.modes[1]} {pname}={_fmt(op.value)}")
-        else:
-            parts = [f"herald {op.mode} {op.requirement}"]
-            if op.requirement == "exactly":
-                parts.append(str(op.count))
-            if op.eta != 1.0:
-                parts.append(f"eta={_fmt(op.eta)}")
-            if op.onoff:
-                parts.append("onoff")
-            lines.append(" ".join(parts))
-    for out in spec.outputs:
-        grid = out.grid and f"{_fmt(out.grid[0])}:{_fmt(out.grid[1])}:{out.grid[2]}"
-        tail = grid or ("input" if out.kind == "fidelity" else None)
-        lines.append(" ".join(w for w in ("out", out.kind, out.mode, tail) if w))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ total photon number) is accurate away from a band at the top.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -54,15 +53,11 @@ from .core import Cutoff, MixedState, PureState, annihilation_matrix
 __all__ = [
     "fock_state",
     "vacuum",
-    "coherent_state",
     "thermal_state",
     "beam_splitter_unitary",
     "two_mode_squeezer_unitary",
     "element_sectors",
 ]
-
-# Poisson weight a coherent state may lose to the cutoff without a warning.
-_DISCARDED_WARN = 1e-6
 
 
 def fock_state(n: int, cutoff: Cutoff, mode: str = "a") -> PureState:
@@ -77,27 +72,12 @@ def vacuum(cutoff: Cutoff, mode: str = "a") -> PureState:
     return fock_state(0, cutoff, mode)
 
 
-def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState:
-    """|α⟩ with C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized over the truncation.
+def _coherent_amplitudes(alpha: complex, d: int) -> tuple[np.ndarray, float]:
+    """|α⟩ on d levels as C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized, and the weight it drops.
 
-    Warns when the truncation discards more than 1e-6 of the Poisson weight.
     If every kept amplitude underflows (|α|² ≫ d), they are taken relative to
     the largest, so the state stays finite, its weight near the top level.
     """
-    alpha = complex(alpha)
-    amps, lost = _coherent_amplitudes(alpha, cutoff.d)
-    if lost > _DISCARDED_WARN:
-        norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
-        warnings.warn(
-            f"cutoff d={cutoff.d} discards {lost:.3g} of the coherent state's weight "
-            f"(|alpha|^2 = {norm2:.3g}); truncation may be inadequate",
-            stacklevel=2,
-        )
-    return PureState.create((mode,), cutoff, amps)
-
-
-def _coherent_amplitudes(alpha: complex, d: int) -> tuple[np.ndarray, float]:
-    """The amplitudes of :func:`coherent_state` on d levels, and the weight the truncation drops."""
     if alpha == 0:
         return np.eye(1, d, dtype=np.complex128)[0], 0.0
     n = np.arange(d)

@@ -254,8 +254,8 @@ class ExecutionResult:
 
 
 def input_state(stmt: InputStmt, cutoff: Cutoff) -> State:
-    """The state an input statement declares, at ``cutoff`` levels; a coherent one without
-    ``coherent_state``'s 1e-6 warning, as the leak monitor judges it by the run's budget."""
+    """The state an input statement declares, at ``cutoff`` levels; a coherent one with no
+    truncation warning, as the leak monitor judges its truncation by the run's budget."""
     if stmt.kind == "coherent":
         amps, _ = _coherent_amplitudes(complex(stmt.params[0], stmt.params[1]), cutoff.d)
         return PureState.create((stmt.mode,), cutoff, amps)

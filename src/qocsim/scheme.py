@@ -51,7 +51,6 @@ __all__ = [
     "build_fig1_circuit",
     "run_interferometer",
     "commutation_report",
-    "efficiency_degradation",
     "branch_wigner",
 ]
 
@@ -174,6 +173,8 @@ class SchemeResult:
     p_bc_given_b: float
     p_bc_given_c: float
     fidelity_pd2_vs_input: float | None
+    # vs |√T·α⟩ (one tap) for a coherent input, thermal n̄T² (both taps) for a
+    # thermal one, |n⟩ itself for a Fock one; the convention is still open
     fidelity_pd2_vs_attenuated: float | None
     fidelity_pd1_vs_input: float | None
     leak_max: float
@@ -190,6 +191,10 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     of the two branch circuits' predictions for it, and a circuit file for one
     branch, run at these cutoffs, reproduces its numbers to rounding.
     ``SchemeResult.cutoff`` is the largest of them, mode a's.
+    ``fidelity_pd2_vs_attenuated`` compares the PD2 branch with the input
+    attenuated by one tap if it is coherent (|√T·α⟩) but by both if it is
+    thermal (n̄T²), and with the input itself if it is a Fock state; which
+    attenuation both should use is not settled.
     """
     prefix = build_fig1_circuit(params, "none")
     tails = (_branch_heralds(params, "pd2"), _branch_heralds(params, "pd1"))
@@ -218,7 +223,6 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
 
     cutoff = Cutoff(res.cutoffs["a"])
     input_ref = input_state(params.input_stmt(), cutoff)
-    # the input after both taps: t·α for a coherent input, T²·n̄ for a thermal one
     attenuated = replace(params, alpha=params.t * params.alpha,
                          nbar=params.transmittivity**2 * params.nbar)
     atten_ref = input_state(attenuated.input_stmt(), cutoff)
@@ -272,32 +276,3 @@ def commutation_report(params: SchemeParams, alphas: list[float]) -> list[dict]:
             }
         )
     return rows
-
-
-@dataclass(frozen=True)
-class DegradationResult:
-    eta: float
-    fidelity_ideal: float
-    fidelity_degraded: float
-
-    @property
-    def delta(self) -> float:
-        return self.fidelity_ideal - self.fidelity_degraded
-
-
-def efficiency_degradation(params: SchemeParams, eta: float) -> DegradationResult:
-    """PD2-branch fidelity loss (vs the input) from inefficient PD1/PD2.
-
-    One execution: the PD2 heralds at efficiency 1 and at ``eta`` are two
-    branches of the same post-BS3 ensemble, sized together by the compiler.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
-    tails = tuple(
-        _branch_heralds(replace(params, eta_pd1=e, eta_pd2=e), "pd2") for e in (1.0, eta)
-    )
-    res = execute_plan(compile_circuit(build_fig1_circuit(params, "none"), branches=tails,
-                                       cutoff=params.cutoff, leak_budget=params.leak_budget))
-    reference = input_state(params.input_stmt(), Cutoff(res.cutoffs["a"]))
-    ideal, lossy = (fidelity(reference, ens.reduced("a")) for ens, _ in res.branches)
-    return DegradationResult(eta=eta, fidelity_ideal=ideal, fidelity_degraded=lossy)

@@ -1,15 +1,18 @@
 """Reference implementations the tests compare qocsim against.
 
 None of these is on a product path, so they live with the tests: dense
-operator algebra on a uniform cutoff, heralded conditioning of a state, the
-pattern probabilities and density matrix of an ensemble, closed-form Wigner
-values of Gaussian states and pointwise Wigner evaluation by the Laguerre
-series.  Each is written directly from its definition and serves as an
+operator algebra on a uniform cutoff, a coherent state that warns at a fixed
+truncation, heralded conditioning of a state, the pattern probabilities and
+density matrix of an ensemble, closed-form Wigner values of Gaussian states,
+pointwise Wigner evaluation by the Laguerre series and the canonical `.qoc`
+printer.  Each is written directly from its definition and serves as an
 oracle; ``output_value`` and ``normalized_branch`` are lookup helpers.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,6 +28,8 @@ from qocsim.core import (
     apply,
     to_mixed,
 )
+from qocsim.dsl import CircuitSpec, ElementStmt
+from qocsim.elements import _coherent_amplitudes
 from qocsim.measurement import ZeroProbabilityError, povm_diagonal
 
 ZERO_PROBABILITY_FLOOR = 1e-300
@@ -87,6 +92,32 @@ def inner_product(s1: PureState, s2: PureState) -> complex:
     if s1.modes != s2.modes or s1.cutoff != s2.cutoff:
         raise DimensionMismatchError("inner_product requires identical modes and cutoff")
     return complex(np.vdot(s1.amps, s2.amps))
+
+
+# ---------------------------------------------------------------------------
+# input states
+
+# Poisson weight a coherent state may lose to the cutoff without a warning.
+_DISCARDED_WARN = 1e-6
+
+
+def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState:
+    """|α⟩ with C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized over the truncation.
+
+    Warns when the truncation discards more than 1e-6 of the Poisson weight.
+    If every kept amplitude underflows (|α|² ≫ d), they are taken relative to
+    the largest, so the state stays finite, its weight near the top level.
+    """
+    alpha = complex(alpha)
+    amps, lost = _coherent_amplitudes(alpha, cutoff.d)
+    if lost > _DISCARDED_WARN:
+        norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
+        warnings.warn(
+            f"cutoff d={cutoff.d} discards {lost:.3g} of the coherent state's weight "
+            f"(|alpha|^2 = {norm2:.3g}); truncation may be inadequate",
+            stacklevel=2,
+        )
+    return PureState.create((mode,), cutoff, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +265,44 @@ def wigner_point(state: State, beta):
         total = c_L + total * (2.0 * betas / np.sqrt(L + 1))
     values = (2.0 / np.pi) * np.exp(-0.5 * x) * total.real
     return float(values) if values.ndim == 0 else values
+
+
+# ---------------------------------------------------------------------------
+# circuit text
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def print_circuit(spec: CircuitSpec) -> str:
+    """Canonical text form; comments are not preserved.
+
+    The statements are ordered as modes / inputs / operations / outputs, and
+    ``parse(print_circuit(spec)) == spec``.
+    """
+    lines = ["modes " + " ".join(spec.modes)]
+    for inp in spec.inputs:
+        params = (str(int(p)) if inp.kind == "fock" else _fmt(p) for p in inp.params)
+        lines.append(" ".join(["input", inp.mode, inp.kind, *params]))
+    for op in spec.operations:
+        if isinstance(op, ElementStmt):
+            pname = "T" if op.kind == "bs" else "s"
+            lines.append(f"{op.kind} {op.modes[0]} {op.modes[1]} {pname}={_fmt(op.value)}")
+        else:
+            parts = [f"herald {op.mode} {op.requirement}"]
+            if op.requirement == "exactly":
+                parts.append(str(op.count))
+            if op.eta != 1.0:
+                parts.append(f"eta={_fmt(op.eta)}")
+            if op.onoff:
+                parts.append("onoff")
+            lines.append(" ".join(parts))
+    for out in spec.outputs:
+        grid = out.grid and f"{_fmt(out.grid[0])}:{_fmt(out.grid[1])}:{out.grid[2]}"
+        tail = grid or ("input" if out.kind == "fidelity" else None)
+        lines.append(" ".join(w for w in ("out", out.kind, out.mode, tail) if w))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ import numpy as np
 import qocsim
 from qocsim import cli
 from qocsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from qocsim.core import Cutoff, PureState, to_mixed
-from qocsim.elements import coherent_state
+from qocsim.core import Cutoff, MixedState, PureState, to_mixed
 from qocsim.phasespace import GridSpec, wigner
 from qocsim.scheme import SchemeParams, branch_wigner, run_interferometer
-from reference import gaussian_wigner_oracle
+from reference import coherent_state, gaussian_wigner_oracle
 
 FIG1_QOC = Path(qocsim.__file__).parent / "circuits" / "fig1.qoc"
 
@@ -280,7 +279,7 @@ FRESH_RUN = """
 import json, sys
 import qocsim, qocsim.cli
 from qocsim.scheme import (SchemeParams, branch_wigner, build_fig1_circuit, commutation_report,
-                           efficiency_degradation, run_interferometer)
+                           run_interferometer)
 from qocsim.dsl import compile_circuit
 from qocsim.engine import execute_plan_brute
 from qocsim.phasespace import GridSpec
@@ -305,8 +304,6 @@ for name, params in [("coherent", SchemeParams(alpha=1.0)),
     seen["run_interferometer " + name] = loaded()
 branch_wigner(res, "pd1", GridSpec.square(-2.0, 2.0, 9))
 seen["branch_wigner"] = loaded()
-efficiency_degradation(SchemeParams(alpha=0.8), 0.7)
-seen["efficiency_degradation"] = loaded()
 commutation_report(SchemeParams(), [0.6])
 seen["commutation_report"] = loaded()
 spec = build_fig1_circuit(SchemeParams(alpha=0.5), "pd2")
@@ -322,6 +319,8 @@ cli("verify-commutation", "--alphas", "0.6")
 seen["cli verify-commutation"] = loaded()
 cli("sweep", "--alpha", "0.5,1")
 seen["cli sweep"] = loaded()
+cli("sweep", "--alpha", "0.5,1", "--eta", "0.6,1")
+seen["cli sweep --eta"] = loaded()
 print(json.dumps(seen))
 """
 
@@ -360,6 +359,20 @@ def test_sweep_output_is_byte_identical_across_runs(tmp_path):
         assert res.exit_code == EXIT_OK, res.output
         outputs.append((out / "sweep.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_over_eta_equals_one_run_per_detector_efficiency(tmp_path):
+    # the detector-imperfection assessment: each row holds, field for field,
+    # run_interferometer with PD1 and PD2 both at that efficiency
+    res = _run("sweep", "--alpha", "1", "--eta", "0.6,1", "--format", "json", "--out", str(tmp_path))
+    assert res.exit_code == EXIT_OK, res.output
+    rows = json.loads((tmp_path / "sweep.json").read_text())
+    assert len(rows) == 2
+    for row, eta in zip(rows, (0.6, 1.0)):
+        want = run_interferometer(SchemeParams(alpha=1.0, eta_pd1=eta, eta_pd2=eta))
+        assert (row["alpha_re"], row["eta_pd1"], row["eta_pd2"]) == (1.0, eta, eta)
+        for f in cli.RESULT_FIELDS:
+            assert row[f] == getattr(want, f), (eta, f)
 
 
 def test_a_failing_sweep_point_is_reported_and_the_others_still_run(tmp_path):
@@ -411,18 +424,19 @@ def test_grid_serialization_round_trip(tmp_path):
 
 
 def test_json_round_trip_pure_and_mixed(tmp_path):
-    # the CLI's state files, read back with json alone
+    # the CLI's state files, read back with json alone: every state is written
+    # as its density matrix, that of a pure state as of a mixed one
     c = Cutoff(3)
     rng = np.random.default_rng(13)
     vec = rng.normal(size=9) + 1j * rng.normal(size=9)
-    pure = PureState.create(("a", "b"), c, vec)
-    mixed = to_mixed(pure)
-    for state, kind, want in ((pure, "pure", pure.amps), (mixed, "mixed", mixed.matrix)):
-        cli._write(tmp_path, kind, "json", state)
-        doc = json.loads((tmp_path / f"{kind}.json").read_text())
-        assert doc["kind"] == kind and doc["modes"] == ["a", "b"] and doc["cutoff"] == 3
-        back = np.array([complex(re, im) for re, im in doc["data"]]).reshape(want.shape)
-        assert np.array_equal(back, want)
+    pure = to_mixed(PureState.create(("a", "b"), c, vec))
+    mixed = MixedState.create(("a", "b"), c, pure.matrix + np.diag(rng.uniform(size=9)))
+    for name, state in (("pure", pure), ("mixed", mixed)):
+        cli._write(tmp_path, name, "json", state)
+        doc = json.loads((tmp_path / f"{name}.json").read_text())
+        assert doc["kind"] == "mixed" and doc["modes"] == ["a", "b"] and doc["cutoff"] == 3
+        back = np.array([complex(re, im) for re, im in doc["data"]]).reshape(state.matrix.shape)
+        assert np.array_equal(back, state.matrix)
 
 
 @pytest.mark.parametrize("flag, commands", [

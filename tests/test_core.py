@@ -19,8 +19,9 @@ from qocsim.core import (
     to_mixed,
     truncated_commutator,
 )
-from qocsim.elements import coherent_state, fock_state, vacuum
-from reference import creation_matrix, embed, expectation, inner_product, number_matrix
+from qocsim.elements import fock_state, vacuum
+from reference import (coherent_state, creation_matrix, embed, expectation, inner_product,
+                       number_matrix)
 
 
 def test_cutoff_requires_at_least_two_levels():
@@ -228,7 +229,8 @@ def test_inner_product_equals_norm_tag():
 
 def test_partial_trace_vacuum_ancilla_is_identity_on_rest():
     c = Cutoff(4)
-    alpha = coherent_state(0.7, c, "a")
+    with pytest.warns(UserWarning, match="truncation may be inadequate"):
+        alpha = coherent_state(0.7, c, "a")
     joint = tensor(alpha, vacuum(c, "anc"))
     red = partial_trace(joint, ("a",))
     assert np.allclose(red.matrix, to_mixed(alpha).matrix, atol=1e-12)

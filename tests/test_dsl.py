@@ -18,9 +18,9 @@ from qocsim.dsl import (
     OutputStmt,
     compile_circuit,
     parse,
-    print_circuit,
 )
 from qocsim.engine import LeakBudgetError, execute_plan
+from reference import print_circuit
 
 PARSE_ISSUES = Path(__file__).parent / "data" / "parse_issues.json"
 

@@ -12,7 +12,6 @@ from qocsim.elements import (
     _chain_basis,
     _pair_ladders,
     beam_splitter_unitary,
-    coherent_state,
     element_sectors,
     fock_state,
     thermal_state,
@@ -21,7 +20,7 @@ from qocsim.elements import (
 )
 from qocsim.measurement import povm_element
 from qocsim.scheme import SchemeParams, run_interferometer
-from reference import condition, expectation, inner_product, number_matrix
+from reference import coherent_state, condition, expectation, inner_product, number_matrix
 
 
 def pair_index(n1, n2, d):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qocsim import core, engine
+from qocsim import core, engine, phasespace
 from qocsim.core import Cutoff, MixedState, apply_matrix, to_mixed
 from qocsim.dsl import (
     CircuitSpec,
@@ -310,6 +310,29 @@ def test_charge_collapse_matches_brute(name):
     assert np.max(np.abs(ensemble_to_mixed(staged).matrix - rb.final_state.matrix)) < 1e-10
     mb = output_value(rb, "state", "b").matrix
     assert np.max(np.abs(output_value(rs, "state", "b").matrix - mb)) < 1e-10
+
+
+def test_fidelity_of_a_branch_with_coherences_takes_the_uhlmann_route(monkeypatch):
+    # the coherent input on b leaves coherences on a, so a's fidelity with its
+    # thermal input cannot be read from the two populations
+    text = ("modes a b\ninput a thermal 1.0\ninput b coherent 0.8 0.0\nbs a b T=0.7\n"
+            "herald b click onoff\nout probs\nout fidelity a input\nout state a\n")
+    plan = compile_circuit(parse(text), cutoff=12, leak_budget=1.0)
+    calls = []
+    uhlmann = phasespace.uhlmann_fidelity
+
+    def counting(rho, sigma):
+        calls.append((rho.modes, sigma.modes))
+        return uhlmann(rho, sigma)
+
+    monkeypatch.setattr(phasespace, "uhlmann_fidelity", counting)
+    rs = execute_plan(plan)
+    assert calls == [(("a",), ("a",))]
+    rb = execute_plan_brute(plan)
+    fs, fb = output_value(rs, "fidelity", "a"), output_value(rb, "fidelity", "a")
+    assert 0.0 < fs < 1.0 and abs(fs - fb) <= 1e-10
+    ms, mb = (output_value(r, "state", "a").matrix for r in (rs, rb))
+    assert np.max(np.abs(ms - mb)) <= 1e-10
 
 
 @pytest.mark.parametrize("inp", ["coherent 0.8 0.0", "thermal 0.5"])

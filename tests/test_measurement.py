@@ -18,7 +18,6 @@ from qocsim.core import (
 )
 from qocsim.elements import (
     beam_splitter_unitary,
-    coherent_state,
     fock_state,
     thermal_state,
     two_mode_squeezer_unitary,
@@ -26,7 +25,7 @@ from qocsim.elements import (
 )
 from qocsim.measurement import ZeroProbabilityError, povm_diagonal, povm_element
 from qocsim.phasespace import fidelity
-from reference import condition
+from reference import coherent_state, condition
 
 
 def _outcomes(onoff: bool, d: int) -> list:
@@ -108,12 +107,14 @@ def test_povm_diagonal_is_the_element_diagonal_bit_for_bit(onoff, eta, d):
 
 def test_condition_vacuum_noclick_keeps_state():
     c = Cutoff(6)
-    joint = tensor(coherent_state(0.8, c, "a"), vacuum(c, "anc"))
+    with pytest.warns(UserWarning, match="truncation may be inadequate"):
+        alpha = coherent_state(0.8, c, "a")
+    joint = tensor(alpha, vacuum(c, "anc"))
     el = povm_element("noclick", None, 1.0, True, 6)
     branch, prob = condition(joint, "anc", el)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert isinstance(branch, PureState)
-    assert fidelity(coherent_state(0.8, c, "a"), branch) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(alpha, branch) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_condition_idler_heralds_single_photon():
@@ -153,7 +154,8 @@ def test_condition_zero_probability_raises():
 
 def test_condition_rejects_non_diagonal_element():
     c = Cutoff(4)
-    joint = tensor(coherent_state(0.5, c, "a"), coherent_state(0.3, c, "b"))
+    with pytest.warns(UserWarning, match="truncation may be inadequate"):
+        joint = tensor(coherent_state(0.5, c, "a"), coherent_state(0.3, c, "b"))
     plus = np.full((4, 4), 0.25, dtype=complex)  # |+⟩⟨+| over the 4 levels
     for state in (joint, to_mixed(joint)):
         with pytest.raises(ValueError, match="diagonal"):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from qocsim import phasespace
 from qocsim.core import Cutoff, MixedState, PureState, to_mixed
-from qocsim.elements import coherent_state, fock_state, thermal_state, vacuum
+from qocsim.elements import fock_state, thermal_state, vacuum
 from qocsim.phasespace import (
     DEFAULT_GRID,
     GridSpec,
@@ -20,7 +20,7 @@ from qocsim.phasespace import (
     wigner,
 )
 from qocsim.scheme import SchemeParams, run_interferometer
-from reference import gaussian_wigner_oracle, parity_expectation, wigner_point
+from reference import coherent_state, gaussian_wigner_oracle, parity_expectation, wigner_point
 
 TWO_OVER_PI = 2.0 / math.pi
 

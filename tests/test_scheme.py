@@ -2,12 +2,13 @@
 
 import json
 from dataclasses import fields, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qocsim import builtin_circuit_text, engine, measurement, scheme
+from qocsim import engine, measurement, scheme
 from qocsim.core import Cutoff, MixedState
 from qocsim.dsl import CutoffCeilingError, compile_circuit, parse
 from qocsim.engine import LeakBudgetError, execute_plan, input_state
@@ -253,7 +254,7 @@ def test_interferometer_executes_one_plan(monkeypatch):
 def test_fig1_circuit_file_agrees_with_run_interferometer():
     # both run at run_interferometer's per-mode cutoffs
     params = SchemeParams(alpha=1.0)
-    plan = compile_circuit(parse(builtin_circuit_text("fig1")))
+    plan = compile_circuit(parse(resources.files("qocsim").joinpath("circuits/fig1.qoc").read_text()))
     res = execute_plan(replace(plan, cutoffs=_predicted(params)))
     sch = run_interferometer(params)
     assert res.cutoff == sch.cutoff
@@ -321,7 +322,6 @@ def test_heralds_build_no_dense_povm_element(monkeypatch):
         for onoff in (False, True):
             res = run_interferometer(SchemeParams(**inp, **lossy, pd0_onoff=onoff))
             assert 0.0 < res.p_bc < min(res.p_b, res.p_c)
-    scheme.efficiency_degradation(SchemeParams(alpha=1.0), 0.7)
     params = SchemeParams(alpha=0.5, **lossy, cutoff=6)
     plan = _compiled(params, build_fig1_circuit(params))
     assert len(engine.execute_plan_brute(plan).heralds) == 3
@@ -454,35 +454,3 @@ def test_run_reproduces_the_pinned_outputs():
         for f in doc["fields"]:
             want = entry["outputs"][f]
             assert abs(getattr(res, f) - want) <= TOL * abs(want), (entry["params"], f)
-
-
-@pytest.mark.parametrize("params, eta", [
-    (SchemeParams(input_kind="thermal", nbar=1.0), 0.6),
-    (SchemeParams(alpha=1.0), 0.5),
-    (SchemeParams(alpha=0.7, pd0_onoff=True, eta_pd0=0.8, swap_bs3_sign=True), 0.8),
-    (SchemeParams(input_kind="fock", fock_n=2), 0.9),
-    (SchemeParams(alpha=1.0, cutoff=20), 0.5),
-], ids=["thermal", "coherent", "onoff-swapped", "fock", "explicit-cutoff"])
-def test_efficiency_degradation_is_one_execution_matching_two_runs(params, eta, monkeypatch):
-    calls = []
-
-    def counting(plan):
-        calls.append(plan)
-        return execute_plan(plan)
-
-    monkeypatch.setattr(scheme, "execute_plan", counting)
-    got = scheme.efficiency_degradation(params, eta)
-    assert len(calls) == 1
-    monkeypatch.undo()
-    ideal = run_interferometer(replace(params, eta_pd1=1.0, eta_pd2=1.0))
-    lossy = run_interferometer(replace(params, eta_pd1=eta, eta_pd2=eta))
-    # at an explicit cutoff the runs share every number; otherwise each sits
-    # within the leak budget of its own cutoffs at every stage
-    tol = TOL if params.cutoff is not None else (
-        LEAK_STAGES * params.leak_budget / min(ideal.pd2_weight, lossy.pd2_weight)
-    )
-    assert abs(got.fidelity_ideal - ideal.fidelity_pd2_vs_input) <= tol
-    assert abs(got.fidelity_degraded - lossy.fidelity_pd2_vs_input) <= tol
-    assert got.delta == got.fidelity_ideal - got.fidelity_degraded
-    with pytest.raises(ValueError):
-        scheme.efficiency_degradation(params, 0.0)
