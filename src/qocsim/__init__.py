@@ -1,9 +1,12 @@
 """qocsim: truncated Fock-space simulation of heralded add/subtract interferometry.
 
-The package is organized as:
+Every state is a plain complex ndarray, a ket or a density matrix, and its
+mode labels are kept beside it by whoever holds it: a circuit's output
+statement, a ``SchemeResult`` field or an executor's list of modes.  The
+package is organized as:
 
-* :mod:`qocsim.core` — states, and plain-array operators applied to named modes
-* :mod:`qocsim.elements` — input states and optical-element unitaries (ndarrays)
+* :mod:`qocsim.core` — plain-array operators applied to plain-array states over named modes
+* :mod:`qocsim.elements` — input amplitudes and optical-element unitaries (ndarrays)
 * :mod:`qocsim.measurement` — the diagonal POVM element of a herald, from its fields
 * :mod:`qocsim.phasespace` — Wigner grids and fidelities
 * :mod:`qocsim.dsl` — the `.qoc` circuit language, parser, and compiler
@@ -12,24 +15,9 @@ The package is organized as:
 * :mod:`qocsim.cli` — the ``qocsim`` command-line tool
 """
 
-from .core import (
-    Cutoff,
-    MixedState,
-    PureState,
-    annihilation_matrix,
-    apply,
-    partial_trace,
-    tensor,
-    truncated_commutator,
-)
+from .core import annihilation_matrix, apply, partial_trace, truncated_commutator
 from .dsl import CircuitSpec, compile_circuit, parse
-from .elements import (
-    beam_splitter_unitary,
-    fock_state,
-    thermal_state,
-    two_mode_squeezer_unitary,
-    vacuum,
-)
+from .elements import beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan, execute_plan_brute
 from .measurement import ZeroProbabilityError
 from .phasespace import (

@@ -36,7 +36,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .core import Cutoff, MixedState, truncated_commutator
+from .core import truncated_commutator
 from .dsl import CircuitParseError, CutoffCeilingError, compile_circuit, parse
 from .elements import _pair_ladders, beam_splitter_unitary, two_mode_squeezer_unitary
 from .engine import LeakBudgetError, execute_plan
@@ -79,8 +79,7 @@ def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = No
     under ``columns`` (default: the first row's keys; no CSV if ``rows`` is
     None), floats as their ``repr``.  A :class:`WignerGrid` is written as
     compact JSON ``{re_axis, im_axis, values}`` and as the rows ``(re, im, W)``,
-    ``re`` fastest; a state as JSON ``{modes, cutoff, kind: "mixed", data:
-    [[re, im], ...]}``, its density matrix row-major.
+    ``re`` fastest.
     """
     grid = isinstance(doc, WignerGrid)
     if grid:
@@ -89,9 +88,6 @@ def _write(out_dir: Path, name: str, fmt: str, doc, rows: list[dict] | None = No
                 for re, w in zip(doc.re_axis.tolist(), row)]
         doc = {"re_axis": doc.re_axis.tolist(), "im_axis": doc.im_axis.tolist(),
                "values": doc.values.tolist()}
-    elif isinstance(doc, MixedState):
-        doc = {"modes": list(doc.modes), "cutoff": doc.cutoff.d, "kind": "mixed",
-               "data": [[z.real, z.imag] for z in doc.matrix.ravel().tolist()]}
     if fmt in ("json", "both"):
         text = json.dumps(doc) if grid else json.dumps(doc, indent=2, sort_keys=True) + "\n"
         (out_dir / f"{name}.json").write_text(text)
@@ -168,7 +164,7 @@ def _scheme_params(alpha, nbar, fock, **opts) -> SchemeParams:
 
 # SchemeResult's scalar fields, in declaration order: the report's result columns
 RESULT_FIELDS = [name for name, hint in get_type_hints(SchemeResult).items()
-                 if hint not in (SchemeParams, MixedState)]
+                 if hint not in (SchemeParams, np.ndarray)]
 
 
 def _input_report(p: SchemeParams) -> dict:
@@ -284,8 +280,10 @@ def _write_circuit_outputs(result, out_dir: Path, fmt: str) -> None:
             report["probs"] = value
         elif stmt.kind == "fidelity":
             report[f"fidelity_{stmt.mode}_vs_input"] = value
-        elif stmt.kind == "state":
-            _write(out_dir, f"state_{stmt.mode}", "json", value)
+        elif stmt.kind == "state":  # the mode's density matrix, row-major
+            _write(out_dir, f"state_{stmt.mode}", "json",
+                   {"modes": [stmt.mode], "cutoff": len(value), "kind": "mixed",
+                    "data": [[z.real, z.imag] for z in value.ravel().tolist()]})
         elif stmt.kind == "wigner":
             _write(out_dir, f"wigner_{stmt.mode}", fmt, value)
     flat = {k: v for k, v in report.items() if isinstance(v, (int, float, str))}
@@ -313,16 +311,15 @@ def cmd_verify_commutation(alphas, out, fmt, **opts) -> None:
     # truncated-commutator structure across cutoffs
     worst = 0.0
     for d in range(2, 65):
-        comm = truncated_commutator(Cutoff(d))
+        comm = truncated_commutator(d)
         expect = np.diag(np.concatenate([np.ones(d - 1), [-(d - 1.0)]]))
         worst = max(worst, float(np.max(np.abs(comm - expect))))
     checks.append(("commutator diag(1,...,1,-(d-1)) for d=2..64", worst <= 1e-12, f"max dev {worst:.2e}"))
 
     d = 20
-    cut = Cutoff(d)
     t, r = math.sqrt(T), math.sqrt(1 - T)
-    bs = beam_splitter_unitary(T, cut)
-    a1, a2 = _pair_ladders(cut)
+    bs = beam_splitter_unitary(T, d)
+    a1, a2 = _pair_ladders(d)
     tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
     blk = tot <= d - 2
     dev = max(
@@ -331,12 +328,12 @@ def cmd_verify_commutation(alphas, out, fmt, **opts) -> None:
     )
     checks.append(("beam-splitter conjugation (both signs)", dev <= OPERATOR_TOL, f"max dev {dev:.2e}"))
 
-    sq = two_mode_squeezer_unitary(s, cut)
+    sq = two_mode_squeezer_unitary(s, d)
     blk_sq = tot <= d - 9  # 8-level margin under the truncation boundary
     dev = _block_dev(sq @ a1 @ sq.conj().T, math.cosh(s) * a1 + math.sinh(s) * a2.conj().T, blk_sq)
     checks.append(("squeezer conjugation S a S† = μa + νd†", dev <= OPERATOR_TOL, f"max dev {dev:.2e}"))
 
-    hom = beam_splitter_unitary(0.5, Cutoff(4))
+    hom = beam_splitter_unitary(0.5, 4)
     v11 = np.zeros(16, dtype=complex)
     v11[1 + 4 * 1] = 1.0
     outv = hom @ v11

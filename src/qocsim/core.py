@@ -1,47 +1,39 @@
-"""Truncated Fock-space linear algebra: states, operators, their application and reduction.
+"""Truncated Fock-space linear algebra: operators, their application and reduction.
 
-Every mode of a state is truncated to the same dimension ``d`` (levels
-0..d-1).  Multimode amplitudes are stored as flat vectors with little-endian
-mode indexing: for a state over ``modes = (m0, m1, ..., m_{M-1})`` the basis
-index of the occupation ``(n0, n1, ..., n_{M-1})`` is
+A state is a plain complex ndarray: a ket of shape ``(d**M,)`` or a density
+matrix of shape ``(d**M, d**M)`` over M modes, every mode truncated to the
+same dimension ``d`` (levels 0..d-1).  Its mode labels are held beside it, by
+whoever holds the array, and passed in where they matter.  Multimode indices
+are little-endian: for a state over ``modes = (m0, m1, ..., m_{M-1})`` the
+basis index of the occupation ``(n0, n1, ..., n_{M-1})`` is
 ``n0 + n1*d + n2*d**2 + ...``, i.e. the first listed mode is the
-fastest-varying digit.
+fastest-varying digit.  Unnormalized arrays are first class: their norm or
+trace is the carried weight, which downstream conditioning probabilities
+are ratios of.
 
-States are immutable value objects; all operations here are pure functions.
-An operator is a plain complex ndarray: :func:`apply` takes the matrix
+An operator is a plain complex ndarray too: :func:`apply` takes the matrix
 together with the modes it acts on, and the elementary matrices come back as
 arrays.  :func:`apply` and :func:`partial_trace` are plain numpy contractions
 (the brute-force oracle's algebra); :func:`apply_matrix` is the staged
 engine's kernel only, which takes a real block-diagonal operator as one
 ``(idx, blocks)`` stack and one dimension per mode, for its per-mode cutoffs,
 and reaches the operator's digits through transposed views.
-Unnormalized states are first class: ``norm_tag`` / ``trace_tag`` record the
-carried weight, which downstream conditioning probabilities are ratios of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Cutoff",
-    "PureState",
-    "MixedState",
     "DimensionMismatchError",
     "UnknownModeError",
     "annihilation_matrix",
     "truncated_commutator",
     "apply",
     "partial_trace",
-    "tensor",
-    "to_mixed",
 ]
-
-NORM_TAG_TOL = 1e-12
-HERMITICITY_TOL = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -52,115 +44,18 @@ class UnknownModeError(KeyError):
     """A referenced mode label is not part of the state/operator."""
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Number of retained Fock levels per mode (levels 0..d-1)."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, (int, np.integer)) or self.d < 2:
-            raise ValueError(f"cutoff must be an integer >= 2, got {self.d!r}")
-
-
-def _as_modes(modes: Iterable[str]) -> tuple[str, ...]:
-    out = tuple(modes)
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate mode labels in {out}")
-    return out
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Amplitude vector over ``cutoff.d ** len(modes)`` basis states.
-
-    ``norm_tag`` is the squared norm actually carried by ``amps`` (may be < 1
-    for heralded, unnormalized branches).
-    """
-
-    modes: tuple[str, ...]
-    cutoff: Cutoff
-    amps: np.ndarray
-    norm_tag: float
-
-    @classmethod
-    def create(cls, modes: Iterable[str], cutoff: Cutoff, amps: np.ndarray) -> "PureState":
-        modes = _as_modes(modes)
-        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        expected = cutoff.d ** len(modes)
-        if amps.size != expected:
-            raise DimensionMismatchError(
-                f"amplitude vector has {amps.size} entries, expected {expected}"
-            )
-        amps = amps.copy()
-        amps.setflags(write=False)
-        return cls(modes, cutoff, amps, float((np.abs(amps) ** 2).sum()))
-
-    def __post_init__(self) -> None:
-        actual = float((np.abs(self.amps) ** 2).sum())
-        if abs(actual - self.norm_tag) > NORM_TAG_TOL * max(1.0, actual):
-            raise ValueError(f"norm_tag {self.norm_tag} != actual {actual}")
-
-    def mode_index(self, mode: str) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise UnknownModeError(mode) from None
-
-
-@dataclass(frozen=True)
-class MixedState:
-    """Density matrix over the joint truncated space, possibly unnormalized."""
-
-    modes: tuple[str, ...]
-    cutoff: Cutoff
-    matrix: np.ndarray
-    trace_tag: float
-
-    @classmethod
-    def create(cls, modes: Iterable[str], cutoff: Cutoff, matrix: np.ndarray) -> "MixedState":
-        modes = _as_modes(modes)
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        expected = cutoff.d ** len(modes)
-        if matrix.shape != (expected, expected):
-            raise DimensionMismatchError(
-                f"density matrix has shape {matrix.shape}, expected {(expected, expected)}"
-            )
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        return cls(modes, cutoff, matrix, float(matrix.trace().real))
-
-    def __post_init__(self) -> None:
-        tr = float(self.matrix.trace().real)
-        scale = max(1.0, abs(tr))
-        if abs(tr - self.trace_tag) > NORM_TAG_TOL * scale:
-            raise ValueError(f"trace_tag {self.trace_tag} != actual {tr}")
-        herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm > HERMITICITY_TOL * scale:
-            raise ValueError(f"density matrix not Hermitian (deviation {herm})")
-
-    def mode_index(self, mode: str) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise UnknownModeError(mode) from None
-
-
-State = PureState | MixedState
-
-
 # ---------------------------------------------------------------------------
 # elementary single-mode operators
 
 
-def annihilation_matrix(cutoff: Cutoff) -> np.ndarray:
-    """Matrix of a with <n-1|a|n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1, cutoff.d, dtype=np.float64)), k=1).astype(np.complex128)
+def annihilation_matrix(d: int) -> np.ndarray:
+    """Matrix of a on d levels, with <n-1|a|n> = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1, d, dtype=np.float64)), k=1).astype(np.complex128)
 
 
-def truncated_commutator(cutoff: Cutoff) -> np.ndarray:
-    """a·a† − a†·a on the truncated space: diag(1, ..., 1, -(d-1))."""
-    a = annihilation_matrix(cutoff)
+def truncated_commutator(d: int) -> np.ndarray:
+    """a·a† − a†·a on d levels: diag(1, ..., 1, -(d-1))."""
+    a = annihilation_matrix(d)
     ad = a.conj().T
     return a @ ad - ad @ a
 
@@ -206,58 +101,52 @@ def apply_matrix(
     return out
 
 
-def apply(matrix: np.ndarray, modes: Iterable[str], state: State) -> State:
-    """Apply the matrix acting on ``modes`` (little-endian) to a state: O|ψ⟩ or O ρ O†."""
-    modes = _as_modes(modes)
-    M, d, k = len(state.modes), state.cutoff.d, len(modes)
+def _levels(arr: np.ndarray, modes: Sequence[str]) -> int:
+    """The levels d of each mode of a ket or density matrix over ``modes``."""
+    d = round(arr.shape[0] ** (1 / len(modes)))
+    if d ** len(modes) != arr.shape[0]:
+        raise DimensionMismatchError(f"{arr.shape[0]} rows are not d**{len(modes)} for any d")
+    return d
+
+
+def _index(modes: Sequence[str], mode: str) -> int:
+    try:
+        return modes.index(mode)
+    except ValueError:
+        raise UnknownModeError(mode) from None
+
+
+def apply(matrix: np.ndarray, op_modes: Sequence[str], modes: Sequence[str],
+          arr: np.ndarray) -> np.ndarray:
+    """O|ψ⟩ or O ρ O† of the matrix O acting on ``op_modes`` (little-endian), for a
+    ket or density matrix ``arr`` over ``modes``."""
+    M, k, d = len(modes), len(op_modes), _levels(arr, modes)
     # C order makes the first axis the slowest digit: mode i is axis M-1-i
-    axes = [M - 1 - state.mode_index(m) for m in reversed(modes)]
-    matrix = np.asarray(matrix, dtype=np.complex128)
+    axes = [M - 1 - _index(modes, m) for m in reversed(op_modes)]
     if matrix.shape != (d**k, d**k):
         raise DimensionMismatchError(f"operator has shape {matrix.shape}, expected {(d**k, d**k)}")
     op = matrix.reshape((d,) * (2 * k))
 
-    def on_ket(arr: np.ndarray) -> np.ndarray:  # shaped (d**M,) or (d**M, X)
-        out = np.tensordot(op, arr.reshape((d,) * M + arr.shape[1:]), axes=(range(k, 2 * k), axes))
-        return np.moveaxis(out, range(k), axes).reshape(arr.shape)
+    def on_ket(a: np.ndarray) -> np.ndarray:  # shaped (d**M,) or (d**M, X)
+        out = np.tensordot(op, a.reshape((d,) * M + a.shape[1:]), axes=(range(k, 2 * k), axes))
+        return np.moveaxis(out, range(k), axes).reshape(a.shape)
 
-    if isinstance(state, PureState):
-        return PureState.create(state.modes, state.cutoff, on_ket(state.amps))
-    both = on_ket(on_ket(state.matrix).conj().T).conj().T
-    return MixedState.create(state.modes, state.cutoff, both)
-
-
-def tensor(s1: State, s2: State) -> State:
-    """Joint state over s1.modes + s2.modes (little-endian: s1 digits fastest)."""
-    if s1.cutoff != s2.cutoff:
-        raise DimensionMismatchError("tensor requires equal cutoffs")
-    modes = _as_modes(tuple(s1.modes) + tuple(s2.modes))
-    if isinstance(s1, PureState) and isinstance(s2, PureState):
-        # index = i1 + dim1 * i2  ->  kron(amps2, amps1)
-        amps = np.kron(s2.amps, s1.amps)
-        return PureState.create(modes, s1.cutoff, amps)
-    r1 = to_mixed(s1).matrix
-    r2 = to_mixed(s2).matrix
-    return MixedState.create(modes, s1.cutoff, np.kron(r2, r1))
+    if arr.ndim == 1:
+        return on_ket(arr)
+    return on_ket(on_ket(arr).conj().T).conj().T
 
 
-def to_mixed(state: State) -> MixedState:
-    if isinstance(state, MixedState):
-        return state
-    return MixedState.create(state.modes, state.cutoff, np.outer(state.amps, state.amps.conj()))
-
-
-def partial_trace(state: State, keep_modes: Iterable[str]) -> MixedState:
-    """Reduced density matrix over ``keep_modes``, in that order (trace preserved)."""
-    keep = _as_modes(keep_modes)
+def partial_trace(arr: np.ndarray, modes: Sequence[str], keep: Sequence[str]) -> np.ndarray:
+    """Reduced density matrix over ``keep``, in that order, of a ket or density matrix
+    over ``modes`` (trace preserved)."""
     if not keep:
-        raise ValueError("keep_modes must be nonempty")
-    kept = [state.mode_index(m) for m in reversed(keep)]
-    M, d = len(state.modes), state.cutoff.d
+        raise ValueError("keep must be nonempty")
+    M, d = len(modes), _levels(arr, modes)
+    kept = [_index(modes, m) for m in reversed(keep)]
     # mode i is ket axis M-1-i and bra axis 2M-1-i, labelled i and M+i; a
     # traced mode's bra reuses its ket label, so einsum sums that diagonal
     ket = list(range(M - 1, -1, -1))
     bra = [M + i if i in kept else i for i in ket]
-    rho = to_mixed(state).matrix.reshape((d,) * (2 * M))
-    out = np.einsum(rho, ket + bra, kept + [M + i for i in kept])
-    return MixedState.create(keep, state.cutoff, out.reshape(d ** len(keep), -1))
+    rho = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
+    out = np.einsum(rho.reshape((d,) * (2 * M)), ket + bra, kept + [M + i for i in kept])
+    return out.reshape(d ** len(keep), -1)

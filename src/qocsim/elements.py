@@ -1,4 +1,4 @@
-"""Input-state constructors and optical-element unitaries.
+"""Input amplitudes and populations, and optical-element unitaries.
 
 Sign conventions (pinned by tests, observable in interference):
 
@@ -34,9 +34,9 @@ depend only on the kind and (d1, d2): they are found once per truncation
 shape, by one batched ``numpy.linalg.eigh`` over the slots, and cached, and a
 build at a new T or s is one phase rescaling and one batched product, itself
 cached by value.  The public dense builders take the element's one number (T
-or s) and a cutoff and return their read-only d²×d² ndarray, scattered from
-the same cached sectors at d1 = d2 = d; the modes it acts on are named where
-it is applied.  The beam splitter is exact on every block of fixed total
+or s) and the number of levels d and return their read-only d²×d² ndarray,
+scattered from the same cached sectors at d1 = d2 = d; the modes it acts on
+are named where it is applied.  The beam splitter is exact on every block of fixed total
 photon number that fits under both cutoffs, while the squeezer (which changes
 total photon number) is accurate away from a band at the top.
 """
@@ -48,38 +48,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Cutoff, MixedState, PureState, annihilation_matrix
+from .core import annihilation_matrix
 
 __all__ = [
-    "fock_state",
-    "vacuum",
-    "thermal_state",
     "beam_splitter_unitary",
     "two_mode_squeezer_unitary",
     "element_sectors",
 ]
 
 
-def fock_state(n: int, cutoff: Cutoff, mode: str = "a") -> PureState:
-    if not 0 <= n < cutoff.d:
-        raise ValueError(f"fock level {n} outside retained levels 0..{cutoff.d - 1}")
-    amps = np.zeros(cutoff.d, dtype=np.complex128)
-    amps[n] = 1.0
-    return PureState.create((mode,), cutoff, amps)
-
-
-def vacuum(cutoff: Cutoff, mode: str = "a") -> PureState:
-    return fock_state(0, cutoff, mode)
-
-
-def _coherent_amplitudes(alpha: complex, d: int) -> tuple[np.ndarray, float]:
-    """|α⟩ on d levels as C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized, and the weight it drops.
+def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
+    """|α⟩ on d levels as C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized.
 
     If every kept amplitude underflows (|α|² ≫ d), they are taken relative to
     the largest, so the state stays finite, its weight near the top level.
     """
     if alpha == 0:
-        return np.eye(1, d, dtype=np.complex128)[0], 0.0
+        return np.eye(1, d, dtype=np.complex128)[0]
     n = np.arange(d)
     # log-domain magnitudes to stay finite for large n
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
@@ -88,21 +73,14 @@ def _coherent_amplitudes(alpha: complex, d: int) -> tuple[np.ndarray, float]:
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(shape - 0.5 * norm2) * phase
     kept = np.linalg.norm(amps)
-    lost = 1.0 - kept**2
     if kept == 0.0:
         amps = np.exp(shape - shape.max()) * phase
         kept = np.linalg.norm(amps)
-    return amps / kept, lost
-
-
-def thermal_state(nbar: float, cutoff: Cutoff, mode: str = "a") -> MixedState:
-    """Thermal state with P(n) = n̄ⁿ/(n̄+1)^{n+1}, renormalized over the truncation."""
-    p = _thermal_populations(nbar, cutoff.d)
-    return MixedState.create((mode,), cutoff, np.diag(p).astype(np.complex128))
+    return amps / kept
 
 
 def _thermal_populations(nbar: float, d: int) -> np.ndarray:
-    """The diagonal of :func:`thermal_state` on d levels."""
+    """The thermal P(n) = n̄ⁿ/(n̄+1)^{n+1} on d levels, renormalized over the truncation."""
     if nbar < 0:
         raise ValueError(f"mean photon number must be >= 0, got {nbar}")
     if nbar == 0:
@@ -114,10 +92,9 @@ def _thermal_populations(nbar: float, d: int) -> np.ndarray:
     return p
 
 
-def _pair_ladders(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray]:
+def _pair_ladders(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(a1, a2) on the two-mode space; pair index = n1 + d*n2 (mode 1 fastest)."""
-    d = cutoff.d
-    a = annihilation_matrix(cutoff)
+    a = annihilation_matrix(d)
     eye = np.eye(d, dtype=np.complex128)
     a1 = np.kron(eye, a)  # fast digit = first listed mode
     a2 = np.kron(a, eye)
@@ -222,9 +199,8 @@ def element_sectors(
     return idx, blocks
 
 
-def _dense_unitary(kind: str, value: float, cutoff: Cutoff) -> np.ndarray:
+def _dense_unitary(kind: str, value: float, d: int) -> np.ndarray:
     """The element's read-only d²×d² unitary, each slot's block scattered onto its row."""
-    d = cutoff.d
     u = np.zeros((d * d, d * d), dtype=np.complex128)
     idx, blocks = element_sectors(kind, value, d, d)
     u[idx[:, :, None], idx[:, None, :]] = blocks
@@ -232,15 +208,15 @@ def _dense_unitary(kind: str, value: float, cutoff: Cutoff) -> np.ndarray:
     return u
 
 
-def beam_splitter_unitary(transmittivity: float, cutoff: Cutoff) -> np.ndarray:
+def beam_splitter_unitary(transmittivity: float, d: int) -> np.ndarray:
     """Two-mode beam-splitter unitary of intensity transmittivity T, by the conventions above."""
     if not 0.0 < transmittivity <= 1.0:
         raise ValueError(f"transmittivity must be in (0, 1], got {transmittivity}")
-    return _dense_unitary("bs", transmittivity, cutoff)
+    return _dense_unitary("bs", transmittivity, d)
 
 
-def two_mode_squeezer_unitary(coupling: float, cutoff: Cutoff) -> np.ndarray:
+def two_mode_squeezer_unitary(coupling: float, d: int) -> np.ndarray:
     """Two-mode squeezer exp(−s·a†d† + s·d a) on (signal, idler)."""
     if coupling < 0.0:
         raise ValueError(f"coupling must be >= 0, got {coupling}")
-    return _dense_unitary("tmsq", coupling, cutoff)
+    return _dense_unitary("tmsq", coupling, d)

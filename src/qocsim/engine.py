@@ -16,8 +16,11 @@ outcome diagonal in the Fock basis, taken as its diagonal E from
 ensembles (each member v splits into the members √Eₙ⟨n|v⟩); the
 member count K is compacted back to the live-space rank via an
 eigendecomposition whenever it grows past it.  The final state is returned as
-that ensemble.  The plan's branches, herald sequences that fork from the
-final state, are run on it one after another, each from the same ensemble.
+that ensemble.  Every density matrix it hands out, to the outputs and
+through :meth:`Ensemble.reduced`, is a plain ``(d, d)`` array of one mode,
+named by the output statement or the caller.  The plan's branches, herald
+sequences that fork from the final state, are run on it one after another,
+each from the same ensemble.
 
 Without the plan's charge signs (``ExecutionPlan.charge_signs``) the state is
 ρ = Σₖ |vₖ⟩⟨vₖ| and a thermal input enters as its d Fock members √pₙ|n⟩.  With
@@ -51,8 +54,10 @@ through numpy's one OpenBLAS thread pool; no second BLAS library competes
 with it for the cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
-largest), builds the full joint space of every declared input up front,
-applies every herald as the dense matrix √E on its mode without any tracing,
+largest), builds the full joint state of every declared input up front as one
+plain array over its own list of their modes (the ``np.kron`` of the inputs'
+kets, or of their density matrices once any input is mixed), applies every
+herald as the dense matrix √E on its mode without any tracing,
 and reduces only at the end.  It applies every dense operator with
 :func:`~qocsim.core.apply`, its own tensor contraction, never the staged
 kernel :func:`~qocsim.core.apply_matrix`.  It exists as an independent
@@ -73,26 +78,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import measurement
-from .core import (
-    Cutoff,
-    MixedState,
-    PureState,
-    State,
-    apply,
-    apply_matrix,
-    partial_trace,
-    tensor,
-)
+from .core import apply, apply_matrix, partial_trace
 from .dsl import CircuitSpec, ElementStmt, ExecutionPlan, HeraldStmt, InputStmt
 from .elements import (
     _coherent_amplitudes,
     _thermal_populations,
     beam_splitter_unitary,
     element_sectors,
-    fock_state,
-    thermal_state,
     two_mode_squeezer_unitary,
-    vacuum,
 )
 from .measurement import ZeroProbabilityError
 from .phasespace import GridSpec, fidelity, wigner
@@ -171,8 +164,9 @@ class Ensemble:
             q = (self.signs[m] * np.arange(d)[:, None] + q).ravel()
         return q
 
-    def reduced(self, mode: str, weight: float | None = None) -> MixedState:
-        """The unnormalized state of ``mode``, other modes traced out; of trace ``weight`` if given."""
+    def reduced(self, mode: str, weight: float | None = None) -> np.ndarray:
+        """The unnormalized (d, d) density matrix of ``mode``, other modes traced out; of
+        trace ``weight`` if given."""
         if self.signs is not None:  # its levels differ in charge: only the diagonal
             rho = np.diag(self.populations((mode,))).astype(np.complex128)
         else:  # the members as (d, rest·K), the mode's digit leading
@@ -182,7 +176,7 @@ class Ensemble:
             rho = t @ t.conj().T
         if weight is not None:
             rho = rho / float(rho.trace().real) * weight
-        return MixedState.create((mode,), Cutoff(rho.shape[0]), rho)
+        return rho
 
     def top_level_population(self) -> dict[str, float]:
         """Population of each mode's top level, relative to the weight."""
@@ -234,8 +228,9 @@ class HeraldRecord:
 class ExecutionResult:
     plan: ExecutionPlan
     cutoffs: dict[str, int]  # the cutoffs the run settled at, per mode
-    # staged: Ensemble (its reduced dephases by charge); brute oracle: State
-    final_state: Ensemble | State | None
+    # staged: Ensemble (its reduced dephases by charge); brute oracle: the ket or
+    # density matrix over the declared inputs' modes that no herald traced, in order
+    final_state: Ensemble | np.ndarray | None
     heralds: list[HeraldRecord]
     leak_max: float
     outputs: tuple = ()  # one value per entry of plan.spec.outputs, in order
@@ -253,24 +248,25 @@ class ExecutionResult:
         return math.prod((h.probability for h in self.heralds), start=1.0)
 
 
-def input_state(stmt: InputStmt, cutoff: Cutoff) -> State:
-    """The state an input statement declares, at ``cutoff`` levels; a coherent one with no
-    truncation warning, as the leak monitor judges its truncation by the run's budget."""
+def input_state(stmt: InputStmt, d: int) -> np.ndarray:
+    """The state an input statement declares on d levels: a thermal input's density
+    matrix, else a ket; a coherent one with no truncation warning, as the leak monitor
+    judges its truncation by the run's budget."""
     if stmt.kind == "coherent":
-        amps, _ = _coherent_amplitudes(complex(stmt.params[0], stmt.params[1]), cutoff.d)
-        return PureState.create((stmt.mode,), cutoff, amps)
+        return _coherent_amplitudes(complex(stmt.params[0], stmt.params[1]), d)
     if stmt.kind == "thermal":
-        return thermal_state(stmt.params[0], cutoff, stmt.mode)
-    if stmt.kind == "fock":
-        return fock_state(int(stmt.params[0]), cutoff, stmt.mode)
-    return vacuum(cutoff, stmt.mode)
+        return np.diag(_thermal_populations(stmt.params[0], d)).astype(np.complex128)
+    n = int(stmt.params[0]) if stmt.kind == "fock" else 0
+    if not 0 <= n < d:
+        raise ValueError(f"fock level {n} outside retained levels 0..{d - 1}")
+    return np.eye(1, d, n, dtype=np.complex128)[0]
 
 
-def _input_column(stmt: InputStmt, cutoff: Cutoff) -> np.ndarray:
+def _input_column(stmt: InputStmt, d: int) -> np.ndarray:
     """The input's amplitudes, or a thermal input's √pₙ, as one column."""
     if stmt.kind != "thermal":
-        return input_state(stmt, cutoff).amps.reshape(-1, 1).astype(np.complex128)
-    return np.sqrt(_thermal_populations(stmt.params[0], cutoff.d)).astype(np.complex128)[:, None]
+        return input_state(stmt, d)[:, None]
+    return np.sqrt(_thermal_populations(stmt.params[0], d)).astype(np.complex128)[:, None]
 
 
 def _pack_by_charge(members: np.ndarray, charges: np.ndarray) -> np.ndarray:
@@ -304,14 +300,15 @@ class _LeakMonitor:
                 raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoffs)
 
 
-def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], MixedState],
+def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], np.ndarray],
                       heralds: list[HeraldRecord]) -> tuple:
-    """Every output of ``spec``, in order; ``state_of(mode)`` is the mode's unnormalized state."""
+    """Every output of ``spec``, in order; ``state_of(mode)`` is the mode's unnormalized
+    density matrix."""
     inputs = {inp.mode: inp for inp in spec.inputs}
     normalized = {}
     for mode in dict.fromkeys(out.mode for out in spec.outputs if out.mode is not None):
         rho = state_of(mode)
-        normalized[mode] = MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
+        normalized[mode] = rho / float(rho.trace().real)
     values = []
     for stmt in spec.outputs:
         rho_n = normalized.get(stmt.mode)
@@ -328,7 +325,7 @@ def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], MixedState],
         elif stmt.kind == "wigner":
             values.append(wigner(rho_n, GridSpec.square(*stmt.grid)))
         else:  # fidelity vs. the mode's own input
-            values.append(fidelity(input_state(inputs[stmt.mode], rho_n.cutoff), rho_n))
+            values.append(fidelity(input_state(inputs[stmt.mode], len(rho_n)), rho_n))
     return tuple(values)
 
 
@@ -388,7 +385,7 @@ def _attach(ens: Ensemble, stmt: InputStmt, d: int) -> Ensemble:
         members = np.zeros((d * ens.dim, ens.members.shape[1]), np.complex128)
         members[: ens.dim] = ens.members
         return Ensemble(ens.modes + (stmt.mode,), ens.dims + (d,), members, ens.signs)
-    new = _input_column(stmt, Cutoff(d))
+    new = _input_column(stmt, d)
     if ens.signs is not None and not ens.modes:  # alone, its levels all differ in charge
         return Ensemble((stmt.mode,), (d,), new, ens.signs)
     if stmt.kind == "thermal":  # its Fock members √pₙ|n⟩, a column each
@@ -459,24 +456,28 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
     statement uses the mode or not.  The plan's branches are not run.
     """
     d = plan.cutoff
-    cutoff = Cutoff(d)
     spec = plan.spec
-    state = reduce(tensor, (input_state(stmt, cutoff) for stmt in spec.inputs))
+    modes = [stmt.mode for stmt in spec.inputs]
+    inputs = [input_state(stmt, d) for stmt in spec.inputs]
+    if any(x.ndim == 2 for x in inputs):  # densities once any input is mixed
+        inputs = [x if x.ndim == 2 else np.outer(x, x.conj()) for x in inputs]
+    # little-endian: each later input is a slower digit, so it is kron's left factor
+    state = reduce(lambda joint, x: np.kron(x, joint), inputs)
     heralds: list[HeraldRecord] = []
     measured: list[str] = []
 
-    def weight(s: State) -> float:
-        return s.norm_tag if isinstance(s, PureState) else s.trace_tag
+    def weight(arr: np.ndarray) -> float:
+        return float((np.abs(arr) ** 2).sum()) if arr.ndim == 1 else float(arr.trace().real)
 
     for op in spec.operations:
         if isinstance(op, ElementStmt):
             # the dense d²×d² unitary from the public builders
             build = beam_splitter_unitary if op.kind == "bs" else two_mode_squeezer_unitary
-            state = apply(build(op.value, cutoff), op.modes, state)
+            state = apply(build(op.value, d), op.modes, modes, state)
             continue
         diag = measurement.povm_diagonal(op.requirement, op.count, op.eta, op.onoff, d)
         before = weight(state)
-        state = apply(np.diag(np.sqrt(diag)), (op.mode,), state)
+        state = apply(np.diag(np.sqrt(diag)), (op.mode,), modes, state)
         after = weight(state)
         if after <= 0.0:
             raise ZeroProbabilityError(
@@ -485,11 +486,11 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
         heralds.append(HeraldRecord(op.mode, op.requirement, after / before))
         measured.append(op.mode)
 
-    keep = tuple(m for m in state.modes if m not in measured)
+    keep = [m for m in modes if m not in measured]
     if not keep:
         final = None
     elif measured:
-        final = partial_trace(state, keep)
+        final = partial_trace(state, modes, keep)
     else:
         final = state
 
@@ -499,5 +500,5 @@ def execute_plan_brute(plan: ExecutionPlan) -> ExecutionResult:
         final_state=final,
         heralds=heralds,
         leak_max=float("nan"),
-        outputs=_evaluate_outputs(spec, lambda mode: partial_trace(final, (mode,)), heralds),
+        outputs=_evaluate_outputs(spec, lambda mode: partial_trace(final, keep, (mode,)), heralds),
     )

@@ -1,5 +1,9 @@
 """Wigner grids and their diagnostics, and fidelity.
 
+A state is a plain complex array: a ket ``(d,)`` or a density matrix
+``(d, d)``, possibly unnormalized.  :func:`wigner`, :func:`fidelity` and
+:func:`uhlmann_fidelity` check their arguments once, in :func:`_check`.
+
 Convention: W(β) = (2/π)·Tr[ρ D(β) Π D(−β)] with Π the photon-number parity
 and D the displacement operator, so W(0) = 2/π for vacuum and ∫W d²β = 1.
 
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatchError, MixedState, PureState, State, to_mixed
+from .core import DimensionMismatchError
 
 __all__ = [
     "GridSpec",
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID: "GridSpec"
+HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,30 @@ class WignerGrid:
             raise NonFiniteWignerError("Wigner values must be finite")
 
 
-def _normalized_rho(state: State) -> np.ndarray:
-    """The single-mode density matrix divided by its trace, as every W evaluator takes it."""
-    if len(state.modes) != 1:
-        raise DimensionMismatchError("Wigner evaluation requires a single-mode state")
-    rho = to_mixed(state).matrix
+def _check(*states: np.ndarray) -> None:
+    """Raise unless each state is a ket (1-D) or a square density matrix, all on one
+    number of levels (:class:`DimensionMismatchError`), and each density matrix is
+    Hermitian within ``HERMITICITY_TOL``·max(1, |trace|) (``ValueError``)."""
+    d = len(states[0])
+    for x in states:
+        if x.ndim not in (1, 2) or x.shape != (d,) * x.ndim:
+            raise DimensionMismatchError(
+                f"expected a ket or a square density matrix on {d} levels, got shape {x.shape}")
+        if x.ndim == 2:
+            herm = float(np.abs(x - x.conj().T).max())
+            if herm > HERMITICITY_TOL * max(1.0, abs(float(x.trace().real))):
+                raise ValueError(f"density matrix not Hermitian (deviation {herm})")
+
+
+def _density(state: np.ndarray) -> np.ndarray:
+    """A density matrix as it is; a ket |ψ⟩ as |ψ⟩⟨ψ|."""
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
+
+
+def _normalized_rho(state: np.ndarray) -> np.ndarray:
+    """The density matrix divided by its trace, as every W evaluator takes it."""
+    _check(state)
+    rho = _density(state)
     weight = float(np.real(np.trace(rho)))
     if weight <= 0:
         raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
@@ -191,8 +215,9 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
-    """Sample W(β) of the state normalized to unit trace on a rectangular grid (row-major)."""
+def wigner(state: np.ndarray, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
+    """Sample W(β) of the one-mode ket or density matrix, normalized to unit trace, on a
+    rectangular grid (row-major)."""
     rho = _normalized_rho(state)
     # a grid whose spacing overflows gives non-finite axes and W, which WignerGrid rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,16 +226,16 @@ def wigner(state: State, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     return WignerGrid(re.copy(), im.copy(), values)
 
 
-def _fock_populations(state: State) -> np.ndarray | None:
+def _fock_populations(state: np.ndarray) -> np.ndarray | None:
     """The normalized photon-number distribution of a Fock-diagonal state, else ``None``."""
-    rho = to_mixed(state)
-    p = rho.matrix.diagonal()
-    if np.count_nonzero(rho.matrix) > np.count_nonzero(p):
+    rho = _density(state)
+    p = rho.diagonal()
+    if np.count_nonzero(rho) > np.count_nonzero(p):
         return None
-    return p.real / rho.trace_tag
+    return p.real / float(rho.trace().real)
 
 
-def fidelity(reference: State, state: State) -> float:
+def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
     """Jozsa's fidelity of ``state`` with ``reference``, both normalized first.
 
     For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩.  A mixed reference
@@ -218,21 +243,20 @@ def fidelity(reference: State, state: State) -> float:
     against a charge-dephased branch) give F = (Σₙ √(pₙqₙ))² from their
     populations; any other mixed reference goes to :func:`uhlmann_fidelity`,
     whose eigenvalue floor would drop the small but real pₙqₙ of a thermal
-    tail.
+    tail.  Each is a ket or a density matrix, both on the same levels.
     """
-    if reference.modes != state.modes or reference.cutoff != state.cutoff:
-        raise DimensionMismatchError("fidelity requires identical modes and cutoff")
-    if not isinstance(reference, PureState):
+    _check(reference, state)
+    if reference.ndim == 2:
         p, q = _fock_populations(reference), _fock_populations(state)
         if p is None or q is None:
-            return uhlmann_fidelity(reference, to_mixed(state))
+            return uhlmann_fidelity(reference, _density(state))
         val = float(np.sqrt(p * q).sum() ** 2)
         return min(val, 1.0) if val <= 1.0 + 1e-9 else val
-    ref = reference.amps / np.sqrt(reference.norm_tag)
-    if isinstance(state, PureState):
-        val = abs(np.vdot(ref, state.amps)) ** 2 / state.norm_tag
+    ref = reference / np.sqrt(float((np.abs(reference) ** 2).sum()))
+    if state.ndim == 1:
+        val = abs(np.vdot(ref, state)) ** 2 / float((np.abs(state) ** 2).sum())
     else:
-        val = float(np.real(ref.conj() @ state.matrix @ ref)) / state.trace_tag
+        val = float(np.real(ref.conj() @ state @ ref)) / float(state.trace().real)
     # clamp only boundary-grazing numerical noise
     if -1e-9 <= val < 0.0:
         return 0.0
@@ -241,12 +265,11 @@ def fidelity(reference: State, state: State) -> float:
     return float(val)
 
 
-def uhlmann_fidelity(rho: MixedState, sigma: MixedState) -> float:
-    """F(ρ,σ) = (Tr√(√ρ σ √ρ))² for two (possibly mixed) normalized states."""
-    if rho.modes != sigma.modes or rho.cutoff != sigma.cutoff:
-        raise DimensionMismatchError("fidelity requires identical modes and cutoff")
-    r = rho.matrix / rho.trace_tag
-    s = sigma.matrix / sigma.trace_tag
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """F(ρ,σ) = (Tr√(√ρ σ √ρ))² of two density matrices on the same levels, both normalized first."""
+    _check(rho, sigma)
+    r = rho / float(rho.trace().real)
+    s = sigma / float(sigma.trace().real)
     evals, evecs = np.linalg.eigh(r)
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     inner_evals = np.linalg.eigvalsh(root @ s @ root)

@@ -25,7 +25,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .core import Cutoff, MixedState
+import numpy as np
+
 from .dsl import (
     CircuitSpec,
     ElementStmt,
@@ -163,8 +164,8 @@ class SchemeResult:
     params: SchemeParams
     cutoff: int
     pd0_probability: float
-    pd1_branch: MixedState  # unnormalized: trace = P(PD1-only | PD0)
-    pd2_branch: MixedState
+    pd1_branch: np.ndarray  # mode a's (d, d) density matrix, unnormalized: trace = P(PD1-only | PD0)
+    pd2_branch: np.ndarray
     pd1_weight: float  # conditional on the PD0 herald
     pd2_weight: float
     p_b: float  # click statistics of the PD0-heralded state after BS3
@@ -221,11 +222,11 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     rho_pd2 = ens_pd2.reduced("a", w_pd2)
     rho_pd1 = ens_pd1.reduced("a", w_pd1)
 
-    cutoff = Cutoff(res.cutoffs["a"])
-    input_ref = input_state(params.input_stmt(), cutoff)
+    d = res.cutoffs["a"]
+    input_ref = input_state(params.input_stmt(), d)
     attenuated = replace(params, alpha=params.t * params.alpha,
                          nbar=params.transmittivity**2 * params.nbar)
-    atten_ref = input_state(attenuated.input_stmt(), cutoff)
+    atten_ref = input_state(attenuated.input_stmt(), d)
 
     return SchemeResult(
         params=params,

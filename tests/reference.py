@@ -6,30 +6,28 @@ truncation, heralded conditioning of a state, the pattern probabilities and
 density matrix of an ensemble, closed-form Wigner values of Gaussian states,
 pointwise Wigner evaluation by the Laguerre series and the canonical `.qoc`
 printer.  Each is written directly from its definition and serves as an
-oracle; ``output_value`` and ``normalized_branch`` are lookup helpers.
+oracle; ``output_value`` and ``normalized_branch`` are lookup helpers, and
+``fock_state``, ``vacuum``, ``thermal_state``, ``tensor`` and ``to_mixed``
+build states through :func:`qocsim.engine.input_state` and ``np.kron``.
+
+As in :mod:`qocsim.core`, a state is a plain complex array, a ket ``(d**M,)``
+or a density matrix ``(d**M, d**M)``, and a function that needs its mode
+labels takes them beside it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, Mapping
+from functools import reduce
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from qocsim.core import (
-    Cutoff,
-    DimensionMismatchError,
-    MixedState,
-    PureState,
-    State,
-    UnknownModeError,
-    annihilation_matrix,
-    apply,
-    to_mixed,
-)
-from qocsim.dsl import CircuitSpec, ElementStmt
+from qocsim.core import DimensionMismatchError, UnknownModeError, annihilation_matrix, apply
+from qocsim.dsl import CircuitSpec, ElementStmt, InputStmt
 from qocsim.elements import _coherent_amplitudes
+from qocsim.engine import input_state
 from qocsim.measurement import ZeroProbabilityError, povm_diagonal
 
 ZERO_PROBABILITY_FLOOR = 1e-300
@@ -39,20 +37,20 @@ ZERO_PROBABILITY_FLOOR = 1e-300
 # dense operator algebra
 
 
-def creation_matrix(cutoff: Cutoff) -> np.ndarray:
+def creation_matrix(d: int) -> np.ndarray:
     """Matrix of a† (transpose of a); the top level annihilates (truncation leak)."""
-    return annihilation_matrix(cutoff).T
+    return annihilation_matrix(d).T
 
 
-def number_matrix(cutoff: Cutoff) -> np.ndarray:
-    return np.diag(np.arange(cutoff.d, dtype=np.float64)).astype(np.complex128)
+def number_matrix(d: int) -> np.ndarray:
+    return np.diag(np.arange(d, dtype=np.float64)).astype(np.complex128)
 
 
 def embed(
     op: np.ndarray,
     target_modes: Iterable[str],
     full_modes: Iterable[str],
-    cutoff: Cutoff,
+    d: int,
 ) -> np.ndarray:
     """Tensor the matrix ``op`` (acting on ``target_modes``) with identity on the rest.
 
@@ -63,7 +61,6 @@ def embed(
     for m in target:
         if m not in full:
             raise UnknownModeError(m)
-    d = cutoff.d
     if op.shape[0] != d ** len(target):
         raise DimensionMismatchError(
             f"operator dim {op.shape[0]} != d^{len(target)} = {d ** len(target)}"
@@ -79,88 +76,117 @@ def embed(
     return big_t.transpose(perm + [M + p for p in perm]).reshape(d**M, d**M)
 
 
-def expectation(op: np.ndarray, modes: Iterable[str], state: State) -> complex:
-    """⟨ψ|O|ψ⟩ or Tr[ρ O] of ``op`` on ``modes``, with the state's carried (unnormalized) weight."""
-    if isinstance(state, PureState):
-        return complex(np.vdot(state.amps, apply(op, modes, state).amps))
-    full = embed(op, modes, state.modes, state.cutoff)
-    return complex(np.trace(state.matrix @ full))
-
-
-def inner_product(s1: PureState, s2: PureState) -> complex:
-    """⟨s1|s2⟩."""
-    if s1.modes != s2.modes or s1.cutoff != s2.cutoff:
-        raise DimensionMismatchError("inner_product requires identical modes and cutoff")
-    return complex(np.vdot(s1.amps, s2.amps))
+def expectation(op: np.ndarray, op_modes: Sequence[str], modes: Sequence[str],
+                state: np.ndarray) -> complex:
+    """⟨ψ|O|ψ⟩ or Tr[ρ O] of ``op`` on ``op_modes`` for a state over ``modes``, with the
+    state's carried (unnormalized) weight."""
+    if state.ndim == 1:
+        return complex(np.vdot(state, apply(op, op_modes, modes, state)))
+    d = round(len(state) ** (1 / len(modes)))
+    return complex(np.trace(state @ embed(op, op_modes, modes, d)))
 
 
 # ---------------------------------------------------------------------------
 # input states
 
+
+def fock_state(n: int, d: int) -> np.ndarray:
+    return input_state(InputStmt("a", "fock", (float(n),)), d)
+
+
+def vacuum(d: int) -> np.ndarray:
+    return input_state(InputStmt("a", "vacuum"), d)
+
+
+def thermal_state(nbar: float, d: int) -> np.ndarray:
+    """The density matrix diag(P(n)), P(n) = n̄ⁿ/(n̄+1)^{n+1} renormalized over d levels."""
+    return input_state(InputStmt("a", "thermal", (nbar,)), d)
+
+
+def to_mixed(state: np.ndarray) -> np.ndarray:
+    """A density matrix as it is; a ket |ψ⟩ as |ψ⟩⟨ψ|."""
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
+
+
+def tensor(*states: np.ndarray) -> np.ndarray:
+    """The joint state, the first state's digits fastest; a density matrix if any factor is."""
+    if any(s.ndim == 2 for s in states):
+        states = tuple(to_mixed(s) for s in states)
+    return reduce(lambda joint, s: np.kron(s, joint), states)
+
 # Poisson weight a coherent state may lose to the cutoff without a warning.
 _DISCARDED_WARN = 1e-6
 
 
-def coherent_state(alpha: complex, cutoff: Cutoff, mode: str = "a") -> PureState:
-    """|α⟩ with C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized over the truncation.
+def coherent_state(alpha: complex, d: int) -> np.ndarray:
+    """|α⟩ with C(n) = e^{−|α|²/2} αⁿ/√n!, renormalized over d levels.
 
-    Warns when the truncation discards more than 1e-6 of the Poisson weight.
-    If every kept amplitude underflows (|α|² ≫ d), they are taken relative to
-    the largest, so the state stays finite, its weight near the top level.
+    Warns when the truncation discards more than 1e-6 of the Poisson weight,
+    1 − Σ_{n<d} e^{−|α|²}|α|²ⁿ/n!, summed in the log domain.  If every kept
+    amplitude underflows (|α|² ≫ d), they are taken relative to the largest,
+    so the state stays finite, its weight near the top level.
     """
     alpha = complex(alpha)
-    amps, lost = _coherent_amplitudes(alpha, cutoff.d)
+    norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
+    lost = 0.0
+    if alpha != 0:
+        n = np.arange(d)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
+        lost = 1.0 - float(np.exp(2.0 * n * math.log(abs(alpha)) - log_fact - norm2).sum())
     if lost > _DISCARDED_WARN:
-        norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
         warnings.warn(
-            f"cutoff d={cutoff.d} discards {lost:.3g} of the coherent state's weight "
+            f"cutoff d={d} discards {lost:.3g} of the coherent state's weight "
             f"(|alpha|^2 = {norm2:.3g}); truncation may be inadequate",
             stacklevel=2,
         )
-    return PureState.create((mode,), cutoff, amps)
+    return _coherent_amplitudes(alpha, d)
 
 
 # ---------------------------------------------------------------------------
 # heralded conditioning and pattern probabilities
 
 
-def condition(state: State, mode: str, element: np.ndarray) -> tuple[State, float]:
-    """Condition on a diagonal POVM element at ``mode`` and trace that mode out.
+def condition(state: np.ndarray, modes: Sequence[str], mode: str,
+              element: np.ndarray) -> tuple[np.ndarray, float]:
+    """Condition a state over ``modes`` on a diagonal POVM element at ``mode`` and trace
+    that mode out.
 
-    Returns the unnormalized conditional state (its carried weight equals the
-    outcome probability relative to the input weight) and that probability.
-    For a rank-one outcome on a pure state the conditional branch stays pure.
-    Raises :class:`ZeroProbabilityError` on vanishing outcomes and
-    ``ValueError`` for an element that is not diagonal in the Fock basis.
+    Returns the unnormalized conditional state over the other modes, in order
+    (its carried weight equals the outcome probability relative to the input
+    weight), and that probability.  For a rank-one outcome on a ket the
+    conditional branch stays a ket.  Raises :class:`ZeroProbabilityError` on
+    vanishing outcomes and ``ValueError`` for an element that is not diagonal
+    in the Fock basis.
     """
     if not np.allclose(element, np.diag(np.diag(element)), atol=1e-14):
         raise ValueError("condition needs a POVM element diagonal in the Fock basis")
-    d = state.cutoff.d
+    d = len(element)
     diag = np.real(np.diag(element))
     # moving `mode` to the front keeps the relative digit order of the other
-    # modes, so the slices below are already laid out for `remaining`
-    remaining = tuple(m for m in state.modes if m != mode)
-    M = len(state.modes)
-    axis = M - 1 - state.mode_index(mode)  # C order reverses the digits
+    # modes, so the slices below are already laid out for the remaining ones
+    M = len(modes)
+    if mode not in modes:
+        raise UnknownModeError(mode)
+    axis = M - 1 - list(modes).index(mode)  # C order reverses the digits
 
-    if isinstance(state, PureState):
-        t = np.moveaxis(state.amps.reshape((d,) * M), axis, 0).reshape(d, -1)
+    if state.ndim == 1:
+        t = np.moveaxis(state.reshape((d,) * M), axis, 0).reshape(d, -1)
         prob = float(np.sum(diag * np.sum(np.abs(t) ** 2, axis=1)))
-        _check_prob(prob, state.norm_tag)
+        _check_prob(prob, float((np.abs(state) ** 2).sum()))
         support = np.nonzero(diag > 0)[0]
         if support.size == 1:
             n = int(support[0])
-            return PureState.create(remaining, state.cutoff, np.sqrt(diag[n]) * t[n]), prob
+            return np.sqrt(diag[n]) * t[n], prob
         rho = np.einsum("n,ni,nj->ij", diag, t, t.conj())
-        return MixedState.create(remaining, state.cutoff, rho), prob
+        return rho, prob
 
     # Tr_mode[E ρ] with diagonal E: weight each (n, n) block
-    t = np.moveaxis(state.matrix.reshape((d,) * (2 * M)), (axis, M + axis), (0, 1))
+    t = np.moveaxis(state.reshape((d,) * (2 * M)), (axis, M + axis), (0, 1))
     rest = d ** (M - 1)
     rho = np.einsum("n,nnij->ij", diag, t.reshape(d, d, rest, rest))
     prob = float(np.real(np.trace(rho)))
-    _check_prob(prob, state.trace_tag)
-    return MixedState.create(remaining, state.cutoff, rho), prob
+    _check_prob(prob, float(np.trace(state).real))
+    return rho, prob
 
 
 def _check_prob(prob: float, weight: float) -> None:
@@ -186,7 +212,7 @@ def pattern_probability(ensemble, heralds: Mapping[str, tuple]) -> float:
     return float(joint @ np.sum(members.real**2 + members.imag**2, axis=1))
 
 
-def ensemble_to_mixed(ensemble) -> MixedState:
+def ensemble_to_mixed(ensemble) -> np.ndarray:
     """The density matrix Σₖ |vₖ⟩⟨vₖ| of an engine ``Ensemble`` at one cutoff on every mode.
 
     With charge signs every element between distinct charges is dropped, as
@@ -197,7 +223,7 @@ def ensemble_to_mixed(ensemble) -> MixedState:
     if ensemble.signs is not None:
         q = ensemble._charges()
         rho[q[:, None] != q] = 0.0
-    return MixedState.create(ensemble.modes, Cutoff(max(ensemble.dims)), rho)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +246,22 @@ def gaussian_wigner_oracle(kind: str, params, beta: complex) -> float:
     raise ValueError(f"unknown Gaussian kind {kind!r}")
 
 
-def _unit_trace_rho(state: State) -> np.ndarray:
+def _unit_trace_rho(state: np.ndarray) -> np.ndarray:
     """The single-mode density matrix divided by its trace."""
-    if len(state.modes) != 1:
-        raise DimensionMismatchError("Wigner evaluation requires a single-mode state")
-    rho = to_mixed(state).matrix
+    rho = to_mixed(state)
     weight = float(np.real(np.trace(rho)))
     if weight <= 0:
         raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
     return rho / weight
 
 
-def parity_expectation(state: State) -> float:
+def parity_expectation(state: np.ndarray) -> float:
     """⟨Π⟩ from photon-number populations of the state normalized to unit trace."""
     pops = np.real(np.diag(_unit_trace_rho(state)))
     return float(np.sum((-1.0) ** np.arange(pops.size) * pops))
 
 
-def wigner_point(state: State, beta):
+def wigner_point(state: np.ndarray, beta):
     """W at the phase-space point(s) β of the state normalized to unit trace.
 
     The Laguerre expansion of Cahill & Glauber, Phys. Rev. 177, 1882 (1969),
@@ -309,10 +333,10 @@ def print_circuit(spec: CircuitSpec) -> str:
 # helpers
 
 
-def normalized_branch(result, which: str) -> MixedState:
+def normalized_branch(result, which: str) -> np.ndarray:
     """A ``SchemeResult``'s ``'pd1'`` or ``'pd2'`` branch state, normalized to unit trace."""
     rho = getattr(result, f"{which}_branch")
-    return MixedState.create(rho.modes, rho.cutoff, rho.matrix / rho.trace_tag)
+    return rho / rho.trace().real
 
 
 def output_value(result, kind: str, mode: str | None = None):

@@ -14,10 +14,11 @@ import numpy as np
 import qocsim
 from qocsim import cli
 from qocsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from qocsim.core import Cutoff, MixedState, PureState, to_mixed
+from qocsim.dsl import compile_circuit, parse
+from qocsim.engine import execute_plan
 from qocsim.phasespace import GridSpec, wigner
 from qocsim.scheme import SchemeParams, branch_wigner, run_interferometer
-from reference import coherent_state, gaussian_wigner_oracle
+from reference import coherent_state, gaussian_wigner_oracle, output_value
 
 FIG1_QOC = Path(qocsim.__file__).parent / "circuits" / "fig1.qoc"
 
@@ -406,7 +407,7 @@ def test_a_sweep_whose_every_point_fails_writes_a_header_only_csv(tmp_path):
 
 def test_grid_serialization_round_trip(tmp_path):
     # the CLI's grid files, read back with csv and json alone
-    state = coherent_state(0.8, Cutoff(14))
+    state = coherent_state(0.8, 14)
     grid = wigner(state, GridSpec.square(-1.5, 1.5, 11))
     cli._write(tmp_path, "w", "both", grid)
     with open(tmp_path / "w.csv", newline="") as fh:
@@ -426,17 +427,20 @@ def test_grid_serialization_round_trip(tmp_path):
 def test_json_round_trip_pure_and_mixed(tmp_path):
     # the CLI's state files, read back with json alone: every state is written
     # as its density matrix, that of a pure state as of a mixed one
-    c = Cutoff(3)
-    rng = np.random.default_rng(13)
-    vec = rng.normal(size=9) + 1j * rng.normal(size=9)
-    pure = to_mixed(PureState.create(("a", "b"), c, vec))
-    mixed = MixedState.create(("a", "b"), c, pure.matrix + np.diag(rng.uniform(size=9)))
-    for name, state in (("pure", pure), ("mixed", mixed)):
-        cli._write(tmp_path, name, "json", state)
-        doc = json.loads((tmp_path / f"{name}.json").read_text())
-        assert doc["kind"] == "mixed" and doc["modes"] == ["a", "b"] and doc["cutoff"] == 3
-        back = np.array([complex(re, im) for re, im in doc["data"]]).reshape(state.matrix.shape)
-        assert np.array_equal(back, state.matrix)
+    for name, inp in (("pure", "coherent 0.6 0.2"), ("mixed", "thermal 0.3")):
+        text = (f"modes a b\ninput a {inp}\ninput b vacuum\nbs a b T=0.8\n"
+                "out probs\nout state a\nout state b\n")
+        path = tmp_path / f"{name}.qoc"
+        path.write_text(text)
+        args = ("--cutoff", "3", "--leak-budget", "1", "--out", str(tmp_path / name))
+        assert _run("run", str(path), *args).exit_code == EXIT_OK
+        result = execute_plan(compile_circuit(parse(text), cutoff=3, leak_budget=1.0))
+        for mode in ("a", "b"):
+            state = output_value(result, "state", mode)
+            doc = json.loads((tmp_path / name / f"state_{mode}.json").read_text())
+            assert doc["kind"] == "mixed" and doc["modes"] == [mode] and doc["cutoff"] == 3
+            back = np.array([complex(re, im) for re, im in doc["data"]]).reshape(state.shape)
+            assert np.array_equal(back, state)
 
 
 @pytest.mark.parametrize("flag, commands", [
