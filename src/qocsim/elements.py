@@ -153,10 +153,9 @@ def _chain_basis(
     return basis
 
 
-# The sectors do not depend on the modes the element acts on, only on their
-# cutoffs.  One Fig.-1 run needs at most 4 (kind, value, d1, d2) keys per
-# attempt: BS1, the squeezer, BS2 and BS3.  A repeated element skips even
-# the rescaling of its shape's cached eigenbasis.
+# The sectors depend only on the cutoffs, not on the modes.  A Fig.-1 run needs at most
+# 4 keys per attempt (BS1, the squeezer, BS2, BS3); the Wigner grids cache their 50:50
+# keys apart.  A repeated element skips even the rescaling of its shape's cached eigenbasis.
 @lru_cache(maxsize=16)
 def element_sectors(
     kind: str, value: float, d1: int, d2: int
@@ -187,8 +186,8 @@ def element_sectors(
     of a 40-digit ``mpmath.expm`` of each chain (9.9e-15 on the one whole
     70-state chain), against 3.2e-15 for a complex scaling-and-squaring
     ``expm``.
-    Every block is real (float64), both arrays are read-only, and the pair is
-    cached by value: the staged executor and the dense builders share it.
+    Every block is real (float64), both arrays are read-only, and the pair is cached by
+    value: the staged executor and the dense builders share it, the Wigner grids do not.
     """
     idx, v, lam = _chain_basis(kind, d1, d2)
     scale = float(np.arccos(np.sqrt(value))) if kind == "bs" else value

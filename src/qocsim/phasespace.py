@@ -13,10 +13,15 @@ the quadratures x = √2·Re β, y = √2·Im β, W = (2/π)∫ds ⟨x+s|ρ|x−
 Σ_k C⁽ᴺ⁾_{k,m}|k⟩|N−k⟩ (N = m + n, C⁽ᴺ⁾ a 50:50 beam splitter's N-photon
 sector), and ∫φ_j(√2s)e^{−2iys}ds = √π(−i)ʲφ_j(√2y).  So W(β) =
 (2/√π)·Σ_{k,j<2d−1} φ_k(2 Re β)·Re M_kj·φ_j(2 Im β) with M_kj =
-(−i)ʲ·Σ_m C⁽ᵏ⁺ʲ⁾_{k,m}·ρ_{m,k+j−m}, one walk over the sectors
-(:func:`_sector_matrix`).  The axes and the two tables are cached per grid
-and 2d − 1, read-only: (2d − 1)·(n_re + n_im) floats a key (30 KB at d = 12
-on the default grid, 0.6 MB at d = 244), four keys at most.
+(−i)ʲ·Σ_m C⁽ᵏ⁺ʲ⁾_{k,m}·ρ_{m,k+j−m}: the 50:50 beam splitter applied to ρ read as a
+two-mode ket, one product of its sectors up to 2d − 1 = ``PRODUCT_MAX_SIZE`` and one
+walk over them above (:func:`_sector_matrix`).  The cap, 23, covers d ≤ 12 (``wigner
+--alpha 1``, the benchmark's grids), whose sectors a fresh process builds in ≈2 ms, six
+grids' saving; at 31 the build stalled ≈0.18 s in 5 of 66 processes on 2 cores.  The
+sectors, apart from the engine's elements, and the axes and two tables are cached
+read-only per 2d − 1 (and grid): 2·(2d − 1)³ floats a key with the sectors' eigenbasis
+(0.19 MB at the cap, 0.66 MB for all 11 keys; 230 MB at d = 122), and (2d − 1)·(n_re +
+n_im) for the tables, four keys at most (30 KB at d = 12 on the default grid).
 
 :func:`fidelity` of two Fock-diagonal states, the thermal case, reads
 (Σₙ √(pₙqₙ))² off their populations; other mixed references take the
@@ -32,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DimensionMismatchError
+from .elements import element_sectors
 
 __all__ = [
     "GridSpec",
@@ -46,6 +52,8 @@ __all__ = [
 
 DEFAULT_GRID: "GridSpec"
 HERMITICITY_TOL = 1e-10
+PRODUCT_MAX_SIZE = 23  # the largest 2d − 1 whose M is one product (see _sector_matrix)
+_sectors = lru_cache(maxsize=PRODUCT_MAX_SIZE // 2)(element_sectors.__wrapped__)  # a key per d ≥ 2
 
 
 @dataclass(frozen=True)
@@ -114,16 +122,6 @@ def _density(state: np.ndarray) -> np.ndarray:
     return np.outer(state, state.conj()) if state.ndim == 1 else state
 
 
-def _normalized_rho(state: np.ndarray) -> np.ndarray:
-    """The density matrix divided by its trace, as every W evaluator takes it."""
-    _check(state)
-    rho = _density(state)
-    weight = float(np.real(np.trace(rho)))
-    if weight <= 0:
-        raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
-    return rho / weight
-
-
 @lru_cache(maxsize=4)
 def _grid_tables(grid: GridSpec, size: int) -> tuple[np.ndarray, ...]:
     """The grid's axes, φ_k(2·re), and φ_k(2·im)·(2/√π)·(1, 1, −1, −1)[k mod 4] for k < ``size``."""
@@ -167,12 +165,13 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
     """M as a real matrix: at (k, j), N = k + j, Σ_m C⁽ᴺ⁾_{k,m}·ρ_{m,N−m}'s real part
     for even j and imaginary part for odd j (the im table holds (−i)ʲ's signs).
 
-    Column m of sector N (the image of |m⟩|N−m⟩) is (√m·a_u†·c_{m−1} +
-    √(N−m)·a_v†·c_m)/N on columns m − 1, m of sector N − 1, a_u†, a_v† =
-    (a_s† ± a_t†)/√2; either route alone grows the rounding exponentially.
-    Column N − m is column m with (−1)^{N−k} on row k, so only 2m ≥ N is
-    built; only within ρ's highest nonzero diagonal, the edge by a_u† alone;
-    and for a Fock-diagonal ρ in closed form.  Each sector meets ρ once.
+    A Fock-diagonal ρ takes a closed form.  Up to the cap, ρᵀ fills the (2d − 1)² box as
+    (re, im) pairs for one product of the sectors' real blocks.  Above it, column m of
+    sector N (the image of |m⟩|N−m⟩) is (√m·a_u†·c_{m−1} + √(N−m)·a_v†·c_m)/N on columns
+    m − 1, m of sector N − 1, a_u†, a_v† = (a_s† ± a_t†)/√2; either route alone grows the
+    rounding exponentially.  Column N − m is column m with (−1)^{N−k} on row k, so only
+    2m ≥ N is built, and only within ρ's highest nonzero diagonal, the edge by a_u† alone.
+    Each sector meets ρ once.
     """
     d = rho.shape[0]
     size, band = 2 * d - 1, _bandwidth(rho)
@@ -186,30 +185,37 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
         n, j = np.nonzero(column)
         out[2 * j, 2 * (n - j)] = column[n, j]
         return out
-    root = np.sqrt(np.arange(size))
-    rev, alternate = root[::-1].copy(), np.where(np.arange(size + 1) % 2 == 0, 1.0, -1.0)
-    # the weights of columns m − 1 and m of sector N − 1 in column m of sector N, row N − 1
-    sector, col = np.arange(1, size)[:, None], np.arange(d)
-    edge = 2 * col - sector == band
-    to_u = np.sqrt(col / 2.0) / np.where(edge, col, sector)
-    to_v = np.where(edge, 0.0, np.sqrt(np.maximum(sector - col, 0) / 2.0) / sector)
-    pairs = (np.tril(rho, -1) + np.tril(rho)).view(np.float64).reshape(d * d, 2)
-    sums = np.zeros((size * size, 2))
-    sums[0] = pairs[0]
-    # row 1 + i holds column ⌈N/2⌉ + i at 1 … N+1, between zero columns that stand
-    # in for the ladder operators' boundaries; row 0 the mirror of row 1, the last zeros
-    cols = np.diag([0.0, 1.0, 0.0])
-    for n in range(1, size):
-        mid, hi = (n + 1) // 2, min(n, d - 1, (n + band) // 2)
-        if n % 2 == 0:
-            cols[0] = cols[1] * alternate[: n + 2]
-        src = cols[n % 2 : n % 2 + hi - mid + 2]
-        p, q = src[:-1] * to_u[n - 1, mid : hi + 1, None], src[1:] * to_v[n - 1, mid : hi + 1, None]
-        cols = np.zeros((hi - mid + 3, n + 3))
-        vec = cols[1:-1, 1:-1]
-        np.multiply((p + q)[:, : n + 1], root[: n + 1], out=vec)
-        vec += (p - q)[:, 1:] * rev[size - 1 - n :]
-        sums[n : n * size + 1 : size - 1] = vec.T @ pairs[n + mid * (d - 1) : n + hi * (d - 1) + 1 : d - 1]
+    if size <= PRODUCT_MAX_SIZE:
+        box = np.zeros((size, size), dtype=np.complex128)
+        box[:d, :d] = rho.T
+        idx, blocks = _sectors("bs", 0.5, size, size)
+        sums = np.empty((size * size, 2))
+        sums[idx] = blocks @ box.view(np.float64).reshape(-1, 2)[idx]
+    else:
+        root = np.sqrt(np.arange(size))
+        rev, alternate = root[::-1].copy(), np.where(np.arange(size + 1) % 2 == 0, 1.0, -1.0)
+        # the weights of columns m − 1 and m of sector N − 1 in column m of sector N, row N − 1
+        sector, col = np.arange(1, size)[:, None], np.arange(d)
+        edge = 2 * col - sector == band
+        to_u = np.sqrt(col / 2.0) / np.where(edge, col, sector)
+        to_v = np.where(edge, 0.0, np.sqrt(np.maximum(sector - col, 0) / 2.0) / sector)
+        pairs = (np.tril(rho, -1) + np.tril(rho)).view(np.float64).reshape(d * d, 2)
+        sums = np.zeros((size * size, 2))
+        sums[0] = pairs[0]
+        # row 1 + i holds column ⌈N/2⌉ + i at 1 … N+1, between zero columns that stand
+        # in for the ladder operators' boundaries; row 0 the mirror of row 1, the last zeros
+        cols = np.diag([0.0, 1.0, 0.0])
+        for n in range(1, size):
+            mid, hi = (n + 1) // 2, min(n, d - 1, (n + band) // 2)
+            if n % 2 == 0:
+                cols[0] = cols[1] * alternate[: n + 2]
+            src = cols[n % 2 : n % 2 + hi - mid + 2]
+            p, q = src[:-1] * to_u[n - 1, mid : hi + 1, None], src[1:] * to_v[n - 1, mid : hi + 1, None]
+            cols = np.zeros((hi - mid + 3, n + 3))
+            vec = cols[1:-1, 1:-1]
+            np.multiply((p + q)[:, : n + 1], root[: n + 1], out=vec)
+            vec += (p - q)[:, 1:] * rev[size - 1 - n :]
+            sums[n : n * size + 1 : size - 1] = vec.T @ pairs[n + mid * (d - 1) : n + hi * (d - 1) + 1 : d - 1]
     sums = sums.reshape(size, size, 2)
     out[:, ::2], out[:, 1::2] = sums[:, ::2, 0], sums[:, 1::2, 1]
     return out
@@ -218,7 +224,12 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
 def wigner(state: np.ndarray, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """Sample W(β) of the one-mode ket or density matrix, normalized to unit trace, on a
     rectangular grid (row-major)."""
-    rho = _normalized_rho(state)
+    _check(state)
+    rho = _density(state)
+    weight = float(np.real(np.trace(rho)))
+    if weight <= 0:
+        raise ValueError("cannot evaluate the Wigner function of a zero-weight state")
+    rho = rho / weight
     # a grid whose spacing overflows gives non-finite axes and W, which WignerGrid rejects
     with np.errstate(over="ignore", invalid="ignore"):
         re, im, phi_re, phi_im = _grid_tables(grid, 2 * rho.shape[0] - 1)
@@ -249,7 +260,7 @@ def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
     if reference.ndim == 2:
         p, q = _fock_populations(reference), _fock_populations(state)
         if p is None or q is None:
-            return uhlmann_fidelity(reference, _density(state))
+            return _uhlmann(reference, _density(state))
         val = float(np.sqrt(p * q).sum() ** 2)
         return min(val, 1.0) if val <= 1.0 + 1e-9 else val
     ref = reference / np.sqrt(float((np.abs(reference) ** 2).sum()))
@@ -268,6 +279,11 @@ def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """F(ρ,σ) = (Tr√(√ρ σ √ρ))² of two density matrices on the same levels, both normalized first."""
     _check(rho, sigma)
+    return _uhlmann(rho, sigma)
+
+
+def _uhlmann(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """:func:`uhlmann_fidelity` of two arrays already checked."""
     r = rho / float(rho.trace().real)
     s = sigma / float(sigma.trace().real)
     evals, evecs = np.linalg.eigh(r)

@@ -243,6 +243,21 @@ def test_repeated_output_in_a_circuit_file_exits_1(tmp_path):
     assert not (tmp_path / "out" / "wigner_a.json").exists()
 
 
+def test_a_wigner_output_in_a_circuit_file_writes_the_grid_of_its_state(tmp_path):
+    # `out wigner` is evaluated by the engine and written by the CLI: the grid read
+    # back equals the Wigner grid of the same run's `out state a`
+    text = FIG1_QOC.read_text() + "out wigner a -2:2:5\n"
+    path = tmp_path / "fig1_wigner.qoc"
+    path.write_text(text)
+    res = _run("run", str(path), "--out", str(tmp_path / "out"))
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads((tmp_path / "out" / "wigner_a.json").read_text())
+    state = output_value(execute_plan(compile_circuit(parse(text))), "state", "a")
+    grid = wigner(state, GridSpec.square(-2.0, 2.0, 5))
+    assert doc["re_axis"] == doc["im_axis"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert np.array_equal(doc["values"], grid.values)
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 9.61 GiB for an array with shape (195112, 3306)")
 

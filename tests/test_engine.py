@@ -324,13 +324,13 @@ def test_fidelity_of_a_branch_with_coherences_takes_the_uhlmann_route(monkeypatc
             "herald b click onoff\nout probs\nout fidelity a input\nout state a\n")
     plan = compile_circuit(parse(text), cutoff=12, leak_budget=1.0)
     calls = []
-    uhlmann = phasespace.uhlmann_fidelity
+    uhlmann = phasespace._uhlmann
 
     def counting(rho, sigma):
         calls.append((rho.shape, sigma.shape))
         return uhlmann(rho, sigma)
 
-    monkeypatch.setattr(phasespace, "uhlmann_fidelity", counting)
+    monkeypatch.setattr(phasespace, "_uhlmann", counting)
     rs = execute_plan(plan)
     assert calls == [((12, 12), (12, 12))]
     rb = execute_plan_brute(plan)

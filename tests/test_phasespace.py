@@ -158,9 +158,11 @@ def test_sector_walk_within_the_highest_nonzero_diagonal_matches_the_full_walk(
     # the sector columns outside ρ's band meet only zeros of ρ.  The band's
     # edge column (or, for a Fock-diagonal ρ, the closed form) rounds
     # differently from the full walk, which builds it from its outer
-    # neighbour: by less than one unit in the last place of 2/π (≤ 6.3e-17 here)
+    # neighbour: by less than one unit in the last place of 2/π (≤ 6.3e-17 here).
+    # The banded case sits above the cap, where M is the walk's, not the product's
     branch = run_interferometer(SchemeParams(input_kind="thermal", nbar=1.0)).pd1_branch
-    d = 8
+    d = phasespace.PRODUCT_MAX_SIZE // 2 + 2
+    assert 2 * d - 1 > phasespace.PRODUCT_MAX_SIZE
     rho = np.diag(np.linspace(1.0, 0.2, d)).astype(np.complex128)
     rho[np.arange(d - 3), np.arange(3, d)] = 0.05 + 0.02j  # ρ_{n,n+3}
     rho += np.triu(rho, 1).conj().T
@@ -172,6 +174,33 @@ def test_sector_walk_within_the_highest_nonzero_diagonal_matches_the_full_walk(
             m.setattr(phasespace, "_bandwidth", lambda rho: rho.shape[0] - 1)
             full = wigner(state, grid_spec).values
         assert np.max(np.abs(skipped - full)) <= np.spacing(TWO_OVER_PI)
+
+
+@pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, OFF_CENTRE_GRID],
+                         ids=["default-grid", "off-centre-grid"])
+@pytest.mark.parametrize("d", [*sorted({2, 8, 12, (phasespace.PRODUCT_MAX_SIZE + 1) // 2}),
+                               "pd1-branch"])
+def test_sector_product_up_to_the_cap_matches_the_walk(d, grid_spec, monkeypatch):
+    # up to the cap M is one product of the cached 50:50 sectors; with the cap at
+    # 0 every grid takes the walk.  The two differ by ≤ 4.4e-16 on these states
+    # (≤ 3.9e-16 on 600 random ones); a box that holds ρ, not ρᵀ, is 0.1–0.6 off
+    if d == "pd1-branch":  # complex coherences, at 12 levels
+        params = SchemeParams(alpha=0.8 - 0.9j, cutoff=12, leak_budget=1e-4)
+        state = run_interferometer(params).pd1_branch
+    else:
+        rng = np.random.default_rng(2000 + d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        state = g @ g.conj().T
+    size = 2 * len(state) - 1
+    assert size <= phasespace.PRODUCT_MAX_SIZE
+    keys, sectors = [], phasespace._sectors
+    with monkeypatch.context() as m:
+        m.setattr(phasespace, "_sectors", lambda *key: keys.append(key) or sectors(*key))
+        product = wigner(state, grid_spec).values
+        m.setattr(phasespace, "PRODUCT_MAX_SIZE", 0)
+        walk = wigner(state, grid_spec).values
+    assert keys == [("bs", 0.5, size, size)]
+    assert np.max(np.abs(product - walk)) <= 1e-15
 
 
 def test_a_returned_grid_cannot_change_a_later_one():
