@@ -67,8 +67,7 @@ def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
         return np.eye(1, d, dtype=np.complex128)[0]
     n = np.arange(d)
     # log-domain magnitudes to stay finite for large n
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(d)])
-    shape = n * np.log(abs(alpha)) - 0.5 * log_fact
+    shape = n * np.log(abs(alpha)) - 0.5 * _log_factorials(1 << (d - 1).bit_length())[:d]
     norm2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf  # past the float range
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(shape - 0.5 * norm2) * phase
@@ -77,6 +76,14 @@ def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
         amps = np.exp(shape - shape.max()) * phase
         kept = np.linalg.norm(amps)
     return amps / kept
+
+
+@lru_cache(maxsize=None)  # one key per power of two
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! = lgamma(k + 1) for k < ``size``, read-only."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.setflags(write=False)
+    return table
 
 
 def _thermal_populations(nbar: float, d: int) -> np.ndarray:

@@ -178,15 +178,15 @@ class Ensemble:
             rho = rho / float(rho.trace().real) * weight
         return rho
 
-    def top_level_population(self) -> dict[str, float]:
-        """Population of each mode's top level, relative to the weight."""
+    def top_level_population(self) -> tuple[float, dict[str, float]]:
+        """The weight, and the population of each mode's top level relative to it."""
         total = self.weight
         t = self._tensor()
         out = {}
         for i, (m, d) in enumerate(zip(self.modes, self.dims)):
             top = t[(..., d - 1) + (slice(None),) * (i + 1)]  # mode i is axis M-1-i
             out[m] = float(np.vdot(top, top).real) / total if total != 0.0 else 0.0
-        return out
+        return total, out
 
     def condition(self, mode: str, diag: np.ndarray) -> Ensemble:
         """Apply the diagonal POVM element ``diag`` on ``mode`` and trace it out.
@@ -299,6 +299,12 @@ class _LeakMonitor:
             if not leak <= self.budget:  # a NaN leak fails too
                 raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoffs)
 
+    def read(self, stage: str, ens: Ensemble) -> float:
+        """Check ``ens`` after ``stage``; return its weight, which the check reads."""
+        weight, leaks = ens.top_level_population()
+        self.check(stage, leaks)
+        return weight
+
 
 def _evaluate_outputs(spec: CircuitSpec, state_of: Callable[[str], np.ndarray],
                       heralds: list[HeraldRecord]) -> tuple:
@@ -359,12 +365,11 @@ def execute_plan(plan: ExecutionPlan) -> ExecutionResult:
         return _execute_staged(plan, doubled)
 
 
-def _herald(
-    ens: Ensemble, stmt: HeraldStmt, monitor: _LeakMonitor
-) -> tuple[Ensemble, HeraldRecord]:
-    """One herald: condition and trace, compact, then check the leak."""
+def _herald(ens: Ensemble, stmt: HeraldStmt, monitor: _LeakMonitor,
+            before: float) -> tuple[Ensemble, HeraldRecord, float | None]:
+    """One herald on ``ens`` of weight ``before``: condition and trace, compact, then check
+    the leak; also returns the weight that check read (``None``: no mode left to check)."""
     d = ens.dims[ens.modes.index(stmt.mode)]
-    before = ens.weight
     ens = ens.condition(stmt.mode, measurement.povm_diagonal(
         stmt.requirement, stmt.count, stmt.eta, stmt.onoff, d))
     after = ens.weight
@@ -373,9 +378,8 @@ def _herald(
             f"herald {stmt.requirement} on mode {stmt.mode!r} has zero probability"
         )
     ens.compact()
-    if ens.modes:
-        monitor.check(f"herald {stmt.mode}", ens.top_level_population())
-    return ens, HeraldRecord(stmt.mode, stmt.requirement, after / before)
+    weight = monitor.read(f"herald {stmt.mode}", ens) if ens.modes else None
+    return ens, HeraldRecord(stmt.mode, stmt.requirement, after / before), weight
 
 
 def _attach(ens: Ensemble, stmt: InputStmt, d: int) -> Ensemble:
@@ -407,13 +411,14 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
     heralds: list[HeraldRecord] = []
     # no mode yet: the one-member ensemble on the one-dimensional empty space
     ens = Ensemble((), (), np.ones((1, 1), dtype=np.complex128), plan.charge_signs)
+    weight = None  # the weight of ens that its last leak check read; a herald's `before`
 
     def attach(modes) -> None:
-        nonlocal ens
+        nonlocal ens, weight
         for mode in modes:
             if mode not in ens.modes:
                 ens = _attach(ens, inputs[mode], cutoffs[mode])
-                monitor.check(f"prepare {mode}", ens.top_level_population())
+                weight = monitor.read(f"prepare {mode}", ens)
 
     for op in spec.operations:
         if isinstance(op, ElementStmt):
@@ -421,19 +426,19 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
             d1, d2 = (cutoffs[m] for m in op.modes)
             sectors = element_sectors(op.kind, op.value, d1, d2)
             ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, op.modes)
-            monitor.check(f"{op.kind} {'/'.join(op.modes)}", ens.top_level_population())
+            weight = monitor.read(f"{op.kind} {'/'.join(op.modes)}", ens)
         else:
             attach((op.mode,))
-            ens, record = _herald(ens, op, monitor)
+            ens, record, weight = _herald(ens, op, monitor, weight)
             heralds.append(record)
     attach(out.mode for out in spec.outputs if out.mode is not None)
     outputs = _evaluate_outputs(spec, ens.reduced, heralds)
 
     results = []
     for stmts in plan.branches:
-        branch, records = ens, []
+        branch, records, before = ens, [], weight
         for stmt in stmts:
-            branch, record = _herald(branch, stmt, monitor)
+            branch, record, before = _herald(branch, stmt, monitor, before)
             records.append(record)
         results.append((branch, records))
 

@@ -23,9 +23,9 @@ read-only per 2d − 1 (and grid): 2·(2d − 1)³ floats a key with the sectors
 (0.19 MB at the cap, 0.66 MB for all 11 keys; 230 MB at d = 122), and (2d − 1)·(n_re +
 n_im) for the tables, four keys at most (30 KB at d = 12 on the default grid).
 
-:func:`fidelity` of two Fock-diagonal states, the thermal case, reads
-(Σₙ √(pₙqₙ))² off their populations; other mixed references take the
-Uhlmann route.
+:func:`fidelity` checks its arguments once, then takes one unchecked kernel per route:
+⟨φ|ρ|φ⟩ for a pure reference, (Σₙ √(pₙqₙ))² off the populations of two Fock-diagonal
+states (the thermal case), and Uhlmann's otherwise.  ``scheme`` calls the first two directly.
 """
 
 from __future__ import annotations
@@ -238,42 +238,48 @@ def wigner(state: np.ndarray, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
 
 
 def _fock_populations(state: np.ndarray) -> np.ndarray | None:
-    """The normalized photon-number distribution of a Fock-diagonal state, else ``None``."""
+    """The photon-number populations of a Fock-diagonal state, unnormalized, else ``None``."""
     rho = _density(state)
     p = rho.diagonal()
     if np.count_nonzero(rho) > np.count_nonzero(p):
         return None
-    return p.real / float(rho.trace().real)
+    return p.real
 
 
 def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
     """Jozsa's fidelity of ``state`` with ``reference``, both normalized first.
 
-    For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩.  A mixed reference
-    and a state that are both diagonal in the Fock basis (a thermal input
-    against a charge-dephased branch) give F = (Σₙ √(pₙqₙ))² from their
-    populations; any other mixed reference goes to :func:`uhlmann_fidelity`,
-    whose eigenvalue floor would drop the small but real pₙqₙ of a thermal
-    tail.  Each is a ket or a density matrix, both on the same levels.
+    For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩ (:func:`_pure_fidelity`).  A
+    mixed reference and a state both diagonal in the Fock basis (a thermal input against
+    a charge-dephased branch) give F = (Σₙ √(pₙqₙ))² from their populations
+    (:func:`_population_fidelity`); any other mixed reference goes to
+    :func:`uhlmann_fidelity`, whose eigenvalue floor would drop the small but real pₙqₙ
+    of a thermal tail.  Each is a ket or a density matrix, both on the same levels.
     """
     _check(reference, state)
-    if reference.ndim == 2:
-        p, q = _fock_populations(reference), _fock_populations(state)
-        if p is None or q is None:
-            return _uhlmann(reference, _density(state))
-        val = float(np.sqrt(p * q).sum() ** 2)
-        return min(val, 1.0) if val <= 1.0 + 1e-9 else val
+    if reference.ndim == 1:
+        return _pure_fidelity(reference, state)
+    p, q = _fock_populations(reference), _fock_populations(state)
+    if p is None or q is None:
+        return _uhlmann(reference, _density(state))
+    return _population_fidelity(p, q)
+
+
+def _pure_fidelity(reference: np.ndarray, state: np.ndarray) -> float:
+    """⟨φ|ρ|φ⟩/Tr ρ (|⟨φ|ψ⟩|²/⟨ψ|ψ⟩ for a ket), |φ⟩ the normalized ``reference``; unchecked."""
     ref = reference / np.sqrt(float((np.abs(reference) ** 2).sum()))
     if state.ndim == 1:
         val = abs(np.vdot(ref, state)) ** 2 / float((np.abs(state) ** 2).sum())
     else:
         val = float(np.real(ref.conj() @ state @ ref)) / float(state.trace().real)
     # clamp only boundary-grazing numerical noise
-    if -1e-9 <= val < 0.0:
-        return 0.0
-    if 1.0 < val <= 1.0 + 1e-9:
-        return 1.0
-    return float(val)
+    return 0.0 if -1e-9 <= val < 0.0 else 1.0 if 1.0 < val <= 1.0 + 1e-9 else float(val)
+
+
+def _population_fidelity(p: np.ndarray, q: np.ndarray) -> float:
+    """(Σₙ √(pₙqₙ))² of two photon-number distributions, each normalized first; unchecked."""
+    val = float(np.sqrt(p / p.sum() * (q / q.sum())).sum() ** 2)
+    return min(val, 1.0) if val <= 1.0 + 1e-9 else val
 
 
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

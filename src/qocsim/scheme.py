@@ -35,13 +35,15 @@ from .dsl import (
     OutputStmt,
     compile_circuit,
 )
-from .engine import execute_plan, input_state
+from .elements import _coherent_amplitudes, _thermal_populations
+from .engine import execute_plan
 from . import measurement
 from .phasespace import (
     DEFAULT_GRID,
     GridSpec,
     WignerGrid,
-    fidelity,
+    _population_fidelity,
+    _pure_fidelity,
     min_wigner,
     wigner,
 )
@@ -175,7 +177,8 @@ class SchemeResult:
     p_bc_given_c: float
     fidelity_pd2_vs_input: float | None
     # vs |√T·α⟩ (one tap) for a coherent input, thermal n̄T² (both taps) for a
-    # thermal one, |n⟩ itself for a Fock one; the convention is still open
+    # thermal one, |n⟩ itself for a Fock one; the convention is still open.  Coherent
+    # inputs compare kets, thermal and Fock ones populations (see run_interferometer)
     fidelity_pd2_vs_attenuated: float | None
     fidelity_pd1_vs_input: float | None
     leak_max: float
@@ -195,7 +198,10 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     ``fidelity_pd2_vs_attenuated`` compares the PD2 branch with the input
     attenuated by one tap if it is coherent (|√T·α⟩) but by both if it is
     thermal (n̄T²), and with the input itself if it is a Fock state; which
-    attenuation both should use is not settled.
+    attenuation both should use is not settled.  Each fidelity reads its
+    reference's own numbers, through the kernels of ``phasespace.fidelity``: a
+    coherent input's kets give ⟨φ|ρ|φ⟩/Tr ρ, and a thermal or Fock input's
+    populations, against the diagonal (charge-signed) branch, (Σₙ √(pₙqₙ))².
     """
     prefix = build_fig1_circuit(params, "none")
     tails = (_branch_heralds(params, "pd2"), _branch_heralds(params, "pd1"))
@@ -223,10 +229,15 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     rho_pd1 = ens_pd1.reduced("a", w_pd1)
 
     d = res.cutoffs["a"]
-    input_ref = input_state(params.input_stmt(), d)
-    attenuated = replace(params, alpha=params.t * params.alpha,
-                         nbar=params.transmittivity**2 * params.nbar)
-    atten_ref = input_state(attenuated.input_stmt(), d)
+    if ens_pd2.signs is None:  # a coherent input: kets against the branches' coherences
+        fid, pd2, pd1 = _pure_fidelity, rho_pd2, rho_pd1
+        alphas = (params.alpha, params.t * params.alpha)
+        ref, atten = (_coherent_amplitudes(complex(a), d) for a in alphas)
+    else:  # a thermal or Fock input: diagonal branches, compared by their populations
+        fid, pd2, pd1 = _population_fidelity, rho_pd2.diagonal().real, rho_pd1.diagonal().real
+        nbars = (params.nbar, params.transmittivity**2 * params.nbar)
+        ref, atten = ((_thermal_populations(n, d) for n in nbars) if params.input_kind == "thermal"
+                      else (np.eye(1, d, int(params.fock_n))[0],) * 2)
 
     return SchemeResult(
         params=params,
@@ -241,9 +252,9 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
         p_bc=p_bc,
         p_bc_given_b=p_bc / p_b if p_b > 0 else float("nan"),
         p_bc_given_c=p_bc / p_c if p_c > 0 else float("nan"),
-        fidelity_pd2_vs_input=fidelity(input_ref, rho_pd2),
-        fidelity_pd2_vs_attenuated=fidelity(atten_ref, rho_pd2),
-        fidelity_pd1_vs_input=fidelity(input_ref, rho_pd1),
+        fidelity_pd2_vs_input=fid(ref, pd2),
+        fidelity_pd2_vs_attenuated=fid(atten, pd2),
+        fidelity_pd1_vs_input=fid(ref, pd1),
         leak_max=res.leak_max,
     )
 

@@ -102,6 +102,13 @@ def test_usage_errors_exit_1(tmp_path, args):
     assert "error:" in res.output.lower()
 
 
+def test_an_alphas_list_of_no_number_exits_1_naming_the_empty_range(tmp_path):
+    res = _run("verify-commutation", "--alphas", ",", "--out", str(tmp_path))
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert "empty range for --alphas" in res.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_fock_level_at_or_above_an_explicit_cutoff_exits_1(tmp_path):
     circuit = tmp_path / "fock.qoc"
     circuit.write_text(FIG1_QOC.read_text().replace("input a coherent 1.0 0.0", "input a fock 20"))

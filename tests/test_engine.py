@@ -505,7 +505,8 @@ def test_leak_monitor_matches_population_formula():
     total = float(np.sum(pops))
     assert ens.weight == pytest.approx(total, rel=1e-14)
     t = pops.reshape(dims[::-1])
-    leaks = ens.top_level_population()
+    weight, leaks = ens.top_level_population()
+    assert weight == ens.weight
     for j, mode in enumerate(modes):
         expected = float(np.sum(np.take(t, dims[j] - 1, axis=2 - j))) / total
         assert leaks[mode] == pytest.approx(expected, rel=1e-14), mode

@@ -311,6 +311,43 @@ def test_fidelity_boundary_clamp():
     assert 0.0 <= fidelity(state, state) <= 1.0
 
 
+def _indefinite(eps: float, rotated: bool = False) -> np.ndarray:
+    """diag(1 + ε, −ε) of trace 1, Hermitian but not positive, optionally in a rotated
+    basis: what rounding can hand a fidelity at the edge of [0, 1]."""
+    rho = np.diag([1.0 + eps, -eps]).astype(np.complex128)
+    if rotated:
+        u = np.array([[0.8, -0.6j], [-0.6j, 0.8]])
+        rho = u @ rho @ u.conj().T
+    return rho
+
+
+# each route's fidelity F(ε) of two arrays that put it at 1 + ε
+AT_ONE_PLUS = {
+    # ⟨0|ρ|0⟩ = 1 + ε
+    "pure": lambda eps: fidelity(np.eye(2)[0], _indefinite(eps)),
+    # (Σₙ √(pₙqₙ))² = (1 + 2δ)² ≈ 1 + 4δ for the populations (1 + δ, −δ) twice
+    "populations": lambda eps: fidelity(_indefinite(eps / 4), _indefinite(eps / 4)),
+    # (1 + δ)² ≈ 1 + 2δ once the −δ eigenvalue is floored
+    "uhlmann": lambda eps: fidelity(_indefinite(eps / 2, True), _indefinite(eps / 2, True)),
+}
+
+
+@pytest.mark.parametrize("route", list(AT_ONE_PLUS))
+def test_fidelity_clamps_only_boundary_grazing_noise(route):
+    # within 1e-9 outside [0, 1] a fidelity is clamped, further out it is returned as
+    # is; only the pure route can land below 0, the others being squares
+    assert AT_ONE_PLUS[route](5e-10) == 1.0
+    assert AT_ONE_PLUS[route](2e-9) == pytest.approx(1.0 + 2e-9, abs=1e-15)
+    if route == "pure":  # ⟨1|ρ|1⟩ = −ε
+        assert fidelity(np.eye(2)[1], _indefinite(5e-10)) == 0.0
+        assert fidelity(np.eye(2)[1], _indefinite(2e-9)) == pytest.approx(-2e-9, abs=1e-18)
+
+
+def test_a_wigner_grid_whose_values_do_not_fit_its_axes_is_rejected():
+    with pytest.raises(phasespace.DimensionMismatchError, match=r"\(\|im\|, \|re\|\)"):
+        phasespace.WignerGrid(np.zeros(3), np.zeros(2), np.zeros((3, 2)))
+
+
 def test_uhlmann_matches_pure_overlap():
     d = 12
     a = coherent_state(0.6, d)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qocsim import engine, measurement, scheme
+from qocsim import engine, measurement, phasespace, scheme
 from qocsim.dsl import CutoffCeilingError, compile_circuit, parse
 from qocsim.engine import LeakBudgetError, execute_plan, input_state
 from qocsim.measurement import ZeroProbabilityError
@@ -104,6 +104,10 @@ CASES = {
     "lossy-pd1-pd2": SchemeParams(alpha=1.0, eta_pd1=0.6, eta_pd2=0.6),
     "onoff-pd0": SchemeParams(alpha=1.0, pd0_onoff=True, eta_pd0=0.5),
     "swapped-bs3": SchemeParams(alpha=1.0, swap_bs3_sign=True),
+    # diagonal branches, whose fidelities the run reads off their populations
+    "fock2": SchemeParams(input_kind="fock", fock_n=2),
+    "thermal-lossy-pd1-pd2": SchemeParams(input_kind="thermal", nbar=1.0, eta_pd1=0.6, eta_pd2=0.6),
+    "thermal-onoff-pd0": SchemeParams(input_kind="thermal", nbar=0.6, pd0_onoff=True, eta_pd0=0.8),
 }
 
 
@@ -124,6 +128,45 @@ def test_one_execution_matches_three_execution_oracle(name):
             assert np.max(np.abs(a - b)) <= TOL, f.name
         else:
             assert abs(a - b) <= TOL, f.name
+
+
+@pytest.mark.parametrize("name", ["alpha1", "thermal", "fock2", "thermal-lossy-pd1-pd2",
+                                  "thermal-onoff-pd0"])
+def test_the_fidelity_kernels_agree_with_the_public_fidelity(name):
+    # the run calls phasespace's unchecked kernels on its references' own numbers:
+    # a coherent input's ket, and a thermal or Fock input's populations against the
+    # diagonal branch; the public fidelity takes the dense reference
+    params = CASES[name]
+    res = run_interferometer(params)
+    ref = input_state(params.input_stmt(), res.cutoff)
+    pops = np.abs(ref) ** 2 if ref.ndim == 1 else ref.diagonal().real
+    for rho, got in ((res.pd2_branch, res.fidelity_pd2_vs_input),
+                     (res.pd1_branch, res.fidelity_pd1_vs_input)):
+        want = fidelity(ref, rho)
+        kernels = [phasespace._pure_fidelity(ref, rho)] if ref.ndim == 1 else []
+        if params.input_kind != "coherent":
+            assert np.count_nonzero(rho) == np.count_nonzero(rho.diagonal())
+            kernels.append(phasespace._population_fidelity(pops, rho.diagonal().real))
+        for value in (got, *kernels):
+            assert abs(value - want) <= 1e-15, (name, value, want)
+
+
+@pytest.mark.parametrize("params", [SchemeParams(alpha=1.0),
+                                    SchemeParams(input_kind="thermal", nbar=0.95)],
+                         ids=["coherent", "thermal"])
+def test_a_fig1_run_reads_each_ensemble_weight_once(params, monkeypatch):
+    # each herald takes its `before` from the leak check that preceded it on the
+    # same members: 13 checks, 5 herald `after`s and the click statistics' total
+    calls = []
+    weight = engine.Ensemble.weight
+
+    def counting(ens):
+        calls.append(ens.modes)
+        return weight.fget(ens)
+
+    monkeypatch.setattr(engine.Ensemble, "weight", property(counting))
+    run_interferometer(params)
+    assert len(calls) == 19
 
 
 def test_branch_stage_leak_doubles_the_cutoff():
