@@ -17,11 +17,12 @@ arrays.  :func:`apply` and :func:`partial_trace` are plain numpy contractions
 (the brute-force oracle's algebra); :func:`apply_matrix` is the staged
 engine's kernel only, which takes a real block-diagonal operator as one
 ``(idx, blocks)`` stack and one dimension per mode, for its per-mode cutoffs,
-and reaches the operator's digits through transposed views.
+and gathers the operator's digits as rows of the array, cached per shape.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +65,19 @@ def truncated_commutator(d: int) -> np.ndarray:
 # application
 
 
+_ROWS: dict[tuple, np.ndarray] = {}  # apply_matrix's gather rows, the 24 last used
+
+
+def _gather_rows(idx: np.ndarray, dims: tuple[int, ...], pos: tuple[int, ...]) -> np.ndarray:
+    """The rows of the array viewed as ``(prod(dims[p:]), -1)``, p = min(pos), that slot
+    entry ``idx[s, l]`` meets: one per level of the other modes from p up, the slowest first."""
+    hi = dims[min(pos):]
+    lead = [len(hi) - 1 - q + min(pos) for q in reversed(pos)]  # mode p + i is axis len(hi)-1-i
+    table = np.arange(math.prod(hi)).reshape(hi[::-1])
+    table = table.transpose(lead + [a for a in range(len(hi)) if a not in lead])
+    return table[np.unravel_index(idx, table.shape[: len(pos)])]
+
+
 def apply_matrix(
     arr: np.ndarray,
     state_modes: Sequence[str],
@@ -82,22 +96,23 @@ def apply_matrix(
     basis indices of the operator space (little-endian over ``op_modes``, each
     at its own dimension), and ``blocks`` the real ``(n, L, L)`` stack of the
     operator restricted to them, for an element unitary the stack of its
-    slots.  Each slot's rows are gathered through a transposed view of the
-    array with the op digits leading, multiplied as one stacked real product
-    on their interleaved (re, im) pairs, ``blocks @ x[idx]``, and written
-    through the same view of one fresh array.
+    slots.  The array is viewed as rows of every digit below the lowest op
+    mode's, and each slot's rows are gathered, multiplied as one stacked real
+    product on their interleaved (re, im) pairs, ``blocks @ x[idx]``, and
+    written through the same view of one fresh array.  The gather rows are
+    cached by value: ``idx`` (an element's kind and (d1, d2) fix it), the dims
+    and the op modes' positions.
     """
-    M = len(state_modes)
-    # C order makes the first axis the slowest digit: mode i is axis M-1-i
-    lead = [M - 1 - state_modes.index(m) for m in reversed(op_modes)]
-    axes = lead + [a for a in range(M + 1) if a not in lead]
-    shape = tuple(reversed(dims)) + (-1,)
     idx, blocks = sectors
-    digits = np.unravel_index(idx, [dims[M - 1 - a] for a in lead])
-    x = arr.reshape(shape).transpose(axes)[digits]
+    key = (idx.shape, idx.tobytes(), tuple(dims), tuple(state_modes.index(m) for m in op_modes))
+    rows = _ROWS.pop(key) if key in _ROWS else _gather_rows(idx, *key[2:])
+    _ROWS[key] = rows
+    if len(_ROWS) > 24:  # 3 Fig. 1 runs' 4 elements, at first and doubled cutoffs
+        del _ROWS[next(iter(_ROWS))]
+    x = arr.reshape(rows.size, -1).take(rows, axis=0)
     y = blocks @ x.reshape(idx.shape + (-1,)).view(np.float64)
     out = np.empty_like(arr)
-    out.reshape(shape).transpose(axes)[digits] = y.view(np.complex128).reshape(x.shape)
+    out.reshape(rows.size, -1)[rows] = y.view(np.complex128).reshape(x.shape)
     return out
 
 

@@ -161,8 +161,8 @@ def _chain_basis(
 
 
 # The sectors depend only on the cutoffs, not on the modes.  A Fig.-1 run needs at most
-# 4 keys per attempt (BS1, the squeezer, BS2, BS3); the Wigner grids cache their 50:50
-# keys apart.  A repeated element skips even the rescaling of its shape's cached eigenbasis.
+# 4 keys per attempt (BS1, the squeezer, BS2, BS3); the Wigner grids keep their one 50:50
+# table apart.  A repeated element skips even the rescaling of its shape's cached eigenbasis.
 @lru_cache(maxsize=16)
 def element_sectors(
     kind: str, value: float, d1: int, d2: int

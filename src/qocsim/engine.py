@@ -37,8 +37,11 @@ The cutoffs are the plan's: explicit (the same for every mode), or predicted
 per mode from the leak budget by :func:`~qocsim.dsl.compile_circuit`, which
 sizes the branch stages as well; the executor only runs the plan.  The leak
 monitor checks every live mode's top-level population after every stage, the
-branches' included (a NaN population fails it too), and predicted cutoffs that
-still leak are retried once, every mode at twice its value.
+branches' included (a NaN population fails it too), and each stage re-reads
+what it can change: an element its two modes over a re-read weight, a herald
+every mode over its ``after`` while compaction keeps the members, a vacuum
+attach nothing (its top level holds exactly 0).  Predicted cutoffs that still
+leak are retried once, every mode at twice its value.
 
 Element unitaries are applied as their photon-number sectors: the beam
 splitter conserves n1 + n2 and the squeezer n1 − n2, so the unitary on a
@@ -47,11 +50,11 @@ into ``max(d1, d2)`` slots of ``min(d1, d2)`` states, built from an
 eigenbasis cached per truncation shape and cached by value as one
 ``(idx, blocks)`` pair (see :func:`~qocsim.elements.element_sectors`), and
 applying it costs one stacked matrix product instead of a (d1·d2)²-entry
-contraction: :func:`~qocsim.core.apply_matrix` gathers each slot's rows
-through a transposed view of the members and multiplies the real blocks into
-them as interleaved (re, im) float pairs.  Every BLAS call of a run goes
-through numpy's one OpenBLAS thread pool; no second BLAS library competes
-with it for the cores.
+contraction: :func:`~qocsim.core.apply_matrix` gathers each slot's rows of
+the members, by row indices cached per slot layout and live dims, and
+multiplies the real blocks into them as interleaved (re, im) float pairs.
+Every BLAS call of a run goes through numpy's one OpenBLAS thread pool; no
+second BLAS library competes with it for the cores.
 
 The brute-force executor runs every mode at one uniform cutoff (the plan's
 largest), builds the full joint state of every declared input up front as one
@@ -178,14 +181,17 @@ class Ensemble:
             rho = rho / float(rho.trace().real) * weight
         return rho
 
-    def top_level_population(self) -> tuple[float, dict[str, float]]:
-        """The weight, and the population of each mode's top level relative to it."""
-        total = self.weight
+    def top_level_population(self, modes: Sequence[str] | None = None,
+                             total: float | None = None) -> tuple[float, dict[str, float]]:
+        """The weight (``total``, if given, stands for it), and the population of the top
+        level of each of ``modes`` (every mode if ``None``) relative to it."""
+        total = self.weight if total is None else total
         t = self._tensor()
         out = {}
         for i, (m, d) in enumerate(zip(self.modes, self.dims)):
-            top = t[(..., d - 1) + (slice(None),) * (i + 1)]  # mode i is axis M-1-i
-            out[m] = float(np.vdot(top, top).real) / total if total != 0.0 else 0.0
+            if modes is None or m in modes:
+                top = t[(..., d - 1) + (slice(None),) * (i + 1)]  # mode i is axis M-1-i
+                out[m] = float(np.vdot(top, top).real) / total if total != 0.0 else 0.0
         return total, out
 
     def condition(self, mode: str, diag: np.ndarray) -> Ensemble:
@@ -236,6 +242,7 @@ class ExecutionResult:
     outputs: tuple = ()  # one value per entry of plan.spec.outputs, in order
     # one (ensemble, heralds) pair per plan branch; see execute_plan
     branches: list[tuple[Ensemble, list[HeraldRecord]]] = field(default_factory=list)
+    weight: float | None = None  # staged: final_state's, as its last leak check read it
 
     @property
     def cutoff(self) -> int:
@@ -292,17 +299,21 @@ class _LeakMonitor:
         self.budget = budget
         self.cutoffs = cutoffs
         self.max_seen = 0.0
+        self.leaks: dict[str, float] = {}  # every live mode's, as the last check saw it
 
     def check(self, stage: str, populations: dict[str, float]) -> None:
+        self.leaks = populations
         for mode, leak in populations.items():
             self.max_seen = max(self.max_seen, leak)
             if not leak <= self.budget:  # a NaN leak fails too
                 raise LeakBudgetError(stage, mode, leak, self.budget, self.cutoffs)
 
-    def read(self, stage: str, ens: Ensemble) -> float:
-        """Check ``ens`` after ``stage``; return its weight, which the check reads."""
-        weight, leaks = ens.top_level_population()
-        self.check(stage, leaks)
+    def read(self, stage: str, ens: Ensemble, modes: Sequence[str] | None = None,
+             total: float | None = None) -> float:
+        """Re-read the weight (``total`` stands for it) and the top levels of ``modes`` (all if
+        ``None``) of ``ens``, check every live mode after ``stage``; return the weight."""
+        weight, leaks = ens.top_level_population(modes, total)
+        self.check(stage, leaks if modes is None else {**self.leaks, **leaks})
         return weight
 
 
@@ -366,19 +377,22 @@ def execute_plan(plan: ExecutionPlan) -> ExecutionResult:
 
 
 def _herald(ens: Ensemble, stmt: HeraldStmt, monitor: _LeakMonitor,
-            before: float) -> tuple[Ensemble, HeraldRecord, float | None]:
+            before: float) -> tuple[Ensemble, HeraldRecord, float]:
     """One herald on ``ens`` of weight ``before``: condition and trace, compact, then check
-    the leak; also returns the weight that check read (``None``: no mode left to check)."""
+    the leak; also returns the weight, ``after`` itself while compact keeps the members,
+    which that check reads as the total."""
     d = ens.dims[ens.modes.index(stmt.mode)]
     ens = ens.condition(stmt.mode, measurement.povm_diagonal(
         stmt.requirement, stmt.count, stmt.eta, stmt.onoff, d))
-    after = ens.weight
+    after, members = ens.weight, ens.members
     if after <= 0.0:
         raise ZeroProbabilityError(
             f"herald {stmt.requirement} on mode {stmt.mode!r} has zero probability"
         )
     ens.compact()
-    weight = monitor.read(f"herald {stmt.mode}", ens) if ens.modes else None
+    weight = after if ens.members is members else ens.weight
+    if ens.modes:
+        monitor.read(f"herald {stmt.mode}", ens, total=weight)
     return ens, HeraldRecord(stmt.mode, stmt.requirement, after / before), weight
 
 
@@ -411,14 +425,18 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
     heralds: list[HeraldRecord] = []
     # no mode yet: the one-member ensemble on the one-dimensional empty space
     ens = Ensemble((), (), np.ones((1, 1), dtype=np.complex128), plan.charge_signs)
-    weight = None  # the weight of ens that its last leak check read; a herald's `before`
+    weight = 1.0  # the weight of ens that its last leak check read; a herald's `before`
 
     def attach(modes) -> None:
         nonlocal ens, weight
         for mode in modes:
             if mode not in ens.modes:
                 ens = _attach(ens, inputs[mode], cutoffs[mode])
-                weight = monitor.read(f"prepare {mode}", ens)
+                if inputs[mode].kind != "vacuum":
+                    weight = monitor.read(f"prepare {mode}", ens)
+                else:  # zero padding keeps the weight and each top level; its own (d ≥ 2) holds 0
+                    leaks = {m: monitor.leaks.get(m, 0.0) for m in ens.modes}
+                    monitor.check(f"prepare {mode}", leaks)
 
     for op in spec.operations:
         if isinstance(op, ElementStmt):
@@ -426,7 +444,7 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
             d1, d2 = (cutoffs[m] for m in op.modes)
             sectors = element_sectors(op.kind, op.value, d1, d2)
             ens.members = apply_matrix(ens.members, ens.modes, ens.dims, sectors, op.modes)
-            weight = monitor.read(f"{op.kind} {'/'.join(op.modes)}", ens)
+            weight = monitor.read(f"{op.kind} {'/'.join(op.modes)}", ens, op.modes)
         else:
             attach((op.mode,))
             ens, record, weight = _herald(ens, op, monitor, weight)
@@ -450,6 +468,7 @@ def _execute_staged(plan: ExecutionPlan, cutoffs: dict[str, int]) -> ExecutionRe
         leak_max=monitor.max_seen,
         outputs=outputs,
         branches=results,
+        weight=weight if ens.modes else None,
     )
 
 

@@ -17,11 +17,12 @@ sector), and ∫φ_j(√2s)e^{−2iys}ds = √π(−i)ʲφ_j(√2y).  So W(β) =
 two-mode ket, one product of its sectors up to 2d − 1 = ``PRODUCT_MAX_SIZE`` and one
 walk over them above (:func:`_sector_matrix`).  The cap, 23, covers d ≤ 12 (``wigner
 --alpha 1``, the benchmark's grids), whose sectors a fresh process builds in ≈2 ms, six
-grids' saving; at 31 the build stalled ≈0.18 s in 5 of 66 processes on 2 cores.  The
-sectors, apart from the engine's elements, and the axes and two tables are cached
-read-only per 2d − 1 (and grid): 2·(2d − 1)³ floats a key with the sectors' eigenbasis
-(0.19 MB at the cap, 0.66 MB for all 11 keys; 230 MB at d = 122), and (2d − 1)·(n_re +
-n_im) for the tables, four keys at most (30 KB at d = 12 on the default grid).
+grids' saving; at 31 the build stalled ≈0.18 s in 5 of 66 processes on 2 cores.  Every
+product reads one table of sectors, at the cap and apart from the engine's elements
+(2·23³ floats with its eigenbasis, 0.19 MB), and keeps its (2d − 1)² corner, exact as ρ
+meets whole chains only.  The axes and two Hermite tables are cached read-only per grid
+and power of two ≥ 2d − 1, four keys at most, and each call slices its 2d − 1 rows (41 KB
+for d = 9…12 on the default grid).
 
 :func:`fidelity` checks its arguments once, then takes one unchecked kernel per route:
 ⟨φ|ρ|φ⟩ for a pure reference, (Σₙ √(pₙqₙ))² off the populations of two Fock-diagonal
@@ -53,7 +54,7 @@ __all__ = [
 DEFAULT_GRID: "GridSpec"
 HERMITICITY_TOL = 1e-10
 PRODUCT_MAX_SIZE = 23  # the largest 2d − 1 whose M is one product (see _sector_matrix)
-_sectors = lru_cache(maxsize=PRODUCT_MAX_SIZE // 2)(element_sectors.__wrapped__)  # a key per d ≥ 2
+_sectors = lru_cache(maxsize=1)(element_sectors.__wrapped__)  # the product route's one table
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,14 @@ def _density(state: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _grid_tables(grid: GridSpec, size: int) -> tuple[np.ndarray, ...]:
-    """The grid's axes, φ_k(2·re), and φ_k(2·im)·(2/√π)·(1, 1, −1, −1)[k mod 4] for k < ``size``."""
+def _grid_tables(grid: GridSpec, rows: int) -> tuple[np.ndarray, ...]:
+    """The grid's axes, φ_k(2·re), and φ_k(2·im)·(2/√π)·(1, 1, −1, −1)[k mod 4] for k <
+    ``rows``, a power of two: :func:`wigner` slices its 2d − 1 rows, bit for bit those of a
+    table of 2d − 1 rows (row k never reads ``rows``), so d = 8…12 share two tables per grid."""
     re, im = (np.linspace(*axis) for axis in (grid.re_range, grid.im_range))
     # every φ_k vanishes long before 1e300; an inf would meet a zero φ_0 as nan
-    phi = _hermite_functions(np.clip(2.0 * np.concatenate((re, im)), -1e300, 1e300), size)
-    sign = np.where(np.arange(size) % 4 < 2, 2.0, -2.0) / math.sqrt(math.pi)
+    phi = _hermite_functions(np.clip(2.0 * np.concatenate((re, im)), -1e300, 1e300), rows)
+    sign = np.where(np.arange(rows) % 4 < 2, 2.0, -2.0) / math.sqrt(math.pi)
     out = (re, im, phi[:, : re.size], phi[:, re.size :] * sign[:, None])
     for a in out:
         a.setflags(write=False)
@@ -165,8 +168,9 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
     """M as a real matrix: at (k, j), N = k + j, Σ_m C⁽ᴺ⁾_{k,m}·ρ_{m,N−m}'s real part
     for even j and imaginary part for odd j (the im table holds (−i)ʲ's signs).
 
-    A Fock-diagonal ρ takes a closed form.  Up to the cap, ρᵀ fills the (2d − 1)² box as
-    (re, im) pairs for one product of the sectors' real blocks.  Above it, column m of
+    A Fock-diagonal ρ takes a closed form.  Up to the cap, ρᵀ fills a corner of the cap's
+    box as (re, im) pairs for one product of its sectors' real blocks, whose (2d − 1)²
+    corner is exact: ρ meets whole chains only, as in a box of 2d − 1.  Above it, column m of
     sector N (the image of |m⟩|N−m⟩) is (√m·a_u†·c_{m−1} + √(N−m)·a_v†·c_m)/N on columns
     m − 1, m of sector N − 1, a_u†, a_v† = (a_s† ± a_t†)/√2; either route alone grows the
     rounding exponentially.  Column N − m is column m with (−1)^{N−k} on row k, so only
@@ -186,11 +190,12 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
         out[2 * j, 2 * (n - j)] = column[n, j]
         return out
     if size <= PRODUCT_MAX_SIZE:
-        box = np.zeros((size, size), dtype=np.complex128)
+        box = np.zeros((PRODUCT_MAX_SIZE,) * 2, dtype=np.complex128)
         box[:d, :d] = rho.T
-        idx, blocks = _sectors("bs", 0.5, size, size)
-        sums = np.empty((size * size, 2))
-        sums[idx] = blocks @ box.view(np.float64).reshape(-1, 2)[idx]
+        idx, blocks = _sectors("bs", 0.5, *box.shape)
+        sums = np.empty(box.shape + (2,))
+        sums.reshape(-1, 2)[idx] = blocks @ box.view(np.float64).reshape(-1, 2)[idx]
+        sums = sums[:size, :size]
     else:
         root = np.sqrt(np.arange(size))
         rev, alternate = root[::-1].copy(), np.where(np.arange(size + 1) % 2 == 0, 1.0, -1.0)
@@ -216,7 +221,7 @@ def _sector_matrix(rho: np.ndarray) -> np.ndarray:
             np.multiply((p + q)[:, : n + 1], root[: n + 1], out=vec)
             vec += (p - q)[:, 1:] * rev[size - 1 - n :]
             sums[n : n * size + 1 : size - 1] = vec.T @ pairs[n + mid * (d - 1) : n + hi * (d - 1) + 1 : d - 1]
-    sums = sums.reshape(size, size, 2)
+        sums = sums.reshape(size, size, 2)
     out[:, ::2], out[:, 1::2] = sums[:, ::2, 0], sums[:, 1::2, 1]
     return out
 
@@ -232,8 +237,9 @@ def wigner(state: np.ndarray, grid: GridSpec = DEFAULT_GRID) -> WignerGrid:
     rho = rho / weight
     # a grid whose spacing overflows gives non-finite axes and W, which WignerGrid rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        re, im, phi_re, phi_im = _grid_tables(grid, 2 * rho.shape[0] - 1)
-        values = (phi_im.T @ _sector_matrix(rho).T) @ phi_re
+        size = 2 * rho.shape[0] - 1
+        re, im, phi_re, phi_im = _grid_tables(grid, 1 << (size - 1).bit_length())
+        values = (phi_im[:size].T @ _sector_matrix(rho).T) @ phi_re[:size]
     return WignerGrid(re.copy(), im.copy(), values)
 
 

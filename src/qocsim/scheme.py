@@ -213,8 +213,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     w_pd2 = math.prod(h.probability for h in heralds_pd2)
     w_pd1 = math.prod(h.probability for h in heralds_pd1)
 
-    post = res.final_state
-    w = post.weight
+    post, w = res.final_state, res.weight
     # one pass over the post-BS3 ensemble serves all three click statistics
     pops = post.populations(("b", "c"))
     click_b, click_c = (

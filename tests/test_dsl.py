@@ -359,6 +359,20 @@ def test_compile_rejects_branch_heralds_on_modes_not_live():
             compile_circuit(spec, branches=[tail])
 
 
+def test_bs_transmittivity_above_1_is_a_parse_issue():
+    text = "modes a b\ninput a vacuum\ninput b vacuum\nbs a b T=1.5\nout probs\n"
+    with pytest.raises(CircuitParseError) as exc:
+        parse(text)
+    (issue,) = exc.value.issues
+    assert (issue.code, issue.line, issue.message) == ("bad-argument", 4, "T must be in (0, 1]")
+
+
+def test_compile_rejects_an_explicit_cutoff_below_2():
+    # the CLI and SchemeParams refuse it first; a caller of compile_circuit meets this gate
+    with pytest.raises(ValueError, match="cutoff must be >= 2"):
+        compile_circuit(parse(FIG1_TEXT), cutoff=1)
+
+
 def test_policy_ceiling_failure_is_typed():
     spec = parse("modes a\ninput a coherent 25.0 0.0\nout state a\n")
     with pytest.raises(CutoffCeilingError, match="no cutoff up to 512"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qocsim import core, engine, phasespace
+from qocsim import core, engine, phasespace, scheme
 from qocsim.core import apply_matrix
 from qocsim.dsl import (
     CircuitSpec,
@@ -162,6 +162,96 @@ def test_fig1_run_checks_every_live_mode_after_each_of_its_13_stages(monkeypatch
         ("bs c/b", "abc"), ("herald b", "ac"), ("herald c", "a"), ("herald c", "ab"),
         ("herald b", "a"),
     ]
+
+
+def _track_ensembles(monkeypatch) -> list:
+    """A list whose last entry is the live ensemble as the staged executor last changed it:
+    what an attach returns, an element's members, and a compacted herald result."""
+    latest = []
+    attach, apply, compact = engine._attach, engine.apply_matrix, Ensemble.compact
+
+    def attaching(*args):
+        latest.append(attach(*args))
+        return latest[-1]
+
+    def applying(arr, modes, dims, *args):
+        out = apply(arr, modes, dims, *args)
+        latest.append(Ensemble(tuple(modes), tuple(dims), out))
+        return out
+
+    def compacting(ens):
+        compact(ens)
+        latest.append(ens)
+
+    monkeypatch.setattr(engine, "_attach", attaching)
+    monkeypatch.setattr(engine, "apply_matrix", applying)
+    monkeypatch.setattr(Ensemble, "compact", compacting)
+    return latest
+
+
+def _carried_leak_plans():
+    params = {"coherent": SchemeParams(alpha=1.2),
+              "thermal-by-charge": SchemeParams(input_kind="thermal", nbar=0.95),
+              "fock": SchemeParams(input_kind="fock", fock_n=2)}
+    for name, p in params.items():
+        tails = tuple(scheme._branch_heralds(p, b) for b in ("pd2", "pd1"))
+        yield name, compile_circuit(build_fig1_circuit(p, "none"), branches=tails)
+    rng = np.random.default_rng(7)
+    for i in range(4):
+        yield f"random-{i}", compile_circuit(_random_circuit(rng, n_heralds=2), **LOOSE)
+    # the heralds trace every live mode, then an output attaches a vacuum mode alone
+    text = ("modes a b c\ninput a coherent 0.5 0.0\ninput b vacuum\ninput c vacuum\n"
+            "bs a b T=0.5\nherald a click onoff\nherald b noclick onoff\nout state c\n")
+    yield "vacuum-after-the-last-herald", compile_circuit(parse(text), **LOOSE)
+
+
+@pytest.mark.filterwarnings("ignore:herald on mode")
+def test_carried_leaks_equal_a_full_top_level_read_at_every_stage(monkeypatch):
+    # a stage re-reads only the modes it can change: an element its two, a vacuum
+    # attach none; every value the monitor checks is still the live ensemble's own
+    latest = _track_ensembles(monkeypatch)
+    check = engine._LeakMonitor.check
+    seen = []
+
+    def comparing(self, stage, populations):
+        _, full = latest[-1].top_level_population()
+        assert list(populations) == list(full), stage
+        for mode, leak in populations.items():
+            assert abs(leak - full[mode]) <= 1e-15 * full[mode], (stage, mode, leak, full[mode])
+        seen.append(stage)
+        check(self, stage, populations)
+
+    monkeypatch.setattr(engine._LeakMonitor, "check", comparing)
+    for name, plan in _carried_leak_plans():
+        seen.clear()
+        try:
+            execute_plan(plan)
+        except ZeroProbabilityError:
+            continue
+        assert any(s.startswith(("bs", "tmsq")) for s in seen), name
+        if name == "coherent":
+            assert len(seen) == 13
+
+
+@pytest.mark.parametrize("stage", ["bs a/b", "tmsq a/d", "bs a/c", "bs c/b"])
+def test_a_nan_after_an_element_fails_that_elements_leak_check(stage, monkeypatch):
+    # the element's own modes are re-read, over the re-read weight, so a NaN on a
+    # level below every top level still fails the check of the stage that wrote it
+    modes = stage.split()[1]
+    apply = engine.apply_matrix
+
+    def poisoning(arr, state_modes, dims, sectors, op_modes, *args):
+        out = apply(arr, state_modes, dims, sectors, op_modes, *args)
+        if "/".join(op_modes) == modes:
+            out[0] = np.nan  # every mode at level 0
+        return out
+
+    monkeypatch.setattr(engine, "apply_matrix", poisoning)
+    plan = replace(compile_circuit(parse(FIG1_QOC.read_text())), may_double=False)
+    with pytest.raises(LeakBudgetError) as exc:
+        execute_plan(plan)
+    assert exc.value.stage == stage and exc.value.mode in modes.split("/")
+    assert math.isnan(exc.value.leak)
 
 
 def test_circuit_without_heralds_checks_no_herald_stage(monkeypatch):

@@ -181,9 +181,10 @@ def test_sector_walk_within_the_highest_nonzero_diagonal_matches_the_full_walk(
 @pytest.mark.parametrize("d", [*sorted({2, 8, 12, (phasespace.PRODUCT_MAX_SIZE + 1) // 2}),
                                "pd1-branch"])
 def test_sector_product_up_to_the_cap_matches_the_walk(d, grid_spec, monkeypatch):
-    # up to the cap M is one product of the cached 50:50 sectors; with the cap at
-    # 0 every grid takes the walk.  The two differ by ≤ 4.4e-16 on these states
-    # (≤ 3.9e-16 on 600 random ones); a box that holds ρ, not ρᵀ, is 0.1–0.6 off
+    # up to the cap M is one product of the cached 50:50 sectors at the cap, of which
+    # it keeps the (2d − 1)² corner; with the cap at 0 every grid takes the walk.  The
+    # two differ by ≤ 4.4e-16 on these states (and on 600 random ones); a box that holds ρ,
+    # not ρᵀ, is 0.1–0.6 off
     if d == "pd1-branch":  # complex coherences, at 12 levels
         params = SchemeParams(alpha=0.8 - 0.9j, cutoff=12, leak_budget=1e-4)
         state = run_interferometer(params).pd1_branch
@@ -199,8 +200,35 @@ def test_sector_product_up_to_the_cap_matches_the_walk(d, grid_spec, monkeypatch
         product = wigner(state, grid_spec).values
         m.setattr(phasespace, "PRODUCT_MAX_SIZE", 0)
         walk = wigner(state, grid_spec).values
-    assert keys == [("bs", 0.5, size, size)]
+    cap = phasespace.PRODUCT_MAX_SIZE
+    assert keys == [("bs", 0.5, cap, cap)]
     assert np.max(np.abs(product - walk)) <= 1e-15
+
+
+@pytest.mark.parametrize("size", [*range(15, 24, 2), 25, 79])
+def test_sliced_hermite_rows_equal_a_table_built_at_that_size(size):
+    # one table per power of two serves every 2d − 1 below it: d = 8…12 (the product
+    # route) and two walk sizes read the same rows as a table of exactly 2d − 1
+    re, im, phi_re, phi_im = phasespace._grid_tables(OFF_CENTRE_GRID, 1 << (size - 1).bit_length())
+    assert phi_re.shape[0] >= size
+    direct = phasespace._hermite_functions(2.0 * np.concatenate((re, im)), size)
+    assert np.array_equal(phi_re[:size], direct[:, : re.size])
+    exact = phasespace._grid_tables.__wrapped__(OFF_CENTRE_GRID, size)
+    for sliced, built in zip((phi_re[:size], phi_im[:size]), exact[2:]):
+        assert sliced.tobytes() == built.tobytes()
+
+
+def test_cycling_d_8_to_12_builds_two_tables_per_grid():
+    # 2d − 1 = 15…23 round up to 16 and 32 rows; a table per size, four kept,
+    # rebuilt all ten on two cycles
+    states = {d: coherent_state(0.6, d) for d in range(8, 13)}
+    phasespace._grid_tables.cache_clear()
+    for grid_spec in (DEFAULT_GRID, OFF_CENTRE_GRID):
+        before = phasespace._grid_tables.cache_info().misses
+        for _ in range(2):
+            for state in states.values():
+                wigner(state, grid_spec)
+        assert phasespace._grid_tables.cache_info().misses - before <= 2
 
 
 def test_a_returned_grid_cannot_change_a_later_one():

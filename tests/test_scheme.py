@@ -155,8 +155,9 @@ def test_the_fidelity_kernels_agree_with_the_public_fidelity(name):
                                     SchemeParams(input_kind="thermal", nbar=0.95)],
                          ids=["coherent", "thermal"])
 def test_a_fig1_run_reads_each_ensemble_weight_once(params, monkeypatch):
-    # each herald takes its `before` from the leak check that preceded it on the
-    # same members: 13 checks, 5 herald `after`s and the click statistics' total
+    # only prepare a's check and the four elements' re-read the total; the vacuum
+    # prepares carry it, each herald's check takes its `after` (compact keeps the
+    # members here) and the click statistics take BS3's: 5 checks and 5 `after`s
     calls = []
     weight = engine.Ensemble.weight
 
@@ -166,7 +167,7 @@ def test_a_fig1_run_reads_each_ensemble_weight_once(params, monkeypatch):
 
     monkeypatch.setattr(engine.Ensemble, "weight", property(counting))
     run_interferometer(params)
-    assert len(calls) == 19
+    assert len(calls) == 10
 
 
 def test_branch_stage_leak_doubles_the_cutoff():
@@ -266,6 +267,13 @@ def test_click_statistics_match_three_pattern_probabilities():
 def test_params_reject_values_the_policy_cannot_use(bad):
     with pytest.raises(ValueError):
         SchemeParams(**bad)
+
+
+def test_an_unknown_input_kind_or_branch_is_rejected():
+    with pytest.raises(ValueError, match="unknown input kind 'squeezed'"):
+        SchemeParams(input_kind="squeezed")
+    with pytest.raises(ValueError, match="unknown branch 'pd3'"):
+        build_fig1_circuit(SchemeParams(), "pd3")
 
 
 def test_an_integral_fock_level_of_any_type_runs_as_that_level():
