@@ -65,14 +65,16 @@ def truncated_commutator(d: int) -> np.ndarray:
 # application
 
 
-_ROWS: dict[tuple, np.ndarray] = {}  # apply_matrix's gather rows, the 24 last used
+# apply_matrix's gather rows, the 28 last used: a benchmark pool pass uses 20 keys on wigner-map,
+# 10 on thermal-steady, 174 on sweep-cold (new cutoffs every op); 28 adds two runs' 4 elements.
+_ROWS: dict[tuple, np.ndarray] = {}
 
 
-def _gather_rows(idx: np.ndarray, dims: tuple[int, ...], pos: tuple[int, ...]) -> np.ndarray:
-    """The rows of the array viewed as ``(prod(dims[p:]), -1)``, p = min(pos), that slot
-    entry ``idx[s, l]`` meets: one per level of the other modes from p up, the slowest first."""
-    hi = dims[min(pos):]
-    lead = [len(hi) - 1 - q + min(pos) for q in reversed(pos)]  # mode p + i is axis len(hi)-1-i
+def _gather_rows(idx: np.ndarray, hi: tuple[int, ...], pos: tuple[int, ...]) -> np.ndarray:
+    """The rows of the array viewed as ``(prod(hi), -1)`` that slot entry ``idx[s, l]``
+    meets, ``hi`` the dims from the lowest op mode up and ``pos`` the op modes' positions
+    relative to it: one row per level of the other modes in ``hi``, the slowest first."""
+    lead = [len(hi) - 1 - q for q in reversed(pos)]  # mode i of hi is axis len(hi)-1-i
     table = np.arange(math.prod(hi)).reshape(hi[::-1])
     table = table.transpose(lead + [a for a in range(len(hi)) if a not in lead])
     return table[np.unravel_index(idx, table.shape[: len(pos)])]
@@ -101,13 +103,16 @@ def apply_matrix(
     product on their interleaved (re, im) pairs, ``blocks @ x[idx]``, and
     written through the same view of one fresh array.  The gather rows are
     cached by value: ``idx`` (an element's kind and (d1, d2) fix it), the dims
-    and the op modes' positions.
+    from the lowest op mode up and the op modes' positions relative to it, the
+    only inputs the rows depend on.
     """
     idx, blocks = sectors
-    key = (idx.shape, idx.tobytes(), tuple(dims), tuple(state_modes.index(m) for m in op_modes))
+    pos = [state_modes.index(m) for m in op_modes]
+    low = min(pos)
+    key = (idx.shape, idx.tobytes(), tuple(dims[low:]), tuple(q - low for q in pos))
     rows = _ROWS.pop(key) if key in _ROWS else _gather_rows(idx, *key[2:])
     _ROWS[key] = rows
-    if len(_ROWS) > 24:  # 3 Fig. 1 runs' 4 elements, at first and doubled cutoffs
+    if len(_ROWS) > 28:
         del _ROWS[next(iter(_ROWS))]
     x = arr.reshape(rows.size, -1).take(rows, axis=0)
     y = blocks @ x.reshape(idx.shape + (-1,)).view(np.float64)

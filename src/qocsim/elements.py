@@ -163,7 +163,9 @@ def _chain_basis(
 # The sectors depend only on the cutoffs, not on the modes.  A Fig.-1 run needs at most
 # 4 keys per attempt (BS1, the squeezer, BS2, BS3); the Wigner grids keep their one 50:50
 # table apart.  A repeated element skips even the rescaling of its shape's cached eigenbasis.
-@lru_cache(maxsize=16)
+# A benchmark pool pass uses 15 keys on wigner-map, 7 on thermal-steady, 764 on sweep-cold
+# (new T, s and cutoffs every op); 24 adds two runs' 4 keys to wigner-map's.
+@lru_cache(maxsize=24)
 def element_sectors(
     kind: str, value: float, d1: int, d2: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """Wigner grids and their diagnostics, and fidelity.
 
 A state is a plain complex array: a ket ``(d,)`` or a density matrix
-``(d, d)``, possibly unnormalized.  :func:`wigner`, :func:`fidelity` and
-:func:`uhlmann_fidelity` check their arguments once, in :func:`_check`.
+``(d, d)``, possibly unnormalized.  :func:`wigner` and :func:`fidelity` check
+their arguments once, in :func:`_check`.
 
 Convention: W(β) = (2/π)·Tr[ρ D(β) Π D(−β)] with Π the photon-number parity
 and D the displacement operator, so W(0) = 2/π for vacuum and ∫W d²β = 1.
@@ -46,7 +46,6 @@ __all__ = [
     "WignerGrid",
     "wigner",
     "fidelity",
-    "uhlmann_fidelity",
     "min_wigner",
     "grid_integral",
 ]
@@ -258,8 +257,8 @@ def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
     For a pure reference |φ⟩ it reduces to F = ⟨φ|ρ|φ⟩ (:func:`_pure_fidelity`).  A
     mixed reference and a state both diagonal in the Fock basis (a thermal input against
     a charge-dephased branch) give F = (Σₙ √(pₙqₙ))² from their populations
-    (:func:`_population_fidelity`); any other mixed reference goes to
-    :func:`uhlmann_fidelity`, whose eigenvalue floor would drop the small but real pₙqₙ
+    (:func:`_population_fidelity`); any other mixed reference goes to Uhlmann's
+    (:func:`_uhlmann`), whose eigenvalue floor would drop the small but real pₙqₙ
     of a thermal tail.  Each is a ket or a density matrix, both on the same levels.
     """
     _check(reference, state)
@@ -288,14 +287,9 @@ def _population_fidelity(p: np.ndarray, q: np.ndarray) -> float:
     return min(val, 1.0) if val <= 1.0 + 1e-9 else val
 
 
-def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """F(ρ,σ) = (Tr√(√ρ σ √ρ))² of two density matrices on the same levels, both normalized first."""
-    _check(rho, sigma)
-    return _uhlmann(rho, sigma)
-
-
 def _uhlmann(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """:func:`uhlmann_fidelity` of two arrays already checked."""
+    """F(ρ,σ) = (Tr√(√ρ σ √ρ))² of two density matrices on the same levels, both normalized
+    first; unchecked."""
     r = rho / float(rho.trace().real)
     s = sigma / float(sigma.trace().real)
     evals, evecs = np.linalg.eigh(r)

@@ -3,8 +3,15 @@
 Layout: the input rides on mode ``a``; BS1(a,b) and BS2(a,c) are weak taps of
 equal intensity transmittivity T; a two-mode squeezer S(a,d) of coupling s sits
 between them and PD0 heralds one idler photon on ``d`` (photon addition); the
-two tap modes interfere on the 50:50 BS3 and are watched by PD1 (mode b) and
-PD2 (mode c).
+two tap modes interfere on the 50:50 BS3 and are watched by the on-off
+detectors PD1 (mode b) and PD2 (mode c), of configurable efficiencies.  PD0
+resolves "exactly one" by default (``pd0_onoff`` makes it an on-off click).
+
+:func:`build_fig1_circuit` states this circuit once, as ``circuits/fig1.qoc``
+does, ending with the PD2 branch's heralds: no click at PD1, a click at PD2.
+:func:`run_interferometer` forks it there: the part up to BS3 runs once, then
+those two heralds give the PD2 branch, and the same two detectors with the
+click moved to the other one the PD1 branch.
 
 With the beam-splitter sign convention of :mod:`qocsim.elements`, BS3 is
 applied to the ordered pair (c, b), which routes the difference combination of
@@ -12,10 +19,6 @@ the two add/subtract orderings — the identity operation, first order in r and
 λ — to PD2, and the sum combination (1 + 2n̂) to PD1.  Swapping the BS3 pair
 order exchanges the two detectors' roles; ``SchemeParams.swap_bs3_sign``
 exposes that deliberately as a sign sanity check.
-
-Detector models: PD0 is an ideal number-resolving "exactly one" herald by
-default (``pd0_onoff`` switches it to an on-off click); PD1/PD2 are on-off
-detectors with configurable efficiencies, matching avalanche photodiodes.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsl import (
-    CircuitSpec,
-    ElementStmt,
-    HeraldStmt,
-    InputStmt,
-    OutputStmt,
-    compile_circuit,
-)
+from .dsl import (Branches, CircuitSpec, ElementStmt, HeraldStmt, InputStmt, OutputStmt,
+                  compile_circuit)
 from .elements import _coherent_amplitudes, _thermal_populations
 from .engine import execute_plan
 from . import measurement
@@ -115,50 +112,33 @@ class SchemeParams:
         return InputStmt("a", "fock", (float(self.fock_n),))
 
 
-def _pd0_herald(params: SchemeParams) -> HeraldStmt:
-    if params.pd0_onoff:
-        return HeraldStmt("d", "click", None, params.eta_pd0, True)
-    return HeraldStmt("d", "exactly", 1, params.eta_pd0, False)
-
-
-def _branch_heralds(params: SchemeParams, branch: str) -> tuple[HeraldStmt, HeraldStmt]:
-    """The two on-off heralds after BS3 that accept ``branch``: no click, then a click."""
-    dark, bright = ("b", "c") if branch == "pd2" else ("c", "b")
-    eta = {"b": params.eta_pd1, "c": params.eta_pd2}
-    return (HeraldStmt(dark, "noclick", None, eta[dark], True),
-            HeraldStmt(bright, "click", None, eta[bright], True))
-
-
-def build_fig1_circuit(params: SchemeParams, branch: str = "pd2") -> CircuitSpec:
-    """Circuit for one accepted branch: 4 unitaries, 3 herald points.
-
-    ``branch='pd2'`` keeps events with a click at PD2 (mode c) and none at PD1
-    (mode b); ``branch='pd1'`` is the converse.  ``branch='none'`` stops after
-    BS3 with only the PD0 herald: the part both branches share, which
-    :func:`run_interferometer` executes once.
-    """
-    if branch not in ("pd2", "pd1", "none"):
-        raise ValueError(f"unknown branch {branch!r}")
+def build_fig1_circuit(params: SchemeParams) -> CircuitSpec:
+    """Fig. 1 as ``circuits/fig1.qoc`` states it: 4 unitaries, 3 heralds, 3 outputs; its
+    last two heralds accept the PD2 branch, where :func:`_fork` cuts it."""
     bs3 = ("b", "c") if params.swap_bs3_sign else ("c", "b")
-    operations: list = [
+    pd0 = (HeraldStmt("d", "click", None, params.eta_pd0, True) if params.pd0_onoff
+           else HeraldStmt("d", "exactly", 1, params.eta_pd0, False))
+    operations = (
         ElementStmt("bs", ("a", "b"), params.transmittivity),
         ElementStmt("tmsq", ("a", "d"), params.coupling),
-        _pd0_herald(params),
+        pd0,
         ElementStmt("bs", ("a", "c"), params.transmittivity),
         ElementStmt("bs", bs3, 0.5),
-    ]
-    outputs = [OutputStmt("probs")]
-    if branch != "none":
-        operations.extend(_branch_heralds(params, branch))
-        outputs.append(OutputStmt("fidelity", "a"))
-        outputs.append(OutputStmt("state", "a"))
-    inputs = (
-        params.input_stmt(),
-        InputStmt("b", "vacuum"),
-        InputStmt("c", "vacuum"),
-        InputStmt("d", "vacuum"),
+        HeraldStmt("b", "noclick", None, params.eta_pd1, True),
+        HeraldStmt("c", "click", None, params.eta_pd2, True),
     )
-    return CircuitSpec(MODES, inputs, tuple(operations), tuple(outputs))
+    inputs = (params.input_stmt(), *(InputStmt(m, "vacuum") for m in MODES[1:]))
+    outputs = (OutputStmt("probs"), OutputStmt("fidelity", "a"), OutputStmt("state", "a"))
+    return CircuitSpec(MODES, inputs, operations, outputs)
+
+
+def _fork(spec: CircuitSpec) -> tuple[CircuitSpec, Branches]:
+    """Fig. 1 cut before its two detector heralds: the shared part, without outputs, and
+    the PD2 branch (those heralds) and PD1 branch (the click moved to the other one)."""
+    *shared, dark, bright = spec.operations
+    pd1 = (replace(bright, requirement=dark.requirement),
+           replace(dark, requirement=bright.requirement))
+    return replace(spec, operations=tuple(shared), outputs=()), ((dark, bright), pd1)
 
 
 @dataclass
@@ -187,13 +167,13 @@ class SchemeResult:
 def run_interferometer(params: SchemeParams) -> SchemeResult:
     """Exact staged simulation of both accepted branches plus click statistics.
 
-    One plan runs: the ``none`` circuit with the trailing heralds of the
-    ``pd2`` and ``pd1`` circuits as its branches, both conditioning its
-    post-BS3 ensemble inside the same cutoff retry and leak checks; the click
-    statistics come from that ensemble too.  The compiler sizes the branch
+    One plan runs: Fig. 1 forked at its two detector heralds (:func:`_fork`),
+    both branches conditioning the shared post-BS3 ensemble inside the same
+    cutoff retry and leak checks.  The click statistics come from that ensemble
+    too, each detector read from its herald.  The compiler sizes the branch
     stages with the shared ones, so each mode's adaptive cutoff is the larger
-    of the two branch circuits' predictions for it, and a circuit file for one
-    branch, run at these cutoffs, reproduces its numbers to rounding.
+    of the two branch circuits' predictions for it, and either branch as a
+    circuit of its own, run at these cutoffs, reproduces its numbers to rounding.
     ``SchemeResult.cutoff`` is the largest of them, mode a's.
     ``fidelity_pd2_vs_attenuated`` compares the PD2 branch with the input
     attenuated by one tap if it is coherent (|√T·α⟩) but by both if it is
@@ -203,22 +183,21 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     coherent input's kets give ⟨φ|ρ|φ⟩/Tr ρ, and a thermal or Fock input's
     populations, against the diagonal (charge-signed) branch, (Σₙ √(pₙqₙ))².
     """
-    prefix = build_fig1_circuit(params, "none")
-    tails = (_branch_heralds(params, "pd2"), _branch_heralds(params, "pd1"))
-    res = execute_plan(compile_circuit(prefix, branches=tails, cutoff=params.cutoff,
+    shared, branches = _fork(build_fig1_circuit(params))
+    res = execute_plan(compile_circuit(shared, branches=branches, cutoff=params.cutoff,
                                        leak_budget=params.leak_budget))
     (ens_pd2, heralds_pd2), (ens_pd1, heralds_pd1) = res.branches
 
-    pd0_prob = res.heralds[0].probability
     w_pd2 = math.prod(h.probability for h in heralds_pd2)
     w_pd1 = math.prod(h.probability for h in heralds_pd1)
 
     post, w = res.final_state, res.weight
     # one pass over the post-BS3 ensemble serves all three click statistics
-    pops = post.populations(("b", "c"))
+    detectors = branches[0]  # PD1's herald, then PD2's
+    pops = post.populations([h.mode for h in detectors])
     click_b, click_c = (
-        measurement.povm_diagonal("click", None, eta, True, res.cutoffs[m])
-        for m, eta in (("b", params.eta_pd1), ("c", params.eta_pd2))
+        measurement.povm_diagonal("click", None, h.eta, h.onoff, res.cutoffs[h.mode])
+        for h in detectors
     )
     p_b = float(click_b @ pops.sum(axis=1)) / w
     p_c = float(pops.sum(axis=0) @ click_c) / w
@@ -241,7 +220,7 @@ def run_interferometer(params: SchemeParams) -> SchemeResult:
     return SchemeResult(
         params=params,
         cutoff=res.cutoff,
-        pd0_probability=pd0_prob,
+        pd0_probability=res.heralds[0].probability,
         pd1_branch=rho_pd1,
         pd2_branch=rho_pd2,
         pd1_weight=w_pd1,

@@ -6,7 +6,9 @@ truncation, heralded conditioning of a state, the pattern probabilities and
 density matrix of an ensemble, closed-form Wigner values of Gaussian states,
 pointwise Wigner evaluation by the Laguerre series and the canonical `.qoc`
 printer.  Each is written directly from its definition and serves as an
-oracle; ``output_value`` and ``normalized_branch`` are lookup helpers, and
+oracle; ``output_value`` and ``normalized_branch`` are lookup helpers,
+``fig1_plan`` and ``fig1_branch_circuit`` take Fig. 1 from the fork that
+:func:`qocsim.scheme.run_interferometer` runs, and
 ``fock_state``, ``vacuum``, ``thermal_state``, ``tensor`` and ``to_mixed``
 build states through :func:`qocsim.engine.input_state` and ``np.kron``.
 
@@ -19,16 +21,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from qocsim.core import DimensionMismatchError, UnknownModeError, annihilation_matrix, apply
-from qocsim.dsl import CircuitSpec, ElementStmt, InputStmt
+from qocsim.dsl import CircuitSpec, ElementStmt, ExecutionPlan, InputStmt, compile_circuit
 from qocsim.elements import _coherent_amplitudes
 from qocsim.engine import input_state
 from qocsim.measurement import ZeroProbabilityError, povm_diagonal
+from qocsim.scheme import SchemeParams, _fork, build_fig1_circuit
 
 ZERO_PROBABILITY_FLOOR = 1e-300
 
@@ -345,3 +349,20 @@ def output_value(result, kind: str, mode: str | None = None):
         if out.kind == kind and (mode is None or out.mode == mode):
             return value
     raise KeyError(f"no {kind!r} output for mode {mode!r}")
+
+
+def fig1_plan(params: SchemeParams) -> ExecutionPlan:
+    """The plan ``run_interferometer(params)`` executes: Fig. 1 forked at its detector heralds."""
+    shared, branches = _fork(build_fig1_circuit(params))
+    return compile_circuit(shared, branches=branches, cutoff=params.cutoff,
+                           leak_budget=params.leak_budget)
+
+
+def fig1_branch_circuit(params: SchemeParams, branch: str) -> CircuitSpec:
+    """One side of that fork as a circuit of its own: ``"none"`` is the shared part, and
+    ``"pd2"`` or ``"pd1"`` adds that branch's heralds and Fig. 1's outputs to it."""
+    spec = build_fig1_circuit(params)
+    shared, (pd2, pd1) = _fork(spec)
+    if branch == "none":
+        return shared
+    return replace(spec, operations=shared.operations + {"pd2": pd2, "pd1": pd1}[branch])

@@ -329,7 +329,7 @@ branch_wigner(res, "pd1", GridSpec.square(-2.0, 2.0, 9))
 seen["branch_wigner"] = loaded()
 commutation_report(SchemeParams(), [0.6])
 seen["commutation_report"] = loaded()
-spec = build_fig1_circuit(SchemeParams(alpha=0.5), "pd2")
+spec = build_fig1_circuit(SchemeParams(alpha=0.5))
 execute_plan_brute(compile_circuit(spec, cutoff=5, leak_budget=1.0))
 seen["execute_plan_brute"] = loaded()
 cli("run", "fig1")

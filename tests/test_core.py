@@ -14,7 +14,7 @@ from qocsim.core import (
     partial_trace,
     truncated_commutator,
 )
-from qocsim.phasespace import fidelity, uhlmann_fidelity, wigner
+from qocsim.phasespace import fidelity, wigner
 from reference import (coherent_state, creation_matrix, embed, expectation, fock_state,
                        number_matrix, tensor, to_mixed, vacuum)
 
@@ -249,7 +249,7 @@ def test_mixed_state_hermiticity_validation():
     bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     good = np.diag([0.5, 0.5]).astype(complex)
     for check in (wigner, lambda x: fidelity(good, x), lambda x: fidelity(x, good),
-                  lambda x: fidelity(vacuum(2), x), lambda x: uhlmann_fidelity(good, x)):
+                  lambda x: fidelity(vacuum(2), x)):
         with pytest.raises(ValueError, match="not Hermitian"):
             check(bad)
     # within the tolerance, relative to a trace above 1
@@ -269,8 +269,6 @@ def test_state_dimension_mismatch_is_rejected():
                        (rho3, np.eye(4, dtype=complex))):
         with pytest.raises(DimensionMismatchError):
             fidelity(ref, state)
-    with pytest.raises(DimensionMismatchError):
-        uhlmann_fidelity(rho3, np.eye(4, dtype=complex))
 
 
 def test_little_endian_flat_indexing():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qocsim import dsl
 from qocsim.dsl import (
     CircuitParseError,
     CircuitSpec,
@@ -345,6 +346,44 @@ def test_cutoff_policy_rules():
             compile_circuit(fock, cutoff=cutoff)
     with pytest.raises(ValueError, match="leak_budget > 0"):
         compile_circuit(vac, leak_budget=0.0)
+
+
+def test_click_counts_stay_finite_past_the_float_range():
+    # a displaced vacuum of X = |β|² = 1000 behind its detector: P(n)/P(0) = Xⁿ/n!
+    # passes 1e308 at n = 341, and the counts run on, rising, to the last level
+    counts = dsl._click_counts(np.eye(2), np.array([math.sqrt(4000.0), 0.0]), 0, 1e-9)
+    assert list(counts) == list(range(1, 512))
+    for n, w in counts.items():
+        want = (n - 1) * math.log(1000.0) - math.lgamma(n + 1)
+        assert abs(w - want) <= 1.3e-15 * max(1.0, abs(want)), n
+
+
+def test_clicks_on_two_idlers_sum_the_weights_of_each_total_count(monkeypatch):
+    # clicks on b and c, each the idler of a squeezer on a, may stand for n and n'
+    # photons; every pair of one total n + n' is one count of a, of the summed weight
+    text = ("modes a b c\ninput a vacuum\ninput b vacuum\ninput c vacuum\n"
+            "tmsq a b s=0.3\ntmsq a c s=0.3\nherald b click onoff\nherald c click onoff\n"
+            "out state a\n")
+    recorded = []
+    counts = dsl._click_counts
+
+    def recording(*args):
+        recorded.append(counts(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(dsl, "_click_counts", recording)
+    rows, starts, modes, _ = dsl._tail_model(parse(text), dsl._CLICK_FLOOR * 1e-6, ())
+    first, *second = recorded  # c's click is counted once for each of b's counts n (j = n)
+    assert len(second) == len(first) and modes[-1] == "a"
+    want: dict[int, list[float]] = {}
+    for (n, w), more in zip(first.items(), second):
+        for m, wm in more.items():
+            want.setdefault(n + m, []).append(w + wm)
+    assert max(map(len, want.values())) > 1
+    got = {int(j): w for _, _, _, j, _, w in rows[starts[-1]:]}
+    assert list(got) == list(want)
+    for total, ws in want.items():
+        assert abs(got[total] - np.logaddexp.reduce(ws)) <= 1e-12 * max(1.0, abs(got[total]))
 
 
 def test_compile_rejects_branch_heralds_on_modes_not_live():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qocsim import core, engine, phasespace, scheme
+from qocsim import core, engine, phasespace
 from qocsim.core import apply_matrix
 from qocsim.dsl import (
     CircuitSpec,
@@ -26,8 +26,8 @@ from qocsim.engine import (
     execute_plan_brute,
 )
 from qocsim.measurement import ZeroProbabilityError
-from qocsim.scheme import SchemeParams, build_fig1_circuit, run_interferometer
-from reference import embed, ensemble_to_mixed, output_value, to_mixed
+from qocsim.scheme import SchemeParams, run_interferometer
+from reference import embed, ensemble_to_mixed, fig1_branch_circuit, fig1_plan, output_value, to_mixed
 
 LOOSE = {"cutoff": 6, "leak_budget": 1.0}
 
@@ -98,6 +98,17 @@ def test_staged_equals_brute_on_randomized_circuits():
         except ZeroProbabilityError:
             continue  # a herald this circuit cannot satisfy; draw another
         built += 1
+
+
+def test_both_executors_herald_every_mode_to_no_final_state():
+    text = ("modes a b\ninput a coherent 0.5 0.0\ninput b vacuum\nbs a b T=0.5\n"
+            "herald a click onoff\nherald b noclick onoff\nout probs\n")
+    plan = compile_circuit(parse(text), **LOOSE)
+    rs, rb = execute_plan(plan), execute_plan_brute(plan)
+    assert rs.final_state is None and rb.final_state is None
+    assert len(rs.heralds) == len(rb.heralds) == 2
+    for hs, hb in zip(rs.heralds, rb.heralds):
+        assert abs(hs.probability - hb.probability) <= 1e-10
 
 
 def test_plan_execution_deterministic():
@@ -194,8 +205,7 @@ def _carried_leak_plans():
               "thermal-by-charge": SchemeParams(input_kind="thermal", nbar=0.95),
               "fock": SchemeParams(input_kind="fock", fock_n=2)}
     for name, p in params.items():
-        tails = tuple(scheme._branch_heralds(p, b) for b in ("pd2", "pd1"))
-        yield name, compile_circuit(build_fig1_circuit(p, "none"), branches=tails)
+        yield name, fig1_plan(p)
     rng = np.random.default_rng(7)
     for i in range(4):
         yield f"random-{i}", compile_circuit(_random_circuit(rng, n_heralds=2), **LOOSE)
@@ -252,6 +262,33 @@ def test_a_nan_after_an_element_fails_that_elements_leak_check(stage, monkeypatc
         execute_plan(plan)
     assert exc.value.stage == stage and exc.value.mode in modes.split("/")
     assert math.isnan(exc.value.leak)
+
+
+def test_a_second_pass_over_seven_fig1_runs_gathers_no_rows_afresh(monkeypatch):
+    # seven runs of distinct (d_a, d_b) apply 28 elements, each on its own (idx, dims,
+    # positions); cycled through a cache of 24 keyed so, every application would miss.
+    # The rows depend only on the dims from the lowest op mode up and the positions
+    # relative to it, so BS3, which skips mode a, shares them between runs of equal
+    # (d_b, d_c): 24 keys, which the cache holds
+    points = [SchemeParams(alpha=a) for a in (0.65, 0.8, 0.9, 1.05, 1.15, 1.25, 1.35)]
+    apply, gather = engine.apply_matrix, core._gather_rows
+    applied, gathered = [], []
+
+    def recording(arr, state_modes, dims, sectors, op_modes):
+        positions = tuple(state_modes.index(m) for m in op_modes)
+        applied.append((sectors[0].shape, sectors[0].tobytes(), tuple(dims), positions))
+        return apply(arr, state_modes, dims, sectors, op_modes)
+
+    monkeypatch.setattr(engine, "apply_matrix", recording)
+    monkeypatch.setattr(core, "_gather_rows", lambda *args: gathered.append(args) or gather(*args))
+    monkeypatch.setattr(core, "_ROWS", {})
+    for _ in range(2):
+        applied.clear()
+        gathered.clear()
+        for params in points:
+            run_interferometer(params)
+    assert len(applied) == len(set(applied)) == 28
+    assert len(core._ROWS) == 24 and gathered == []
 
 
 def test_circuit_without_heralds_checks_no_herald_stage(monkeypatch):
@@ -608,7 +645,7 @@ def test_leak_monitor_matches_population_formula():
 @pytest.mark.parametrize("branch", ["pd2", "pd1"])
 def test_fig1_branch_with_thermal_input_matches_brute(branch, pd0):
     params = SchemeParams(input_kind="thermal", nbar=0.4, cutoff=6, leak_budget=1.0, **pd0)
-    plan = compile_circuit(build_fig1_circuit(params, branch), cutoff=params.cutoff,
+    plan = compile_circuit(fig1_branch_circuit(params, branch), cutoff=params.cutoff,
                            leak_budget=params.leak_budget)
     rs, _ = _compare(plan)
     # the thermal input rides as one vector; K>1 comes from the levels the
@@ -627,4 +664,4 @@ def test_brute_oracle_does_not_run_the_staged_kernel(monkeypatch):
     monkeypatch.setattr(core, "apply_matrix", refuse)
     params = SchemeParams(alpha=0.5)
     for branch in ("pd2", "pd1"):
-        _compare(compile_circuit(build_fig1_circuit(params, branch), **LOOSE))
+        _compare(compile_circuit(fig1_branch_circuit(params, branch), **LOOSE))

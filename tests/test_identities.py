@@ -12,18 +12,10 @@ import pytest
 from qocsim.dsl import (CircuitSpec, ElementStmt, HeraldStmt, InputStmt, compile_circuit,
                         parse)
 from qocsim.engine import execute_plan
-from qocsim.scheme import (SchemeParams, SchemeResult, _branch_heralds, build_fig1_circuit,
-                           run_interferometer)
-from reference import output_value, thermal_state
+from qocsim.scheme import SchemeParams, SchemeResult, run_interferometer
+from reference import fig1_branch_circuit, fig1_plan, output_value, thermal_state
 
 TOL = 1e-13
-
-
-def _adaptive_cutoffs(params: SchemeParams) -> dict[str, int]:
-    """The compiler's per-mode cutoffs for run_interferometer's plan."""
-    tails = tuple(_branch_heralds(params, b) for b in ("pd2", "pd1"))
-    return compile_circuit(build_fig1_circuit(params, "none"), branches=tails,
-                           cutoff=params.cutoff, leak_budget=params.leak_budget).cutoffs
 
 
 PHASE_CASES = {
@@ -40,8 +32,8 @@ def test_input_phase_rotates_every_branch_by_the_number_operator(name, phi):
     # diagonal, so α → αe^{iφ} maps each branch ρ to UρU†, U = e^{iφn̂}
     params = PHASE_CASES[name]
     rotated = replace(params, alpha=params.alpha * cmath.exp(1j * phi))
-    assert _adaptive_cutoffs(replace(rotated, cutoff=None)) == _adaptive_cutoffs(
-        replace(params, cutoff=None))
+    assert fig1_plan(replace(rotated, cutoff=None)).cutoffs == fig1_plan(
+        replace(params, cutoff=None)).cutoffs
     want, got = run_interferometer(params), run_interferometer(rotated)
     assert got.cutoff == want.cutoff
     for f in fields(SchemeResult):
@@ -105,7 +97,7 @@ def test_pd0_loss_is_a_beam_splitter_to_a_traced_mode(params, pd0_onoff):
     params = replace(params, pd0_onoff=pd0_onoff, eta_pd0=0.7)
     loose = {"cutoff": 12, "leak_budget": 1.0}
     for branch in ("pd2", "pd1"):
-        spec = build_fig1_circuit(params, branch)
+        spec = fig1_branch_circuit(params, branch)
         lossy = execute_plan(compile_circuit(spec, **loose))
         split = execute_plan(compile_circuit(
             _loss_as_beam_splitter(spec, params.eta_pd0), **loose,
@@ -217,9 +209,9 @@ def test_swapping_bs3_at_adaptive_cutoffs_holds_within_the_leak_bound():
     # every stage's leak is within the budget, so a branch of weight w moves by
     # at most LEAK_STAGES·budget/w
     params = SWAP_CASES["thermal-onoff-lossy"]
-    cuts = _adaptive_cutoffs(params)
+    cuts = fig1_plan(params).cutoffs
     assert cuts["b"] != cuts["c"]
-    assert _adaptive_cutoffs(replace(params, swap_bs3_sign=True)) == {
+    assert fig1_plan(replace(params, swap_bs3_sign=True)).cutoffs == {
         **cuts, "b": cuts["c"], "c": cuts["b"]}
     plain, swapped = _plain_and_swapped(params)
     tol = LEAK_STAGES * params.leak_budget / min(plain.pd1_weight, plain.pd2_weight)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qocsim import engine, measurement, phasespace, scheme
-from qocsim.dsl import CutoffCeilingError, compile_circuit, parse
+from qocsim.dsl import CutoffCeilingError, ElementStmt, HeraldStmt, compile_circuit, parse
 from qocsim.engine import LeakBudgetError, execute_plan, input_state
 from qocsim.measurement import ZeroProbabilityError
 from qocsim.phasespace import fidelity, wigner
@@ -20,7 +20,8 @@ from qocsim.scheme import (
     build_fig1_circuit,
     run_interferometer,
 )
-from reference import normalized_branch, output_value, pattern_probability
+from reference import (fig1_branch_circuit, fig1_plan, normalized_branch, output_value,
+                       pattern_probability)
 
 TOL = 1e-12
 POLICY_TABLE = Path(__file__).parent / "data" / "policy_cutoffs.json"
@@ -29,25 +30,18 @@ OUTPUT_TABLE = Path(__file__).parent / "data" / "scheme_outputs.json"
 
 def _predicted(params: SchemeParams) -> dict[str, int]:
     """Each mode's cutoff: the larger of the pd2 and pd1 circuits' predictions."""
-    pd2, pd1 = (_compiled(params, build_fig1_circuit(params, b)).cutoffs for b in ("pd2", "pd1"))
+    pd2, pd1 = (_compiled(params, fig1_branch_circuit(params, b)).cutoffs for b in ("pd2", "pd1"))
     return {m: max(pd2[m], pd1[m]) for m in pd2}
 
 
-def _compiled(params: SchemeParams, spec, branches=()):
+def _compiled(params: SchemeParams, spec):
     """The plan of ``spec`` at the cutoff and leak budget of ``params``."""
-    return compile_circuit(spec, branches=branches, cutoff=params.cutoff,
-                           leak_budget=params.leak_budget)
-
-
-def _tails(params: SchemeParams) -> tuple:
-    """The pd2 and pd1 circuits' operations after the shared prefix."""
-    n = len(build_fig1_circuit(params, "none").operations)
-    return tuple(build_fig1_circuit(params, b).operations[n:] for b in ("pd2", "pd1"))
+    return compile_circuit(spec, cutoff=params.cutoff, leak_budget=params.leak_budget)
 
 
 def _pinned(params: SchemeParams, branch: str, cutoffs: dict[str, int], may_double=False):
     """The branch circuit's plan with its per-mode cutoffs replaced by ``cutoffs``."""
-    plan = _compiled(params, build_fig1_circuit(params, branch))
+    plan = _compiled(params, fig1_branch_circuit(params, branch))
     return replace(plan, cutoffs=cutoffs, may_double=may_double)
 
 
@@ -176,14 +170,13 @@ def test_branch_stage_leak_doubles_the_cutoff():
     # branch's `herald c`; the retry must cover the branch stages and double
     # every mode
     params = CASES["alpha2-branch-retry"]
-    tails = _tails(params)
     predicted = _predicted(params)
-    low = _pinned(params, "none", {**predicted, "a": 20}, may_double=True)
-    assert execute_plan(low).cutoffs == low.cutoffs
+    low = replace(fig1_plan(params), cutoffs={**predicted, "a": 20})
+    assert execute_plan(replace(low, branches=())).cutoffs == low.cutoffs
     with pytest.raises(LeakBudgetError) as exc:
-        execute_plan(replace(low, may_double=False, branches=tails))
+        execute_plan(replace(low, may_double=False))
     assert exc.value.stage == "herald c" and exc.value.cutoffs == low.cutoffs
-    doubled = execute_plan(replace(low, branches=tails)).cutoffs
+    doubled = execute_plan(low).cutoffs
     assert doubled == {m: 2 * d for m, d in low.cutoffs.items()}
     assert run_interferometer(params).cutoff == predicted["a"] == max(predicted.values())
 
@@ -269,11 +262,9 @@ def test_params_reject_values_the_policy_cannot_use(bad):
         SchemeParams(**bad)
 
 
-def test_an_unknown_input_kind_or_branch_is_rejected():
+def test_an_unknown_input_kind_is_rejected():
     with pytest.raises(ValueError, match="unknown input kind 'squeezed'"):
         SchemeParams(input_kind="squeezed")
-    with pytest.raises(ValueError, match="unknown branch 'pd3'"):
-        build_fig1_circuit(SchemeParams(), "pd3")
 
 
 def test_an_integral_fock_level_of_any_type_runs_as_that_level():
@@ -297,10 +288,35 @@ def test_interferometer_executes_one_plan(monkeypatch):
     assert len(calls) == 1
 
 
+def _fig1_file():
+    return parse(resources.files("qocsim").joinpath("circuits/fig1.qoc").read_text())
+
+
+def test_the_fig1_circuit_file_is_the_built_circuit():
+    assert _fig1_file() == build_fig1_circuit(SchemeParams())
+
+
+def test_fig1_forks_at_its_two_detector_heralds():
+    # lossy on-off detectors behind a swapped BS3: the PD2 branch is the two heralds as
+    # written, the PD1 branch the same two detectors with the click moved to the other
+    params = SchemeParams(eta_pd0=0.5, eta_pd1=0.6, eta_pd2=0.7, pd0_onoff=True,
+                          swap_bs3_sign=True)
+    spec = build_fig1_circuit(params)
+    shared, branches = scheme._fork(spec)
+    assert branches == (
+        (HeraldStmt("b", "noclick", None, 0.6, True), HeraldStmt("c", "click", None, 0.7, True)),
+        (HeraldStmt("c", "noclick", None, 0.7, True), HeraldStmt("b", "click", None, 0.6, True)),
+    )
+    assert shared == replace(spec, operations=spec.operations[:-2], outputs=())
+    assert shared.operations[2:] == (HeraldStmt("d", "click", None, 0.5, True),
+                                     ElementStmt("bs", ("a", "c"), 0.99),
+                                     ElementStmt("bs", ("b", "c"), 0.5))
+
+
 def test_fig1_circuit_file_agrees_with_run_interferometer():
     # both run at run_interferometer's per-mode cutoffs
     params = SchemeParams(alpha=1.0)
-    plan = compile_circuit(parse(resources.files("qocsim").joinpath("circuits/fig1.qoc").read_text()))
+    plan = compile_circuit(_fig1_file())
     res = execute_plan(replace(plan, cutoffs=_predicted(params)))
     sch = run_interferometer(params)
     assert res.cutoff == sch.cutoff
@@ -463,8 +479,7 @@ def test_forked_choose_matches_the_two_circuit_max():
     kinds = set()
     for _ in range(300):
         params = _random_params(rng)
-        prefix = build_fig1_circuit(params, "none")
-        plan = _compiled(params, prefix, _tails(params))
+        plan = fig1_plan(params)
         assert plan.cutoffs == _predicted(params) and plan.may_double, params
         kinds.add((params.input_kind, params.pd0_onoff, params.swap_bs3_sign))
     assert len(kinds) == 12
@@ -484,8 +499,7 @@ def test_policy_reproduces_the_pinned_cutoffs():
         params = SchemeParams(**kw)
         if n < 300:
             assert params == _random_params(rng)
-        prefix = build_fig1_circuit(params, "none")
-        plan = _compiled(params, prefix, _tails(params))
+        plan = fig1_plan(params)
         assert plan.cutoffs == entry["cutoffs"] and plan.may_double, (n, params)
 
 
